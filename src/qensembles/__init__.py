@@ -10,7 +10,6 @@ from ._util import (
     CapacityError,
     Caps,
     DEFAULT_CAPS,
-    DegeneracyError,
     DegenerateWeightError,
     FitError,
     InvalidMatrixError,
@@ -24,7 +23,6 @@ __all__ = [
     "CapacityError",
     "Caps",
     "DEFAULT_CAPS",
-    "DegeneracyError",
     "DegenerateWeightError",
     "FitError",
     "InvalidMatrixError",

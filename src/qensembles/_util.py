@@ -41,10 +41,6 @@ class NumericalFailureError(QEnsemblesError):
     """A numerical routine failed to converge; details carried in the message."""
 
 
-class DegeneracyError(QEnsemblesError):
-    """Eigenvalue degeneracy could not be resolved by splitting."""
-
-
 class DegenerateWeightError(QEnsemblesError):
     """A weight required to be positive vanished."""
 

@@ -8,6 +8,7 @@ workflows should group their uses and then drop it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +32,11 @@ class SpectrumCache:
 
     @staticmethod
     def _key(model: dict) -> str:
-        return json.dumps({k: v for k, v in sorted(model.items()) if k != "matrix"}, default=str)
+        spec = dict(model)
+        if "matrix" in spec:
+            m = np.ascontiguousarray(spec["matrix"], dtype=complex)
+            spec["matrix"] = [m.shape, hashlib.sha256(m.tobytes()).hexdigest()]
+        return json.dumps(spec, sort_keys=True, default=str)
 
     def spectrum(self, model: dict) -> sp.SpectralData:
         key = self._key(model)
@@ -41,8 +46,8 @@ class SpectrumCache:
         return self._store[key]
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
-        n = int(model["n"])
-        return sp.bind_state(self.spectrum(model), hb.product_state(theta, n))
+        sd = self.spectrum(model)
+        return sp.bind_state(sd, hb.product_state(theta, _n_sites(sd)))
 
     def release(self, model: dict | None = None) -> None:
         if model is None:
@@ -54,10 +59,14 @@ class SpectrumCache:
 GLOBAL_CACHE = SpectrumCache()
 
 
+def _n_sites(sd: sp.SpectralData) -> int:
+    """Chain length of a qubit-chain spectrum (explicit models carry no "n")."""
+    return sd.dim.bit_length() - 1
+
+
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:
-    n = int(model["n"])
     sd = cache.spectrum(model)
-    return sp.evolve(sd, hb.product_state(theta, n), t)
+    return sp.evolve(sd, hb.product_state(theta, _n_sites(sd)), t)
 
 
 @dataclass(frozen=True)

@@ -2,36 +2,30 @@
 
 The Scrooge ensemble attached to a density matrix rho is the rho-distortion of
 the Haar ensemble (draw |psi> Haar, keep sqrt(rho)|psi> with weight equal to
-its squared norm). Its k-th moments are computed exactly from a generating
-function of rational-log terms in the inverse eigenvalues; mixed partial
-derivatives are taken symbolically over a closed term representation and
-evaluated in high precision, with symmetric epsilon-splitting plus Richardson
-extrapolation for degenerate spectra.
+its squared norm). Equivalently, draw g ~ CN(0, rho) and keep g/|g| with
+weight |g|^2, so its k-th moment is E[(g g^dagger)^(x)k / |g|^(2(k-1))].
+Writing |g|^(-2(k-1)) as a Laplace integral over s turns each eigenbasis
+coefficient into one smooth integral over s of Gaussian moments, which the
+trapezoid rule on a uniform grid in ln s evaluates to machine precision for
+any k and any spectrum, degenerate or not. The real-vector ensemble uses the
+same grid with real Gaussian moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-import mpmath as mp
 import numpy as np
-import scipy.integrate
+import scipy.special
 
-from ._util import (
-    Caps,
-    DEFAULT_CAPS,
-    DegeneracyError,
-    NumericalFailureError,
-    check_cap,
-    parallel_block_reduce,
-)
+from ._util import Caps, DEFAULT_CAPS, check_cap, parallel_block_reduce
 from .ensembles import (
     MomentOperator,
     distinct_orderings,
     multisets,
-    symmetrizer_sum,
+    product_form_moment,
     tuple_index,
 )
 from .hilbert import (
@@ -49,7 +43,8 @@ SUBENTROPY_LIMIT_BITS = (1.0 - np.euler_gamma) / LN2  # large-D maximally mixed 
 SUPPORT_CUTOFF = 1e-13
 CLUSTER_RTOL = 1e-9
 SPLIT_EPSILONS = (1e-4, 5e-5)  # relative to the mean eigenvalue; ratio 2 for Richardson
-ENGINE_DPS = 40
+GRID_STEP = 0.05  # trapezoid step in t = ln s
+GRID_MARGIN = 40.0  # reach in ln s past 1/lam_max and 1/lam_min; cut tails < e^-35 relative
 
 
 # ---------------------------------------------------------------------------
@@ -59,19 +54,14 @@ ENGINE_DPS = 40
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Descending eigenvalues of a density matrix with degeneracy clusters."""
+    """Descending support eigenvalues of a density matrix and their eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def degenerate(self) -> bool:
-        return any(len(c) > 1 for c in self.clusters)
 
 
 def _as_density(rho) -> np.ndarray:
@@ -82,42 +72,12 @@ def _as_density(rho) -> np.ndarray:
     return m
 
 
-def eigen_spectrum(rho, cluster_rtol: float = CLUSTER_RTOL) -> EigenSpectrum:
-    """Eigen-decomposition restricted to the support, clustered by relative gaps."""
-    m = _as_density(rho)
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
+def eigen_spectrum(rho) -> EigenSpectrum:
+    """Eigen-decomposition restricted to the support, eigenvalues descending."""
+    w, v = np.linalg.eigh(_as_density(rho))
+    w, v = w[::-1], v[:, ::-1]
     keep = w > SUPPORT_CUTOFF * max(w[0], 1e-300)
-    w, v = w[keep], v[:, keep]
-    mean = float(w.mean())
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if w[i - 1] - w[i] <= cluster_rtol * mean:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return EigenSpectrum(w, v, tuple(tuple(c) for c in clusters))
-
-
-def _split_clusters(spec: EigenSpectrum, eps_rel: float) -> np.ndarray:
-    """Symmetrically spread each degenerate cluster by +-eps (mean preserved)."""
-    lam = spec.eigenvalues.astype(float).copy()
-    mean = float(lam.mean())
-    eps = eps_rel * mean
-    for cluster in spec.clusters:
-        m = len(cluster)
-        if m == 1:
-            continue
-        center = float(lam[list(cluster)].mean())
-        if eps >= center / 2:
-            raise DegeneracyError("cluster too close to zero to split")
-        offsets = np.linspace(1.0, -1.0, m)
-        lam[list(cluster)] = center + eps * offsets
-    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(lam.size)
-    if gaps.min() < 1e-12 * mean:
-        raise DegeneracyError("eigenvalues remain unresolved after splitting")
-    return lam
+    return EigenSpectrum(w[keep], v[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -289,160 +249,59 @@ def subentropy_unweighted_variant(rho_or_eigs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moment generating-function engine
-#
-# Each term is coeff * mu_j^p * (ln mu_j)^b * prod_i (mu_j - mu_i)^(-e_i),
-# keyed by (j, p, b, poles); differentiation is closed over this family with
-# exact integer coefficients. The starting function for order k is
-# sum_j mu_j^(k-2) ln(mu_j) * prod_{i != j} (mu_i - mu_j)^(-1).
+# Gaussian-integral engine
 # ---------------------------------------------------------------------------
 
-TermKey = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
+def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, real: bool = False) -> np.ndarray:
+    """E[prod_m x_m^(2 n_m) / |x|^(2(k-1))] for independent Gaussians x_m, one per row of occ.
 
-def _initial_terms(r: int, k: int) -> dict[TermKey, int]:
-    # Generating function for k >= 2: sum_j lam_j^(2-k) ln(lam_j) / prod_{i!=j}(1/lam_i - 1/lam_j),
-    # rewritten in mu = 1/lam with poles (mu_j - mu_i): the pole rewrite contributes
-    # (-1)^(r-1) and ln(lam) = -ln(mu) one more sign.
-    sign = 1 if r % 2 == 0 else -1
-    terms: dict[TermKey, int] = {}
-    for j in range(r):
-        poles = tuple((i, 1) for i in range(r) if i != j)
-        terms[(j, k - 2, 1, poles)] = sign
-    return terms
-
-
-def _diff_terms(terms: dict[TermKey, int], m: int) -> dict[TermKey, int]:
-    out: dict[TermKey, int] = {}
-
-    def add(key: TermKey, coeff: int):
-        if coeff:
-            out[key] = out.get(key, 0) + coeff
-            if out[key] == 0:
-                del out[key]
-
-    for (j, p, b, poles), coeff in terms.items():
-        if m == j:
-            if p != 0:
-                add((j, p - 1, b, poles), coeff * p)
-            if b:
-                add((j, p - 1, 0, poles), coeff)
-            for idx, (i, e) in enumerate(poles):
-                new = poles[:idx] + ((i, e + 1),) + poles[idx + 1 :]
-                add((j, p, b, new), -coeff * e)
-        else:
-            for idx, (i, e) in enumerate(poles):
-                if i == m:
-                    new = poles[:idx] + ((i, e + 1),) + poles[idx + 1 :]
-                    add((j, p, b, new), coeff * e)
-                    break
-    return out
-
-
-def _eval_terms(terms: dict[TermKey, int], mu, log_mu, diffs):
-    total = mp.mpf(0)
-    for (j, p, b, poles), coeff in terms.items():
-        val = mp.mpf(coeff) * (mu[j] ** p)
-        if b:
-            val *= log_mu[j]
-        for i, e in poles:
-            val /= diffs[j][i] ** e
-        total += val
-    return total
-
-
-def _required_dps(lam: np.ndarray, k: int) -> int:
-    """Working precision covering the worst-case cancellation of the pole products.
-
-    Terms carry prod_{i != j} (mu_j - mu_i)^(-e) with exponents up to k + 1;
-    clustered spectra make individual terms enormous while the combination is
-    O(1), so the precision must absorb the largest log-magnitude."""
-    mu = 1.0 / lam
-    r = mu.size
-    worst = 0.0
-    for j in range(r):
-        others = np.abs(mu[j] - np.delete(mu, j))
-        scale = 1.0 + abs(mu[j])
-        logs = np.log10(scale / others)
-        worst = max(worst, float(np.sum(np.clip(logs, 0.0, None))) + (k + 1) * float(
-            np.clip(logs, 0.0, None).max(initial=0.0)
-        ))
-    dps = int(math.ceil(ENGINE_DPS + worst))
-    if dps > 600:
-        raise DegeneracyError(
-            f"spectrum needs ~{dps} digits after splitting; eigenvalues remain too close"
-        )
-    return dps
-
-
-def _moment_coefficients(lam: np.ndarray, k: int) -> dict[tuple[int, ...], float]:
-    """Multiset -> coefficient of the normalized Scrooge k-th moment, distinct spectra."""
-    r = lam.size
-    with mp.workdps(_required_dps(lam, k)):
-        mu = [1 / mp.mpf(float(x)) for x in lam]
-        log_mu = [mp.log(m) for m in mu]
-        diffs = [[mu[j] - mu[i] for i in range(r)] for j in range(r)]
-        prefactor = mp.mpf(1)
-        for m in mu:
-            prefactor *= m
-        base = _initial_terms(r, k)
-        coeffs: dict[tuple[int, ...], float] = {}
-        for a in range(r):
-            t1 = _diff_terms(base, a)
-            for b in range(a, r):
-                t2 = _diff_terms(t1, b)
-                if k == 2:
-                    coeffs[(a, b)] = float(prefactor * _eval_terms(t2, mu, log_mu, diffs))
-                    continue
-                for c in range(b, r):
-                    t3 = _diff_terms(t2, c)
-                    coeffs[(a, b, c)] = float(prefactor * _eval_terms(t3, mu, log_mu, diffs))
-    return coeffs
-
-
-def _cluster_reversal(spec: EigenSpectrum) -> np.ndarray:
-    perm = np.arange(spec.rank)
-    for cluster in spec.clusters:
-        perm[list(cluster)] = list(cluster)[::-1]
-    return perm
-
-
-def _coeffs_with_degeneracy(spec: EigenSpectrum, k: int) -> dict[tuple[int, ...], float]:
-    if not spec.degenerate:
-        return _moment_coefficients(spec.eigenvalues, k)
-    # Flipping the split direction permutes coefficients by within-cluster
-    # reversal; averaging the two removes all odd orders in eps, after which
-    # two-point Richardson in eps^2 leaves an O(eps^4) bias.
-    rev = _cluster_reversal(spec)
-    runs = []
-    for eps in SPLIT_EPSILONS:
-        raw = _moment_coefficients(_split_clusters(spec, eps), k)
-        runs.append(
-            {ms: 0.5 * (val + raw[tuple(sorted(rev[list(ms)]))]) for ms, val in raw.items()}
-        )
-    return {ms: runs[1][ms] + (runs[1][ms] - runs[0][ms]) / 3.0 for ms in runs[1]}
+    x_m is complex with E|x_m|^2 = lam_m, or real with E x_m^2 = lam_m. With
+    |x|^(-2(k-1)) = (1/(k-2)!) int_0^inf s^(k-2) e^(-s|x|^2) ds each value is
+        (1/(k-2)!) int_0^inf s^(k-2) prod_m a(n_m) lam_m^n_m (1 + w s lam_m)^-(n_m + b) ds
+    with (a(n), w, b) = (n!, 1, 1) complex and ((2n-1)!!, 2, 1/2) real. In t = ln s
+    the integrand is analytic within |Im t| < pi of the real axis and decays
+    exponentially at both ends, so the trapezoid rule converges geometrically;
+    it is summed in log space over all rows at once. Needs k = sum n_m >= 2.
+    """
+    k = int(occ[0].sum())
+    width, shift = (2.0, 0.5) if real else (1.0, 1.0)
+    t = np.arange(
+        -math.log(lam.max()) - GRID_MARGIN, -math.log(lam.min()) + GRID_MARGIN, GRID_STEP
+    )
+    log_factors = np.logaddexp(0.0, t + np.log(width * lam)[:, None])  # ln(1 + w s lam_m)
+    log_moments = scipy.special.gammaln(occ + 1.0)
+    if real:
+        log_moments = scipy.special.gammaln(2.0 * occ + 1.0) - occ * LN2 - log_moments
+    const = (log_moments + occ * np.log(lam)).sum(axis=1) - math.lgamma(k - 1)
+    log_integrand = const[:, None] + (k - 1) * t - (occ + shift) @ log_factors
+    return GRID_STEP * np.exp(scipy.special.logsumexp(log_integrand, axis=1))
 
 
 def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """Exact k-th moment of the Scrooge ensemble of rho (normalized convention).
 
-    Nonzero entries connect copy-permutation-related eigenbasis tuples only;
-    the coefficient of each multiset comes from the k-th mixed partials of the
-    generating function at mu = 1/lambda over the support.
+    Nonzero entries connect copy-permutation-related eigenbasis tuples only.
+    The coefficient of a multiset with occupations n_m over the support
+    eigenvalues lam_m is E[prod_m |g_m|^(2 n_m) / |g|^(2(k-1))] for
+    g ~ CN(0, rho), evaluated by `_gaussian_quadrature` for all multisets
+    at once. Any k >= 1 is accepted; degenerate spectra need no special case.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    m = _as_density(rho)
+    d = m.shape[0]
     if k == 1:
-        m = _as_density(rho)
-        return MomentOperator(1, m.shape[0], m, "normalized")
-    spec = eigen_spectrum(rho)
-    d = _as_density(rho).shape[0]
+        return MomentOperator(1, d, m, "normalized")
+    spec = eigen_spectrum(m)
     r = spec.rank
     check_cap(caps, "max_moment_entries", (d**k) ** 2)
     check_cap(caps, "max_multiset_terms", math.comb(r + k - 1, k))
-    coeffs = _coeffs_with_degeneracy(spec, k)
+    sets = multisets(r, k)
+    occ = np.array([np.bincount(ms, minlength=r) for ms in sets], dtype=float)
+    coeffs = _gaussian_quadrature(spec.eigenvalues, occ)
     ms_mat = np.zeros((r**k, r**k), dtype=complex)
-    for ms, val in coeffs.items():
+    for ms, val in zip(sets, coeffs):
         orderings = [tuple_index(t, r) for t in distinct_orderings(ms)]
         for row in orderings:
             ms_mat[row, orderings] = val
@@ -455,15 +314,8 @@ def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
 
 
 def unnormalized_scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """k-th moment of the unnormalized (Gaussian-distorted) ensemble: exact product form."""
-    m = _as_density(rho)
-    d = m.shape[0]
-    check_cap(caps, "max_moment_entries", (d**k) ** 2)
-    rk = np.array([[1.0 + 0j]])
-    for _ in range(k):
-        rk = np.kron(rk, m)
-    out = rk @ symmetrizer_sum(d, k, caps)
-    return MomentOperator(k, d, (out + out.conj().T) / 2, "unnormalized")
+    """k-th moment of the unnormalized (Gaussian-distorted) ensemble: the product form."""
+    return product_form_moment(_as_density(rho), k, caps).moment
 
 
 # ---------------------------------------------------------------------------
@@ -544,35 +396,6 @@ def conditional_states(
     )
 
 
-def conditional_states_from_window(
-    sd: SpectralData,
-    part: Bipartition,
-    basis: MeasurementBasis,
-    center_energy: float,
-    window_eigenstates: int = 100,
-) -> ConditionalStateTable:
-    """Outcome-conditioned states averaged over eigenstates near an energy.
-
-    For projected ensembles of eigenstates there is no time average to use;
-    the per-outcome state is estimated over the `window_eigenstates`
-    eigenstates closest to `center_energy` (window width is a sensitivity
-    knob, not a derived quantity).
-    """
-    order = np.argsort(np.abs(sd.eigenvalues - center_energy), kind="stable")
-    sel = np.sort(order[:window_eigenstates])
-    weights = np.zeros(sd.dim)
-    weights[sel] = 1.0 / math.sqrt(window_eigenstates)
-    d_a, d_b = part.d_a, part.d_b
-    raw = np.zeros((d_b, d_a, d_a), dtype=complex)
-    for t in _projected_eigenvector_table(sd, part, basis, weights):
-        raw += np.einsum("axe,cxe->xac", t, t.conj(), optimize=True)
-    p_d = np.einsum("xaa->x", raw).real
-    keep = np.flatnonzero(p_d >= 1e-14)
-    states = raw[keep] / p_d[keep, None, None]
-    states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
-    return ConditionalStateTable(keep, p_d[keep], states, int(d_b - keep.size))
-
-
 def generalized_scrooge_moment(
     table: ConditionalStateTable,
     k: int,
@@ -615,33 +438,13 @@ def real_haar_moment2(d: int) -> MomentOperator:
     return MomentOperator(2, d, m.astype(complex), "normalized")
 
 
-def _real_pair_integral(lam: np.ndarray, n: int, m: int, rel_tol: float = 1e-10) -> float:
-    """E[x_n^2 x_m^2 / |x|^2] for independent real Gaussians with variances lam."""
-    powers = np.full(lam.size, 0.5)
-    powers[n] += 1.0
-    powers[m] += 1.0
-    pref = 1.5 * lam[n] ** 2 if n == m else 0.5 * lam[n] * lam[m]
-
-    def integrand(u: float) -> float:
-        z = u / (1.0 - u)
-        log_val = -np.sum(powers * np.log1p(lam * z))
-        return math.exp(log_val) / (1.0 - u) ** 2
-
-    val, err = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
-    if val != 0.0 and err > 100 * rel_tol * abs(val):
-        raise NumericalFailureError(
-            f"real-moment quadrature achieved relative error {err / abs(val):.2e}"
-        )
-    return pref * val
-
-
 def real_scrooge_moment2(rho, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """Second moment of the real-vector Scrooge ensemble of a real density matrix.
 
     Entries are fully symmetric in the four eigenbasis indices and vanish
-    unless every index appears an even number of times; the nonzero values
-    come from one-dimensional integrals of inverse square-root products,
-    differentiated under the integral sign.
+    unless every index appears an even number of times. The nonzero values
+    E[x_n^2 x_m^2 / |x|^2] for x ~ N(0, rho) come from the same log-grid
+    quadrature as the complex moments, with real Gaussian factors.
     """
     m = _as_density(rho)
     if float(np.abs(m.imag).max()) > 1e-10:
@@ -651,10 +454,9 @@ def real_scrooge_moment2(rho, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     check_cap(caps, "max_moment_entries", (d**2) ** 2)
     lam = spec.eigenvalues
     r = lam.size
-    vals = np.zeros((r, r))
-    for n in range(r):
-        for mm in range(n, r):
-            vals[n, mm] = vals[mm, n] = _real_pair_integral(lam, n, mm)
+    eye = np.eye(r)
+    occ = (eye[:, None, :] + eye[None, :, :]).reshape(r * r, r)  # row n*r + m: x_n^2 x_m^2
+    vals = _gaussian_quadrature(lam, occ, real=True).reshape(r, r)
     ms_mat = np.zeros((r * r, r * r))
     for n in range(r):
         for mm in range(r):

@@ -258,7 +258,7 @@ def twirl2(
     if a.shape != (d2, d2):
         raise ValueError("operator must act on two copies of the space")
     if warn_on_resonance:
-        rep = check_no_resonance(sd.eigenvalues, 2)
+        rep = check_no_resonance(sd.eigenvalues, 2, caps=caps)
         if rep.verdict == "fail":
             warnings.warn(
                 f"spectrum violates the 2nd no-resonance condition "

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st_h
 
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
@@ -222,6 +224,105 @@ class TestScroogeMoment:
         null = v[:, lam < 1e-12]
         probe = np.kron(null[:, 0], null[:, 0])
         assert abs(probe.conj() @ m.matrix @ probe) <= 1e-12
+
+
+def one_copy_marginal(m):
+    """Partial trace of a k-copy moment over its last k - 1 copies."""
+    d = m.space_dim
+    return np.einsum("aibi->ab", m.matrix.reshape(d, d ** (m.k - 1), d, d ** (m.k - 1)))
+
+
+# k = 3 coefficients of diag(0.5, 0.3, 0.2), one per eigenbasis multiset, from
+# the symbolic-derivative engine (40 significant digits) this engine replaced.
+PINNED_K3_DIAG_532 = {
+    (0, 0, 0): 0.2251403643709361,
+    (0, 0, 1): 0.05344260916272665,
+    (0, 0, 2): 0.039687232148311415,
+    (0, 1, 1): 0.038385509106021315,
+    (0, 1, 2): 0.014341465268389614,
+    (0, 2, 2): 0.02153151336418723,
+    (1, 1, 1): 0.08345132709956675,
+    (1, 1, 2): 0.020920867681385555,
+    (1, 2, 2): 0.015810379626113633,
+    (2, 2, 2): 0.03602518365292209,
+}
+# Real second moment of diag(0.6, 0.4) from the adaptive-quadrature engine
+# (relative tolerance 1e-10): entries <nn|M|nn>, <nm|M|nm> and <mm|M|mm>.
+PINNED_REAL_DIAG_64 = (0.4787753826796275, 0.12122461732037254, 0.2787753826796275)
+
+
+class TestQuadratureEngine:
+    def test_pinned_k3_coefficients(self):
+        m = sc.scrooge_moment(np.diag([0.5, 0.3, 0.2]).astype(complex), 3).matrix
+        for ms, val in PINNED_K3_DIAG_532.items():
+            for t in en.distinct_orderings(ms):
+                for u in en.distinct_orderings(ms):
+                    assert abs(m[en.tuple_index(t, 3), en.tuple_index(u, 3)] - val) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_near_degenerate_spectrum_with_tiny_pair(self, k):
+        rho = np.diag([0.5, 0.5 - 2e-6, 1e-6, 1e-6]).astype(complex)
+        m = sc.scrooge_moment(rho, k)
+        assert np.abs(one_copy_marginal(m) - rho).max() <= 1e-12
+        assert np.linalg.eigvalsh(m.matrix).min() >= -1e-12
+        assert m.trace == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fourth_moment_of_maximally_mixed_is_haar(self, d):
+        m = sc.scrooge_moment(np.eye(d, dtype=complex) / d, 4).matrix
+        assert np.abs(m - en.haar_moment(d, 4).matrix).max() <= 1e-12
+
+    def test_fourth_moment_marginal(self, rng):
+        rho = random_density(3, rng)
+        m = sc.scrooge_moment(rho, 4)
+        assert np.abs(one_copy_marginal(m) - rho).max() <= 1e-12
+        assert np.linalg.eigvalsh(m.matrix).min() >= -1e-12
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            sc.scrooge_moment(np.eye(2, dtype=complex) / 2, 0)
+
+    def test_real_moment_with_tiny_eigenvalue(self):
+        m = sc.real_scrooge_moment2(np.diag([0.6, 0.4 - 1e-9, 1e-9]).astype(complex)).matrix
+        nn, nm, mm = PINNED_REAL_DIAG_64
+        expected = np.zeros((9, 9))
+        expected[0, 0], expected[4, 4] = nn, mm
+        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = nm
+        expected[0, 4] = expected[4, 0] = nm
+        assert np.abs(m - expected).max() <= 1e-8
+        assert np.linalg.eigvalsh(m).min() >= -1e-12
+
+    def test_real_moment_pinned_rank_two(self):
+        m = sc.real_scrooge_moment2(np.diag([0.6, 0.4]).astype(complex)).matrix.real
+        nn, nm, mm = PINNED_REAL_DIAG_64
+        assert abs(m[0, 0] - nn) <= 1e-10
+        assert abs(m[1, 1] - nm) <= 1e-10 and abs(m[0, 3] - nm) <= 1e-10
+        assert abs(m[3, 3] - mm) <= 1e-10
+
+
+@st_h.composite
+def spectra(draw):
+    """Density spectra with d <= 5, allowing repeated and tiny eigenvalues."""
+    d = draw(st_h.integers(1, 5))
+    pool = st_h.sampled_from([1.0, 0.5, 0.25, 1e-3, 1e-6, 1e-9])
+    raw = draw(st_h.lists(st_h.one_of(pool, st_h.floats(1e-9, 1.0)), min_size=d, max_size=d))
+    return np.array(raw) / sum(raw)
+
+
+class TestScroogeProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(lam=spectra(), k=st_h.sampled_from([2, 3]), seed=st_h.integers(0, 2**16))
+    def test_trace_psd_and_marginal(self, lam, k, seed):
+        d = lam.size
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(g)[0]
+        rho = (u * lam) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2
+        m = sc.scrooge_moment(rho, k)
+        assert m.trace == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(m.matrix).min() >= -1e-12
+        assert np.abs(one_copy_marginal(m) - rho).max() <= 1e-12
 
 
 class TestUnnormalizedMoment:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qensembles import CapacityError, Caps
 from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles import ensembles as en
@@ -238,6 +239,14 @@ class TestTwirl2:
         out_eig = v2.conj().T @ out @ v2
         expected = en.random_phase_moment_exact(bound.populations, 2).matrix
         assert np.abs(out_eig - expected).max() <= 1e-10
+
+    def test_resonance_check_uses_the_callers_caps(self, rng):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        sd = sp.diagonalize(hb.HermitianOperator((g + g.conj().T) / 2, (2, 2)))
+        # 10 two-multisets of 4 eigenvalues exceed a cap of 3 resonance sums
+        with pytest.raises(CapacityError) as info:
+            sp.twirl2(sd, np.eye(16, dtype=complex), caps=Caps(max_resonance_sums=3))
+        assert info.value.cap_name == "max_resonance_sums"
 
     def test_commutes_with_two_copy_evolution(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
