@@ -54,14 +54,16 @@ class Caps:
     """Resource caps for dense operations.
 
     All ops check the relevant cap before allocating and raise CapacityError
-    when exceeded. `max_moment_entries` bounds dense k-copy operators
-    (D^k x D^k complex entries); `max_multiset_terms` bounds exact multiset
-    enumerations; `max_sinc_terms` bounds the finite-interval double sums.
+    when exceeded. `max_moment_entries` bounds k-copy operators: D^2 entries
+    for a moment, stored on the symmetric subspace with D = C(d+k-1, k), and
+    (d^k)^2 for a full-space operator (`MomentOperator.dense()`, `twirl2`);
+    `max_multiset_terms` bounds exact multiset enumerations; `max_sinc_terms`
+    bounds the finite-interval double sums.
     """
 
     max_spectrum_dim: int = 2**14          # full diagonalization
     max_state_dim: int = 2**22             # state-only vectors
-    max_moment_entries: int = 2**26        # dense k-copy operator entries
+    max_moment_entries: int = 2**26        # k-copy moment entries
     max_multiset_terms: int = 2_500_000    # multiset sums (random-phase moments)
     max_sinc_terms: int = 40_000_000       # finite-interval double multiset sums
     max_resonance_sums: int = 2_000_000    # k-multiset sums in resonance checks

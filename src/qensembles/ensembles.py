@@ -1,18 +1,20 @@
 """Ensemble construction and k-copy moment machinery.
 
-Weighted ensembles of pure states, dense k-th moment operators accumulated by
-blocked Gram products, the closed-form Haar moment, exact random-phase
-(infinite-interval) moments via multiset enumeration, finite-interval moments
-with the sinc kernel, and projected ensembles with their weighted moments.
+Weighted and projected ensembles of pure states, and their k-th moments
+stored on the symmetric subspace Sym^k(C^d) (see `MomentOperator`), where
+psi^(x)k has monomial coordinates: empirical moments are blocked Gram
+products of monomial panels, the Haar moment is I/D, the exact random-phase
+(infinite-interval) moment is diagonal, the finite-interval moment is an outer
+product times the sinc kernel, and product forms are symmetric powers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,7 +86,14 @@ class WeightedEnsemble:
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """Hermitian operator on the k-fold tensor power space."""
+    """Hermitian k-copy moment, stored on the symmetric subspace Sym^k(C^d).
+
+    `matrix` is D x D, D = C(d+k-1, k), in the orthonormal occupation basis
+    |n> = N_n^(-1/2) sum_t |t> over the N_n = k!/prod_m n_m! orderings t of the
+    multiset n, rows in `multisets(d, k)` order. Its embedding V into
+    (C^d)^(x)k is an isometry: trace, spectrum and unitarily invariant norms
+    are those of the full operator V matrix V^dagger that `dense()` returns.
+    """
 
     k: int
     space_dim: int
@@ -93,8 +102,8 @@ class MomentOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = self.space_dim**self.k
-        if m.shape != (d, d):
+        dim = comb(self.space_dim + self.k - 1, self.k)
+        if m.shape != (dim, dim):
             raise ValueError("moment matrix has the wrong shape")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > 1e-9 * max(1.0, float(np.abs(np.trace(m)))):
@@ -105,61 +114,33 @@ class MomentOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
+    def dense(self) -> np.ndarray:
+        """The d^k x d^k operator V matrix V^dagger on the full k-copy space."""
+        d, k = self.space_dim, self.k
+        check_cap(DEFAULT_CAPS, "max_moment_entries", (d**k) ** 2)
+        idx, counts = _occupation_basis(d, k)
+        v = np.zeros((d**k, counts.size))
+        for sigma in permutations(range(k)):
+            v[_flat_index(idx[:, list(sigma)], d), np.arange(counts.size)] = counts**-0.5
+        return v @ self.matrix @ v.T
+
 
 def moment_defects(m: MomentOperator) -> dict:
-    """Measured convention invariants: PSD margin, trace, copy-permutation symmetry."""
+    """Measured convention invariants: PSD margin, trace and Hermiticity.
+
+    Copy-permutation symmetry holds by construction on the symmetric subspace.
+    """
     eigs = np.linalg.eigvalsh(m.matrix)
-    out = {
+    return {
         "min_eigenvalue": float(eigs[0]),
         "trace": m.trace,
         "hermiticity": float(np.abs(m.matrix - m.matrix.conj().T).max()),
     }
-    sym = 0.0
-    for sigma in permutations(range(m.k)):
-        p = perm_operator(m.space_dim, m.k, sigma)
-        sym = max(sym, float(np.abs(p @ m.matrix @ p.conj().T - m.matrix).max()))
-    out["symmetrization_defect"] = sym
-    return out
 
 
 # ---------------------------------------------------------------------------
-# permutation operators and multiset bookkeeping
+# the occupation basis of the symmetric subspace
 # ---------------------------------------------------------------------------
-
-
-def tuple_index(t: Sequence[int], d: int) -> int:
-    """Flatten copy digits, copy 0 most significant: i = sum_j t_j d^(k-1-j)."""
-    i = 0
-    for digit in t:
-        i = i * d + int(digit)
-    return i
-
-
-def perm_operator(d: int, k: int, sigma: Sequence[int], caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """Operator sending |v_1 ... v_k> to |v_sigma(1) ... v_sigma(k)>."""
-    check_cap(caps, "max_moment_entries", (d**k) ** 2)
-    dk = d**k
-    rows = np.arange(dk)
-    digits = np.empty((k, dk), dtype=np.int64)
-    rem = rows.copy()
-    for j in range(k - 1, -1, -1):
-        digits[j] = rem % d
-        rem //= d
-    # row digit j equals column digit sigma(j): column = digits re-scattered
-    cols = np.zeros(dk, dtype=np.int64)
-    for j in range(k):
-        cols = cols * d + digits[sigma[j]]
-    p = np.zeros((dk, dk), dtype=complex)
-    p[rows, cols] = 1.0
-    return p
-
-
-def symmetrizer_sum(d: int, k: int, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """Sum of all k! copy-permutation operators."""
-    out = np.zeros((d**k, d**k), dtype=complex)
-    for sigma in permutations(range(k)):
-        out += perm_operator(d, k, sigma, caps)
-    return out
 
 
 def multisets(d: int, k: int) -> list[tuple[int, ...]]:
@@ -167,9 +148,38 @@ def multisets(d: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(d), k))
 
 
-def distinct_orderings(t: Sequence[int]) -> list[tuple[int, ...]]:
-    """Distinct permutation images of a tuple (deduplicated symmetric-group orbit)."""
-    return sorted(set(permutations(t)))
+def _occupation_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index tuples of Sym^k(C^d) as a (D, k) array in `multisets` order,
+    and the number of distinct orderings N_n = k!/prod_m n_m! of each."""
+    idx = np.array(multisets(d, k), dtype=np.int64).reshape(-1, k)
+    run = np.ones(len(idx))
+    fact = np.ones(len(idx))  # prod_m n_m!, one factor per repeated digit
+    for i in range(1, k):
+        run = np.where(idx[:, i] == idx[:, i - 1], run + 1, 1.0)
+        fact *= run
+    return idx, math.factorial(k) / fact
+
+
+def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
+    """Tensor-power index of each row of copy digits, copy 0 most significant."""
+    return idx @ d ** np.arange(idx.shape[1] - 1, -1, -1)
+
+
+def _symmetric_power(a: np.ndarray, k: int) -> np.ndarray:
+    """Sym^k(A): the matrix of A^(x)k between the occupation bases of A's two sides.
+
+    Entry (n', n) is perm(A[t', t]) / sqrt(prod_m n'_m! prod_m n_m!), a k!-term
+    permanent over the sorted index tuples t' and t; A may be rectangular.
+    """
+    rows, row_counts = _occupation_basis(a.shape[0], k)
+    cols, col_counts = _occupation_basis(a.shape[1], k)
+    out = 0
+    for sigma in permutations(range(k)):
+        term = 1
+        for i, j in enumerate(sigma):
+            term = term * a[rows[:, i, None], cols[None, :, j]]
+        out = out + term
+    return out * np.sqrt(np.outer(row_counts, col_counts)) / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +190,21 @@ def distinct_orderings(t: Sequence[int]) -> list[tuple[int, ...]]:
 def _moment_from_columns(
     columns: np.ndarray, weights: np.ndarray, k: int, caps: Caps
 ) -> np.ndarray:
-    """sum_j w_j |col_j><col_j|^(x)k via blocked panel Grams (fixed order)."""
+    """sum_j w_j |col_j><col_j|^(x)k via blocked panel Grams (fixed order).
+
+    col^(x)k has coordinates sqrt(N_n) prod_i col[t_i] over the sorted tuples t.
+    """
     d, n = columns.shape
-    dk = d**k
-    check_cap(caps, "max_moment_entries", dk * dk)
+    check_cap(caps, "max_moment_entries", comb(d + k - 1, k) ** 2)
+    idx, counts = _occupation_basis(d, k)
+    flat = _flat_index(idx, d)
+    scale = np.sqrt(counts)
     sqrt_w = np.sqrt(weights)
 
     def block(idx_block):
-        panel = np.empty((dk, len(idx_block)), dtype=complex)
+        panel = np.empty((flat.size, len(idx_block)), dtype=complex)
         for out_col, j in enumerate(idx_block):
-            panel[:, out_col] = sqrt_w[j] * tensor_power(columns[:, j], k, caps)
+            panel[:, out_col] = (sqrt_w[j] * scale) * tensor_power(columns[:, j], k, caps)[flat]
         return panel @ panel.conj().T
 
     acc = parallel_block_reduce(list(range(n)), PANEL_WIDTH, block, lambda a, b: a + b)
@@ -206,11 +221,10 @@ def moment_k(ens: WeightedEnsemble, k: int, caps: Caps = DEFAULT_CAPS) -> Moment
 
 
 def haar_moment(d: int, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """Closed-form Haar moment: symmetrizer sum over prod_{i<k}(d+i)."""
-    denom = 1.0
-    for i in range(k):
-        denom *= d + i
-    return MomentOperator(k, d, symmetrizer_sum(d, k, caps) / denom, "normalized")
+    """Closed-form Haar moment: the identity on Sym^k(C^d) over its dimension."""
+    dim = comb(d + k - 1, k)
+    check_cap(caps, "max_moment_entries", dim**2)
+    return MomentOperator(k, d, np.eye(dim) / dim, "normalized")
 
 
 def random_phase_moment_exact(
@@ -219,21 +233,17 @@ def random_phase_moment_exact(
     """Exact k-th moment of the fixed-magnitude random-phase ensemble.
 
     Expressed in the basis whose populations are given (the energy eigenbasis
-    for temporal ensembles). Entry (r, c) equals prod_j p_{r_j} whenever the
-    digit multisets of r and c coincide, each distinct ordered pair exactly
-    once; zero otherwise.
+    for temporal ensembles). Phase averaging keeps only pairs of orderings of
+    one multiset, so the moment is diagonal in the occupation basis, with
+    entry N_n prod_m p_m^n_m.
     """
     p = np.asarray(populations, dtype=float)
     d = p.size
-    check_cap(caps, "max_multiset_terms", comb(d + k - 1, k))
-    check_cap(caps, "max_moment_entries", (d**k) ** 2)
-    m = np.zeros((d**k, d**k), dtype=complex)
-    for ms in multisets(d, k):
-        w = float(np.prod(p[list(ms)]))
-        orderings = [tuple_index(t, d) for t in distinct_orderings(ms)]
-        for r in orderings:
-            m[r, orderings] = w
-    return MomentOperator(k, d, m, "normalized")
+    dim = comb(d + k - 1, k)
+    check_cap(caps, "max_multiset_terms", dim)
+    check_cap(caps, "max_moment_entries", dim**2)
+    idx, counts = _occupation_basis(d, k)
+    return MomentOperator(k, d, np.diag(counts * np.prod(p[idx], axis=1)), "normalized")
 
 
 class ProductFormMoment(NamedTuple):
@@ -247,7 +257,7 @@ class ProductFormMoment(NamedTuple):
 
 
 def product_form_moment(rho_d, k: int, caps: Caps = DEFAULT_CAPS) -> ProductFormMoment:
-    """Product approximation rho_d^(x)k * symmetrizer, with its trace-norm error bound.
+    """Product approximation k! Sym^k(rho_d), with its trace-norm error bound.
 
     The bound on the distance to the exact random-phase moment is
     k! * exp(pi sqrt(2k/3)) * tr(rho_d^2); it is vacuous for nearly pure
@@ -255,11 +265,8 @@ def product_form_moment(rho_d, k: int, caps: Caps = DEFAULT_CAPS) -> ProductForm
     """
     rho = rho_d.entries if isinstance(rho_d, HermitianOperator) else np.asarray(rho_d, dtype=complex)
     d = rho.shape[0]
-    check_cap(caps, "max_moment_entries", (d**k) ** 2)
-    rk = np.array([[1.0 + 0j]])
-    for _ in range(k):
-        rk = np.kron(rk, rho)
-    m = rk @ symmetrizer_sum(d, k, caps)
+    check_cap(caps, "max_moment_entries", comb(d + k - 1, k) ** 2)
+    m = math.factorial(k) * _symmetric_power(rho, k)
     m = (m + m.conj().T) / 2
     purity = float(np.trace(rho @ rho).real)
     bound = math.factorial(k) * math.exp(math.pi * math.sqrt(2 * k / 3)) * purity
@@ -288,33 +295,24 @@ def stable_sinc(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _kron_sum(values: np.ndarray, k: int) -> np.ndarray:
-    """All ordered k-tuple sums, indexed like tensor powers."""
-    s = np.zeros(1)
-    for _ in range(k):
-        s = (s[:, None] + values[None, :]).ravel()
-    return s
-
-
 def finite_time_temporal_moment(
     sd: SpectralData, k: int, tau: float, caps: Caps = DEFAULT_CAPS
 ) -> MomentOperator:
     """k-th moment of the trajectory over a time interval of width tau.
 
-    Expressed in the k-fold energy eigenbasis: entry (r, c) is
-    prod_j c_{r_j} conj(c_{c_j}) * sinc((sum E_r - sum E_c) tau / 2).
+    Expressed in the occupation basis over energy eigenstates: entry (n, n') is
+    w_n conj(w_n') sinc((E_n - E_n') tau / 2), with w_n = sqrt(N_n) prod_m c_m^n_m
+    and E_n = sum_m n_m E_m.
     tau = 0 reproduces |psi0><psi0|^(x)k exactly; tau -> infinity kills all
     off-shell terms and approaches the random-phase moment.
     """
     if sd.overlaps is None:
         raise ValueError("spectral data must be bound to an initial state")
     d = sd.dim
-    dk = d**k
-    check_cap(caps, "max_sinc_terms", dk * dk)
-    w = np.ones(1, dtype=complex)
-    for _ in range(k):
-        w = np.kron(w, sd.overlaps)
-    s = _kron_sum(sd.eigenvalues, k)
+    check_cap(caps, "max_sinc_terms", comb(d + k - 1, k) ** 2)
+    idx, counts = _occupation_basis(d, k)
+    w = np.sqrt(counts) * np.prod(sd.overlaps[idx], axis=1)
+    s = sd.eigenvalues[idx].sum(axis=1)
     kernel = stable_sinc((s[:, None] - s[None, :]) * (tau / 2.0))
     m = (w[:, None] * w[None, :].conj()) * kernel
     return MomentOperator(k, d, m, "normalized")
@@ -333,16 +331,12 @@ def finite_time_frobenius_distances(
         raise ValueError("spectral data must be bound to an initial state")
     p = sd.populations
     d = sd.dim
-    ms = multisets(d, k)
-    check_cap(caps, "max_multiset_terms", len(ms))
-    check_cap(caps, "max_sinc_terms", len(ms) ** 2)
-    idx = np.array(ms, dtype=np.int64)
+    dim = comb(d + k - 1, k)
+    check_cap(caps, "max_multiset_terms", dim)
+    check_cap(caps, "max_sinc_terms", dim**2)
+    idx, counts = _occupation_basis(d, k)
     a = np.prod(p[idx], axis=1)
     s = sd.eigenvalues[idx].sum(axis=1)
-    counts = np.array(
-        [math.factorial(k) // math.prod(math.factorial(c) for c in _multiplicities(t)) for t in ms],
-        dtype=float,
-    )
     v = a * counts
     perm_mass = float(np.sum(counts**2 * a**2))
     diff = s[:, None] - s[None, :]
@@ -351,18 +345,6 @@ def finite_time_frobenius_distances(
         kern = stable_sinc(diff * (tau / 2.0)) ** 2
         total = float(v @ kern @ v)
         out[i] = math.sqrt(max(total - perm_mass, 0.0))
-    return out
-
-
-def _multiplicities(t: Sequence[int]) -> list[int]:
-    out = []
-    prev = None
-    for x in t:
-        if x == prev:
-            out[-1] += 1
-        else:
-            out.append(1)
-            prev = x
     return out
 
 

@@ -242,6 +242,7 @@ def _subsystem_indices(n: int, sites: tuple[int, ...]) -> np.ndarray:
     sub = np.zeros_like(full)
     for k, s in enumerate(sites):
         sub |= ((full >> s) & 1) << k
+    sub.flags.writeable = False  # shared by every caller through the cache
     return sub
 
 
@@ -474,59 +475,3 @@ def tensor_power(v: np.ndarray, k: int, caps: Caps = DEFAULT_CAPS) -> np.ndarray
     for _ in range(k - 1):
         out = np.kron(out, v)
     return out
-
-
-def operator_from_strings(n: int, terms: Iterable[tuple[float, Mapping[int, str]]]) -> HermitianOperator:
-    """Dense operator from (coefficient, {site: letter}) Pauli strings."""
-    d = 2**n
-    h = np.zeros((d, d), dtype=complex)
-    for coeff, ops in terms:
-        _accumulate_string(h, n, coeff, ops)
-    return HermitianOperator(h, n_qubit_dims(n))
-
-
-def restricted_hamiltonian(model: Mapping, part: Bipartition, side: str) -> HermitianOperator:
-    """Model terms supported entirely inside one side of a bipartition.
-
-    Used for energy-revealing diagnostics: the returned operator acts on the
-    full chain but contains only strings whose sites all lie in the chosen
-    side.
-    """
-    spec = dict(model)
-    name = spec.get("model")
-    n = int(spec.get("n", part.n_sites))
-    keep = set(part.sites_A if side == "A" else part.sites_B)
-    full = build_hamiltonian(model)
-    if name in ("gue", "explicit"):
-        raise InvalidModelError("restriction needs a local model")
-    terms = []
-    if name in ("mfim", "tfim", "mfim_broken_trs"):
-        hx = float(spec.get("hx", 0.890)) if name != "tfim" else 0.0
-        hy = float(spec.get("hy", 0.9045))
-        j = float(spec.get("j", 1.0))
-        hz = float(spec.get("hz", 0.5)) if name == "mfim_broken_trs" else 0.0
-        jp = float(spec.get("jp", 0.4)) if name == "mfim_broken_trs" else 0.0
-        for s in range(n):
-            if s in keep:
-                terms += [(hx, {s: "X"}), (hy, {s: "Y"}), (hz, {s: "Z"})]
-        for s in range(n - 1):
-            if s in keep and s + 1 in keep:
-                terms += [(j, {s: "X", s + 1: "X"}), (jp, {s: "Y", s + 1: "Y"})]
-    elif name == "xxz":
-        j = float(spec.get("j", math.sqrt(2.0)))
-        delta = float(spec.get("delta", (math.sqrt(5.0) + 1.0) / 4.0))
-        delta2 = float(spec.get("delta2", 1.0))
-        for s in range(n - 1):
-            if s in keep and s + 1 in keep:
-                terms += [
-                    (j / 4.0, {s: "X", s + 1: "X"}),
-                    (j / 4.0, {s: "Y", s + 1: "Y"}),
-                    (delta / 4.0, {s: "Z", s + 1: "Z"}),
-                ]
-        for s in range(n - 2):
-            if s in keep and s + 2 in keep:
-                terms.append((delta2 / 4.0, {s: "Z", s + 2: "Z"}))
-    else:
-        raise InvalidModelError(f"unknown model {name!r}")
-    assert full.dim == 2**n
-    return operator_from_strings(n, terms)

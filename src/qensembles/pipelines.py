@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,9 +285,8 @@ def eigenstate_real_projected_comparison(
     probs = np.sum(table**2, axis=0)
     keep = probs > 1e-14
     cols = table[:, keep] / np.sqrt(probs[keep])
-    c2 = np.einsum("az,bz->abz", cols, cols).reshape(part.d_a**2, -1)
     proj = en.MomentOperator(
-        2, part.d_a, ((c2 * probs[keep]) @ c2.T).astype(complex), "normalized"
+        2, part.d_a, en._moment_from_columns(cols, probs[keep], 2, caps), "normalized"
     )
     rho_a = (table @ table.T).astype(complex)
     d_scr = st.trace_distance(proj, sc.real_scrooge_moment2(rho_a, caps))

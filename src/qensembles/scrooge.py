@@ -23,10 +23,9 @@ import scipy.special
 from ._util import Caps, DEFAULT_CAPS, check_cap, parallel_block_reduce
 from .ensembles import (
     MomentOperator,
-    distinct_orderings,
-    multisets,
+    _occupation_basis,
+    _symmetric_power,
     product_form_moment,
-    tuple_index,
 )
 from .hilbert import (
     Bipartition,
@@ -43,7 +42,7 @@ SUBENTROPY_LIMIT_BITS = (1.0 - np.euler_gamma) / LN2  # large-D maximally mixed 
 SUPPORT_CUTOFF = 1e-13
 CLUSTER_RTOL = 1e-9
 SPLIT_EPSILONS = (1e-4, 5e-5)  # relative to the mean eigenvalue; ratio 2 for Richardson
-GRID_STEP = 0.05  # trapezoid step in t = ln s
+GRID_STEP = 0.25  # trapezoid step in t = ln s
 GRID_MARGIN = 40.0  # reach in ln s past 1/lam_max and 1/lam_min; cut tails < e^-35 relative
 
 
@@ -281,11 +280,11 @@ def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, real: bool = False) -
 def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """Exact k-th moment of the Scrooge ensemble of rho (normalized convention).
 
-    Nonzero entries connect copy-permutation-related eigenbasis tuples only.
-    The coefficient of a multiset with occupations n_m over the support
-    eigenvalues lam_m is E[prod_m |g_m|^(2 n_m) / |g|^(2(k-1))] for
-    g ~ CN(0, rho), evaluated by `_gaussian_quadrature` for all multisets
-    at once. Any k >= 1 is accepted; degenerate spectra need no special case.
+    Over the support eigenvectors W of rho the moment is diagonal in the
+    occupation basis: it is S diag(N_n c(n)) S^dagger with S = Sym^k(W) and
+    c(n) = E[prod_m |g_m|^(2 n_m) / |g|^(2(k-1))] for g ~ CN(0, rho), evaluated
+    by `_gaussian_quadrature` for all multisets at once. Any k >= 1 is
+    accepted; degenerate spectra need no special case.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -295,21 +294,13 @@ def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
         return MomentOperator(1, d, m, "normalized")
     spec = eigen_spectrum(m)
     r = spec.rank
-    check_cap(caps, "max_moment_entries", (d**k) ** 2)
+    check_cap(caps, "max_moment_entries", math.comb(d + k - 1, k) ** 2)
     check_cap(caps, "max_multiset_terms", math.comb(r + k - 1, k))
-    sets = multisets(r, k)
-    occ = np.array([np.bincount(ms, minlength=r) for ms in sets], dtype=float)
+    idx, counts = _occupation_basis(r, k)
+    occ = (idx[:, :, None] == np.arange(r)).sum(axis=1).astype(float)
     coeffs = _gaussian_quadrature(spec.eigenvalues, occ)
-    ms_mat = np.zeros((r**k, r**k), dtype=complex)
-    for ms, val in zip(sets, coeffs):
-        orderings = [tuple_index(t, r) for t in distinct_orderings(ms)]
-        for row in orderings:
-            ms_mat[row, orderings] = val
-    w = spec.eigenvectors  # support columns; zero modes never carry weight
-    wk = np.array([[1.0 + 0j]])
-    for _ in range(k):
-        wk = np.kron(wk, w)
-    full = wk @ ms_mat @ wk.conj().T
+    s = _symmetric_power(spec.eigenvectors, k)  # support columns; zero modes carry no weight
+    full = (s * (counts * coeffs)) @ s.conj().T
     return MomentOperator(k, d, (full + full.conj().T) / 2, "normalized")
 
 
@@ -410,11 +401,12 @@ def generalized_scrooge_moment(
     if convention not in ("normalized", "unnormalized"):
         raise ValueError("convention must be 'normalized' or 'unnormalized'")
     d_a = table.d_a
-    check_cap(caps, "max_moment_entries", (d_a**k) ** 2)
+    dim = math.comb(d_a + k - 1, k)
+    check_cap(caps, "max_moment_entries", dim**2)
     moment_of: Callable = scrooge_moment if convention == "normalized" else unnormalized_scrooge_moment
 
     def block(idx_block):
-        acc = np.zeros((d_a**k, d_a**k), dtype=complex)
+        acc = np.zeros((dim, dim), dtype=complex)
         for i in idx_block:
             acc += table.probabilities[i] * moment_of(table.states[i], k, caps).matrix
         return acc
@@ -430,40 +422,41 @@ def generalized_scrooge_moment(
 
 
 def real_haar_moment2(d: int) -> MomentOperator:
-    """Second moment of uniformly random real unit vectors."""
-    eye = np.eye(d)
-    m = np.einsum("ab,cd->abcd", eye, eye)
-    m = m + np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye)
-    m = m.reshape(d * d, d * d) / (d * (d + 2))
-    return MomentOperator(2, d, m.astype(complex), "normalized")
+    """Second moment of uniformly random real unit vectors.
+
+    (I + SWAP + |Phi><Phi|) / (d (d+2)) with Phi = sum_a |aa>; on Sym^2,
+    I + SWAP is 2 I and Phi is the indicator of the multisets {a, a}.
+    """
+    idx, counts = _occupation_basis(d, 2)
+    phi = (idx[:, 0] == idx[:, 1]).astype(float)
+    m = (2.0 * np.eye(counts.size) + np.outer(phi, phi)) / (d * (d + 2))
+    return MomentOperator(2, d, m, "normalized")
 
 
 def real_scrooge_moment2(rho, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """Second moment of the real-vector Scrooge ensemble of a real density matrix.
 
-    Entries are fully symmetric in the four eigenbasis indices and vanish
-    unless every index appears an even number of times. The nonzero values
-    E[x_n^2 x_m^2 / |x|^2] for x ~ N(0, rho) come from the same log-grid
-    quadrature as the complex moments, with real Gaussian factors.
+    With v(n, m) = E[x_n^2 x_m^2 / |x|^2] for x ~ N(0, rho), the moment on
+    Sym^2 over the support eigenvectors W has entry v(n, m) between {n, n} and
+    {m, m}, 2 v(n, m) on the diagonal at {n, m} for n < m, and zeros elsewhere;
+    the stored matrix is S M S^T with S = Sym^2(W). The values come from the
+    same log-grid quadrature as the complex moments, with real Gaussian factors.
     """
     m = _as_density(rho)
     if float(np.abs(m.imag).max()) > 1e-10:
         raise ValueError("real Scrooge moments need a real density matrix")
     spec = eigen_spectrum(m.real.astype(complex))
     d = m.shape[0]
-    check_cap(caps, "max_moment_entries", (d**2) ** 2)
+    check_cap(caps, "max_moment_entries", math.comb(d + 1, 2) ** 2)
     lam = spec.eigenvalues
     r = lam.size
     eye = np.eye(r)
     occ = (eye[:, None, :] + eye[None, :, :]).reshape(r * r, r)  # row n*r + m: x_n^2 x_m^2
     vals = _gaussian_quadrature(lam, occ, real=True).reshape(r, r)
-    ms_mat = np.zeros((r * r, r * r))
-    for n in range(r):
-        for mm in range(r):
-            ms_mat[n * r + mm, n * r + mm] = vals[n, mm]
-            ms_mat[n * r + mm, mm * r + n] = vals[n, mm]
-            ms_mat[n * r + n, mm * r + mm] = vals[n, mm]
-    w = spec.eigenvectors.real
-    w2 = np.kron(w, w)
-    full = w2 @ ms_mat @ w2.T
-    return MomentOperator(2, d, ((full + full.T) / 2).astype(complex), "normalized")
+    idx, _ = _occupation_basis(r, 2)
+    ms_mat = np.diag(2.0 * vals[idx[:, 0], idx[:, 1]])
+    doubles = np.flatnonzero(idx[:, 0] == idx[:, 1])
+    ms_mat[np.ix_(doubles, doubles)] = vals
+    s = _symmetric_power(spec.eigenvectors.real, 2)
+    full = s @ ms_mat @ s.T
+    return MomentOperator(2, d, (full + full.T) / 2, "normalized")

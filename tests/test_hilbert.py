@@ -172,6 +172,17 @@ class TestProjection:
             hb.project_outcome(bell, part, basis, 2)
 
 
+class TestSubsystemIndices:
+    def test_cached_indices_are_read_only(self):
+        first = hb._subsystem_indices(4, (1, 2))
+        original = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 3
+        again = hb._subsystem_indices(4, (1, 2))
+        assert np.array_equal(again, original)
+        assert np.array_equal(again, [0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3])
+
+
 class TestPartialTrace:
     def test_bell_state_is_maximally_mixed(self):
         bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
+import pytest
 import scipy.linalg
 
 from qensembles import hilbert as hb
 from qensembles import pipelines as pl
+from qensembles import scrooge as sc
+from qensembles import spectral as sp
+
+import moment_oracles as mo
 
 
 def explicit(matrix):
@@ -37,3 +44,89 @@ class TestSpectrumCache:
         assert state.dims == (2, 2, 2)
         expected = scipy.linalg.expm(-1j * h * t) @ psi0
         assert np.abs(state.amplitudes - expected).max() <= 1e-10
+
+
+MFIM6 = {"model": "mfim", "n": 6, "hx": 0.8090, "hy": 0.9045, "j": 1.0}
+
+
+def gram_haar_distance(table, k):
+    """Haar distance of the projected k-th moment from its Gram matrix alone.
+
+    G_zw = sqrt(p_z p_w) <phi_z|phi_w>^k has the nonzero spectrum of the
+    projected moment; on the symmetric subspace the Haar moment is I/D.
+    """
+    p = np.sum(np.abs(table) ** 2, axis=0)
+    keep = p > 1e-14
+    phi = table[:, keep] / np.sqrt(p[keep])
+    gram = np.sqrt(np.outer(p[keep], p[keep])) * (phi.conj().T @ phi) ** k
+    dim = math.comb(table.shape[0] + k - 1, k)
+    lam = np.linalg.eigvalsh(gram)[::-1][:dim]
+    lam = np.concatenate([lam, np.zeros(dim - lam.size)])
+    return 0.5 * float(np.abs(lam - 1.0 / dim).sum())
+
+
+def dense_trace_distance(a, b):
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def dense_projected_moment(table, k):
+    p = np.sum(np.abs(table) ** 2, axis=0)
+    keep = p > 1e-14
+    return mo.tensor_power_gram(table[:, keep] / np.sqrt(p[keep]), p[keep], k)
+
+
+class TestProjectedMomentComparison:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_distances_match_gram_oracle_and_dense_lifts(self, k):
+        cache = pl.SpectrumCache()
+        theta, t, width = 0.0, 3.0, 2
+        out = pl.projected_moment_comparison(
+            cache, MFIM6, theta, t, width, "Z", k, include_generalized=True
+        )
+        part = hb.Bipartition(6, hb.central_sites(6, width))
+        basis = hb.pauli_basis(part.sites_B, "Z")
+        state = pl.quench_state(cache, MFIM6, theta, t)
+        table = hb.projection_table(state, part, basis)
+        assert abs(out.dist_haar - gram_haar_distance(table, k)) <= 1e-12
+        proj = dense_projected_moment(table, k)
+        rho_a = hb.partial_trace(state, part, "A").entries
+        scr = sc.scrooge_moment(rho_a, k).dense()
+        assert abs(out.dist_scrooge - dense_trace_distance(proj, scr)) <= 1e-12
+        cond = sc.conditional_states(cache.bound(MFIM6, theta), part, basis)
+        gen = sc.generalized_scrooge_moment(cond, k).dense()
+        assert abs(out.dist_generalized - dense_trace_distance(proj, gen)) <= 1e-12
+
+
+class TestEigenstateComparisons:
+    def _setup(self):
+        sd = sp.diagonalize(hb.build_hamiltonian(MFIM6))
+        part = hb.Bipartition(6, hb.central_sites(6, 2))
+        return sd, part
+
+    def test_complex_distances(self):
+        sd, part = self._setup()
+        basis = hb.pauli_basis(part.sites_B, "X")
+        out = pl.eigenstate_projected_comparison(sd, 21, part, basis, k=2)
+        eig = hb.PureState(sd.eigenvectors[:, 21], (2,) * 6)
+        table = hb.projection_table(eig, part, basis)
+        assert abs(out["dist_haar"] - gram_haar_distance(table, 2)) <= 1e-12
+        rho_a = hb.partial_trace(eig, part, "A").entries
+        proj = dense_projected_moment(table, 2)
+        scr = sc.scrooge_moment(rho_a, 2).dense()
+        assert abs(out["dist_scrooge"] - dense_trace_distance(proj, scr)) <= 1e-12
+
+    def test_real_distances(self):
+        sd, part = self._setup()
+        out = pl.eigenstate_real_projected_comparison(sd, 21, part)
+        table, leak = pl.real_projected_table(sd, 21, part)
+        assert out["imag_leak"] == leak
+        probs = np.sum(table**2, axis=0)
+        keep = probs > 1e-14
+        cols = table[:, keep] / np.sqrt(probs[keep])
+        c2 = np.einsum("az,bz->abz", cols, cols).reshape(part.d_a**2, -1)
+        proj = (c2 * probs[keep]) @ c2.T
+        rho_a = (table @ table.T).astype(complex)
+        scr = sc.real_scrooge_moment2(rho_a).dense()
+        assert abs(out["dist_real_scrooge"] - dense_trace_distance(proj, scr)) <= 1e-12
+        haar = mo.real_haar2_dense(part.d_a)
+        assert abs(out["dist_real_haar"] - dense_trace_distance(proj, haar)) <= 1e-12

@@ -237,7 +237,7 @@ class TestTwirl2:
         out = sp.twirl2(sd, a2)
         v2 = np.kron(sd.eigenvectors, sd.eigenvectors)
         out_eig = v2.conj().T @ out @ v2
-        expected = en.random_phase_moment_exact(bound.populations, 2).matrix
+        expected = en.random_phase_moment_exact(bound.populations, 2).dense()
         assert np.abs(out_eig - expected).max() <= 1e-10
 
     def test_resonance_check_uses_the_callers_caps(self, rng):

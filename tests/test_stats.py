@@ -13,7 +13,8 @@ from qensembles import stats as st
 
 
 def random_moment(d, k, rng):
-    g = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
+    dim = math.comb(d + k - 1, k)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
     return en.MomentOperator(k, d, m, "normalized")
@@ -25,10 +26,10 @@ class TestTraceDistance:
         assert st.trace_distance(m, m) == 0.0
 
     def test_orthogonal_projectors(self):
-        a = np.zeros((4, 4), dtype=complex)
-        b = np.zeros((4, 4), dtype=complex)
-        a[0, 0] = 1.0
-        b[3, 3] = 1.0
+        a = np.zeros((3, 3), dtype=complex)
+        b = np.zeros((3, 3), dtype=complex)
+        a[0, 0] = 1.0  # |00><00|
+        b[2, 2] = 1.0  # |11><11|
         m1 = en.MomentOperator(2, 2, a, "normalized")
         m2 = en.MomentOperator(2, 2, b, "normalized")
         assert st.trace_distance(m1, m2) == pytest.approx(1.0)
