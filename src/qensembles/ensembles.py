@@ -38,6 +38,10 @@ from .spectral import SpectralData
 
 ZERO_OUTCOME_CUTOFF = 1e-14
 PANEL_WIDTH = 64
+# Pairs per block of the Frobenius kernel: its arrays stay in cache (64 KiB each),
+# and np.sin, not memory, sets the speed. Blocks of 16k pairs or more gain no wall
+# time, and OpenBLAS threads their dot products, which nearly doubles the CPU time.
+SINC_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -323,29 +327,41 @@ def finite_time_frobenius_distances(
 ) -> np.ndarray:
     """Frobenius distance between the finite-interval and infinite-interval moments.
 
-    Works at the multiset level without materializing either operator; exact
-    whenever the spectrum has no k-fold resonances (true almost surely for
-    continuous random spectra).
+    Both moments have the diagonal |w_n|^2 = v_n = N_n prod_m p_m^n_m, so the
+    squared distance is exactly the off-diagonal pair sum
+        2 sum_{n<n'} v_n v_n' sinc^2((s_n - s_n') tau / 2),  s_n = sum_m n_m E_m,
+    a sum of nonnegative terms with no subtraction. It is evaluated over the
+    strict upper triangle in row blocks of about SINC_CHUNK pairs, all taus per
+    block. Zero arguments (resonant pairs, tau = 0, underflow) give kernel 1.
     """
     if sd.overlaps is None:
         raise ValueError("spectral data must be bound to an initial state")
-    p = sd.populations
     d = sd.dim
     dim = comb(d + k - 1, k)
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_sinc_terms", dim**2)
     idx, counts = _occupation_basis(d, k)
-    a = np.prod(p[idx], axis=1)
+    v = counts * np.prod(sd.populations[idx], axis=1)
     s = sd.eigenvalues[idx].sum(axis=1)
-    v = a * counts
-    perm_mass = float(np.sum(counts**2 * a**2))
-    diff = s[:, None] - s[None, :]
-    out = np.empty(len(taus))
-    for i, tau in enumerate(np.asarray(taus, dtype=float)):
-        kern = stable_sinc(diff * (tau / 2.0)) ** 2
-        total = float(v @ kern @ v)
-        out[i] = math.sqrt(max(total - perm_mass, 0.0))
-    return out
+    halves = np.abs(np.asarray(taus, dtype=float)) / 2.0  # the kernel is even in tau
+    sq = np.zeros(halves.size)
+    tiny = np.finfo(float).tiny  # sin(tiny)/tiny == 1: the kernel's value at 0
+    lo = 0
+    while lo < dim - 1:
+        hi = min(dim - 1, lo + max(1, SINC_CHUNK // (dim - 1 - lo)))
+        upper = np.arange(lo + 1, dim) > np.arange(lo, hi)[:, None]
+        gaps = np.abs(s[lo:hi, None] - s[None, lo + 1 :])[upper]
+        weights = (v[lo:hi, None] * v[None, lo + 1 :])[upper]
+        y, kern = np.empty_like(gaps), np.empty_like(gaps)
+        for i, half in enumerate(halves):
+            np.multiply(gaps, half, out=y)
+            np.maximum(y, tiny, out=y)
+            np.sin(y, out=kern)
+            np.divide(kern, y, out=kern)
+            np.square(kern, out=kern)
+            sq[i] += kern @ weights
+        lo = hi
+    return np.sqrt(2.0 * sq)
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOpe
     h = np.zeros((d, d), dtype=complex)
 
     if name == "mfim" or name == "tfim" or name == "mfim_broken_trs":
-        hx = float(spec.pop("hx", 0.890))
+        hx = float(spec.pop("hx", 0.8090))
         hy = float(spec.pop("hy", 0.9045))
         j = float(spec.pop("j", 1.0))
         if name == "tfim":

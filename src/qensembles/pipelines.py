@@ -130,8 +130,8 @@ def basis_information_scan(
     state = quench_state(cache, model, theta, t)
     rho_a = hb.partial_trace(state, part, "A")
     q_bits, s_bits = st.holevo_sandwich(rho_a)
-    h = hb.build_hamiltonian(model)
-    e, _ = sp.energy_moments(hb.product_state(theta, n), h)
+    bound = cache.bound(model, theta)
+    energy = float(bound.populations @ bound.eigenvalues)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     rows = []
     for letter in letters:
@@ -139,7 +139,7 @@ def basis_information_scan(
             state, part, hb.pauli_basis(part.sites_A, letter), basis_b
         )
         rows.append((letter, rep.bits))
-    return rows, q_bits, s_bits, e / n
+    return rows, q_bits, s_bits, energy / n
 
 
 def interaction_information_scan(

@@ -4,6 +4,7 @@ import pytest
 from qensembles import CapacityError, Caps
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
+from qensembles import rmt
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
@@ -180,9 +181,49 @@ class TestFiniteTimeMoment:
             m = en.finite_time_temporal_moment(bound, 2, tau).matrix
             assert np.linalg.norm(m - exact) == pytest.approx(dist, rel=1e-10)
 
-    def test_k1_late_time_slope(self, rng):
-        from qensembles import rmt
+    @staticmethod
+    def _dense_distances(bound, k, taus):
+        """The oracle: Frobenius norm of the dense finite- minus infinite-interval moment."""
+        exact = en.random_phase_moment_exact(bound.populations, k).matrix
+        return [
+            np.linalg.norm(en.finite_time_temporal_moment(bound, k, tau).matrix - exact)
+            for tau in taus
+        ]
 
+    @pytest.mark.parametrize("d, k", [(16, 1), (8, 2)])
+    def test_frobenius_matches_dense_on_full_tau_grid(self, d, k):
+        bound = self._bound_gue(d, task_rng(7, 0))
+        taus = rmt.default_tau_grid(d)
+        fast = en.finite_time_frobenius_distances(bound, k, taus)
+        assert fast == pytest.approx(self._dense_distances(bound, k, taus), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_frobenius_at_tau_zero(self, rng, k):
+        bound = self._bound_gue(8, rng)
+        fast = en.finite_time_frobenius_distances(bound, k, [0.0])
+        assert fast == pytest.approx(self._dense_distances(bound, k, [0.0]), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_frobenius_with_zero_gaps(self, rng, k):
+        # 0.25 is repeated, and -1 + 1.5 = 0.25 + 0.25 exactly: zero-gap pairs at k = 1, 2
+        energies = np.array([-1.0, 0.25, 0.25, 1.5])
+        c = random_state(4, rng).amplitudes
+        bound = sp.SpectralData(energies, np.eye(4, dtype=complex), c)
+        taus = np.concatenate([[0.0], rmt.default_tau_grid(4)])
+        fast = en.finite_time_frobenius_distances(bound, k, taus)
+        dense = self._dense_distances(bound, k, taus)
+        assert fast == pytest.approx(dense, rel=1e-12)
+        assert fast[-1] > 0.1 * fast[0]  # resonant pairs never dephase
+
+    @pytest.mark.parametrize(
+        "caps", [Caps(max_sinc_terms=10), Caps(max_multiset_terms=35)], ids=["sinc", "multiset"]
+    )
+    def test_frobenius_capacity_guards(self, rng, caps):
+        bound = self._bound_gue(8, rng)  # D = 36 two-copy multisets
+        with pytest.raises(CapacityError):
+            en.finite_time_frobenius_distances(bound, 2, [1.0], caps)
+
+    def test_k1_late_time_slope(self, rng):
         bound = self._bound_gue(64, rng)
         taus = np.logspace(2, 4, 8) / bound.spectral_width() * 64
         dists = en.finite_time_frobenius_distances(bound, 1, taus)

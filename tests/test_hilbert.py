@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_h
 
 from qensembles import InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
@@ -35,8 +37,9 @@ class TestBuildHamiltonian:
         assert np.allclose(h.entries - np.diag(np.diag(h.entries)), 1 - np.eye(4))
 
     def test_default_parameters_are_the_standard_point(self):
+        # (h_x, h_y) = (0.8090, 0.9045): Kim & Huse, PRL 111, 127205 (2013)
         h = hb.build_hamiltonian({"model": "mfim", "n": 2})
-        href = hb.build_hamiltonian({"model": "mfim", "n": 2, "hx": 0.890, "hy": 0.9045, "j": 1})
+        href = hb.build_hamiltonian({"model": "mfim", "n": 2, "hx": 0.8090, "hy": 0.9045, "j": 1})
         assert np.allclose(h.entries, href.entries)
 
     def test_tfim_is_mfim_without_x_field(self):
@@ -273,3 +276,46 @@ class TestBases:
     def test_central_sites(self):
         assert hb.central_sites(8, 4) == (2, 3, 4, 5)
         assert hb.central_sites(14, 4) == (5, 6, 7, 8)
+
+
+@st_h.composite
+def bipartitions(draw, max_sites=6):
+    n = draw(st_h.integers(1, max_sites))
+    order = draw(st_h.permutations(range(n)))
+    width = draw(st_h.integers(0, n))
+    return hb.Bipartition(n, tuple(order[:width]))
+
+
+class TestBipartitionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(part=bipartitions(), seed=st_h.integers(0, 2**16))
+    def test_split_then_merge_round_trips(self, part, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(2**part.n_sites) + 1j * rng.standard_normal(2**part.n_sites)
+        state = hb.PureState(amps, (2,) * part.n_sites, "unnormalized")
+        m = hb.split_bipartite(state, part)
+        # entry (a, b) sits at the full index with bit i of a on sites_A[i], bit j of b on sites_B[j]
+        for a in range(part.d_a):
+            for b in range(part.d_b):
+                full = sum(((a >> i) & 1) << s for i, s in enumerate(part.sites_A))
+                full += sum(((b >> j) & 1) << s for j, s in enumerate(part.sites_B))
+                assert m[a, b] == amps[full]
+        rebuilt = hb.merge_bipartite(m, part, "unnormalized")
+        assert np.array_equal(rebuilt.amplitudes, amps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st_h.integers(1, 6),
+    rows=st_h.integers(1, 3),
+    conjugate=st_h.booleans(),
+    seed=st_h.integers(0, 2**16),
+)
+def test_apply_local_rotations_matches_kron(k, rows, conjugate, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, 2**k)) + 1j * rng.standard_normal((rows, 2**k))
+    us = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(k)]
+    out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+    # unitaries[j] acts on bit j of the column index: site j of kron_chain
+    full = kron_chain(*[np.conj(u) if conjugate else u for u in us])
+    assert np.abs(out - m @ full).max() <= 1e-12 * max(1.0, np.abs(m @ full).max())

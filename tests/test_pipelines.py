@@ -130,3 +130,18 @@ class TestEigenstateComparisons:
         assert abs(out["dist_real_scrooge"] - dense_trace_distance(proj, scr)) <= 1e-12
         haar = mo.real_haar2_dense(part.d_a)
         assert abs(out["dist_real_haar"] - dense_trace_distance(proj, haar)) <= 1e-12
+
+
+class TestBasisInformationScan:
+    def test_energy_density_and_one_row_per_letter(self):
+        theta, letters = 0.7, ("X", "Y", "Z")
+        rows, q_bits, s_bits, density = pl.basis_information_scan(
+            pl.SpectrumCache(), MFIM6, theta, 3.0, 2, letters
+        )
+        h = hb.build_hamiltonian(MFIM6)
+        energy, _ = sp.energy_moments(hb.product_state(theta, 6), h)
+        assert density == pytest.approx(energy / 6, abs=1e-12)
+        assert [letter for letter, _ in rows] == list(letters)
+        # Holevo: no basis on A learns more than S(rho_A) from the B outcomes
+        assert all(0.0 <= bits <= s_bits + 1e-12 for _, bits in rows)
+        assert q_bits <= s_bits
