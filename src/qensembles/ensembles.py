@@ -393,19 +393,6 @@ def projected_ensemble(
     )
 
 
-def unnormalized_projected_ensemble(
-    state: PureState, part: Bipartition, basis: MeasurementBasis
-) -> WeightedEnsemble:
-    """The same projection kept unnormalized: uniform weights, norms carry the measure."""
-    table = projection_table(state, part, basis)
-    dims_a = n_qubit_dims(len(part.sites_A))
-    n = table.shape[1]
-    members = tuple(
-        (1.0 / n, PureState(table[:, z], dims_a, "unnormalized")) for z in range(n)
-    )
-    return WeightedEnsemble(members, "unnormalized", label="outcome basis")
-
-
 def weighted_projected_moment(
     state: PureState,
     part: Bipartition,

@@ -27,7 +27,6 @@ from ._util import (
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
-ORTHONORMALITY_TOL = 1e-12
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -158,7 +157,6 @@ class MeasurementBasis:
     """Complete orthonormal basis on a set of sites.
 
     kind "pauli-product": per-site X/Y/Z eigenbases given by `letters`;
-    kind "rotated": per-site 2x2 unitaries (columns = local basis vectors);
     kind "explicit": a dense matrix whose columns are the basis vectors.
     Outcome indices are little-endian over `sites` order.
     """
@@ -166,7 +164,6 @@ class MeasurementBasis:
     sites: tuple[int, ...]
     kind: str
     letters: str | None = None
-    local_unitaries: tuple | None = None
     matrix: np.ndarray | None = None
 
     @property
@@ -176,8 +173,6 @@ class MeasurementBasis:
     def site_unitaries(self) -> list[np.ndarray]:
         if self.kind == "pauli-product":
             return [_SINGLE_QUBIT_BASIS[ch] for ch in self.letters]
-        if self.kind == "rotated":
-            return [np.asarray(u, dtype=complex) for u in self.local_unitaries]
         raise ValueError("explicit basis has no site factorization")
 
 
@@ -188,16 +183,6 @@ def pauli_basis(sites: Sequence[int], letters: str) -> MeasurementBasis:
     if len(letters) != len(sites) or any(ch not in "XYZ" for ch in letters):
         raise ValueError("letters must be one X/Y/Z character per site")
     return MeasurementBasis(sites=sites, kind="pauli-product", letters=letters)
-
-
-def rotated_basis(sites: Sequence[int], unitaries: Sequence[np.ndarray]) -> MeasurementBasis:
-    us = tuple(np.asarray(u, dtype=complex) for u in unitaries)
-    if len(us) != len(sites):
-        raise ValueError("one unitary per site required")
-    for u in us:
-        if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > ORTHONORMALITY_TOL:
-            raise ValueError("local rotations must be 2x2 unitaries")
-    return MeasurementBasis(sites=tuple(int(s) for s in sites), kind="rotated", local_unitaries=us)
 
 
 def explicit_basis(sites: Sequence[int], matrix: np.ndarray) -> MeasurementBasis:

@@ -44,6 +44,7 @@ CLUSTER_RTOL = 1e-9
 SPLIT_EPSILONS = (1e-4, 5e-5)  # relative to the mean eigenvalue; ratio 2 for Richardson
 GRID_STEP = 0.25  # trapezoid step in t = ln s
 GRID_MARGIN = 40.0  # reach in ln s past 1/lam_max and 1/lam_min; cut tails < e^-35 relative
+EIGENVECTOR_CHUNK = 2048  # eigenvectors per block in conditional_states; bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -332,48 +333,35 @@ class ConditionalStateTable:
         return np.einsum("x,xab->ab", self.probabilities, self.states)
 
 
-def _projected_eigenvector_table(
-    sd: SpectralData,
-    part: Bipartition,
-    basis: MeasurementBasis,
-    weights: np.ndarray,
-    chunk: int = 2048,
-):
-    """Yield per-chunk tensors T[a, x, e] = <a, x | E_e> * weights_e."""
-    v = sd.eigenvectors
-    d = sd.dim
-    a_idx = _subsystem_indices(part.n_sites, part.sites_A)
-    b_idx = _subsystem_indices(part.n_sites, part.sites_B)
-    d_a, d_b = part.d_a, part.d_b
-    us = None if basis.kind == "explicit" else basis.site_unitaries()
-    for lo in range(0, d, chunk):
-        hi = min(lo + chunk, d)
-        block = v[:, lo:hi] * weights[lo:hi]
-        t = np.zeros((d_a, d_b, hi - lo), dtype=complex)
-        t[a_idx, b_idx, :] = block
-        flat = np.moveaxis(t, 1, 2).reshape(d_a * (hi - lo), d_b)
-        if us is None:
-            flat = flat @ np.conj(basis.matrix)
-        else:
-            flat = apply_local_rotations(flat, us, conjugate=True)
-        yield np.moveaxis(flat.reshape(d_a, hi - lo, d_b), 2, 1)
-
-
 def conditional_states(
     sd: SpectralData, part: Bipartition, basis: MeasurementBasis
 ) -> ConditionalStateTable:
     """Time-averaged projected states built exactly from the diagonal ensemble.
 
     rho_bar(x) is the B-projection of the dephased density matrix, normalized
-    per outcome; no time quadrature is involved. Outcomes with weight below
-    1e-14 are dropped and counted.
+    per outcome; no time quadrature is involved. Eigenvectors are walked in
+    blocks of EIGENVECTOR_CHUNK as tensors T[a, x, e] = <a, x | E_e> sqrt(p_E).
+    Outcomes with weight below 1e-14 are dropped and counted.
     """
     if tuple(basis.sites) != tuple(part.sites_B):
         raise ValueError("basis must live on the B side of the bipartition")
-    p = sd.populations
+    v = sd.eigenvectors
+    weights = np.sqrt(sd.populations)
+    a_idx = _subsystem_indices(part.n_sites, part.sites_A)
+    b_idx = _subsystem_indices(part.n_sites, part.sites_B)
     d_a, d_b = part.d_a, part.d_b
+    us = None if basis.kind == "explicit" else basis.site_unitaries()
     raw = np.zeros((d_b, d_a, d_a), dtype=complex)
-    for t in _projected_eigenvector_table(sd, part, basis, np.sqrt(p)):
+    for lo in range(0, sd.dim, EIGENVECTOR_CHUNK):
+        hi = min(lo + EIGENVECTOR_CHUNK, sd.dim)
+        t = np.zeros((d_a, d_b, hi - lo), dtype=complex)
+        t[a_idx, b_idx, :] = v[:, lo:hi] * weights[lo:hi]
+        flat = np.moveaxis(t, 1, 2).reshape(d_a * (hi - lo), d_b)
+        if us is None:
+            flat = flat @ np.conj(basis.matrix)
+        else:
+            flat = apply_local_rotations(flat, us, conjugate=True)
+        t = np.moveaxis(flat.reshape(d_a, hi - lo, d_b), 2, 1)
         raw += np.einsum("axe,cxe->xac", t, t.conj(), optimize=True)
     p_d = np.einsum("xaa->x", raw).real
     keep = np.flatnonzero(p_d >= 1e-14)

@@ -17,10 +17,11 @@ from .hilbert import (
     MeasurementBasis,
     PureState,
     apply_local_rotations,
+    basis_matrix,
     split_bipartite,
 )
-from .scrooge import ConditionalStateTable, subentropy
-from .spectral import SpectralData, energy_moments, evolve_grid
+from .scrooge import ConditionalStateTable, conditional_states, subentropy
+from .spectral import SpectralData, evolve, evolve_grid
 
 LN2 = math.log(2.0)
 EULER_GAMMA = float(np.euler_gamma)
@@ -153,17 +154,6 @@ class InfoReport:
     metadata: dict = field(default_factory=dict)
 
 
-def outcome_probabilities(psi: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
-    """|<z|psi>|^2 for a complete basis over the state's full space."""
-    if basis.dim != psi.shape[0]:
-        raise ValueError("basis must be complete over the state space")
-    if basis.kind == "explicit":
-        amps = basis.matrix.conj().T @ psi
-    else:
-        amps = apply_local_rotations(psi.reshape(1, -1), basis.site_unitaries(), conjugate=True)[0]
-    return np.abs(amps) ** 2
-
-
 def mutual_information_time(
     sd: SpectralData,
     psi0: PureState,
@@ -263,28 +253,28 @@ def conditional_mutual_information(
     return InfoReport(kind="I(O_A;Z_B|T)", bits=value)
 
 
+def _joint_from_table(table: ConditionalStateTable, basis_a: MeasurementBasis) -> np.ndarray:
+    """p_d(x) [U_A^dagger rho_bar(x) U_A]_oo, scattered to (D_A, D_B); dropped x give zeros."""
+    u = basis_matrix(basis_a)
+    diag = np.einsum("ao,xab,bo->ox", u.conj(), table.states, u).real
+    out = np.zeros((table.d_a, table.outcomes.size + table.dropped_outcomes))
+    out[:, table.outcomes] = diag * table.probabilities
+    return out
+
+
 def time_averaged_joint_distribution(
     sd: SpectralData,
     part: Bipartition,
     basis_a: MeasurementBasis,
     basis_b: MeasurementBasis,
-    chunk: int = 2048,
 ) -> np.ndarray:
-    """E_t[p(o_A, x_B, t)]: diagonal of the dephased state in the product basis."""
-    from .scrooge import _projected_eigenvector_table
+    """E_t[p(o_A, x_B, t)], read off the conditional-state table of the B basis.
 
-    p = sd.populations
-    out = np.zeros((part.d_a, part.d_b))
-    us_a = None if basis_a.kind == "explicit" else basis_a.site_unitaries()
-    for t in _projected_eigenvector_table(sd, part, basis_b, np.sqrt(p), chunk=chunk):
-        d_a, d_b, c = t.shape
-        flat = t.reshape(d_a, d_b * c).T
-        if us_a is None:
-            flat = flat @ np.conj(basis_a.matrix)
-        else:
-            flat = apply_local_rotations(flat, us_a, conjugate=True)
-        out += (np.abs(flat) ** 2).T.reshape(d_a, d_b, c).sum(axis=2)
-    return out
+    p_avg(o, x) = sum_E p_E |<o, x|E>|^2 = p_d(x) <o|rho_bar(x)|o>: the
+    dephased state's diagonal in the product basis is each outcome's weight
+    times the A-basis diagonal of its conditional state.
+    """
+    return _joint_from_table(conditional_states(sd, part, basis_b), basis_a)
 
 
 def interaction_information(
@@ -302,16 +292,12 @@ def interaction_information(
     sum_x p_d(x) Q(rho_bar(x)) and the concavity bound Q(rho_A); the fixed-time
     and time-averaged mutual informations ride along in the metadata.
     """
-    from .spectral import evolve
-    from .scrooge import conditional_states
-
     state_t = evolve(sd, psi0, t)
     i_fixed = conditional_mutual_information(state_t, part, basis_a, basis_b).bits
-    p_avg = time_averaged_joint_distribution(sd, part, basis_a, basis_b)
-    i_avg = mutual_information_of_joint(p_avg)
     table = conditional_table
     if table is None:
         table = conditional_states(sd, part, basis_b)
+    i_avg = mutual_information_of_joint(_joint_from_table(table, basis_a))
     weighted_q = float(
         np.sum(table.probabilities * np.array([subentropy(s) for s in table.states]))
     )

@@ -8,6 +8,7 @@ from qensembles import hilbert as hb
 from qensembles import pipelines as pl
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
+from qensembles import stats as st
 
 import moment_oracles as mo
 
@@ -145,3 +146,51 @@ class TestBasisInformationScan:
         # Holevo: no basis on A learns more than S(rho_A) from the B outcomes
         assert all(0.0 <= bits <= s_bits + 1e-12 for _, bits in rows)
         assert q_bits <= s_bits
+
+
+class TestRescaledJointProbabilityKS:
+    def test_sample_matches_rebuilt_joint(self, monkeypatch):
+        cache = pl.SpectrumCache()
+        theta, t, width = 0.4, 7.0, 2
+        time_averaged, pt_test = st.time_averaged_joint_distribution, st.pt_test
+        averaged, tested = [], []
+
+        def spy_average(*args):
+            averaged.append(time_averaged(*args))
+            return averaged[-1]
+
+        def spy_pt(values, *args, **kwargs):
+            tested.append(np.asarray(values))
+            return pt_test(values, *args, **kwargs)
+
+        monkeypatch.setattr(st, "time_averaged_joint_distribution", spy_average)
+        monkeypatch.setattr(st, "pt_test", spy_pt)
+        out = pl.rescaled_joint_probability_ks(cache, MFIM6, theta, t, width)
+        assert len(averaged) == 1
+        assert tested[0].mean() == pytest.approx(1.0, abs=1e-12)
+        assert out["sample_count"] == int(np.sum(averaged[0] > 1e-14))
+        part = hb.Bipartition(6, hb.central_sites(6, width))
+        state = pl.quench_state(cache, MFIM6, theta, t)
+        joint = st.joint_outcome_distribution(
+            state, part, hb.pauli_basis(part.sites_A, "X"), hb.pauli_basis(part.sites_B, "X")
+        )
+        assert out["ks_raw"] == pytest.approx(
+            pt_test((joint * joint.size).ravel()).ks_statistic, abs=1e-12
+        )
+
+
+class TestEigenstateWindowRescaledProbabilities:
+    def _setup(self):
+        sd = sp.diagonalize(hb.build_hamiltonian(MFIM6))
+        return sd, hb.Bipartition(6, hb.central_sites(6, 2))
+
+    def test_pooled_values_have_unit_mean(self):
+        sd, part = self._setup()
+        vals = pl.eigenstate_window_rescaled_probabilities(sd, part, 0.0, window_eigenstates=10)
+        assert vals.mean() == pytest.approx(1.0, abs=1e-12)
+        assert vals.size % 10 == 0
+
+    def test_single_eigenstate_window_is_all_ones(self):
+        sd, part = self._setup()
+        vals = pl.eigenstate_window_rescaled_probabilities(sd, part, 0.0, window_eigenstates=1)
+        assert np.abs(vals - 1.0).max() <= 1e-12

@@ -399,6 +399,17 @@ class TestConditionalStates:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(s).min() >= -1e-10
 
+    def test_eigenvector_blocks_sum_to_one_walk(self, monkeypatch):
+        bound, _ = self._bound(5)
+        part = hb.Bipartition(5, (1, 3))
+        basis = hb.pauli_basis(part.sites_B, "XYZ")
+        whole = sc.conditional_states(bound, part, basis)
+        monkeypatch.setattr(sc, "EIGENVECTOR_CHUNK", 7)  # 32 = 4 * 7 + 4: uneven blocks
+        blocks = sc.conditional_states(bound, part, basis)
+        assert np.array_equal(blocks.outcomes, whole.outcomes)
+        assert np.abs(blocks.probabilities - whole.probabilities).max() <= 1e-12
+        assert np.abs(blocks.states - whole.states).max() <= 1e-12
+
 
 class TestGeneralizedMoment:
     def test_identical_states_reduce_to_plain(self, rng):

@@ -20,6 +20,24 @@ def random_moment(d, k, rng):
     return en.MomentOperator(k, d, m, "normalized")
 
 
+def random_unitary(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    return q
+
+
+def dense_time_averaged_joint(bound, part, ba, bb):
+    """Diagonal of the dephased state in the product basis, from dense matrices."""
+    rho_d, _, _ = sp.diagonal_ensemble(bound)
+    u = np.kron(hb.basis_matrix(bb), hb.basis_matrix(ba))  # little-endian: A is low bits
+    perm = hb._subsystem_indices(part.n_sites, part.sites_A + part.sites_B)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    rho_perm = rho_d.entries[np.ix_(inv, inv)]
+    diag = np.real(np.diag(u.conj().T @ rho_perm @ u))
+    return diag.reshape(part.d_b, part.d_a).T
+
+
 class TestTraceDistance:
     def test_equal_moments(self, rng):
         m = random_moment(2, 2, rng)
@@ -214,6 +232,55 @@ class TestInteractionInformation:
         diag = np.real(np.diag(u.conj().T @ rho_perm @ u))
         expected = diag.reshape(part.d_b, part.d_a).T
         assert np.abs(p - expected).max() <= 1e-10
+
+    def test_explicit_a_basis_matches_dense_construction(self, spectrum_factory, rng):
+        n = 6
+        bound = spectrum_factory("mfim", n, 0.6)
+        part = hb.Bipartition(n, (1, 2, 4))
+        ba = hb.explicit_basis(part.sites_A, random_unitary(part.d_a, rng))
+        bb = hb.pauli_basis(part.sites_B, "ZXY")
+        p = st.time_averaged_joint_distribution(bound, part, ba, bb)
+        assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
+        table = sc.conditional_states(bound, part, bb)
+        assert np.abs(p.sum(axis=0)[table.outcomes] - table.probabilities).max() <= 1e-12
+
+    def test_dropped_outcomes_give_zero_columns(self, rng):
+        # a computational-basis state of a diagonal H with distinct entries is
+        # stationary: one B outcome survives and A sits in one basis state
+        n = 4
+        h = hb.build_hamiltonian({"model": "explicit", "matrix": np.diag(np.arange(16.0) ** 1.5)})
+        z0 = 11
+        psi0 = hb.PureState(np.eye(16, dtype=complex)[:, z0], (2,) * n)
+        bound = sp.bind_state(sp.diagonalize(h), psi0)
+        part = hb.Bipartition(n, (1, 2))
+        u = random_unitary(part.d_a, rng)
+        ba = hb.explicit_basis(part.sites_A, u)
+        bb = hb.pauli_basis(part.sites_B, "Z")
+        table = sc.conditional_states(bound, part, bb)
+        assert table.dropped_outcomes == part.d_b - 1
+        p = st.time_averaged_joint_distribution(bound, part, ba, bb)
+        assert p.shape == (part.d_a, part.d_b)
+        assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
+        a0 = hb._subsystem_indices(n, part.sites_A)[z0]
+        x0 = hb._subsystem_indices(n, part.sites_B)[z0]
+        expected = np.zeros((part.d_a, part.d_b))
+        expected[:, x0] = np.abs(u[a0, :]) ** 2  # |<o|psi_A>|^2
+        assert np.abs(p - expected).max() <= 1e-12
+        assert np.abs(p.sum(axis=0)[table.outcomes] - table.probabilities).max() <= 1e-12
+
+    def test_same_report_with_and_without_table(self, spectrum_factory, rng):
+        n = 6
+        bound = spectrum_factory("mfim", n, 0.3)
+        psi0 = hb.product_state(0.3, n)
+        part = hb.Bipartition(n, hb.central_sites(n, 2))
+        ba = hb.explicit_basis(part.sites_A, random_unitary(part.d_a, rng))
+        bb = hb.pauli_basis(part.sites_B, "X")
+        table = sc.conditional_states(bound, part, bb)
+        bare = st.interaction_information(bound, psi0, part, ba, bb, 12.0)
+        given = st.interaction_information(bound, psi0, part, ba, bb, 12.0, conditional_table=table)
+        assert given.bits == bare.bits
+        assert given.prediction_bits == bare.prediction_bits
+        assert given.metadata == bare.metadata
 
 
 class TestEnsembleEntropy:
