@@ -86,6 +86,12 @@ def n_qubit_dims(n: int) -> tuple[int, ...]:
     return (2,) * n
 
 
+def qubit_or_flat_dims(d: int) -> tuple[int, ...]:
+    """Qubit factors (2,) * n when d = 2^n, else one flat factor (d,)."""
+    n = int(d).bit_length() - 1
+    return n_qubit_dims(n) if d == 2**n else (int(d),)
+
+
 def qubit_state(amplitudes: Iterable[complex], convention: str = "normalized") -> PureState:
     amps = np.asarray(list(amplitudes), dtype=complex)
     n = int(round(math.log2(amps.size)))
@@ -154,26 +160,21 @@ def central_sites(n: int, width: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Complete orthonormal basis on a set of sites.
+    """Complete orthonormal basis on a set of sites, as a tuple of local unitary blocks.
 
-    kind "pauli-product": per-site X/Y/Z eigenbases given by `letters`;
-    kind "explicit": a dense matrix whose columns are the basis vectors.
-    Outcome indices are little-endian over `sites` order.
+    factors[j] is a 2^w x 2^w matrix whose columns are the basis vectors on
+    the next w little-endian bits of the outcome index; the basis is their
+    Kronecker product. Pauli-product bases have one 2 x 2 factor per site, an
+    explicit basis one factor over all its sites. Outcome indices are
+    little-endian over `sites` order.
     """
 
     sites: tuple[int, ...]
-    kind: str
-    letters: str | None = None
-    matrix: np.ndarray | None = None
+    factors: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
         return 2 ** len(self.sites)
-
-    def site_unitaries(self) -> list[np.ndarray]:
-        if self.kind == "pauli-product":
-            return [_SINGLE_QUBIT_BASIS[ch] for ch in self.letters]
-        raise ValueError("explicit basis has no site factorization")
 
 
 def pauli_basis(sites: Sequence[int], letters: str) -> MeasurementBasis:
@@ -182,7 +183,7 @@ def pauli_basis(sites: Sequence[int], letters: str) -> MeasurementBasis:
         letters = letters * len(sites)
     if len(letters) != len(sites) or any(ch not in "XYZ" for ch in letters):
         raise ValueError("letters must be one X/Y/Z character per site")
-    return MeasurementBasis(sites=sites, kind="pauli-product", letters=letters)
+    return MeasurementBasis(sites, tuple(_SINGLE_QUBIT_BASIS[ch] for ch in letters))
 
 
 def explicit_basis(sites: Sequence[int], matrix: np.ndarray) -> MeasurementBasis:
@@ -190,28 +191,30 @@ def explicit_basis(sites: Sequence[int], matrix: np.ndarray) -> MeasurementBasis
     d = 2 ** len(sites)
     if m.shape != (d, d):
         raise ValueError("basis matrix must be square of the subsystem dimension")
-    return MeasurementBasis(sites=tuple(int(s) for s in sites), kind="explicit", matrix=m)
+    return MeasurementBasis(tuple(int(s) for s in sites), (m,))
+
+
+def _require_sites(basis: MeasurementBasis, sites: Iterable[int]) -> None:
+    """Raise unless the basis lives on exactly these sites, in this order."""
+    sites = tuple(sites)
+    if basis.sites != sites:
+        raise ValueError(f"basis must live on sites {sites}, not {basis.sites}")
 
 
 def basis_gram_defect(basis: MeasurementBasis) -> float:
     """Max deviation of the basis Gram matrix from the identity."""
-    if basis.kind == "explicit":
-        g = basis.matrix.conj().T @ basis.matrix
-        return float(np.abs(g - np.eye(basis.dim)).max())
     defect = 0.0
-    for u in basis.site_unitaries():
-        defect = max(defect, float(np.abs(u.conj().T @ u - np.eye(2)).max()))
+    for u in basis.factors:
+        defect = max(defect, float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()))
     return defect
 
 
 def basis_matrix(basis: MeasurementBasis, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Dense matrix whose columns are the basis vectors (capped)."""
     check_cap(caps, "max_moment_entries", basis.dim**2)
-    if basis.kind == "explicit":
-        return basis.matrix.copy()
     out = np.array([[1.0 + 0j]])
-    for u in basis.site_unitaries():
-        out = np.kron(u, out)  # later sites are more significant
+    for u in basis.factors:
+        out = np.kron(u, out)  # later factors are more significant
     return out
 
 
@@ -251,23 +254,25 @@ def merge_bipartite(m: np.ndarray, part: Bipartition, convention: str = "normali
 
 
 def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray], conjugate: bool = False) -> np.ndarray:
-    """Contract each little-endian qubit axis of the columns of m with a 2x2 matrix.
+    """Contract consecutive little-endian blocks of the column index of m with square matrices.
 
-    m has shape (rows, 2^k); unitaries[j] acts on bit j of the column index.
-    With conjugate=True the complex conjugate of each unitary is applied,
-    which turns amplitudes over the computational basis into overlap tables
+    m has shape (rows, prod b_j), where unitaries[j] is b_j x b_j and acts on
+    the block of the column index above the bits of the earlier blocks. With
+    conjugate=True the complex conjugate of each unitary is applied, which
+    turns amplitudes over the computational basis into overlap tables
     <basis vector | state>.
     """
     rows, d = m.shape
-    k = len(unitaries)
-    if d != 2**k:
-        raise ValueError("column dimension does not match the number of unitaries")
+    if d != math.prod(u.shape[0] for u in unitaries):
+        raise ValueError("column dimension does not match the unitary block sizes")
     out = np.ascontiguousarray(m)
-    for j, u in enumerate(unitaries):
+    lo = 1
+    for u in unitaries:
         uj = np.conj(u) if conjugate else u
-        lo, hi = 2**j, 2 ** (k - j - 1)
-        t = out.reshape(rows, hi, 2, lo)
+        b = u.shape[0]
+        t = out.reshape(rows, d // (lo * b), b, lo)
         out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
+        lo *= b
     return out
 
 
@@ -388,19 +393,10 @@ def project_outcome(
     Returns the unnormalized A-side state and the outcome probability (its
     squared norm).
     """
-    if tuple(basis.sites) != tuple(part.sites_B):
-        raise ValueError("basis must live on the B side of the bipartition")
+    table = projection_table(state, part, basis)
     if not 0 <= outcome_index < part.d_b:
         raise IndexError("outcome index out of range")
-    m = split_bipartite(state, part)
-    if basis.kind == "explicit":
-        vec = basis.matrix[:, outcome_index]
-    else:
-        vec = np.array([1.0 + 0j])
-        for j, u in enumerate(basis.site_unitaries()):
-            bit = (outcome_index >> j) & 1
-            vec = np.kron(u[:, bit], vec)
-    amp = m @ np.conj(vec)
+    amp = table[:, outcome_index]
     p = float(np.vdot(amp, amp).real)
     return PureState(amp, n_qubit_dims(len(part.sites_A)), "unnormalized"), p
 
@@ -411,12 +407,8 @@ def projection_table(state: PureState, part: Bipartition, basis: MeasurementBasi
     Column z holds (I_A (x) <z|) |state>; squared column norms are the outcome
     probabilities.
     """
-    if tuple(basis.sites) != tuple(part.sites_B):
-        raise ValueError("basis must live on the B side of the bipartition")
-    m = split_bipartite(state, part)
-    if basis.kind == "explicit":
-        return m @ np.conj(basis.matrix)
-    return apply_local_rotations(m, basis.site_unitaries(), conjugate=True)
+    _require_sites(basis, part.sites_B)
+    return apply_local_rotations(split_bipartite(state, part), basis.factors, conjugate=True)
 
 
 def partial_trace(obj, part: Bipartition, keep: str = "A") -> HermitianOperator:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ._util import Caps, DEFAULT_CAPS, FitError, task_rng
 from .ensembles import finite_time_frobenius_distances
-from .hilbert import HermitianOperator, PureState, n_qubit_dims
+from .hilbert import HermitianOperator, PureState, qubit_or_flat_dims
 from .spectral import SpectralData, bind_state, diagonalize
 
 
@@ -23,9 +23,7 @@ def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
         raise ValueError("d must be >= 2")
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
     h = (g + g.conj().T) / 2
-    n = int(round(math.log2(d)))
-    dims = (2,) * n if 2**n == d else (d,)
-    return HermitianOperator(h, dims)
+    return HermitianOperator(h, qubit_or_flat_dims(d))
 
 
 def sample_real_symmetric(d: int, rng: np.random.Generator) -> HermitianOperator:
@@ -34,9 +32,7 @@ def sample_real_symmetric(d: int, rng: np.random.Generator) -> HermitianOperator
         raise ValueError("d must be >= 2")
     g = rng.standard_normal((d, d)) * math.sqrt(2.0 / d)
     h = (g + g.T) / 2
-    n = int(round(math.log2(d)))
-    dims = (2,) * n if 2**n == d else (d,)
-    return HermitianOperator(h.astype(complex), dims)
+    return HermitianOperator(h.astype(complex), qubit_or_flat_dims(d))
 
 
 def semicircle_cdf(x: np.ndarray) -> np.ndarray:
@@ -75,9 +71,7 @@ def default_tau_grid(d: int, points: int = 30, decades: tuple[float, float] = (0
 def _basis_state(d: int) -> PureState:
     amps = np.zeros(d, dtype=complex)
     amps[0] = 1.0
-    n = int(round(math.log2(d)))
-    dims = (2,) * n if 2**n == d else (d,)
-    return PureState(amps, dims)
+    return PureState(amps, qubit_or_flat_dims(d))
 
 
 def convergence_experiment(

@@ -32,8 +32,10 @@ from .hilbert import (
     HermitianOperator,
     MeasurementBasis,
     PureState,
-    apply_local_rotations,
+    _require_sites,
     _subsystem_indices,
+    apply_local_rotations,
+    qubit_or_flat_dims,
 )
 from .spectral import SpectralData
 
@@ -106,9 +108,7 @@ def scrooge_sample_batch(
 def scrooge_sample(rho, rng: np.random.Generator) -> tuple[PureState, np.ndarray]:
     """One draw from Scrooge[rho]; returns the normalized state and the raw vector."""
     normed, raw = scrooge_sample_batch(rho, 1, rng)
-    d = normed.shape[0]
-    dims = (2,) * int(round(math.log2(d))) if 2 ** int(round(math.log2(d))) == d else (d,)
-    return PureState(normed[:, 0], dims, "normalized"), raw[:, 0]
+    return PureState(normed[:, 0], qubit_or_flat_dims(normed.shape[0]), "normalized"), raw[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +343,19 @@ def conditional_states(
     blocks of EIGENVECTOR_CHUNK as tensors T[a, x, e] = <a, x | E_e> sqrt(p_E).
     Outcomes with weight below 1e-14 are dropped and counted.
     """
-    if tuple(basis.sites) != tuple(part.sites_B):
-        raise ValueError("basis must live on the B side of the bipartition")
+    _require_sites(basis, part.sites_B)
     v = sd.eigenvectors
     weights = np.sqrt(sd.populations)
     a_idx = _subsystem_indices(part.n_sites, part.sites_A)
     b_idx = _subsystem_indices(part.n_sites, part.sites_B)
     d_a, d_b = part.d_a, part.d_b
-    us = None if basis.kind == "explicit" else basis.site_unitaries()
     raw = np.zeros((d_b, d_a, d_a), dtype=complex)
     for lo in range(0, sd.dim, EIGENVECTOR_CHUNK):
         hi = min(lo + EIGENVECTOR_CHUNK, sd.dim)
         t = np.zeros((d_a, d_b, hi - lo), dtype=complex)
         t[a_idx, b_idx, :] = v[:, lo:hi] * weights[lo:hi]
         flat = np.moveaxis(t, 1, 2).reshape(d_a * (hi - lo), d_b)
-        if us is None:
-            flat = flat @ np.conj(basis.matrix)
-        else:
-            flat = apply_local_rotations(flat, us, conjugate=True)
+        flat = apply_local_rotations(flat, basis.factors, conjugate=True)
         t = np.moveaxis(flat.reshape(d_a, hi - lo, d_b), 2, 1)
         raw += np.einsum("axe,cxe->xac", t, t.conj(), optimize=True)
     p_d = np.einsum("xaa->x", raw).real

@@ -12,7 +12,14 @@ import numpy as np
 import scipy.linalg
 
 from ._util import Caps, DEFAULT_CAPS, NumericalFailureError, check_cap
-from .hilbert import HermitianOperator, MeasurementBasis, PureState, apply_local_rotations
+from .hilbert import (
+    HermitianOperator,
+    MeasurementBasis,
+    PureState,
+    _require_sites,
+    apply_local_rotations,
+    qubit_or_flat_dims,
+)
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,7 @@ def diagonal_ensemble(
     check_cap(caps, "max_moment_entries", sd.dim**2)
     rho = (sd.eigenvectors * p) @ sd.eigenvectors.conj().T
     rho = (rho + rho.conj().T) / 2
-    n_sites = int(round(np.log2(sd.dim)))
-    op = HermitianOperator(rho, (2,) * n_sites)
+    op = HermitianOperator(rho, qubit_or_flat_dims(sd.dim))
     return op, FactoredTwoCopy(p**2, sd.eigenvalues.copy()), float(np.sum(p**2))
 
 
@@ -130,13 +136,9 @@ def energy_moments(psi0: PureState, h: HermitianOperator) -> tuple[float, float]
 
 
 def basis_overlap_matrix(sd: SpectralData, basis: MeasurementBasis) -> np.ndarray:
-    """<z|E> for a complete product (or explicit) basis over the full space."""
-    d = sd.dim
-    if basis.dim != d:
-        raise ValueError("basis must be complete over the full space")
-    if basis.kind == "explicit":
-        return basis.matrix.conj().T @ sd.eigenvectors
-    return apply_local_rotations(sd.eigenvectors.T, basis.site_unitaries(), conjugate=True).T
+    """<z|E> for a complete basis on sites 0, ..., n-1 of the full space."""
+    _require_sites(basis, range(sd.dim.bit_length() - 1))
+    return apply_local_rotations(sd.eigenvectors.T, basis.factors, conjugate=True).T
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from .hilbert import (
     HermitianOperator,
     MeasurementBasis,
     PureState,
+    _require_sites,
     apply_local_rotations,
     basis_matrix,
-    split_bipartite,
+    projection_table,
 )
 from .scrooge import ConditionalStateTable, conditional_states, subentropy
 from .spectral import SpectralData, evolve, evolve_grid
@@ -171,6 +172,7 @@ def mutual_information_time(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    _require_sites(basis, range(psi0.n_sites))
     p_pop = sd.populations
     e_mean = float(np.dot(p_pop, sd.eigenvalues))
     sigma_h = math.sqrt(max(float(np.dot(p_pop, sd.eigenvalues**2)) - e_mean**2, 0.0))
@@ -182,10 +184,7 @@ def mutual_information_time(
     if times.size < 2:
         raise ValueError("degenerate time grid")
     states = evolve_grid(sd, psi0, times)
-    if basis.kind == "explicit":
-        amps = basis.matrix.conj().T @ states
-    else:
-        amps = apply_local_rotations(states.T, basis.site_unitaries(), conjugate=True).T
+    amps = apply_local_rotations(states.T, basis.factors, conjugate=True).T
     probs = np.abs(amps) ** 2  # (outcomes, times)
     h_mean = float(np.mean([shannon_entropy_bits(probs[:, i]) for i in range(times.size)]))
     p_bar = probs.mean(axis=1)
@@ -215,17 +214,10 @@ def joint_outcome_distribution(
     basis_a: MeasurementBasis,
     basis_b: MeasurementBasis,
 ) -> np.ndarray:
-    """p(o_A, z_B) for product measurements on both sides; shape (D_A, D_B)."""
-    m = split_bipartite(state, part)
-    if basis_b.kind == "explicit":
-        m = m @ np.conj(basis_b.matrix)
-    else:
-        m = apply_local_rotations(m, basis_b.site_unitaries(), conjugate=True)
-    if basis_a.kind == "explicit":
-        m = basis_a.matrix.conj().T @ m
-    else:
-        m = apply_local_rotations(m.T, basis_a.site_unitaries(), conjugate=True).T
-    return np.abs(m) ** 2
+    """p(o_A, z_B) for measurements in basis_a on A and basis_b on B; shape (D_A, D_B)."""
+    _require_sites(basis_a, part.sites_A)
+    m = projection_table(state, part, basis_b)
+    return np.abs(apply_local_rotations(m.T, basis_a.factors, conjugate=True).T) ** 2
 
 
 def mutual_information_of_joint(p: np.ndarray) -> float:
@@ -274,6 +266,7 @@ def time_averaged_joint_distribution(
     dephased state's diagonal in the product basis is each outcome's weight
     times the A-basis diagonal of its conditional state.
     """
+    _require_sites(basis_a, part.sites_A)
     return _joint_from_table(conditional_states(sd, part, basis_b), basis_a)
 
 

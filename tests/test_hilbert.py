@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
+from scipy.stats import unitary_group
 
 from qensembles import InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
@@ -167,6 +170,29 @@ class TestProjection:
         rebuilt = hb.merge_bipartite(m, part)
         assert np.abs(rebuilt.amplitudes - state.amplitudes).max() <= 1e-10
 
+    def test_explicit_basis_matches_dense_basis_matrix(self, rng):
+        n = 7
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state = hb.PureState(amps / np.linalg.norm(amps), (2,) * n)
+        part = hb.Bipartition(n, (4, 1))
+        basis = hb.explicit_basis(part.sites_B, unitary_group.rvs(part.d_b, random_state=rng))
+        expected = hb.split_bipartite(state, part) @ np.conj(hb.basis_matrix(basis))
+        table = hb.projection_table(state, part, basis)
+        assert np.abs(table - expected).max() <= 1e-12
+        for z in (0, 5, part.d_b - 1):
+            projected, p = hb.project_outcome(state, part, basis, z)
+            assert np.abs(projected.amplitudes - expected[:, z]).max() <= 1e-12
+            assert p == pytest.approx(np.sum(np.abs(expected[:, z]) ** 2), abs=1e-12)
+
+    def test_basis_on_other_sites_is_rejected(self):
+        state = hb.product_state(0.4, 4)
+        part = hb.Bipartition(4, (1, 2))
+        for basis in (hb.pauli_basis((3, 0), "Z"), hb.pauli_basis((0, 1), "Z")):
+            with pytest.raises(ValueError):
+                hb.projection_table(state, part, basis)
+            with pytest.raises(ValueError):
+                hb.project_outcome(state, part, basis, 0)
+
     def test_out_of_range_outcome(self):
         bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))
         part = hb.Bipartition(2, (0,))
@@ -265,6 +291,15 @@ class TestBases:
         basis = hb.explicit_basis((0, 1), q)
         assert hb.basis_gram_defect(basis) <= 1e-12
 
+    def test_a_basis_is_its_sites_and_local_factors(self, rng):
+        assert [f.name for f in dataclasses.fields(hb.MeasurementBasis)] == ["sites", "factors"]
+        pauli = hb.pauli_basis((3, 1), "XY")
+        assert [u.shape for u in pauli.factors] == [(2, 2), (2, 2)]
+        q = unitary_group.rvs(4, random_state=rng)
+        explicit = hb.explicit_basis((3, 1), q)
+        assert len(explicit.factors) == 1
+        assert np.array_equal(hb.basis_matrix(explicit), q)
+
     def test_basis_matrix_little_endian(self):
         basis = hb.pauli_basis((0, 1), "XZ")
         u = hb.basis_matrix(basis)
@@ -306,16 +341,20 @@ class TestBipartitionProperties:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    k=st_h.integers(1, 6),
+    blocks=st_h.one_of(
+        st_h.integers(1, 6).map(lambda k: [2] * k),  # one qubit per block
+        st_h.lists(st_h.sampled_from([2, 4, 8]), min_size=1, max_size=3),  # mixed block sizes
+    ),
     rows=st_h.integers(1, 3),
     conjugate=st_h.booleans(),
     seed=st_h.integers(0, 2**16),
 )
-def test_apply_local_rotations_matches_kron(k, rows, conjugate, seed):
+def test_apply_local_rotations_matches_kron(blocks, rows, conjugate, seed):
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((rows, 2**k)) + 1j * rng.standard_normal((rows, 2**k))
-    us = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(k)]
+    d = int(np.prod(blocks))
+    m = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    us = [rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b)) for b in blocks]
     out = hb.apply_local_rotations(m, us, conjugate=conjugate)
-    # unitaries[j] acts on bit j of the column index: site j of kron_chain
+    # unitaries[j] acts on the j-th block of the column index: factor j of kron_chain
     full = kron_chain(*[np.conj(u) if conjugate else u for u in us])
     assert np.abs(out - m @ full).max() <= 1e-12 * max(1.0, np.abs(m @ full).max())

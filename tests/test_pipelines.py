@@ -148,6 +148,33 @@ class TestBasisInformationScan:
         assert q_bits <= s_bits
 
 
+class TestInteractionInformationScan:
+    def test_rows_match_direct_calls_in_letter_order(self):
+        n, theta, t, letters = 6, 0.6, 12.0, ("Z", "X", "Y")
+        cache = pl.SpectrumCache()
+        rows = pl.interaction_information_scan(cache, MFIM6, theta, t, 2, letters)
+        assert [row["basis"] for row in rows] == list(letters)
+        bound = cache.bound(MFIM6, theta)
+        psi0 = hb.product_state(theta, n)
+        part = hb.Bipartition(n, hb.central_sites(n, 2))
+        basis_b = hb.pauli_basis(part.sites_B, "X")
+        for row, letter in zip(rows, letters):
+            # no table passed: interaction_information builds its own
+            rep = st.interaction_information(
+                bound, psi0, part, hb.pauli_basis(part.sites_A, letter), basis_b, t
+            )
+            assert row == {
+                "basis": letter,
+                "interaction_bits": rep.bits,
+                "weighted_subentropy_bits": rep.prediction_bits,
+                "fixed_time_bits": rep.metadata["fixed_time_bits"],
+                "time_averaged_bits": rep.metadata["time_averaged_bits"],
+                "subentropy_bound_bits": rep.metadata["subentropy_bound_bits"],
+            }
+            # concavity of the subentropy: the weighted value sits below Q(rho_A)
+            assert row["weighted_subentropy_bits"] <= row["subentropy_bound_bits"] + 1e-9
+
+
 class TestRescaledJointProbabilityKS:
     def test_sample_matches_rebuilt_joint(self, monkeypatch):
         cache = pl.SpectrumCache()

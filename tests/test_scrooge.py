@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.stats import unitary_group
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
@@ -398,6 +399,28 @@ class TestConditionalStates:
         for s in table.states:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(s).min() >= -1e-10
+
+    def test_explicit_basis_matches_dense_projection(self, rng):
+        n = 6
+        bound, _ = self._bound(n)
+        part = hb.Bipartition(n, (0, 3))
+        basis = hb.explicit_basis(part.sites_B, unitary_group.rvs(part.d_b, random_state=rng))
+        u = hb.basis_matrix(basis)
+        raw = np.zeros((part.d_b, part.d_a, part.d_a), dtype=complex)
+        for e in range(bound.dim):
+            cols = hb.split_bipartite(hb.PureState(bound.eigenvectors[:, e], (2,) * n), part) @ u.conj()
+            raw += bound.populations[e] * np.einsum("ax,cx->xac", cols, cols.conj())
+        p = np.einsum("xaa->x", raw).real
+        table = sc.conditional_states(bound, part, basis)
+        assert table.dropped_outcomes == 0
+        assert np.abs(table.probabilities - p).max() <= 1e-12
+        assert np.abs(table.states - raw / p[:, None, None]).max() <= 1e-12
+
+    def test_basis_on_other_sites_is_rejected(self):
+        bound, _ = self._bound()
+        part = hb.Bipartition(4, (1, 2))
+        with pytest.raises(ValueError):
+            sc.conditional_states(bound, part, hb.pauli_basis((3, 0), "Z"))
 
     def test_eigenvector_blocks_sum_to_one_walk(self, monkeypatch):
         bound, _ = self._bound(5)

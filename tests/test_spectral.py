@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps
 from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles import ensembles as en
+from qensembles import rmt
 from qensembles._util import task_rng
 
 
 def random_state(d, rng, real=False):
     amps = rng.standard_normal(d) + (0 if real else 1j * rng.standard_normal(d))
-    n = int(round(np.log2(d)))
-    return hb.PureState(amps / np.linalg.norm(amps), (2,) * n)
+    return hb.PureState(amps / np.linalg.norm(amps), hb.qubit_or_flat_dims(d))
 
 
 class TestDiagonalize:
@@ -133,6 +134,16 @@ class TestDiagonalEnsemble:
         assert np.abs(rho.entries - dephased).max() <= 1e-10
 
 
+    def test_dimension_off_powers_of_two(self, rng):
+        bound = sp.bind_state(sp.diagonalize(rmt.sample_gue(48, rng)), random_state(48, rng))
+        rho, _, purity = sp.diagonal_ensemble(bound)
+        p = bound.populations
+        assert rho.dims == (48,)
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+        assert purity == pytest.approx(np.sum(p**2), abs=1e-15)
+        assert np.sum(np.abs(rho.entries) ** 2) == pytest.approx(purity, abs=1e-12)  # tr rho^2
+
+
 class TestEnergyMoments:
     def test_eigenstate_has_zero_width(self):
         h = hb.build_hamiltonian({"model": "mfim", "n": 3})
@@ -175,6 +186,25 @@ class TestEffectiveDimension:
         basis = hb.pauli_basis(tuple(range(n)), "X")  # mutually unbiased with Z
         rep = sp.effective_dimension(bound, basis)
         assert rep.inverse == pytest.approx(1.0 / d, rel=1e-10)
+
+    def test_explicit_basis_matches_dense_basis_matrix(self, spectrum_factory, rng):
+        n = 6
+        bound = spectrum_factory("mfim", n, 0.6)
+        basis = hb.explicit_basis(range(n), unitary_group.rvs(2**n, random_state=rng))
+        overlaps = hb.basis_matrix(basis).conj().T @ bound.eigenvectors
+        assert np.abs(sp.basis_overlap_matrix(bound, basis) - overlaps).max() <= 1e-12
+        w, p = np.abs(overlaps) ** 2, bound.populations
+        expected = float(np.sum(((w * w) @ (p * p)) / (w @ p)))
+        assert sp.effective_dimension(bound, basis).inverse == pytest.approx(expected, abs=1e-12)
+
+    def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
+        n = 6
+        bound = spectrum_factory("mfim", n, 0.6)
+        basis = hb.pauli_basis((1, 0, 2, 3, 4, 5), "XZZZZZ")
+        with pytest.raises(ValueError):
+            sp.basis_overlap_matrix(bound, basis)
+        with pytest.raises(ValueError):
+            sp.effective_dimension(bound, basis)
 
     @pytest.mark.slow
     def test_monotone_decrease_with_system_size(self, spectrum_factory):

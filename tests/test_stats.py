@@ -136,6 +136,24 @@ class TestMutualInformationTime:
         assert rep.bits == pytest.approx((1 - np.euler_gamma) / math.log(2), abs=0.05)
 
 
+    def test_explicit_basis_matches_dense_basis_matrix(self, spectrum_factory, rng):
+        n = 6
+        bound = spectrum_factory("mfim", n, 0.4)
+        psi0 = hb.product_state(0.4, n)
+        basis = hb.explicit_basis(range(n), random_unitary(2**n, rng))
+        rep = st.mutual_information_time(bound, psi0, basis, tau=20.0, grid_points=80, t_start=5.0)
+        times = 5.0 + np.linspace(0.0, 20.0, 80)
+        probs = np.abs(hb.basis_matrix(basis).conj().T @ sp.evolve_grid(bound, psi0, times)) ** 2
+        h_mean = np.mean([st.shannon_entropy_bits(probs[:, i]) for i in range(times.size)])
+        assert rep.bits == pytest.approx(st.shannon_entropy_bits(probs.mean(axis=1)) - h_mean, abs=1e-12)
+
+    def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
+        bound = spectrum_factory("mfim", 6, 0.4)
+        basis = hb.pauli_basis((1, 0, 2, 3, 4, 5), "XZZZZZ")
+        with pytest.raises(ValueError):
+            st.mutual_information_time(bound, hb.product_state(0.4, 6), basis, tau=20.0)
+
+
 class TestConditionalMI:
     def test_product_state_factorizes(self):
         s = hb.product_state(0.9, 4)
@@ -165,6 +183,20 @@ class TestConditionalMI:
         perm_cols = rng.permutation(4)
         shuffled = joint[np.ix_(perm_rows, perm_cols)]
         assert st.mutual_information_of_joint(shuffled) == base
+
+    def test_explicit_bases_match_dense_basis_matrix(self, rng):
+        n = 6
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state = hb.PureState(amps / np.linalg.norm(amps), (2,) * n)
+        part = hb.Bipartition(n, (4, 1))
+        ba = hb.explicit_basis(part.sites_A, random_unitary(part.d_a, rng))
+        bb = hb.explicit_basis(part.sites_B, random_unitary(part.d_b, rng))
+        u = np.kron(hb.basis_matrix(bb), hb.basis_matrix(ba))  # little-endian: A is low bits
+        psi = np.empty_like(state.amplitudes)
+        psi[hb._subsystem_indices(n, part.sites_A + part.sites_B)] = state.amplitudes
+        expected = (np.abs(u.conj().T @ psi) ** 2).reshape(part.d_b, part.d_a).T
+        joint = st.joint_outcome_distribution(state, part, ba, bb)
+        assert np.abs(joint - expected).max() <= 1e-12
 
     def test_sandwich_on_thermal_like_state(self, spectrum_factory):
         n = 8
@@ -281,6 +313,37 @@ class TestInteractionInformation:
         assert given.bits == bare.bits
         assert given.prediction_bits == bare.prediction_bits
         assert given.metadata == bare.metadata
+
+
+class TestBasisSites:
+    """A bipartite measurement needs its A basis on sites_A and its B basis on sites_B."""
+
+    N = 6
+    PART = hb.Bipartition(6, (2, 3))
+    GOOD_A = hb.pauli_basis((2, 3), "X")
+    GOOD_B = hb.pauli_basis((0, 1, 4, 5), "Z")
+    WRONG = [
+        (hb.pauli_basis((0, 1), "X"), GOOD_B),  # A basis of the right size on B sites
+        (hb.pauli_basis((3, 2), "X"), GOOD_B),  # A sites out of order
+        (GOOD_A, hb.pauli_basis((1, 0, 4, 5), "Z")),  # B sites out of order
+    ]
+    IDS = ["a-on-b-sites", "a-sites-reordered", "b-sites-reordered"]
+
+    @pytest.mark.parametrize("ba, bb", WRONG, ids=IDS)
+    def test_joint_outcome_distribution(self, ba, bb):
+        with pytest.raises(ValueError):
+            st.joint_outcome_distribution(hb.product_state(0.4, self.N), self.PART, ba, bb)
+
+    @pytest.mark.parametrize("ba, bb", WRONG, ids=IDS)
+    def test_time_averaged_joint_distribution(self, spectrum_factory, ba, bb):
+        with pytest.raises(ValueError):
+            st.time_averaged_joint_distribution(spectrum_factory("mfim", self.N, 0.4), self.PART, ba, bb)
+
+    @pytest.mark.parametrize("ba, bb", WRONG, ids=IDS)
+    def test_interaction_information(self, spectrum_factory, ba, bb):
+        bound = spectrum_factory("mfim", self.N, 0.4)
+        with pytest.raises(ValueError):
+            st.interaction_information(bound, hb.product_state(0.4, self.N), self.PART, ba, bb, 3.0)
 
 
 class TestEnsembleEntropy:
