@@ -18,13 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import (
-    Caps,
-    DEFAULT_CAPS,
-    DegenerateWeightError,
-    check_cap,
-    parallel_block_reduce,
-)
+from ._util import Caps, DEFAULT_CAPS, DegenerateWeightError, check_cap
 from .hilbert import (
     Bipartition,
     HermitianOperator,
@@ -194,7 +188,7 @@ def _symmetric_power(a: np.ndarray, k: int) -> np.ndarray:
 def _moment_from_columns(
     columns: np.ndarray, weights: np.ndarray, k: int, caps: Caps
 ) -> np.ndarray:
-    """sum_j w_j |col_j><col_j|^(x)k via blocked panel Grams (fixed order).
+    """sum_j w_j |col_j><col_j|^(x)k via blocked panel Grams.
 
     col^(x)k has coordinates sqrt(N_n) prod_i col[t_i] over the sorted tuples t.
     """
@@ -205,13 +199,13 @@ def _moment_from_columns(
     scale = np.sqrt(counts)
     sqrt_w = np.sqrt(weights)
 
-    def block(idx_block):
-        panel = np.empty((flat.size, len(idx_block)), dtype=complex)
-        for out_col, j in enumerate(idx_block):
+    acc = np.zeros((flat.size, flat.size), dtype=complex)
+    for start in range(0, n, PANEL_WIDTH):
+        cols = range(start, min(start + PANEL_WIDTH, n))
+        panel = np.empty((flat.size, len(cols)), dtype=complex)
+        for out_col, j in enumerate(cols):
             panel[:, out_col] = (sqrt_w[j] * scale) * tensor_power(columns[:, j], k, caps)[flat]
-        return panel @ panel.conj().T
-
-    acc = parallel_block_reduce(list(range(n)), PANEL_WIDTH, block, lambda a, b: a + b)
+        acc += panel @ panel.conj().T
     return (acc + acc.conj().T) / 2
 
 

@@ -26,14 +26,6 @@ from ._util import (
 )
 
 HERMITICITY_TOL = 1e-12
-NORM_TOL = 1e-12
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # Columns are the basis vectors of the single-site X/Y/Z eigenbases.
 _SINGLE_QUBIT_BASIS = {
@@ -348,11 +340,9 @@ def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOpe
     h = np.zeros((d, d), dtype=complex)
 
     if name == "mfim" or name == "tfim" or name == "mfim_broken_trs":
-        hx = float(spec.pop("hx", 0.8090))
+        hx = 0.0 if name == "tfim" else float(spec.pop("hx", 0.8090))
         hy = float(spec.pop("hy", 0.9045))
         j = float(spec.pop("j", 1.0))
-        if name == "tfim":
-            hx = 0.0
         hz = jp = 0.0
         if name == "mfim_broken_trs":
             hz = float(spec.pop("hz", 0.5))

@@ -8,7 +8,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import Caps, DEFAULT_CAPS, FitError, task_rng
+from ._util import Caps, DEFAULT_CAPS, FitError, check_cap, task_rng
 from .ensembles import finite_time_frobenius_distances
 from .hilbert import HermitianOperator, PureState, qubit_or_flat_dims
 from .spectral import SpectralData, bind_state, diagonalize
@@ -48,8 +48,8 @@ class ConvergenceCurve:
     k: int
     tau_grid: np.ndarray
     frobenius: np.ndarray                    # aggregated distance per tau
-    squared_frobenius_mean: np.ndarray | None  # mean of d^2 (ensemble aggregations)
-    aggregation: str                         # single-instance | ensemble-mean | ensemble-median
+    squared_frobenius_mean: np.ndarray | None  # mean of d^2 (ensemble mean only)
+    aggregation: str                         # single-instance | ensemble-mean
     sample_count: int
 
     def __post_init__(self):
@@ -80,44 +80,25 @@ def convergence_experiment(
     tau_grid: Sequence[float] | None = None,
     n_samples: int = 1,
     seed: int = 0,
-    psi0_rule: str = "basis-state",
-    aggregation: str | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> ConvergenceCurve:
     """Distance of finite-interval k-th moments to their infinite-interval limit.
 
     One matrix per sample is drawn from the GUE with a counter-based stream
     keyed by (seed, sample), so any execution order reproduces the data. The
-    initial state is a fixed basis state unless psi0_rule = "haar".
+    initial state is a fixed basis state. One sample gives a single-instance
+    curve; more give the ensemble mean of the distance and of its square.
     """
     taus = default_tau_grid(d) if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    if aggregation is None:
-        aggregation = "single-instance" if n_samples == 1 else "ensemble-mean"
     all_d = np.empty((n_samples, taus.size))
     for i in range(n_samples):
-        rng = task_rng(seed, i)
-        h = sample_gue(d, rng)
-        sd = diagonalize(h, caps)
-        if psi0_rule == "basis-state":
-            psi0 = _basis_state(d)
-        elif psi0_rule == "haar":
-            g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            psi0 = PureState(g / np.linalg.norm(g), _basis_state(d).dims)
-        else:
-            raise ValueError(f"unknown psi0 rule {psi0_rule!r}")
-        bound = bind_state(sd, psi0)
-        all_d[i] = finite_time_frobenius_distances(bound, k, taus, caps)
-    if aggregation == "single-instance":
-        if n_samples != 1:
-            raise ValueError("single-instance aggregation needs exactly one sample")
-        frob, sq = all_d[0], None
-    elif aggregation == "ensemble-mean":
-        frob, sq = all_d.mean(axis=0), (all_d**2).mean(axis=0)
-    elif aggregation == "ensemble-median":
-        frob, sq = np.median(all_d, axis=0), (all_d**2).mean(axis=0)
-    else:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    return ConvergenceCurve(k, taus, frob, sq, aggregation, n_samples)
+        sd = diagonalize(sample_gue(d, task_rng(seed, i)), caps)
+        all_d[i] = finite_time_frobenius_distances(bind_state(sd, _basis_state(d)), k, taus, caps)
+    if n_samples == 1:
+        return ConvergenceCurve(k, taus, all_d[0], None, "single-instance", 1)
+    return ConvergenceCurve(
+        k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), "ensemble-mean", n_samples
+    )
 
 
 @dataclass(frozen=True)
@@ -150,6 +131,8 @@ def gap_histograms(
     if order not in ("gaps", "gap-of-gaps"):
         raise ValueError("order must be 'gaps' or 'gap-of-gaps'")
     spectra = [np.asarray(s, dtype=float) for s in spectra]
+    d_max = max(s.size for s in spectra)
+    check_cap(DEFAULT_CAPS, "max_moment_entries", d_max**2 if order == "gaps" else d_max**4)
     if half_range is None:
         w = max(float(s.max() - s.min()) for s in spectra)
         half_range = w if order == "gaps" else 2.0 * w

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.special
 
-from ._util import Caps, DEFAULT_CAPS, check_cap, parallel_block_reduce
+from ._util import Caps, DEFAULT_CAPS, check_cap
 from .ensembles import (
     MomentOperator,
     _occupation_basis,
@@ -386,15 +385,10 @@ def generalized_scrooge_moment(
     d_a = table.d_a
     dim = math.comb(d_a + k - 1, k)
     check_cap(caps, "max_moment_entries", dim**2)
-    moment_of: Callable = scrooge_moment if convention == "normalized" else unnormalized_scrooge_moment
-
-    def block(idx_block):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i in idx_block:
-            acc += table.probabilities[i] * moment_of(table.states[i], k, caps).matrix
-        return acc
-
-    total = parallel_block_reduce(list(range(table.probabilities.size)), 64, block, lambda a, b: a + b)
+    moment_of = scrooge_moment if convention == "normalized" else unnormalized_scrooge_moment
+    total = np.zeros((dim, dim), dtype=complex)
+    for p, state in zip(table.probabilities, table.states):
+        total += p * moment_of(state, k, caps).matrix
     total /= table.probabilities.sum()
     return MomentOperator(k, d_a, (total + total.conj().T) / 2, convention)
 

@@ -244,7 +244,6 @@ def twirl2(
     sd: SpectralData,
     a: np.ndarray,
     caps: Caps = DEFAULT_CAPS,
-    warn_on_resonance: bool = True,
 ) -> np.ndarray:
     """Infinite-time average of U_t^(x)2 A U_t^(x)2-dagger.
 
@@ -259,14 +258,13 @@ def twirl2(
     check_cap(caps, "max_moment_entries", d2 * d2)
     if a.shape != (d2, d2):
         raise ValueError("operator must act on two copies of the space")
-    if warn_on_resonance:
-        rep = check_no_resonance(sd.eigenvalues, 2, caps=caps)
-        if rep.verdict == "fail":
-            warnings.warn(
-                f"spectrum violates the 2nd no-resonance condition "
-                f"({len(rep.violations)} coincidences); twirl formula is inexact",
-                stacklevel=2,
-            )
+    rep = check_no_resonance(sd.eigenvalues, 2, caps=caps)
+    if rep.verdict == "fail":
+        warnings.warn(
+            f"spectrum violates the 2nd no-resonance condition "
+            f"({len(rep.violations)} coincidences); twirl formula is inexact",
+            stacklevel=2,
+        )
 
     v2 = np.kron(sd.eigenvectors, sd.eigenvectors)
     at = v2.conj().T @ a @ v2

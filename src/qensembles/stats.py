@@ -91,10 +91,10 @@ def _target_cdf(target):
         name, param = target, None
     else:
         name, param = target
-    if name in ("exponential", "complex-pt"):
+    if name == "exponential":
         mu = 1.0 if param is None else float(param)
         return (lambda x: 1.0 - np.exp(-x / mu)), f"exponential(mean={mu:g})"
-    if name in ("real-pt", "chi2-1"):
+    if name == "real-pt":
         return (lambda x: scipy.special.erf(np.sqrt(np.clip(x, 0, None) / 2.0))), "real-pt"
     if name == "erlang":
         n = int(param)

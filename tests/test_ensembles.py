@@ -45,15 +45,6 @@ class TestMomentK:
             direct += wi * np.outer(col, col.conj())
         assert np.abs(m - direct).max() <= 1e-12
 
-    def test_deterministic_across_thread_counts(self, rng, monkeypatch):
-        states = [random_state(4, rng) for _ in range(200)]
-        ens = en.WeightedEnsemble(tuple((1.0 / 200, s) for s in states))
-        monkeypatch.setenv("QENSEMBLES_THREADS", "1")
-        m1 = en.moment_k(ens, 2).matrix
-        monkeypatch.setenv("QENSEMBLES_THREADS", "8")
-        m8 = en.moment_k(ens, 2).matrix
-        assert np.array_equal(m1, m8)
-
 
 class TestHaarMoment:
     def test_d2_k2_entries(self):

@@ -92,6 +92,8 @@ class TestBuildHamiltonian:
             hb.build_hamiltonian({"model": "unknown", "n": 2})
         with pytest.raises(InvalidModelError):
             hb.build_hamiltonian({"model": "mfim", "n": 2, "boundary": "periodic"})
+        with pytest.raises(InvalidModelError):
+            hb.build_hamiltonian({"model": "tfim", "n": 4, "hx": 0.5})
         with pytest.raises(InvalidMatrixError):
             hb.build_hamiltonian({"model": "explicit", "matrix": np.array([[0, 1], [0, 0]])})
 

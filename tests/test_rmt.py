@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from qensembles import FitError, rmt
+from qensembles import CapacityError, FitError, rmt
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
@@ -71,8 +71,8 @@ class TestConvergenceExperiment:
         assert fit.slope == pytest.approx(-2.0, abs=0.4)
 
     def test_reproducible_across_sample_order(self):
-        c1 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42, aggregation="ensemble-mean")
-        c2 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42, aggregation="ensemble-mean")
+        c1 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42)
+        c2 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42)
         assert np.array_equal(c1.frobenius, c2.frobenius)
 
 
@@ -99,6 +99,11 @@ class TestGapHistograms:
         ratio = hist.density_at_zero() / hist.peak_density()
         assert 0.02 < ratio < 0.9
         assert hist.density_at_zero() > 0.0
+
+    @pytest.mark.parametrize("order, d", [("gap-of-gaps", 91), ("gaps", 8193)])
+    def test_capacity_guard(self, order, d):
+        with pytest.raises(CapacityError):
+            rmt.gap_histograms([np.arange(d, dtype=float)], order=order)
 
 
 class TestPowerLawFit:
