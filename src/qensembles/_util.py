@@ -57,7 +57,7 @@ class Caps:
     bounds the finite-interval double sums.
     """
 
-    max_spectrum_dim: int = 2**14          # full diagonalization
+    max_spectrum_dim: int = 2**14          # eigensolves: full or basis-state measure
     max_state_dim: int = 2**22             # state-only vectors
     max_moment_entries: int = 2**26        # k-copy moment entries
     max_multiset_terms: int = 2_500_000    # multiset sums (random-phase moments)

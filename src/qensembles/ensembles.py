@@ -28,7 +28,7 @@ from .hilbert import (
     projection_table,
     tensor_power,
 )
-from .spectral import SpectralData
+from .spectral import SpectralData, SpectralMeasure
 
 ZERO_OUTCOME_CUTOFF = 1e-14
 PANEL_WIDTH = 64
@@ -317,7 +317,7 @@ def finite_time_temporal_moment(
 
 
 def finite_time_frobenius_distances(
-    sd: SpectralData, k: int, taus: Sequence[float], caps: Caps = DEFAULT_CAPS
+    sd: SpectralData | SpectralMeasure, k: int, taus: Sequence[float], caps: Caps = DEFAULT_CAPS
 ) -> np.ndarray:
     """Frobenius distance between the finite-interval and infinite-interval moments.
 
@@ -327,9 +327,10 @@ def finite_time_frobenius_distances(
     a sum of nonnegative terms with no subtraction. It is evaluated over the
     strict upper triangle in row blocks of about SINC_CHUNK pairs, all taus per
     block. Zero arguments (resonant pairs, tau = 0, underflow) give kernel 1.
+
+    Only the eigenvalues and populations of `sd` are read, so a bound
+    `SpectralData` and a `SpectralMeasure` serve equally.
     """
-    if sd.overlaps is None:
-        raise ValueError("spectral data must be bound to an initial state")
     d = sd.dim
     dim = comb(d + k - 1, k)
     check_cap(caps, "max_multiset_terms", dim)

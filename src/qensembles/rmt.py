@@ -10,8 +10,8 @@ import numpy as np
 
 from ._util import Caps, DEFAULT_CAPS, FitError, check_cap, task_rng
 from .ensembles import finite_time_frobenius_distances
-from .hilbert import HermitianOperator, PureState, qubit_or_flat_dims
-from .spectral import SpectralData, bind_state, diagonalize
+from .hilbert import HermitianOperator, qubit_or_flat_dims
+from .spectral import basis_state_measure
 
 
 def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
@@ -68,12 +68,6 @@ def default_tau_grid(d: int, points: int = 30, decades: tuple[float, float] = (0
     return np.logspace(decades[0], decades[1], points) / spacing
 
 
-def _basis_state(d: int) -> PureState:
-    amps = np.zeros(d, dtype=complex)
-    amps[0] = 1.0
-    return PureState(amps, qubit_or_flat_dims(d))
-
-
 def convergence_experiment(
     d: int,
     k: int,
@@ -86,14 +80,20 @@ def convergence_experiment(
 
     One matrix per sample is drawn from the GUE with a counter-based stream
     keyed by (seed, sample), so any execution order reproduces the data. The
-    initial state is a fixed basis state. One sample gives a single-instance
-    curve; more give the ensemble mean of the distance and of its square.
+    initial state is the basis state |0>, whose `SpectralMeasure` (eigenvalues
+    and populations, no eigenvectors) is all the distance kernel reads. One
+    sample gives a single-instance curve; more give the ensemble mean of the
+    distance and of its square.
     """
     taus = default_tau_grid(d) if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError("tau grid must be strictly increasing")
     all_d = np.empty((n_samples, taus.size))
     for i in range(n_samples):
-        sd = diagonalize(sample_gue(d, task_rng(seed, i)), caps)
-        all_d[i] = finite_time_frobenius_distances(bind_state(sd, _basis_state(d)), k, taus, caps)
+        sm = basis_state_measure(sample_gue(d, task_rng(seed, i)), caps)
+        all_d[i] = finite_time_frobenius_distances(sm, k, taus, caps)
     if n_samples == 1:
         return ConvergenceCurve(k, taus, all_d[0], None, "single-instance", 1)
     return ConvergenceCurve(

@@ -88,6 +88,43 @@ def bind_state(sd: SpectralData, psi0: PureState) -> SpectralData:
     return SpectralData(sd.eigenvalues, sd.eigenvectors, c)
 
 
+class SpectralMeasure(NamedTuple):
+    """Ascending eigenvalues E of an operator and the populations |<E|0>|^2 of basis state |0>."""
+
+    eigenvalues: np.ndarray
+    populations: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+
+def basis_state_measure(h: HermitianOperator, caps: Caps = DEFAULT_CAPS) -> SpectralMeasure:
+    """Spectral measure of basis state |0> from one tridiagonalization, without eigenvectors of h.
+
+    The Householder reduction T = Q^dag H Q (LAPACK ?hetrd, uplo="L") builds Q
+    from reflectors that all leave e_0 fixed, so Q e_0 = e_0 and |<E|0>|^2 is
+    the squared first component of the matching eigenvector of the real
+    tridiagonal T. No d x d eigenvector matrix of h is formed.
+    """
+    d = h.dim
+    check_cap(caps, "max_spectrum_dim", d)
+    lapack = scipy.linalg.lapack
+    work, info = lapack.zhetrd_lwork(d, lower=1)
+    if info == 0:
+        _, diag, off, _, info = lapack.zhetrd(h.entries, lower=1, lwork=int(work.real))
+    if info != 0:
+        raise NumericalFailureError(f"Householder tridiagonalization failed (dim={d}): info={info}")
+    try:
+        w, y = scipy.linalg.eigh_tridiagonal(diag, off, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        norm = float(np.linalg.norm(h.entries))
+        raise NumericalFailureError(
+            f"tridiagonal eigensolver failed (dim={d}, frobenius={norm:.3e}): {exc}"
+        ) from exc
+    return SpectralMeasure(w, y[0] ** 2)
+
+
 def evolve_grid(sd: SpectralData, psi0: PureState, times: Sequence[float]) -> np.ndarray:
     """Column t of the result is exp(-i H t)|psi0>; one BLAS call for the grid."""
     if psi0.dim != sd.dim:

@@ -214,6 +214,11 @@ class TestFiniteTimeMoment:
         with pytest.raises(CapacityError):
             en.finite_time_frobenius_distances(bound, 2, [1.0], caps)
 
+    def test_frobenius_requires_populations(self, rng):
+        unbound = sp.diagonalize(rmt.sample_gue(8, rng))
+        with pytest.raises(ValueError):
+            en.finite_time_frobenius_distances(unbound, 1, [1.0])
+
     def test_k1_late_time_slope(self, rng):
         bound = self._bound_gue(64, rng)
         taus = np.logspace(2, 4, 8) / bound.spectral_width() * 64

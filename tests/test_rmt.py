@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from qensembles import CapacityError, FitError, rmt
+from qensembles import ensembles as en
+from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
@@ -74,6 +77,47 @@ class TestConvergenceExperiment:
         c1 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42)
         c2 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42)
         assert np.array_equal(c1.frobenius, c2.frobenius)
+
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_samples": 0}, {"tau_grid": [1.0, 3.0, 2.0]}, {"tau_grid": [1.0, 1.0]}]
+    )
+    def test_rejects_bad_input_before_the_first_draw(self, monkeypatch, kwargs):
+        def draw(*args):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(rmt, "sample_gue", draw)
+        with pytest.raises(ValueError):
+            rmt.convergence_experiment(8, 1, **kwargs)
+
+    @staticmethod
+    def _dense_route(d, k, n_samples, seed):
+        """The oracle: full eigendecomposition, bound to |0>, then the distance kernel."""
+        taus = rmt.default_tau_grid(d)
+        rows = []
+        for i in range(n_samples):
+            h = rmt.sample_gue(d, task_rng(seed, i))
+            e0 = hb.PureState(np.eye(d, dtype=complex)[0], h.dims)
+            bound = sp.bind_state(sp.diagonalize(h), e0)
+            rows.append(en.finite_time_frobenius_distances(bound, k, taus))
+        rows = np.array(rows)
+        return rows.mean(axis=0), (rows**2).mean(axis=0)
+
+    @pytest.mark.parametrize("d, k", [(64, 1), (32, 2)])
+    def test_matches_dense_route(self, d, k):
+        curve = rmt.convergence_experiment(d, k, n_samples=2, seed=5)
+        mean, squared = self._dense_route(d, k, 2, 5)
+        assert curve.frobenius == pytest.approx(mean, rel=1e-12)
+        assert curve.squared_frobenius_mean == pytest.approx(squared, rel=1e-12)
+
+    def test_no_dense_eigendecomposition(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("dense eigendecomposition called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        curve = rmt.convergence_experiment(48, 2)
+        assert np.all(np.isfinite(curve.frobenius))
 
 
 class TestGapHistograms:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import unitary_group
 
-from qensembles import CapacityError, Caps
+from qensembles import CapacityError, Caps, NumericalFailureError
 from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles import ensembles as en
@@ -53,6 +54,81 @@ class TestDiagonalize:
         lead = np.take_along_axis(v1, np.abs(v1).argmax(axis=0)[None, :], axis=0)[0]
         assert np.all(np.abs(lead.imag) <= 1e-12)
         assert np.all(lead.real > 0)
+
+
+def _dense_measure(h):
+    """The oracle: populations of |0> through the full eigendecomposition."""
+    e0 = hb.PureState(np.eye(h.dim, dtype=complex)[0], h.dims)
+    return sp.bind_state(sp.diagonalize(h), e0)
+
+
+class TestBasisStateMeasure:
+    @pytest.mark.parametrize(
+        "sample, d",
+        [(rmt.sample_gue, 2), (rmt.sample_gue, 3), (rmt.sample_gue, 48), (rmt.sample_gue, 256),
+         (rmt.sample_real_symmetric, 16)],
+    )
+    def test_matches_full_eigendecomposition(self, sample, d):
+        h = sample(d, task_rng(31, d))
+        sm = sp.basis_state_measure(h)
+        ref = _dense_measure(h)
+        assert sm.dim == d
+        assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
+        assert np.abs(sm.populations - ref.populations).max() <= 1e-14
+
+    def test_block_diagonal_coupling(self):
+        # |0> couples to the 3-level block on basis states {0, 2, 5} only; the other
+        # block's eigenvalues are shifted off so each eigenvalue names its block
+        rng = task_rng(32)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a, b = (a + a.conj().T) / 2, (b + b.conj().T) / 2 + 20.0 * np.eye(4)
+        m = np.zeros((7, 7), dtype=complex)
+        on, off = [0, 2, 5], [1, 3, 4, 6]
+        m[np.ix_(on, on)] = a
+        m[np.ix_(off, off)] = b
+        sm = sp.basis_state_measure(hb.HermitianOperator(m, (7,)))
+        wa, va = np.linalg.eigh(a)
+        assert np.abs(sm.eigenvalues[:3] - wa).max() <= 1e-12
+        assert np.abs(sm.populations[:3] - np.abs(va[0]) ** 2).max() <= 1e-14
+        assert sm.populations[3:].max() <= 1e-28  # zero up to squared rounding
+        assert sm.populations.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_repeated_eigenvalue_cluster_weights(self):
+        # eigenvectors inside the triple cluster are gauge-dependent; the
+        # cluster's total weight sum_j |U_0j|^2 is not
+        levels = np.array([-1.0, 0.3, 0.3, 0.3, 1.2, 2.0])
+        u = unitary_group.rvs(6, random_state=33)
+        h = hb.HermitianOperator((u * levels) @ u.conj().T, (6,))
+        sm = sp.basis_state_measure(h)
+        ref = _dense_measure(h)
+        assert np.abs(sm.eigenvalues - levels).max() <= 1e-12
+        for level in np.unique(levels):
+            expected = float(np.sum(np.abs(u[0, levels == level]) ** 2))
+            got = sm.populations[np.abs(sm.eigenvalues - level) <= 1e-8].sum()
+            dense = ref.populations[np.abs(ref.eigenvalues - level) <= 1e-8].sum()
+            assert got == pytest.approx(expected, abs=1e-14)
+            assert got == pytest.approx(dense, abs=1e-14)
+
+    def test_capacity_guard(self):
+        h = rmt.sample_gue(16, task_rng(34))
+        with pytest.raises(CapacityError):
+            sp.basis_state_measure(h, Caps(max_spectrum_dim=8))
+
+    @pytest.mark.parametrize("failure", ["zhetrd", "eigh_tridiagonal"])
+    def test_solver_failure_is_named(self, monkeypatch, failure):
+        if failure == "zhetrd":
+            real = scipy.linalg.lapack.zhetrd
+            monkeypatch.setattr(
+                scipy.linalg.lapack, "zhetrd", lambda *a, **kw: (*real(*a, **kw)[:4], 3)
+            )
+        else:
+            def fail(*a, **kw):
+                raise scipy.linalg.LinAlgError("no convergence")
+
+            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(NumericalFailureError):
+            sp.basis_state_measure(rmt.sample_gue(8, task_rng(35)))
 
 
 class TestEvolve:
