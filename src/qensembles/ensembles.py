@@ -32,10 +32,19 @@ from .spectral import SpectralData, SpectralMeasure
 
 ZERO_OUTCOME_CUTOFF = 1e-14
 PANEL_WIDTH = 64
-# Pairs per block of the Frobenius kernel: its arrays stay in cache (64 KiB each),
-# and np.sin, not memory, sets the speed. Blocks of 16k pairs or more gain no wall
-# time, and OpenBLAS threads their dot products, which nearly doubles the CPU time.
+# Pairs per block of the Frobenius kernel, in its direct sum over near pairs and
+# in each row block of its far-pair weight matrix: the arrays stay in cache
+# (64 KiB each), and OpenBLAS runs the row block's matrix product on one thread.
+# Blocks of 32k pairs or more gain no wall time, and the threaded product nearly
+# doubles the CPU time on two cores.
 SINC_CHUNK = 8192
+# Multiset phases per tau block of the Frobenius kernel (2 MiB), so that its peak
+# memory does not grow with the number of taus.
+PHASE_CHUNK = 1 << 17
+# A pair is near when its phase gap at the smallest positive tau is below this:
+# far pairs then have 1 - cos(2 g h) >= 1 - cos(0.2), which bounds the
+# cancellation of the kernel's product form (see finite_time_frobenius_distances).
+NEAR_PHASE = 0.1
 
 
 @dataclass(frozen=True)
@@ -311,7 +320,7 @@ def finite_time_temporal_moment(
     idx, counts = _occupation_basis(d, k)
     w = np.sqrt(counts) * np.prod(sd.overlaps[idx], axis=1)
     s = sd.eigenvalues[idx].sum(axis=1)
-    kernel = stable_sinc((s[:, None] - s[None, :]) * (tau / 2.0))
+    kernel = stable_sinc((s[:, None] - s[None, :]) * (_finite_taus(tau) / 2.0))
     m = (w[:, None] * w[None, :].conj()) * kernel
     return MomentOperator(k, d, m, "normalized")
 
@@ -323,10 +332,26 @@ def finite_time_frobenius_distances(
 
     Both moments have the diagonal |w_n|^2 = v_n = N_n prod_m p_m^n_m, so the
     squared distance is exactly the off-diagonal pair sum
-        2 sum_{n<n'} v_n v_n' sinc^2((s_n - s_n') tau / 2),  s_n = sum_m n_m E_m,
-    a sum of nonnegative terms with no subtraction. It is evaluated over the
-    strict upper triangle in row blocks of about SINC_CHUNK pairs, all taus per
-    block. Zero arguments (resonant pairs, tau = 0, underflow) give kernel 1.
+        2 sum_{n<n'} v_n v_n' sinc^2(g h),  g = s_n' - s_n,  h = |tau| / 2,
+    with s_n = sum_m n_m E_m, a sum of nonnegative terms with no subtraction.
+
+    With the multisets sorted by s, a pair is near when g h_min < NEAR_PHASE,
+    h_min being the smallest positive h: resonant pairs, clustered levels and
+    every pair when no tau is positive. Near pairs form a narrow band and are
+    summed directly with `stable_sinc`. Every other pair is far and goes through
+        sinc^2(g h) = (1 - cos 2gh) / (2 g^2 h^2),  cos 2gh = Re(z_n' conj(z_n)),
+    with z_n = exp(2i s_n h), so the far sum at each h is
+        (sum W - Re(z^dagger W z)) / (2 h^2),  W_nn' = v_n v_n' / g^2,
+    one weight matrix shared by all taus: each row block of W takes one matrix
+    product with the phase table of a block of taus, and no transcendental is
+    computed per pair. tau = 0 gives kernel 1 for every pair.
+
+    The phases are exact to rounding at any tau: each E_m h = p + e is formed
+    exactly (Dekker's two-product), z_m = exp(2ip) exp(2ie), and z_n is the
+    product of its levels' z_m, not exp(2i s_n h) of the rounded s_n. An error
+    delta of a few eps in cos 2gh moves a far term by delta / (2 (g h)^2) of
+    v_n v_n', at most 50 delta since g h >= NEAR_PHASE. The gaps g, in W and in
+    the direct sum, carry the rounding of s_n.
 
     Only the eigenvalues and populations of `sd` are read, so a bound
     `SpectralData` and a `SpectralMeasure` serve equally.
@@ -335,28 +360,97 @@ def finite_time_frobenius_distances(
     dim = comb(d + k - 1, k)
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_sinc_terms", dim**2)
+    halves = np.abs(_finite_taus(taus)) / 2.0  # the kernel is even in tau
     idx, counts = _occupation_basis(d, k)
     v = counts * np.prod(sd.populations[idx], axis=1)
     s = sd.eigenvalues[idx].sum(axis=1)
-    halves = np.abs(np.asarray(taus, dtype=float)) / 2.0  # the kernel is even in tau
-    sq = np.zeros(halves.size)
-    tiny = np.finfo(float).tiny  # sin(tiny)/tiny == 1: the kernel's value at 0
-    lo = 0
-    while lo < dim - 1:
-        hi = min(dim - 1, lo + max(1, SINC_CHUNK // (dim - 1 - lo)))
-        upper = np.arange(lo + 1, dim) > np.arange(lo, hi)[:, None]
-        gaps = np.abs(s[lo:hi, None] - s[None, lo + 1 :])[upper]
-        weights = (v[lo:hi, None] * v[None, lo + 1 :])[upper]
-        y, kern = np.empty_like(gaps), np.empty_like(gaps)
-        for i, half in enumerate(halves):
-            np.multiply(gaps, half, out=y)
-            np.maximum(y, tiny, out=y)
-            np.sin(y, out=kern)
-            np.divide(kern, y, out=kern)
-            np.square(kern, out=kern)
-            sq[i] += kern @ weights
-        lo = hi
+    order = np.argsort(s)
+    idx, v, s = idx[order], v[order], s[order]
+    positive = halves[halves > 0]
+    far_gap = NEAR_PHASE / positive.min() if positive.size else np.inf
+    # row n pairs with m in (n, first_far[n]) directly and with m >= first_far[n] as far
+    first_far = np.searchsorted(s, s + far_gap, side="right")
+    sq = _near_pair_sums(s, v, first_far, halves)
+    sq += _far_pair_sums(sd.eigenvalues, idx, s, v, first_far, halves)
     return np.sqrt(2.0 * sq)
+
+
+def _finite_taus(taus) -> np.ndarray:
+    taus = np.asarray(taus, dtype=float)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("interval widths tau must be finite")
+    return taus
+
+
+def _near_pair_sums(s, v, first_far, halves) -> np.ndarray:
+    """sum over n < m < first_far[n] of v_n v_m sinc^2((s_m - s_n) h), per h."""
+    per_row = first_far - np.arange(1, s.size + 1)
+    starts = np.cumsum(per_row) - per_row
+    total = int(per_row.sum())
+    sq = np.zeros(halves.size)
+    for lo in range(0, total, SINC_CHUNK):
+        pair = np.arange(lo, min(total, lo + SINC_CHUNK))
+        rows = np.searchsorted(starts, pair, side="right") - 1
+        cols = rows + 1 + (pair - starts[rows])
+        gaps = s[cols] - s[rows]
+        weights = v[rows] * v[cols]
+        for i, half in enumerate(halves):
+            sq[i] += weights @ stable_sinc(gaps * half) ** 2
+    return sq
+
+
+def _far_pair_sums(energies, idx, s, v, first_far, halves) -> np.ndarray:
+    """sum over m >= first_far[n] of v_n v_m sinc^2((s_m - s_n) h), per h."""
+    dim = s.size
+    tail = np.append(np.cumsum(v[::-1])[::-1], 0.0)
+    sq = np.full(halves.size, v @ tail[first_far])  # kernel 1 at h = 0
+    positive = np.flatnonzero(halves > 0)
+    step = max(1, PHASE_CHUNK // dim)
+    for t in range(0, positive.size, step):
+        cols = positive[t : t + step]
+        z = _exact_phases(energies, idx, halves[cols])
+        w_sum, re_zwz = 0.0, np.zeros(2 * cols.size)
+        lo = 0
+        while lo < dim and first_far[lo] < dim:
+            c0 = first_far[lo]
+            hi = min(dim, lo + max(1, SINC_CHUNK // (dim - c0)))
+            far = np.arange(c0, dim) >= first_far[lo:hi, None]
+            gaps = s[c0:] - s[lo:hi, None]
+            w = np.divide(
+                v[lo:hi, None] * v[c0:], gaps * gaps, out=np.zeros(far.shape), where=far
+            )
+            w_sum += w.sum()
+            # Re(conj(z_n) (W z)_n), its real and imaginary products interleaved
+            re_zwz += np.einsum("ij,ij->j", z[lo:hi].view(float), w @ z[c0:].view(float))
+            lo = hi
+        sq[cols] = (w_sum - re_zwz.reshape(-1, 2).sum(axis=1)) / halves[cols] / (2.0 * halves[cols])
+    return sq
+
+
+def _exact_phases(energies, idx, halves) -> np.ndarray:
+    """exp(2i s_n h) for each multiset row of idx and each h, exact to rounding."""
+    # E 2^64 times h 2^-64 is E h: the scaling keeps the split of h < 1.8e308 finite
+    p, e = _two_product(energies[:, None] * 2.0**64, halves[None, :] * 2.0**-64)
+    level = np.exp(2j * p) * np.exp(2j * e)
+    z = level[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        z *= level[idx[:, j]]
+    return z
+
+
+def _two_product(a, b):
+    """p + e == a * b exactly, p = fl(a * b) (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    """a == hi + lo with hi holding the upper 26 bits of the significand."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ class ConvergenceCurve:
     def __post_init__(self):
         if np.any(np.diff(self.tau_grid) <= 0):
             raise ValueError("tau grid must be strictly increasing")
-        if np.any(self.frobenius < 0):
-            raise ValueError("distances must be nonnegative")
+        if not np.all(np.isfinite(self.frobenius) & (self.frobenius >= 0)):
+            raise ValueError("distances must be finite and nonnegative")
 
 
 def default_tau_grid(d: int, points: int = 30, decades: tuple[float, float] = (0.0, 6.0)) -> np.ndarray:
@@ -88,6 +88,8 @@ def convergence_experiment(
     taus = default_tau_grid(d) if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau grid must be finite")
     if np.any(np.diff(taus) <= 0):
         raise ValueError("tau grid must be strictly increasing")
     all_d = np.empty((n_samples, taus.size))

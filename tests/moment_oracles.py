@@ -79,6 +79,40 @@ def finite_time_dense(eigenvalues, overlaps, k, tau):
     return np.outer(w, w.conj()) * np.sinc((s[:, None] - s[None, :]) * tau / (2 * np.pi))
 
 
+def frobenius_pair_sum(eigenvalues, populations, k, taus):
+    """Frobenius distances of finite- to infinite-interval moments, pair by pair.
+
+    2 sum_{n<n'} v_n v_n' sinc^2((s_n - s_n') tau / 2) over the strict upper
+    triangle of the multisets in row blocks of about 8192 pairs, one np.sin
+    per pair and tau, with v_n = N_n prod_m p_m^n_m and s_n = sum_m n_m E_m.
+    """
+    chunk = 8192
+    idx = np.array(list(combinations_with_replacement(range(len(eigenvalues)), k)))
+    counts = np.array([len(orderings(ms)) for ms in idx], dtype=float)
+    dim = counts.size
+    v = counts * np.prod(np.asarray(populations)[idx], axis=1)
+    s = np.asarray(eigenvalues)[idx].sum(axis=1)
+    halves = np.abs(np.asarray(taus, dtype=float)) / 2.0  # the kernel is even in tau
+    sq = np.zeros(halves.size)
+    tiny = np.finfo(float).tiny  # sin(tiny)/tiny == 1: the kernel's value at 0
+    lo = 0
+    while lo < dim - 1:
+        hi = min(dim - 1, lo + max(1, chunk // (dim - 1 - lo)))
+        upper = np.arange(lo + 1, dim) > np.arange(lo, hi)[:, None]
+        gaps = np.abs(s[lo:hi, None] - s[None, lo + 1 :])[upper]
+        weights = (v[lo:hi, None] * v[None, lo + 1 :])[upper]
+        y, kern = np.empty_like(gaps), np.empty_like(gaps)
+        for i, half in enumerate(halves):
+            np.multiply(gaps, half, out=y)
+            np.maximum(y, tiny, out=y)
+            np.sin(y, out=kern)
+            np.divide(kern, y, out=kern)
+            np.square(kern, out=kern)
+            sq[i] += kern @ weights
+        lo = hi
+    return np.sqrt(2.0 * sq)
+
+
 def real_haar2_dense(d):
     eye = np.eye(d)
     m = np.einsum("ab,cd->abcd", eye, eye)

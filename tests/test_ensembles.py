@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,7 +172,7 @@ class TestFiniteTimeMoment:
         exact = en.random_phase_moment_exact(bound.populations, 2).matrix
         for tau, dist in zip(taus, fast):
             m = en.finite_time_temporal_moment(bound, 2, tau).matrix
-            assert np.linalg.norm(m - exact) == pytest.approx(dist, rel=1e-10)
+            assert np.linalg.norm(m - exact) == pytest.approx(dist, rel=1e-12)
 
     @staticmethod
     def _dense_distances(bound, k, taus):
@@ -226,6 +228,14 @@ class TestFiniteTimeMoment:
         fit = rmt.fit_power_law(taus, dists, (taus[0], taus[-1]))
         assert fit.slope == pytest.approx(-1.0, abs=0.2)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tau(self, rng, tau):
+        bound = self._bound_gue(4, rng)
+        with pytest.raises(ValueError):
+            en.finite_time_frobenius_distances(bound, 1, [1.0, tau])
+        with pytest.raises(ValueError):
+            en.finite_time_temporal_moment(bound, 1, tau)
+
     def test_sinc_series_branch(self):
         xs = np.array([0.0, 1e-9, 5e-5, 1e-3, 0.5, 3.0])
         vals = en.stable_sinc(xs)
@@ -237,6 +247,98 @@ class TestFiniteTimeMoment:
         caps = Caps(max_sinc_terms=10)
         with pytest.raises(CapacityError):
             en.finite_time_temporal_moment(bound, 2, 1.0, caps)
+
+
+def _fixed_point(x, bits):
+    """x rounded to a multiple of 2^-bits."""
+    return np.ldexp(np.round(np.ldexp(x, bits)), -bits)
+
+
+def _significant(x, bits):
+    """x rounded to `bits` significant bits."""
+    m, e = np.frexp(x)
+    return np.ldexp(np.round(np.ldexp(m, bits)), e - bits)
+
+
+class TestFrobeniusPairSum:
+    """The Frobenius kernel against the direct pair sum (`mo.frobenius_pair_sum`).
+
+    The pair sum rounds every phase g h, which costs it up to ~4e-11 at
+    tau ~ 1e7 on generic spectra. Here g h is exact: levels lie on a 2^-20
+    (or 2^-30) grid and every tau has at most 24 significant bits, so the
+    oracle is accurate to rounding and a difference is the kernel's error.
+    """
+
+    @staticmethod
+    def _measure(levels, rng):
+        p = np.abs(rng.standard_normal(levels.size) + 1j * rng.standard_normal(levels.size)) ** 2
+        return sp.SpectralMeasure(np.sort(levels), p / p.sum())
+
+    @staticmethod
+    def _gue_levels(d, rng):
+        return _fixed_point(np.linalg.eigvalsh(rmt.sample_gue(d, rng).entries), 20)
+
+    @staticmethod
+    def _assert_matches(sm, k, taus, shift=0.0):
+        shifted = sp.SpectralMeasure(sm.eigenvalues + shift, sm.populations)
+        fast = en.finite_time_frobenius_distances(shifted, k, taus)
+        oracle = mo.frobenius_pair_sum(sm.eigenvalues, sm.populations, k, taus)
+        assert fast == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("d, k", [(64, 1), (16, 2), (6, 3)])
+    def test_default_tau_grid(self, d, k):
+        rng = task_rng(7, 0)
+        sm = self._measure(self._gue_levels(d, rng), rng)
+        self._assert_matches(sm, k, _significant(rmt.default_tau_grid(d), 24))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_common_shift_of_the_levels(self, rng, k):
+        # the shift keeps every gap exact but pushes E_m h to ~5e12, so that
+        # phases from a rounded E_m h would be off by up to ~1e-3
+        sm = self._measure(self._gue_levels(16, rng), rng)
+        self._assert_matches(sm, k, _significant(rmt.default_tau_grid(16), 24), shift=2.0**20)
+
+    def test_every_pair_near(self, rng):
+        sm = self._measure(self._gue_levels(16, rng), rng)
+        tau = 2.0**-10
+        assert 2 * np.ptp(sm.eigenvalues) * tau / 2 < en.NEAR_PHASE  # widest k = 2 gap
+        self._assert_matches(sm, 2, [tau])
+
+    def test_every_pair_far(self, rng):
+        levels = 2.0 ** np.arange(8)  # the sums 2^a + 2^b are distinct integers
+        sm = self._measure(levels, rng)
+        taus = np.array([2.0, 50.0, 1e3, 2.5e4, 1e6])
+        sums = np.sort(np.add.outer(levels, levels)[np.triu_indices(8)])
+        assert np.diff(sums).min() * taus[0] / 2 >= en.NEAR_PHASE
+        self._assert_matches(sm, 2, taus)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_and_negative_taus(self, rng, k):
+        sm = self._measure(self._gue_levels(16, rng), rng)
+        self._assert_matches(sm, k, [3.0, 0.0, -0.5, 40.0, -3.0, 0.0, 2.0**20])
+
+    def test_huge_taus(self, rng):
+        # h^2 overflows beyond tau ~ 1e154, and splitting an unscaled h beyond ~1e300
+        sm = self._measure(np.array([-1.0, 0.25, 1.5]), rng)
+        self._assert_matches(sm, 2, 2.0 ** np.array([400, 600, 1000]))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_levels_clustered_to_1e_9(self, rng, k):
+        base = self._gue_levels(8, rng)
+        sm = self._measure(np.concatenate([base, base + 2.0**-30]), rng)  # 9.3e-10 apart
+        self._assert_matches(sm, k, 2.0 ** np.arange(2, 36))
+
+    def test_peak_memory_is_flat_in_the_tau_grid(self, rng):
+        sm = self._measure(self._gue_levels(32, rng), rng)
+        taus = rmt.default_tau_grid(32, points=4096)
+        tracemalloc.start()
+        try:
+            en.finite_time_frobenius_distances(sm, 2, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one unblocked phase table, D x T = 528 x 4096 complex, would take 35 MB
+        assert peak < 32 * 2**20
 
 
 class TestProjectedEnsemble:

@@ -80,7 +80,15 @@ class TestConvergenceExperiment:
 
 
     @pytest.mark.parametrize(
-        "kwargs", [{"n_samples": 0}, {"tau_grid": [1.0, 3.0, 2.0]}, {"tau_grid": [1.0, 1.0]}]
+        "kwargs",
+        [
+            {"n_samples": 0},
+            {"tau_grid": [1.0, 3.0, 2.0]},
+            {"tau_grid": [1.0, 1.0]},
+            {"tau_grid": [1.0, np.nan, 3.0]},
+            {"tau_grid": [1.0, 3.0, np.inf]},
+            {"tau_grid": [-np.inf, 1.0]},
+        ],
     )
     def test_rejects_bad_input_before_the_first_draw(self, monkeypatch, kwargs):
         def draw(*args):
@@ -89,6 +97,12 @@ class TestConvergenceExperiment:
         monkeypatch.setattr(rmt, "sample_gue", draw)
         with pytest.raises(ValueError):
             rmt.convergence_experiment(8, 1, **kwargs)
+
+    def test_curve_rejects_non_finite_distances(self):
+        with pytest.raises(ValueError):
+            rmt.ConvergenceCurve(
+                1, np.array([1.0, 2.0]), np.array([0.5, np.nan]), None, "single-instance", 1
+            )
 
     @staticmethod
     def _dense_route(d, k, n_samples, seed):
