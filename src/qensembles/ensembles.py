@@ -176,15 +176,16 @@ def _symmetric_power(a: np.ndarray, k: int) -> np.ndarray:
     """Sym^k(A): the matrix of A^(x)k between the occupation bases of A's two sides.
 
     Entry (n', n) is perm(A[t', t]) / sqrt(prod_m n'_m! prod_m n_m!), a k!-term
-    permanent over the sorted index tuples t' and t; A may be rectangular.
+    permanent over the sorted index tuples t' and t; A may be rectangular, and
+    a stack of matrices (..., rows, cols) gives the stack of their powers.
     """
-    rows, row_counts = _occupation_basis(a.shape[0], k)
-    cols, col_counts = _occupation_basis(a.shape[1], k)
+    rows, row_counts = _occupation_basis(a.shape[-2], k)
+    cols, col_counts = _occupation_basis(a.shape[-1], k)
     out = 0
     for sigma in permutations(range(k)):
         term = 1
         for i, j in enumerate(sigma):
-            term = term * a[rows[:, i, None], cols[None, :, j]]
+            term = term * a[..., rows[:, i, None], cols[None, :, j]]
         out = out + term
     return out * np.sqrt(np.outer(row_counts, col_counts)) / math.factorial(k)
 

@@ -252,7 +252,9 @@ def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray], conjug
     the block of the column index above the bits of the earlier blocks. With
     conjugate=True the complex conjugate of each unitary is applied, which
     turns amplitudes over the computational basis into overlap tables
-    <basis vector | state>.
+    <basis vector | state>. A block equal to the identity (the Pauli Z
+    factor) is skipped: contracting with it returns its input exactly, up to
+    the sign of zero. The result is always a new array.
     """
     rows, d = m.shape
     if d != math.prod(u.shape[0] for u in unitaries):
@@ -260,12 +262,14 @@ def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray], conjug
     out = np.ascontiguousarray(m)
     lo = 1
     for u in unitaries:
-        uj = np.conj(u) if conjugate else u
         b = u.shape[0]
-        t = out.reshape(rows, d // (lo * b), b, lo)
-        out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
+        if not np.array_equal(u, np.eye(b)):
+            uj = np.conj(u) if conjugate else u
+            t = out.reshape(rows, d // (lo * b), b, lo)
+            out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
         lo *= b
-    return out
+    dtype = np.result_type(m, *unitaries)
+    return out.astype(dtype) if out is m or out.dtype != dtype else out
 
 
 # ---------------------------------------------------------------------------

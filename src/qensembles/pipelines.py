@@ -2,8 +2,12 @@
 
 Full spectra are expensive (dense diagonalization up to D = 2^14) and are
 reused across many analyses, so they are cached per process keyed by the
-model specification. The cache can be released explicitly; large-chain
-workflows should group their uses and then drop it.
+model specification. The same cache holds the conditional-state tables built
+from them, keyed by the model, the initial-state angle, the bipartition and
+the measurement basis (its sites and the bytes of each factor): a table does
+not depend on time, so every pipeline that needs one asks the cache. The
+cache can be released explicitly, per model or whole; large-chain workflows
+should group their uses and then drop it.
 """
 
 from __future__ import annotations
@@ -23,10 +27,18 @@ from ._util import Caps, DEFAULT_CAPS
 
 
 class SpectrumCache:
-    """Process-level cache of diagonalized model Hamiltonians."""
+    """Process-level cache of diagonalized model Hamiltonians and their
+    conditional-state tables.
+
+    Spectra are keyed by the model specification. Tables are keyed by the
+    model, theta, the chain length and A sites of the bipartition, and the
+    basis sites and factor bytes; `release(model)` drops a model's spectrum
+    and tables together.
+    """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self._store: dict[str, sp.SpectralData] = {}
+        self._tables: dict[str, dict[tuple, sc.ConditionalStateTable]] = {}
         self.caps = caps
 
     @staticmethod
@@ -48,11 +60,24 @@ class SpectrumCache:
         sd = self.spectrum(model)
         return sp.bind_state(sd, hb.product_state(theta, _n_sites(sd)))
 
+    def conditional_states(
+        self, model: dict, theta: float, part: hb.Bipartition, basis: hb.MeasurementBasis
+    ) -> sc.ConditionalStateTable:
+        """`scrooge.conditional_states` of the model quenched from angle theta, built once."""
+        tables = self._tables.setdefault(self._key(model), {})
+        factors = tuple((u.shape, u.dtype.str, u.tobytes()) for u in basis.factors)
+        key = (float(theta), part.n_sites, part.sites_A, basis.sites, factors)
+        if key not in tables:
+            tables[key] = sc.conditional_states(self.bound(model, theta), part, basis)
+        return tables[key]
+
     def release(self, model: dict | None = None) -> None:
         if model is None:
             self._store.clear()
+            self._tables.clear()
         else:
             self._store.pop(self._key(model), None)
+            self._tables.pop(self._key(model), None)
 
 
 GLOBAL_CACHE = SpectrumCache()
@@ -105,8 +130,7 @@ def projected_moment_comparison(
     d_haar = st.trace_distance(proj, en.haar_moment(part.d_a, k, caps))
     d_gen = None
     if include_generalized:
-        bound = cache.bound(model, theta)
-        table = sc.conditional_states(bound, part, basis)
+        table = cache.conditional_states(model, theta, part, basis)
         gen = sc.generalized_scrooge_moment(table, k, "normalized", caps)
         d_gen = st.trace_distance(proj, gen)
     return ProjectedComparison(n, k, t, basis_letter, d_scr, d_haar, d_gen)
@@ -157,7 +181,7 @@ def interaction_information_scan(
     bound = cache.bound(model, theta)
     psi0 = hb.product_state(theta, n)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
-    table = sc.conditional_states(bound, part, basis_b)
+    table = cache.conditional_states(model, theta, part, basis_b)
     rows = []
     for letter in letters:
         rep = st.interaction_information(

@@ -17,12 +17,22 @@ from .spectral import basis_state_measure
 def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
     """Gaussian unitary ensemble with off-diagonal variance 1/d.
 
-    The eigenvalue density converges to the semicircle on [-2, 2].
+    The eigenvalue density converges to the semicircle on [-2, 2]. h is
+    (g + g^dagger)/2 for g = (a + i b)/sqrt(d) with a and b standard normal,
+    drawn in that order; its real and imaginary parts are formed separately,
+    each scaled by 1/sqrt(d) as numpy's complex-by-real division does.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
-    h = (g + g.conj().T) / 2
+    scale = 1.0 / math.sqrt(d)
+    a = rng.standard_normal((d, d))
+    a *= scale
+    b = rng.standard_normal((d, d))
+    b *= scale
+    h = np.empty((d, d), dtype=complex)
+    np.add(a, a.T, out=h.real)
+    np.subtract(b, b.T, out=h.imag)
+    np.multiply(h.view(float), 0.5, out=h.view(float))
     return HermitianOperator(h, qubit_or_flat_dims(d))
 
 

@@ -9,6 +9,13 @@ coefficient into one smooth integral over s of Gaussian moments, which the
 trapezoid rule on a uniform grid in ln s evaluates to machine precision for
 any k and any spectrum, degenerate or not. The real-vector ensemble uses the
 same grid with real Gaussian moments.
+
+The generalized Scrooge reference mixes one such moment per measurement
+outcome. It is evaluated as one batch over the stack of outcome states: one
+stacked eigendecomposition, one quadrature over every (outcome, multiset)
+row on a grid that spans every outcome's support, with zero modes masked
+instead of dropped, one Sym^k of the stacked eigenvectors and one matrix
+product per block of outcomes. `scrooge_moment` is the one-state case.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ SPLIT_EPSILONS = (1e-4, 5e-5)  # relative to the mean eigenvalue; ratio 2 for Ri
 GRID_STEP = 0.25  # trapezoid step in t = ln s
 GRID_MARGIN = 40.0  # reach in ln s past 1/lam_max and 1/lam_min; cut tails < e^-35 relative
 EIGENVECTOR_CHUNK = 2048  # eigenvectors per block in conditional_states; bounds its memory
+OUTCOME_BLOCK_ENTRIES = 2**20  # entries per outcome-block array in _scrooge_mixture; bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +74,10 @@ class EigenSpectrum:
 
 
 def _as_density(rho) -> np.ndarray:
+    """The entries of a density matrix, or of a stack of them, checked for unit trace."""
     m = rho.entries if isinstance(rho, HermitianOperator) else np.asarray(rho, dtype=complex)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-8:
+    tr = np.einsum("...aa->...", m).real
+    if np.any(np.abs(tr - 1.0) > 1e-8):
         raise ValueError(f"density matrix trace is {tr}")
     return m
 
@@ -228,31 +237,14 @@ def _plain_sum_subentropy(lam: np.ndarray) -> float:
     return float(np.prod(inv)) * total
 
 
-def subentropy_unweighted_variant(rho_or_eigs) -> float:
-    """Diagnostic variant missing one eigenvalue weight per term.
-
-    Kept for comparison only: it is nonzero on pure states and can go
-    negative, so it is not a valid subentropy.
-    """
-    lam = _support_eigenvalues(rho_or_eigs)
-    if lam.size == 1:
-        return -math.log(lam[0]) / LN2
-    total = 0.0
-    for j in range(lam.size):
-        prod = 1.0
-        for i in range(lam.size):
-            if i != j:
-                prod *= lam[j] / (lam[j] - lam[i])
-        total -= prod * math.log2(lam[j])
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-integral engine
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, real: bool = False) -> np.ndarray:
+def _gaussian_quadrature(
+    lam: np.ndarray, occ: np.ndarray, real: bool = False, grid: np.ndarray | None = None
+) -> np.ndarray:
     """E[prod_m x_m^(2 n_m) / |x|^(2(k-1))] for independent Gaussians x_m, one per row of occ.
 
     x_m is complex with E|x_m|^2 = lam_m, or real with E x_m^2 = lam_m. With
@@ -261,47 +253,95 @@ def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, real: bool = False) -
     with (a(n), w, b) = (n!, 1, 1) complex and ((2n-1)!!, 2, 1/2) real. In t = ln s
     the integrand is analytic within |Im t| < pi of the real axis and decays
     exponentially at both ends, so the trapezoid rule converges geometrically;
-    it is summed in log space over all rows at once. Needs k = sum n_m >= 2.
+    it is summed over all rows at once, each row scaled by its largest term.
+    Needs k = sum n_m >= 2.
+
+    lam may be a stack of spectra (..., r); the values then have shape
+    (..., rows). A zero in lam marks a mode outside the support: it leaves the
+    product, and every row that occupies it gets 0. `grid` defaults to
+    `_log_grid(lam)`.
     """
     k = int(occ[0].sum())
     width, shift = (2.0, 0.5) if real else (1.0, 1.0)
-    t = np.arange(
-        -math.log(lam.max()) - GRID_MARGIN, -math.log(lam.min()) + GRID_MARGIN, GRID_STEP
-    )
-    log_factors = np.logaddexp(0.0, t + np.log(width * lam)[:, None])  # ln(1 + w s lam_m)
+    t = _log_grid(lam) if grid is None else grid
+    support = lam > 0.0
+    # a zero mode stands in at the largest eigenvalue, so the rows that occupy it stay finite
+    lam = np.where(support, lam, lam.max(axis=-1, keepdims=True))
+    log_factors = np.logaddexp(0.0, t + np.log(width * lam)[..., None])  # ln(1 + w s lam_m)
     log_moments = scipy.special.gammaln(occ + 1.0)
     if real:
         log_moments = scipy.special.gammaln(2.0 * occ + 1.0) - occ * LN2 - log_moments
-    const = (log_moments + occ * np.log(lam)).sum(axis=1) - math.lgamma(k - 1)
-    log_integrand = const[:, None] + (k - 1) * t - (occ + shift) @ log_factors
-    return GRID_STEP * np.exp(scipy.special.logsumexp(log_integrand, axis=1))
+    const = (log_moments + occ * np.log(lam)[..., None, :]).sum(axis=-1) - math.lgamma(k - 1)
+    # every support mode carries the power shift, occupied modes n_m more
+    base = (k - 1) * t - shift * np.where(support[..., None], log_factors, 0.0).sum(axis=-2)
+    integrand = occ @ log_factors  # rows x nodes, turned in place into the integrand
+    np.subtract(base[..., None, :], integrand, out=integrand)
+    integrand += const[..., None]
+    top = integrand.max(axis=-1)
+    integrand -= top[..., None]
+    np.exp(integrand, out=integrand)
+    values = GRID_STEP * np.exp(top) * integrand.sum(axis=-1)
+    return np.where((~support).astype(float) @ occ.T > 0.0, 0.0, values)
+
+
+def _log_grid(lam: np.ndarray) -> np.ndarray:
+    """Trapezoid nodes in t = ln s spanning the support of every spectrum in lam."""
+    return np.arange(
+        -math.log(lam.max()) - GRID_MARGIN, -math.log(lam[lam > 0.0].min()) + GRID_MARGIN, GRID_STEP
+    )
+
+
+def _scrooge_mixture(states: np.ndarray, weights: np.ndarray, k: int, caps: Caps) -> np.ndarray:
+    """sum_x w_x Scrooge_k[states[x]] / sum_x w_x on Sym^k for a stack of density matrices.
+
+    One stacked eigh gives every spectrum. Eigenvalues below SUPPORT_CUTOFF
+    times an outcome's largest are set to 0, so the full eigenbasis serves
+    every outcome and multisets that occupy a zero mode get coefficient 0.
+    The outcome axis is walked in blocks whose (outcome, multiset, grid node)
+    and (outcome, multiset, multiset) arrays hold at most OUTCOME_BLOCK_ENTRIES
+    entries; each block makes one quadrature on the grid shared by all
+    outcomes, one Sym^k of its stacked eigenvectors and one matrix product
+    into the sum.
+    """
+    n_states, d, _ = states.shape
+    dim = math.comb(d + k - 1, k)
+    check_cap(caps, "max_moment_entries", dim**2)
+    if k == 1:
+        total = np.einsum("x,xab->ab", weights, states)
+    else:
+        check_cap(caps, "max_multiset_terms", dim)
+        w, v = np.linalg.eigh(states)
+        lam = np.where(w > SUPPORT_CUTOFF * np.maximum(w[:, -1:], 1e-300), w, 0.0)
+        grid = _log_grid(lam)
+        idx, counts = _occupation_basis(d, k)
+        occ = (idx[:, :, None] == np.arange(d)).sum(axis=1).astype(float)
+        step = max(1, OUTCOME_BLOCK_ENTRIES // (dim * max(dim, grid.size)))
+        total = np.zeros((dim, dim), dtype=complex)
+        for lo in range(0, n_states, step):
+            hi = min(lo + step, n_states)
+            coeffs = _gaussian_quadrature(lam[lo:hi], occ, grid=grid)
+            s = np.moveaxis(_symmetric_power(v[lo:hi], k), 0, 1).reshape(dim, -1)
+            scale = (weights[lo:hi, None] * counts * coeffs).ravel()
+            total += (s * scale) @ s.conj().T
+    total /= weights.sum()
+    return (total + total.conj().T) / 2
 
 
 def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """Exact k-th moment of the Scrooge ensemble of rho (normalized convention).
 
-    Over the support eigenvectors W of rho the moment is diagonal in the
-    occupation basis: it is S diag(N_n c(n)) S^dagger with S = Sym^k(W) and
+    In the eigenbasis W of rho the moment is diagonal in the occupation
+    basis: it is S diag(N_n c(n)) S^dagger with S = Sym^k(W) and
     c(n) = E[prod_m |g_m|^(2 n_m) / |g|^(2(k-1))] for g ~ CN(0, rho), evaluated
-    by `_gaussian_quadrature` for all multisets at once. Any k >= 1 is
-    accepted; degenerate spectra need no special case.
+    by `_gaussian_quadrature` for all multisets at once; c(n) = 0 when n
+    occupies a mode outside the support. Any k >= 1 is accepted; degenerate
+    spectra need no special case. This is the one-state case of
+    `_scrooge_mixture`.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     m = _as_density(rho)
-    d = m.shape[0]
-    if k == 1:
-        return MomentOperator(1, d, m, "normalized")
-    spec = eigen_spectrum(m)
-    r = spec.rank
-    check_cap(caps, "max_moment_entries", math.comb(d + k - 1, k) ** 2)
-    check_cap(caps, "max_multiset_terms", math.comb(r + k - 1, k))
-    idx, counts = _occupation_basis(r, k)
-    occ = (idx[:, :, None] == np.arange(r)).sum(axis=1).astype(float)
-    coeffs = _gaussian_quadrature(spec.eigenvalues, occ)
-    s = _symmetric_power(spec.eigenvectors, k)  # support columns; zero modes carry no weight
-    full = (s * (counts * coeffs)) @ s.conj().T
-    return MomentOperator(k, d, (full + full.conj().T) / 2, "normalized")
+    return MomentOperator(k, m.shape[0], _scrooge_mixture(m[None], np.ones(1), k, caps), "normalized")
 
 
 def unnormalized_scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
@@ -377,19 +417,22 @@ def generalized_scrooge_moment(
 ) -> MomentOperator:
     """Outcome-weighted mixture of per-outcome Scrooge moments.
 
-    convention "normalized" mixes exact Scrooge moments; "unnormalized" mixes
-    the product-form moments of the unnormalized ensembles.
+    convention "normalized" mixes exact Scrooge moments, every outcome in one
+    batch (`_scrooge_mixture`); "unnormalized" mixes the product-form moments
+    of the unnormalized ensembles.
     """
     if convention not in ("normalized", "unnormalized"):
         raise ValueError("convention must be 'normalized' or 'unnormalized'")
-    d_a = table.d_a
+    d_a, p = table.d_a, table.probabilities
+    if convention == "normalized":
+        total = _scrooge_mixture(_as_density(table.states), p, k, caps)
+        return MomentOperator(k, d_a, total, convention)
     dim = math.comb(d_a + k - 1, k)
     check_cap(caps, "max_moment_entries", dim**2)
-    moment_of = scrooge_moment if convention == "normalized" else unnormalized_scrooge_moment
     total = np.zeros((dim, dim), dtype=complex)
-    for p, state in zip(table.probabilities, table.states):
-        total += p * moment_of(state, k, caps).matrix
-    total /= table.probabilities.sum()
+    for p_x, state in zip(p, table.states):
+        total += p_x * unnormalized_scrooge_moment(state, k, caps).matrix
+    total /= p.sum()
     return MomentOperator(k, d_a, (total + total.conj().T) / 2, convention)
 
 

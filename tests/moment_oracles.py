@@ -5,8 +5,14 @@ copy permutations by transposing a (d,)*2k tensor, empirical moments as sums
 of tensor-power outer products, and multiset moments by scattering one value
 over every pair of orderings in an eigenbasis. They share no code with the
 symmetric-subspace builders they check.
+
+The reference forms at the end are second methods of another kind: earlier,
+slower ways to the same numbers (one Scrooge moment per outcome, a contraction
+with every local block, the complex-arithmetic GUE draw), kept to check the
+faster paths that replaced them.
 """
 
+import math
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -146,3 +152,50 @@ def assert_lift_matches(moment, oracle, tol=1e-12):
     stored = np.linalg.eigvalsh(moment.matrix)
     padded = np.sort(np.concatenate([stored, np.zeros(d**k - stored.size)]))
     assert np.abs(np.linalg.eigvalsh(full) - padded).max() <= tol * scale
+
+
+def scrooge_moment_per_outcome(rho, k):
+    """Scrooge k-th moment on Sym^k from the support of rho alone (k >= 2).
+
+    The quadrature runs on rho's own grid over its support eigenvalues, and
+    S = Sym^k of the support eigenvectors only, so no mode is masked.
+    """
+    from qensembles import ensembles as en
+    from qensembles import scrooge as sc
+
+    spec = sc.eigen_spectrum(rho)
+    idx, counts = en._occupation_basis(spec.rank, k)
+    occ = (idx[:, :, None] == np.arange(spec.rank)).sum(axis=1).astype(float)
+    coeffs = sc._gaussian_quadrature(spec.eigenvalues, occ)
+    s = en._symmetric_power(spec.eigenvectors, k)
+    full = (s * (counts * coeffs)) @ s.conj().T
+    return (full + full.conj().T) / 2
+
+
+def generalized_scrooge_sum(table, k):
+    """sum_x p(x) Scrooge_k[rho(x)] / sum_x p(x), one outcome at a time."""
+    d = table.d_a
+    total = np.zeros((math.comb(d + k - 1, k),) * 2, dtype=complex)
+    for p, state in zip(table.probabilities, table.states):
+        total += p * (state if k == 1 else scrooge_moment_per_outcome(state, k))
+    return total / table.probabilities.sum()
+
+
+def rotations_unskipped(m, unitaries, conjugate=False):
+    """Contract every little-endian column block of m, identity blocks included."""
+    rows, d = m.shape
+    out = np.ascontiguousarray(m)
+    lo = 1
+    for u in unitaries:
+        uj = np.conj(u) if conjugate else u
+        b = u.shape[0]
+        t = out.reshape(rows, d // (lo * b), b, lo)
+        out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
+        lo *= b
+    return out
+
+
+def sample_gue_complex(d, rng):
+    """GUE draw in complex arithmetic: (g + g^dagger)/2, g = (a + i b)/sqrt(d)."""
+    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
+    return (g + g.conj().T) / 2

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.stats import unitary_group
 
 from qensembles import InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
+
+import moment_oracles as mo
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -360,3 +363,37 @@ def test_apply_local_rotations_matches_kron(blocks, rows, conjugate, seed):
     # unitaries[j] acts on the j-th block of the column index: factor j of kron_chain
     full = kron_chain(*[np.conj(u) if conjugate else u for u in us])
     assert np.abs(out - m @ full).max() <= 1e-12 * max(1.0, np.abs(m @ full).max())
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        lambda rng: hb.pauli_basis(range(5), "Z").factors,
+        lambda rng: hb.pauli_basis(range(5), "ZXZYZ").factors,
+        lambda rng: hb.pauli_basis(range(4), "YXXY").factors,
+        lambda rng: hb.explicit_basis(range(3), unitary_group.rvs(8, random_state=rng)).factors,
+        lambda rng: (np.eye(4, dtype=complex), unitary_group.rvs(2, random_state=rng), np.eye(2)),
+    ],
+    ids=["all-Z", "mixed-XYZ", "no-Z", "explicit", "identity-blocks"],
+)
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_identity_blocks_are_skipped_bit_for_bit(rng, factors, conjugate):
+    us = factors(rng)
+    d = math.prod(u.shape[0] for u in us)
+    m = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+    assert np.array_equal(out, mo.rotations_unskipped(m, us, conjugate))
+    assert out.dtype == complex
+    assert not np.shares_memory(out, m)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_all_identity_rotation_returns_a_new_array(dtype):
+    m = np.arange(12.0).reshape(3, 4).astype(dtype)
+    for view in (m, m[:, :], m[::2]):  # the whole array, a view of it, a strided view
+        out = hb.apply_local_rotations(view, hb.pauli_basis((0, 1), "Z").factors)
+        assert not np.shares_memory(out, m)
+        assert out.dtype == complex
+        assert np.array_equal(out, view)
+        out[0, 0] = 99.0
+        assert m[0, 0] == 0.0

@@ -50,6 +50,87 @@ class TestSpectrumCache:
 MFIM6 = {"model": "mfim", "n": 6, "hx": 0.8090, "hy": 0.9045, "j": 1.0}
 
 
+def central(n, width, letter):
+    part = hb.Bipartition(n, hb.central_sites(n, width))
+    return part, hb.pauli_basis(part.sites_B, letter)
+
+
+@pytest.fixture()
+def table_builds(monkeypatch):
+    """Arguments of every `scrooge.conditional_states` call, in order."""
+    calls, build = [], sc.conditional_states
+
+    def spy(sd, part, basis):
+        calls.append((part, basis))
+        return build(sd, part, basis)
+
+    monkeypatch.setattr(sc, "conditional_states", spy)
+    return calls
+
+
+class TestConditionalStateCache:
+    def test_repeated_call_is_a_hit(self, table_builds):
+        cache = pl.SpectrumCache()
+        part, basis = central(6, 2, "Z")
+        first = cache.conditional_states(MFIM6, 0.3, part, basis)
+        again = cache.conditional_states(dict(MFIM6), 0.3, *central(6, 2, "Z"))
+        assert again is first
+        assert len(table_builds) == 1
+        direct = sc.conditional_states(cache.bound(MFIM6, 0.3), part, basis)
+        assert np.array_equal(first.states, direct.states)
+        assert np.array_equal(first.probabilities, direct.probabilities)
+
+    def test_every_input_is_part_of_the_key(self, table_builds):
+        cache = pl.SpectrumCache()
+        other_model = dict(MFIM6, hx=0.5)
+        part, basis = central(6, 2, "Z")
+        u = scipy.linalg.qr(np.arange(256.0).reshape(16, 16) + np.eye(16))[0]
+        explicit_b = [hb.explicit_basis(part.sites_B, m) for m in (u, u[:, ::-1])]
+        inputs = [
+            (MFIM6, 0.3, part, basis),
+            (MFIM6, 0.4, part, basis),  # theta
+            (MFIM6, 0.3, *central(6, 3, "Z")),  # width
+            (MFIM6, 0.3, *central(6, 2, "X")),  # basis letter
+            (MFIM6, 0.3, part, hb.pauli_basis(part.sites_B, "ZZXZ")),  # one factor
+            (MFIM6, 0.3, part, explicit_b[0]),  # explicit factor bytes
+            (MFIM6, 0.3, part, explicit_b[1]),
+            (other_model, 0.3, part, basis),  # model
+        ]
+        tables = [cache.conditional_states(*args) for args in inputs]
+        assert len(table_builds) == len(inputs)
+        assert len({id(t) for t in tables}) == len(inputs)
+        for (model, theta, part_i, basis_i), table in zip(inputs, tables):
+            direct = sc.conditional_states(cache.bound(model, theta), part_i, basis_i)
+            assert np.array_equal(table.states, direct.states)
+        assert cache.conditional_states(*inputs[3]) is tables[3]
+
+    def test_release_rebuilds_that_model_only(self, table_builds):
+        cache = pl.SpectrumCache()
+        other_model = dict(MFIM6, hx=0.5)
+        part, basis = central(6, 2, "Z")
+        first = cache.conditional_states(MFIM6, 0.3, part, basis)
+        kept = cache.conditional_states(other_model, 0.3, part, basis)
+        cache.release(MFIM6)
+        rebuilt = cache.conditional_states(MFIM6, 0.3, part, basis)
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt.states, first.states)
+        assert cache.conditional_states(other_model, 0.3, part, basis) is kept
+        cache.release()
+        assert cache.conditional_states(other_model, 0.3, part, basis) is not kept
+        assert len(table_builds) == 4
+
+    def test_pipelines_share_one_table(self, table_builds):
+        cache = pl.SpectrumCache()
+        for k in (2, 3):
+            pl.projected_moment_comparison(
+                cache, MFIM6, 0.0, 3.0, 2, "Z", k, include_generalized=True
+            )
+        assert len(table_builds) == 1
+        pl.interaction_information_scan(cache, MFIM6, 0.0, 3.0, 2, ("Z",), basis_b_letter="Z")
+        pl.interaction_information_scan(cache, MFIM6, 0.0, 5.0, 2, ("X",), basis_b_letter="Z")
+        assert len(table_builds) == 1
+
+
 def gram_haar_distance(table, k):
     """Haar distance of the projected k-th moment from its Gram matrix alone.
 

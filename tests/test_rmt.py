@@ -11,11 +11,20 @@ from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
+import moment_oracles as mo
+
 
 class TestSampling:
     def test_hermitian_by_construction(self, rng):
         h = rmt.sample_gue(32, rng)
         assert np.abs(h.entries - h.entries.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 48, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240901])
+    def test_real_arithmetic_draw_is_bit_identical_to_complex(self, d, seed):
+        h = rmt.sample_gue(d, task_rng(seed)).entries
+        ref = mo.sample_gue_complex(d, task_rng(seed))
+        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
 
     def test_two_level_gap_mean_against_density_quadrature(self):
         # oracle: the 2x2 gap follows a 3-dof chi law in this normalization

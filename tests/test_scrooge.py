@@ -12,7 +12,7 @@ from qensembles import hilbert as hb
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
 from qensembles import stats as st
-from qensembles._util import task_rng
+from qensembles._util import CapacityError, Caps, task_rng
 
 import moment_oracles as mo
 
@@ -130,12 +130,6 @@ class TestSubentropy:
         mc = (-d * np.mean(x * np.log(x)) - (h_d - 1)) / math.log(2)
         se = d * np.std(x * np.log(x)) / math.sqrt(n) / math.log(2)
         assert sc.subentropy(lam) == pytest.approx(mc, abs=5 * se)
-
-    def test_unweighted_variant_goes_negative(self):
-        # the diagnostic variant violates Q >= 0, which is why it is not used
-        lam = np.array([0.75, 0.25])
-        assert sc.subentropy_unweighted_variant(lam) < -0.1
-        assert sc.subentropy(lam) >= 0.0
 
 
 class TestScroogeMoment:
@@ -462,6 +456,92 @@ class TestGeneralizedMoment:
             pi * sc.unnormalized_scrooge_moment(s, 2).matrix for pi, s in zip(p, states)
         )
         assert np.abs(gen - direct).max() <= 1e-12
+
+
+def random_table(rng, d, ranks):
+    states = np.stack([random_density(d, rng, rank=r) for r in ranks])
+    p = rng.random(len(ranks)) + 0.05
+    return sc.ConditionalStateTable(np.arange(len(ranks)), p / p.sum(), states)
+
+
+class TestBatchedScroogeMixture:
+    """The one-batch generalized moment against the per-outcome sum."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_mixed_ranks_in_one_table(self, rng, k):
+        table = random_table(rng, 4, [1, 2, 3, 4, 1, 4, 2, 3])
+        gen = sc.generalized_scrooge_moment(table, k).matrix
+        assert np.abs(gen - mo.generalized_scrooge_sum(table, k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rank_deficient_outcomes_only(self, rng, k):
+        table = random_table(rng, 8, [1, 3, 2, 5])
+        gen = sc.generalized_scrooge_moment(table, k).matrix
+        assert np.abs(gen - mo.generalized_scrooge_sum(table, k)).max() <= 1e-12
+
+    def test_exact_zero_modes_are_masked(self):
+        # a pure state and a rank-2 state with exact zeros off their support; the
+        # 1e-12 eigenvalue stretches the shared grid far past the pure state's own
+        table = sc.ConditionalStateTable(
+            np.arange(2),
+            np.array([0.3, 0.7]),
+            np.stack([np.diag([1.0, 0, 0]), np.diag([0.0, 1e-12, 1 - 1e-12])]).astype(complex),
+        )
+        gen = sc.generalized_scrooge_moment(table, 3)
+        assert np.abs(gen.matrix - mo.generalized_scrooge_sum(table, 3)).max() <= 1e-12
+        assert gen.trace == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 14])
+    def test_stacked_quadrature_matches_each_support_alone(self, k):
+        # at k = 14 the rows on a zero mode would grow like s^12 on this grid if
+        # the zero mode simply dropped out of the product
+        lam = np.array([[1.0, 0.0, 0.0], [0.0, 1e-12, 1 - 1e-12], [0.2, 0.3, 0.5]])
+        idx, _ = en._occupation_basis(3, k)
+        occ = (idx[:, :, None] == np.arange(3)).sum(axis=1).astype(float)
+        values = sc._gaussian_quadrature(lam, occ)
+        for spectrum, row in zip(lam, values):
+            on = spectrum > 0
+            inside = occ[:, ~on].sum(axis=1) == 0
+            assert np.all(row[~inside] == 0.0)
+            alone = sc._gaussian_quadrature(spectrum[on], occ[inside][:, on])
+            assert np.abs(row[inside] - alone).max() <= 1e-12 * alone.max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_single_outcome(self, rng, k):
+        table = random_table(rng, 4, [3])
+        gen = sc.generalized_scrooge_moment(table, k).matrix
+        assert np.abs(gen - mo.generalized_scrooge_sum(table, k)).max() <= 1e-12
+        plain = sc.scrooge_moment(table.states[0], k).matrix
+        assert np.abs(gen - plain).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_more_outcomes_than_one_block(self, rng, monkeypatch, k):
+        table = random_table(rng, 4, list(rng.integers(1, 5, size=37)))
+        whole = sc.generalized_scrooge_moment(table, k).matrix
+        # about 3 outcomes per block, so the 37 outcomes take uneven blocks
+        monkeypatch.setattr(sc, "OUTCOME_BLOCK_ENTRIES", 3 * math.comb(4 + k - 1, k) * 400)
+        blocked = sc.generalized_scrooge_moment(table, k).matrix
+        assert np.abs(blocked - mo.generalized_scrooge_sum(table, k)).max() <= 1e-12
+        assert np.abs(blocked - whole).max() <= 1e-14
+
+    def test_one_outcome_per_block(self, rng, monkeypatch):
+        table = random_table(rng, 3, [1, 2, 3, 2])
+        monkeypatch.setattr(sc, "OUTCOME_BLOCK_ENTRIES", 1)
+        gen = sc.generalized_scrooge_moment(table, 2).matrix
+        assert np.abs(gen - mo.generalized_scrooge_sum(table, 2)).max() <= 1e-12
+
+    def test_caps_checked_before_the_batch(self, rng):
+        table = random_table(rng, 4, [2, 4])
+        with pytest.raises(CapacityError, match="max_multiset_terms"):
+            sc.generalized_scrooge_moment(table, 2, caps=Caps(max_multiset_terms=9))
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            sc.generalized_scrooge_moment(table, 2, caps=Caps(max_moment_entries=99))
+
+    def test_state_with_wrong_trace_is_rejected(self, rng):
+        table = random_table(rng, 2, [2, 2])
+        bad = sc.ConditionalStateTable(table.outcomes, table.probabilities, 2 * table.states)
+        with pytest.raises(ValueError):
+            sc.generalized_scrooge_moment(bad, 2)
 
 
 class TestRealScrooge:
