@@ -53,12 +53,13 @@ class Caps:
     for a moment, stored on the symmetric subspace with D = C(d+k-1, k), and
     (d^k)^2 for a full-space operator (`MomentOperator.dense()`, `twirl2`),
     and the pairwise tables of `rmt.gap_histograms` (d^2 gaps, d^4 sum-gaps);
-    `max_multiset_terms` bounds exact multiset enumerations; `max_sinc_terms`
-    bounds the finite-interval double sums.
+    `max_state_dim` bounds state vectors and the d entries per term that a
+    sparse Hamiltonian assembles; `max_multiset_terms` bounds exact multiset
+    enumerations; `max_sinc_terms` bounds the finite-interval double sums.
     """
 
     max_spectrum_dim: int = 2**14          # eigensolves: full or basis-state measure
-    max_state_dim: int = 2**22             # state-only vectors
+    max_state_dim: int = 2**22             # state vectors, sparse Hamiltonian entries
     max_moment_entries: int = 2**26        # k-copy moment entries
     max_multiset_terms: int = 2_500_000    # multiset sums (random-phase moments)
     max_sinc_terms: int = 40_000_000       # finite-interval double multiset sums

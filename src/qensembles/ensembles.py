@@ -26,7 +26,6 @@ from .hilbert import (
     PureState,
     n_qubit_dims,
     projection_table,
-    tensor_power,
 )
 from .spectral import SpectralData, SpectralMeasure
 
@@ -200,21 +199,23 @@ def _moment_from_columns(
 ) -> np.ndarray:
     """sum_j w_j |col_j><col_j|^(x)k via blocked panel Grams.
 
-    col^(x)k has coordinates sqrt(N_n) prod_i col[t_i] over the sorted tuples t.
+    col^(x)k has coordinates sqrt(N_n) prod_i col[t_i] over the sorted tuples t;
+    each panel of columns gets all its coordinates from one gather and product.
     """
     d, n = columns.shape
     check_cap(caps, "max_moment_entries", comb(d + k - 1, k) ** 2)
     idx, counts = _occupation_basis(d, k)
-    flat = _flat_index(idx, d)
-    scale = np.sqrt(counts)
+    scale = np.sqrt(counts)[:, None]
     sqrt_w = np.sqrt(weights)
+    columns = np.asarray(columns, dtype=complex)
 
-    acc = np.zeros((flat.size, flat.size), dtype=complex)
+    acc = np.zeros((counts.size, counts.size), dtype=complex)
     for start in range(0, n, PANEL_WIDTH):
-        cols = range(start, min(start + PANEL_WIDTH, n))
-        panel = np.empty((flat.size, len(cols)), dtype=complex)
-        for out_col, j in enumerate(cols):
-            panel[:, out_col] = (sqrt_w[j] * scale) * tensor_power(columns[:, j], k, caps)[flat]
+        cols = columns[:, start : start + PANEL_WIDTH]
+        panel = cols[idx[:, 0]]
+        for i in range(1, k):
+            panel = panel * cols[idx[:, i]]
+        panel = (sqrt_w[start : start + PANEL_WIDTH] * scale) * panel
         acc += panel @ panel.conj().T
     return (acc + acc.conj().T) / 2
 

@@ -2,10 +2,11 @@
 
 States, Hermitian operators, bipartitions, product measurement bases, and the
 model Hamiltonians used throughout (mixed-field Ising chain and variants,
-chaotic XXZ, transverse-field Ising). Site ordering is little-endian: site 0
-is the least significant bit of a basis index, so basis index
-i = sum_j bit_j * 2^j. All values are immutable after construction and all
-operations are pure functions.
+chaotic XXZ, transverse-field Ising), each defined once as a table of
+Pauli-string terms (`model_terms`) and built dense or sparse from it. Site
+ordering is little-endian: site 0 is the least significant bit of a basis
+index, so basis index i = sum_j bit_j * 2^j. All values are immutable after
+construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from ._util import (
     Caps,
@@ -51,7 +53,7 @@ class PureState:
             raise ValueError("amplitude length must equal product of dims")
         if self.norm_convention == "normalized":
             n2 = float(np.vdot(amps, amps).real)
-            if abs(n2 - 1.0) > 1e-12:
+            if not abs(n2 - 1.0) <= 1e-12:  # NaN fails this test
                 raise ValueError(f"normalized state has |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
         elif self.norm_convention != "unnormalized":
             raise ValueError(f"unknown norm convention {self.norm_convention!r}")
@@ -107,7 +109,7 @@ class HermitianOperator:
         if m.shape != (d, d):
             raise ValueError("entry matrix shape must match product of dims")
         defect = float(np.abs(m - m.conj().T).max()) if d else 0.0
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:  # NaN fails this test
             raise InvalidMatrixError(f"matrix deviates from Hermitian by {defect:.3e}")
 
     @property
@@ -307,42 +309,25 @@ def _pauli_string_entries(n: int, ops: Mapping[int, str]):
     return rows, cols, vals
 
 
-def _accumulate_string(h: np.ndarray, n: int, coeff: float, ops: Mapping[int, str]) -> None:
-    if coeff == 0.0:
-        return
-    rows, cols, vals = _pauli_string_entries(n, ops)
-    h[rows, cols] += coeff * vals
+def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]], ...]]:
+    """Chain length and ordered Pauli-string terms (coeff, {site: letter}) of a model.
 
-
-def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOperator:
-    """Assemble a dense model Hamiltonian from its specification.
-
-    Supported model names: "mfim" (transverse+longitudinal-in-XY Ising chain),
-    "mfim_broken_trs" (adds a Z field and YY coupling), "xxz" (chaotic
-    next-nearest-neighbor ZZ variant), "tfim" (mfim with h_x = 0), "gue" and
-    "explicit" (caller-provided Hermitian matrix). Open boundary conditions
-    only; chains are little-endian.
+    The one definition of the chain models: "mfim" (transverse+longitudinal-in-XY
+    Ising chain), "mfim_broken_trs" (adds a Z field and YY coupling), "xxz"
+    (chaotic next-nearest-neighbor ZZ variant) and "tfim" (mfim with h_x = 0).
+    Open boundary conditions only; chains are little-endian. Terms with a zero
+    coefficient are left out. Raises InvalidModelError for an unknown model, a
+    chain without sites, a non-finite coefficient or an unused parameter.
     """
     spec = dict(model)
     name = spec.pop("model", None)
-    if name in ("gue", "explicit"):
-        m = np.asarray(spec["matrix"], dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidMatrixError("explicit Hamiltonian must be square")
-        n = int(round(math.log2(m.shape[0])))
-        if 2**n != m.shape[0]:
-            raise InvalidMatrixError("explicit Hamiltonian dimension must be a power of 2")
-        return HermitianOperator(m, n_qubit_dims(n))
-
     n = int(spec.pop("n", 0))
     if n < 1:
         raise InvalidModelError(f"model {name!r} needs n >= 1 sites")
     if spec.pop("boundary", "open") != "open":
         raise InvalidModelError("only open boundary conditions are supported")
-    check_cap(caps, "max_moment_entries", (2**n) ** 2)
-    d = 2**n
-    h = np.zeros((d, d), dtype=complex)
 
+    terms = []
     if name == "mfim" or name == "tfim" or name == "mfim_broken_trs":
         hx = 0.0 if name == "tfim" else float(spec.pop("hx", 0.8090))
         hy = float(spec.pop("hy", 0.9045))
@@ -352,28 +337,81 @@ def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOpe
             hz = float(spec.pop("hz", 0.5))
             jp = float(spec.pop("jp", 0.4))
         for s in range(n):
-            _accumulate_string(h, n, hx, {s: "X"})
-            _accumulate_string(h, n, hy, {s: "Y"})
-            _accumulate_string(h, n, hz, {s: "Z"})
+            terms += [(hx, {s: "X"}), (hy, {s: "Y"}), (hz, {s: "Z"})]
         for s in range(n - 1):
-            _accumulate_string(h, n, j, {s: "X", s + 1: "X"})
-            _accumulate_string(h, n, jp, {s: "Y", s + 1: "Y"})
+            terms += [(j, {s: "X", s + 1: "X"}), (jp, {s: "Y", s + 1: "Y"})]
     elif name == "xxz":
         j = float(spec.pop("j", math.sqrt(2.0)))
         delta = float(spec.pop("delta", (math.sqrt(5.0) + 1.0) / 4.0))
         delta2 = float(spec.pop("delta2", 1.0))
         for s in range(n - 1):
-            _accumulate_string(h, n, j / 4.0, {s: "X", s + 1: "X"})
-            _accumulate_string(h, n, j / 4.0, {s: "Y", s + 1: "Y"})
-            _accumulate_string(h, n, delta / 4.0, {s: "Z", s + 1: "Z"})
+            terms += [
+                (j / 4.0, {s: "X", s + 1: "X"}),
+                (j / 4.0, {s: "Y", s + 1: "Y"}),
+                (delta / 4.0, {s: "Z", s + 1: "Z"}),
+            ]
         for s in range(n - 2):
-            _accumulate_string(h, n, delta2 / 4.0, {s: "Z", s + 2: "Z"})
+            terms.append((delta2 / 4.0, {s: "Z", s + 2: "Z"}))
     else:
         raise InvalidModelError(f"unknown model {name!r}")
 
     if spec:
         raise InvalidModelError(f"unused model parameters: {sorted(spec)}")
+    if not all(math.isfinite(c) for c, _ in terms):
+        raise InvalidModelError(f"model {name!r} has a non-finite coefficient")
+    return n, tuple((c, ops) for c, ops in terms if c != 0.0)
+
+
+def _checked_matrix(model: Mapping) -> HermitianOperator:
+    """The caller-provided matrix of a "gue" or "explicit" model, on qubit dims."""
+    m = np.asarray(model["matrix"], dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidMatrixError("explicit Hamiltonian must be square")
+    n = int(round(math.log2(m.shape[0])))
+    if 2**n != m.shape[0]:
+        raise InvalidMatrixError("explicit Hamiltonian dimension must be a power of 2")
+    return HermitianOperator(m, n_qubit_dims(n))
+
+
+def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOperator:
+    """Assemble a dense model Hamiltonian from its specification.
+
+    Chain models are summed from their `model_terms`, in table order; "gue"
+    and "explicit" models carry their own Hermitian matrix.
+    """
+    if model.get("model") in ("gue", "explicit"):
+        return _checked_matrix(model)
+    n, terms = model_terms(model)
+    check_cap(caps, "max_moment_entries", (2**n) ** 2)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for coeff, ops in terms:
+        rows, cols, vals = _pauli_string_entries(n, ops)
+        h[rows, cols] += coeff * vals
     return HermitianOperator(h, n_qubit_dims(n))
+
+
+def sparse_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> tuple[scipy.sparse.csr_matrix, float]:
+    """A model Hamiltonian as a CSR matrix, with the bound a >= ||H|| on its norm.
+
+    Chain models are assembled from their `model_terms` without a dense
+    matrix, and a = sum |coeff|; "gue" and "explicit" models convert their
+    checked matrix, and a is its largest absolute row sum. The d entries per
+    term that assembly allocates are checked against `max_state_dim`.
+    """
+    if model.get("model") in ("gue", "explicit"):
+        m = scipy.sparse.csr_matrix(_checked_matrix(model).entries)
+        return m, float(abs(m).sum(axis=1).max())
+    n, terms = model_terms(model)
+    d = 2**n
+    check_cap(caps, "max_state_dim", d * max(len(terms), 1))
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
+    for coeff, ops in terms:
+        r, c, v = _pauli_string_entries(n, ops)
+        rows.append(r)
+        cols.append(c)
+        vals.append(coeff * v)
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return scipy.sparse.csr_matrix(coo, shape=(d, d)), float(sum(abs(c) for c, _ in terms))
 
 
 def project_outcome(

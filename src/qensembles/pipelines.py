@@ -1,13 +1,17 @@
 """Shared, cached computation pipelines used by experiments and acceptance checks.
 
-Full spectra are expensive (dense diagonalization up to D = 2^14) and are
-reused across many analyses, so they are cached per process keyed by the
-model specification. The same cache holds the conditional-state tables built
-from them, keyed by the model, the initial-state angle, the bipartition and
-the measurement basis (its sites and the bytes of each factor): a table does
-not depend on time, so every pipeline that needs one asks the cache. The
-cache can be released explicitly, per model or whole; large-chain workflows
-should group their uses and then drop it.
+A quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
+propagates the product state with the sparse Hamiltonian
+(`spectral.propagate`), so fixed-time pipelines never diagonalize. Full
+spectra (dense diagonalization up to D = 2^14) are built only for the paths
+that read eigenpairs: bound states, conditional-state tables, time averages
+and the eigenstate pipelines. The process cache keys spectra by the model
+specification, quenched states by the model, the initial-state angle and the
+time, and conditional-state tables by the model, the angle, the bipartition
+and the measurement basis (its sites and the bytes of each factor): a table
+does not depend on time, so every pipeline that needs one asks the cache.
+The cache can be released explicitly, per model or whole; large-chain
+workflows should group their uses and then drop it.
 """
 
 from __future__ import annotations
@@ -27,17 +31,20 @@ from ._util import Caps, DEFAULT_CAPS
 
 
 class SpectrumCache:
-    """Process-level cache of diagonalized model Hamiltonians and their
-    conditional-state tables.
+    """Process-level cache of quenched states, diagonalized model Hamiltonians
+    and their conditional-state tables.
 
-    Spectra are keyed by the model specification. Tables are keyed by the
-    model, theta, the chain length and A sites of the bipartition, and the
-    basis sites and factor bytes; `release(model)` drops a model's spectrum
-    and tables together.
+    States are keyed by the model specification, theta and t, and are built by
+    propagation, never from a spectrum. Spectra are keyed by the model
+    specification and built only when a caller reads eigenpairs. Tables are
+    keyed by the model, theta, the chain length and A sites of the
+    bipartition, and the basis sites and factor bytes; `release(model)` drops
+    a model's states, spectrum and tables together.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self._store: dict[str, sp.SpectralData] = {}
+        self._states: dict[str, dict[tuple, hb.PureState]] = {}
         self._tables: dict[str, dict[tuple, sc.ConditionalStateTable]] = {}
         self.caps = caps
 
@@ -58,7 +65,7 @@ class SpectrumCache:
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
         sd = self.spectrum(model)
-        return sp.bind_state(sd, hb.product_state(theta, _n_sites(sd)))
+        return sp.bind_state(sd, hb.product_state(theta, _n_sites(sd.dim)))
 
     def conditional_states(
         self, model: dict, theta: float, part: hb.Bipartition, basis: hb.MeasurementBasis
@@ -74,23 +81,38 @@ class SpectrumCache:
     def release(self, model: dict | None = None) -> None:
         if model is None:
             self._store.clear()
+            self._states.clear()
             self._tables.clear()
         else:
-            self._store.pop(self._key(model), None)
-            self._tables.pop(self._key(model), None)
+            for store in (self._store, self._states, self._tables):
+                store.pop(self._key(model), None)
 
 
 GLOBAL_CACHE = SpectrumCache()
 
 
-def _n_sites(sd: sp.SpectralData) -> int:
-    """Chain length of a qubit-chain spectrum (explicit models carry no "n")."""
-    return sd.dim.bit_length() - 1
+def _n_sites(dim: int) -> int:
+    """Chain length of a qubit-chain space (explicit models carry no "n")."""
+    return dim.bit_length() - 1
 
 
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:
-    sd = cache.spectrum(model)
-    return sp.evolve(sd, hb.product_state(theta, _n_sites(sd)), t)
+    """exp(-iHt) of the product state at angle theta, memoized in the cache.
+
+    Propagated with the sparse Hamiltonian (`spectral.propagate`), never read
+    off a spectrum, so the result does not depend on what the cache holds.
+    The amplitudes are read-only: every caller shares them.
+    """
+    states = cache._states.setdefault(cache._key(model), {})
+    key = (float(theta), float(t))
+    if key not in states:
+        h, a = hb.sparse_hamiltonian(model, cache.caps)
+        psi0 = hb.product_state(theta, _n_sites(h.shape[0]))
+        amps = sp.propagate(h, a, psi0.amplitudes, t)
+        amps /= np.linalg.norm(amps)
+        amps.flags.writeable = False
+        states[key] = hb.PureState(amps, psi0.dims)
+    return states[key]
 
 
 @dataclass(frozen=True)
@@ -154,8 +176,9 @@ def basis_information_scan(
     state = quench_state(cache, model, theta, t)
     rho_a = hb.partial_trace(state, part, "A")
     q_bits, s_bits = st.holevo_sandwich(rho_a)
-    bound = cache.bound(model, theta)
-    energy = float(bound.populations @ bound.eigenvalues)
+    h, _ = hb.sparse_hamiltonian(model, cache.caps)
+    psi0 = hb.product_state(theta, n).amplitudes
+    energy = float(np.vdot(psi0, h @ psi0).real)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     rows = []
     for letter in letters:

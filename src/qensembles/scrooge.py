@@ -344,11 +344,6 @@ def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     return MomentOperator(k, m.shape[0], _scrooge_mixture(m[None], np.ones(1), k, caps), "normalized")
 
 
-def unnormalized_scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """k-th moment of the unnormalized (Gaussian-distorted) ensemble: the product form."""
-    return product_form_moment(_as_density(rho), k, caps).moment
-
-
 # ---------------------------------------------------------------------------
 # conditional-state tables and the generalized moment
 # ---------------------------------------------------------------------------
@@ -431,7 +426,7 @@ def generalized_scrooge_moment(
     check_cap(caps, "max_moment_entries", dim**2)
     total = np.zeros((dim, dim), dtype=complex)
     for p_x, state in zip(p, table.states):
-        total += p_x * unnormalized_scrooge_moment(state, k, caps).matrix
+        total += p_x * product_form_moment(_as_density(state), k, caps).moment.matrix
     total /= p.sum()
     return MomentOperator(k, d_a, (total + total.conj().T) / 2, convention)
 

@@ -8,8 +8,8 @@ symmetric-subspace builders they check.
 
 The reference forms at the end are second methods of another kind: earlier,
 slower ways to the same numbers (one Scrooge moment per outcome, a contraction
-with every local block, the complex-arithmetic GUE draw), kept to check the
-faster paths that replaced them.
+with every local block, the complex-arithmetic GUE draw, the dense chain
+Hamiltonian builder), kept to check the faster paths that replaced them.
 """
 
 import math
@@ -199,3 +199,87 @@ def sample_gue_complex(d, rng):
     """GUE draw in complex arithmetic: (g + g^dagger)/2, g = (a + i b)/sqrt(d)."""
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
     return (g + g.conj().T) / 2
+
+
+def _pauli_string_reference(n, ops):
+    d = 2**n
+    cols = np.arange(d, dtype=np.int64)
+    flip = 0
+    for site, letter in ops.items():
+        if letter in ("X", "Y"):
+            flip |= 1 << site
+    rows = cols ^ flip
+    vals = np.ones(d, dtype=complex)
+    for site, letter in ops.items():
+        bit = (cols >> site) & 1
+        if letter == "Y":
+            vals = vals * np.where(bit == 0, 1j, -1j)
+        elif letter == "Z":
+            vals = vals * (1 - 2 * bit)
+    return rows, cols, vals
+
+
+def dense_hamiltonian_reference(model):
+    """The dense chain Hamiltonian as built before the models became term tables.
+
+    A frozen copy of the earlier builder: each model's Pauli strings are added
+    into one dense matrix in a fixed loop order, so the result pins the exact
+    floating-point sums of every entry.
+    """
+    spec = dict(model)
+    name = spec.pop("model")
+    n = int(spec.pop("n"))
+    h = np.zeros((2**n, 2**n), dtype=complex)
+
+    def add(coeff, ops):
+        if coeff == 0.0:
+            return
+        rows, cols, vals = _pauli_string_reference(n, ops)
+        h[rows, cols] += coeff * vals
+
+    if name in ("mfim", "tfim", "mfim_broken_trs"):
+        hx = 0.0 if name == "tfim" else float(spec.pop("hx", 0.8090))
+        hy = float(spec.pop("hy", 0.9045))
+        j = float(spec.pop("j", 1.0))
+        hz = jp = 0.0
+        if name == "mfim_broken_trs":
+            hz = float(spec.pop("hz", 0.5))
+            jp = float(spec.pop("jp", 0.4))
+        for s in range(n):
+            add(hx, {s: "X"})
+            add(hy, {s: "Y"})
+            add(hz, {s: "Z"})
+        for s in range(n - 1):
+            add(j, {s: "X", s + 1: "X"})
+            add(jp, {s: "Y", s + 1: "Y"})
+    elif name == "xxz":
+        j = float(spec.pop("j", math.sqrt(2.0)))
+        delta = float(spec.pop("delta", (math.sqrt(5.0) + 1.0) / 4.0))
+        delta2 = float(spec.pop("delta2", 1.0))
+        for s in range(n - 1):
+            add(j / 4.0, {s: "X", s + 1: "X"})
+            add(j / 4.0, {s: "Y", s + 1: "Y"})
+            add(delta / 4.0, {s: "Z", s + 1: "Z"})
+        for s in range(n - 2):
+            add(delta2 / 4.0, {s: "Z", s + 2: "Z"})
+    assert not spec, spec
+    return h
+
+
+def moment_from_columns_per_member(columns, weights, k, panel_width=64):
+    """The symmetric-subspace moment with one `tensor_power` per member, panel by panel."""
+    from qensembles import ensembles as en
+    from qensembles.hilbert import tensor_power
+
+    d, n = columns.shape
+    idx, counts = en._occupation_basis(d, k)
+    flat = en._flat_index(idx, d)
+    scale, sqrt_w = np.sqrt(counts), np.sqrt(weights)
+    acc = np.zeros((flat.size, flat.size), dtype=complex)
+    for start in range(0, n, panel_width):
+        cols = range(start, min(start + panel_width, n))
+        panel = np.empty((flat.size, len(cols)), dtype=complex)
+        for out_col, j in enumerate(cols):
+            panel[:, out_col] = (sqrt_w[j] * scale) * tensor_power(columns[:, j], k)[flat]
+        acc += panel @ panel.conj().T
+    return (acc + acc.conj().T) / 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 from scipy.stats import unitary_group
 
-from qensembles import InvalidMatrixError, InvalidModelError
+from qensembles import CapacityError, Caps, InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
 
 import moment_oracles as mo
@@ -104,6 +104,84 @@ class TestBuildHamiltonian:
         m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         h = hb.build_hamiltonian({"model": "explicit", "matrix": m})
         assert np.allclose(h.entries, m)
+
+
+CHAIN_MODELS = {
+    "mfim": {"hx": 0.53, "hy": -1.1, "j": 0.7},
+    "tfim": {"hy": 1.3, "j": -0.6},
+    "mfim_broken_trs": {"hx": 0.2, "hy": 0.9, "j": 1.4, "hz": -0.3, "jp": 0.25},
+    "xxz": {"j": 0.9, "delta": 0.45, "delta2": -0.7},
+}
+
+
+class TestModelTerms:
+    @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_dense_matrix_is_bit_identical_to_the_frozen_builder(self, name, overridden):
+        params = CHAIN_MODELS[name] if overridden else {}
+        for n in range(1, 11):
+            spec = dict(params, model=name, n=n)
+            h = hb.build_hamiltonian(spec).entries
+            assert np.array_equal(h, mo.dense_hamiltonian_reference(spec)), (name, n)
+
+    def test_mfim_table_order(self):
+        n, terms = hb.model_terms({"model": "mfim", "n": 2, "hx": 0.5, "hy": 0.25, "j": 2.0})
+        assert n == 2
+        assert terms == (
+            (0.5, {0: "X"}), (0.25, {0: "Y"}), (0.5, {1: "X"}), (0.25, {1: "Y"}),
+            (2.0, {0: "X", 1: "X"}),
+        )
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+    def test_sparse_matrix_and_norm_bound(self, name):
+        spec = dict(CHAIN_MODELS[name], model=name, n=6)
+        h, a = hb.sparse_hamiltonian(spec)
+        dense = hb.build_hamiltonian(spec).entries
+        assert np.abs(h.toarray() - dense).max() <= 1e-14
+        _, terms = hb.model_terms(spec)
+        assert a == sum(abs(c) for c, _ in terms)
+        assert np.abs(np.linalg.eigvalsh(dense)).max() <= a
+
+    def test_sparse_explicit_matrix_uses_the_row_sum_bound(self):
+        m = np.array([[1.0, 2.0j], [-2.0j, -0.5]])
+        h, a = hb.sparse_hamiltonian({"model": "explicit", "matrix": m})
+        assert np.array_equal(h.toarray(), m)
+        assert a == 3.0
+        with pytest.raises(InvalidMatrixError):
+            hb.sparse_hamiltonian({"model": "explicit", "matrix": np.array([[0, 1], [0, 0]])})
+
+    def test_zero_chain_has_no_terms(self):
+        spec = {"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0}
+        assert hb.model_terms(spec) == (3, ())
+        h, a = hb.sparse_hamiltonian(spec)
+        assert h.shape == (8, 8) and h.nnz == 0 and a == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+    def test_non_finite_coefficient_is_an_invalid_model(self, name, value):
+        for param in CHAIN_MODELS[name]:
+            spec = {"model": name, "n": 3, param: value}
+            for build in (hb.model_terms, hb.build_hamiltonian, hb.sparse_hamiltonian):
+                with pytest.raises(InvalidModelError, match="non-finite"):
+                    build(spec)
+
+    def test_sparse_assembly_is_capped(self):
+        with pytest.raises(CapacityError, match="max_state_dim"):
+            hb.sparse_hamiltonian({"model": "mfim", "n": 6}, Caps(max_state_dim=2**6 * 16))
+
+
+class TestNonFiniteEntries:
+    def test_hermitian_operator_rejects_nan_entries(self):
+        with pytest.raises(InvalidMatrixError):
+            hb.HermitianOperator(np.array([[math.nan, 0], [0, 1]]), (2,))
+        with pytest.raises(InvalidMatrixError):
+            hb.HermitianOperator(np.array([[0, math.nan], [math.nan, 1]]), (2,))
+
+    def test_normalized_state_rejects_nan(self):
+        with pytest.raises(ValueError, match="norm"):
+            hb.PureState(np.array([math.nan, 0]), (2,))
+        with pytest.raises(ValueError, match="norm"):
+            hb.PureState(np.array([1.0, math.nan]), (2,))
 
 
 class TestProductState:

@@ -4,6 +4,7 @@ import math
 from itertools import combinations_with_replacement
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
@@ -11,6 +12,7 @@ from qensembles import ensembles as en
 from qensembles import hilbert as hb
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
+from qensembles._util import DEFAULT_CAPS
 
 import moment_oracles as mo
 
@@ -55,6 +57,19 @@ def test_moment_k(d, k, n, seed):
     mo.assert_lift_matches(en.moment_k(ens, k), mo.tensor_power_gram(cols, w, k))
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_moment_from_columns_across_panels(real):
+    # more members than one panel holds, so the last panel is partial
+    d, k, n = 3, 3, 2 * en.PANEL_WIDTH + 5
+    rng = np.random.default_rng(7)
+    cols = rng.standard_normal((d, n)) + (0 if real else 1j * rng.standard_normal((d, n)))
+    w = rng.random(n)
+    matrix = en._moment_from_columns(cols, w, k, DEFAULT_CAPS)
+    mo.assert_lift_matches(en.MomentOperator(k, d, matrix, "unnormalized"), mo.tensor_power_gram(cols, w, k))
+    # same products in the same order as one tensor_power per member
+    assert np.array_equal(matrix, mo.moment_from_columns_per_member(cols, w, k, en.PANEL_WIDTH))
+
+
 @SETTINGS
 @given(d=dims, k=orders)
 def test_haar_moment(d, k):
@@ -79,7 +94,6 @@ def test_product_form_moment(d, k, seed):
     rho = random_density(d, np.random.default_rng(seed))
     oracle = mo.kron_power(rho, k) @ mo.symmetrizer_sum(d, k)
     mo.assert_lift_matches(en.product_form_moment(rho, k).moment, oracle)
-    mo.assert_lift_matches(sc.unnormalized_scrooge_moment(rho, k), oracle)
 
 
 @SETTINGS

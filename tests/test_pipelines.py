@@ -131,6 +131,70 @@ class TestConditionalStateCache:
         assert len(table_builds) == 1
 
 
+@pytest.fixture()
+def no_diagonalize(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("diagonalize was called")
+
+    monkeypatch.setattr(sp, "diagonalize", fail)
+
+
+@pytest.fixture()
+def propagations(monkeypatch):
+    """Times of every `spectral.propagate` call, in order."""
+    calls, propagate = [], sp.propagate
+
+    def spy(h, a, psi0, t):
+        calls.append(t)
+        return propagate(h, a, psi0, t)
+
+    monkeypatch.setattr(sp, "propagate", spy)
+    return calls
+
+
+class TestQuenchStateCache:
+    def test_repeated_call_is_a_hit_with_read_only_amplitudes(self, propagations):
+        cache = pl.SpectrumCache()
+        first = pl.quench_state(cache, MFIM6, 0.3, 2.5)
+        assert pl.quench_state(cache, dict(MFIM6), 0.3, 2.5) is first
+        assert propagations == [2.5]
+        assert not first.amplitudes.flags.writeable
+        expected = sp.evolve(cache.bound(MFIM6, 0.3), hb.product_state(0.3, 6), 2.5)
+        assert np.abs(first.amplitudes - expected.amplitudes).max() <= 1e-12
+
+    def test_theta_time_and_model_get_their_own_entries(self, propagations):
+        cache = pl.SpectrumCache()
+        inputs = [(MFIM6, 0.3, 2.5), (MFIM6, 0.4, 2.5), (MFIM6, 0.3, 3.5), (dict(MFIM6, hx=0.5), 0.3, 2.5)]
+        states = [pl.quench_state(cache, *args) for args in inputs]
+        assert len(propagations) == len(inputs)
+        assert len({id(s) for s in states}) == len(inputs)
+        assert pl.quench_state(cache, *inputs[2]) is states[2]
+        assert len(propagations) == len(inputs)
+
+    def test_release_drops_the_state_of_that_model_only(self, propagations):
+        cache = pl.SpectrumCache()
+        other = dict(MFIM6, hx=0.5)
+        first = pl.quench_state(cache, MFIM6, 0.3, 2.5)
+        kept = pl.quench_state(cache, other, 0.3, 2.5)
+        cache.release(MFIM6)
+        again = pl.quench_state(cache, MFIM6, 0.3, 2.5)
+        assert again is not first
+        assert np.array_equal(again.amplitudes, first.amplitudes)
+        assert pl.quench_state(cache, other, 0.3, 2.5) is kept
+        cache.release()
+        assert pl.quench_state(cache, other, 0.3, 2.5) is not kept
+        assert len(propagations) == 4
+
+    def test_large_chain_state_without_a_spectrum(self, no_diagonalize):
+        cache = pl.SpectrumCache()
+        state = pl.quench_state(cache, {"model": "mfim", "n": 10}, 0.0, 20.0)
+        assert state.dims == (2,) * 10
+
+    def test_non_finite_time_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            pl.quench_state(pl.SpectrumCache(), MFIM6, 0.3, math.nan)
+
+
 def gram_haar_distance(table, k):
     """Haar distance of the projected k-th moment from its Gram matrix alone.
 
@@ -215,6 +279,10 @@ class TestEigenstateComparisons:
 
 
 class TestBasisInformationScan:
+    def test_needs_no_spectrum(self, no_diagonalize):
+        rows, _, _, _ = pl.basis_information_scan(pl.SpectrumCache(), MFIM6, 0.7, 3.0, 2)
+        assert len(rows) == 3
+
     def test_energy_density_and_one_row_per_letter(self):
         theta, letters = 0.7, ("X", "Y", "Z")
         rows, q_bits, s_bits, density = pl.basis_information_scan(

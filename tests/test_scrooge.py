@@ -326,17 +326,17 @@ class TestScroogeProperties:
 class TestUnnormalizedMoment:
     def test_k1_is_rho(self, rng):
         rho = random_density(3, rng)
-        assert np.abs(sc.unnormalized_scrooge_moment(rho, 1).matrix - rho).max() <= 1e-12
+        assert np.abs(en.product_form_moment(rho, 1).moment.matrix - rho).max() <= 1e-12
 
     def test_identity_swap_form(self):
         rho = np.eye(2, dtype=complex) / 2
-        m = sc.unnormalized_scrooge_moment(rho, 2)
+        m = en.product_form_moment(rho, 2).moment
         assert np.abs(m.dense() - mo.symmetrizer_sum(2, 2) / 4).max() <= 1e-12
         assert m.trace == pytest.approx(1.5)
 
     def test_trace_is_cycle_sum(self, rng):
         rho = random_density(3, rng)
-        m = sc.unnormalized_scrooge_moment(rho, 3)
+        m = en.product_form_moment(rho, 3).moment
         p2, p3 = np.trace(rho @ rho).real, np.trace(rho @ rho @ rho).real
         expected = 1 + 3 * p2 + 2 * p3  # cycle types of S_3
         assert m.trace == pytest.approx(expected, abs=1e-10)
@@ -344,7 +344,7 @@ class TestUnnormalizedMoment:
     def test_joint_probability_pt_second_moment(self, rng):
         # fixed o_A slice of the product form: E[p^2] = 2 E[p]^2
         rho = random_density(4, rng)
-        m = sc.unnormalized_scrooge_moment(rho, 2).dense()
+        m = en.product_form_moment(rho, 2).moment.dense()
         for _ in range(3):
             o = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             o /= np.linalg.norm(o)
@@ -453,7 +453,7 @@ class TestGeneralizedMoment:
         table = sc.ConditionalStateTable(np.arange(2), p, states)
         gen = sc.generalized_scrooge_moment(table, 2, "unnormalized").matrix
         direct = sum(
-            pi * sc.unnormalized_scrooge_moment(s, 2).matrix for pi, s in zip(p, states)
+            pi * en.product_form_moment(s, 2).moment.matrix for pi, s in zip(p, states)
         )
         assert np.abs(gen - direct).max() <= 1e-12
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps, NumericalFailureError
@@ -160,6 +161,15 @@ class TestEvolve:
             out = sp.evolve(sd, eig, t)
             assert abs(abs(np.vdot(eig.amplitudes, out.amplitudes)) ** 2 - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        sd = sp.diagonalize(hb.build_hamiltonian({"model": "mfim", "n": 3}))
+        psi = hb.product_state(0.2, 3)
+        with pytest.raises(ValueError, match="finite"):
+            sp.evolve_grid(sd, psi, [0.0, t])
+        with pytest.raises(ValueError, match="finite"):
+            sp.evolve(sd, psi, t)
+
     def test_populations_conserved(self, rng):
         h = hb.build_hamiltonian({"model": "mfim", "n": 4})
         sd = sp.diagonalize(h)
@@ -170,6 +180,68 @@ class TestEvolve:
             pops = np.abs(sd.eigenvectors.conj().T @ out.amplitudes) ** 2
             assert np.abs(pops - bound.populations).max() <= 1e-12
             assert abs(out.norm() - 1.0) <= 1e-10
+
+
+PROPAGATION_MODELS = [
+    {"model": "mfim", "n": 8},
+    {"model": "tfim", "n": 7},
+    {"model": "mfim_broken_trs", "n": 6},
+    {"model": "xxz", "n": 8},
+    {"model": "explicit", "matrix": rmt.sample_gue(32, task_rng(11)).entries},
+]
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("model", PROPAGATION_MODELS, ids=lambda m: m["model"])
+    def test_matches_spectral_evolution(self, model, rng):
+        h, a = hb.sparse_hamiltonian(model)
+        sd = sp.diagonalize(hb.build_hamiltonian(model))
+        psi = random_state(h.shape[0], rng)
+        for t in (0.0, 1e-3, 3.0, 20.0, 100.0, -7.0):
+            out = sp.propagate(h, a, psi.amplitudes, t)
+            assert np.abs(out - sp.evolve(sd, psi, t).amplitudes).max() <= 1e-12, t
+
+    def test_long_time_within_the_stated_bound(self):
+        n, t = 8, 1e3
+        psi0 = hb.product_state(0.3, n).amplitudes
+        # field-only chain: exp(-iHt) is a product of exact single-site rotations
+        h, a = hb.sparse_hamiltonian({"model": "mfim", "n": n, "hx": 1.0, "hy": 0.0, "j": 0.0})
+        site = np.cos(t) * np.eye(2) - 1j * np.sin(t) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        exact = np.array([[1.0]])
+        for _ in range(n):
+            exact = np.kron(site, exact)
+        terms = sp._chebyshev_coefficients(a * t).size
+        out = sp.propagate(h, a, psi0, t)
+        assert np.linalg.norm(out - exact @ psi0) <= 2 * terms * 2.0**-53
+        # the interacting chain, against the eigendecomposition
+        model = {"model": "mfim", "n": n}
+        h, a = hb.sparse_hamiltonian(model)
+        terms = sp._chebyshev_coefficients(a * t).size
+        out = sp.propagate(h, a, psi0, t)
+        sd = sp.diagonalize(hb.build_hamiltonian(model))
+        expected = sp.evolve_grid(sd, hb.PureState(psi0, (2,) * n), [t])[:, 0]
+        assert np.abs(out - expected).max() <= terms * 2.0**-53
+
+    def test_time_zero_returns_the_input(self, rng):
+        h, a = hb.sparse_hamiltonian({"model": "xxz", "n": 5})
+        psi = random_state(32, rng).amplitudes
+        assert np.array_equal(sp.propagate(h, a, psi, 0.0), psi)
+
+    def test_series_stops_below_the_bessel_tail(self):
+        for x in (0.0, 0.5, 30.0, -250.0, 3000.0):
+            c = sp._chebyshev_coefficients(x)
+            orders = np.arange(c.size, c.size + 400)
+            tail = 2 * np.abs(scipy.special.jv(orders, x)).sum()
+            assert tail < 2.0**-53
+            assert 2 * np.abs(scipy.special.jv(orders[0] - 1, x)) + tail >= 2.0**-53
+            # the series sums to exp(-ix) at H = 1, where every T_k is 1
+            assert abs(c.sum() - np.exp(-1j * x)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        h, a = hb.sparse_hamiltonian({"model": "mfim", "n": 3})
+        with pytest.raises(ValueError, match="finite"):
+            sp.propagate(h, a, hb.product_state(0.2, 3).amplitudes, t)
 
 
 class TestDiagonalEnsemble:
