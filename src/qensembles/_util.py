@@ -50,8 +50,11 @@ class Caps:
 
     All ops check the relevant cap before allocating and raise CapacityError
     when exceeded. `max_moment_entries` bounds k-copy operators: D^2 entries
-    for a moment, stored on the symmetric subspace with D = C(d+k-1, k), and
-    (d^k)^2 for a full-space operator (`MomentOperator.dense()`, `twirl2`),
+    for a moment, stored on the symmetric subspace with D = C(d+k-1, k),
+    checked when its D x D `matrix` is built (for `moment_k` and `haar_moment`,
+    on the first read of `.matrix`); r^2 for the Gram matrix of r ensemble
+    members that `trace_distance` diagonalizes in place of the moment;
+    (d^k)^2 for a full-space operator (`MomentOperator.dense()`, `twirl2`);
     and the pairwise tables of `rmt.gap_histograms` (d^2 gaps, d^4 sum-gaps);
     `max_state_dim` bounds state vectors and the d entries per term that a
     sparse Hamiltonian assembles; `max_multiset_terms` bounds exact multiset
@@ -73,6 +76,26 @@ def check_cap(caps: Caps, name: str, needed) -> None:
     cap = getattr(caps, name)
     if needed > cap:
         raise CapacityError(name, needed, cap)
+
+
+# Rows per block of `hermiticity_defect`: a 64-row block of a d = 2048 matrix
+# (2 MiB) stays in cache.
+HERMITICITY_BLOCK = 64
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """max |m - m^dagger| over the entries of a square matrix; NaN if any entry is NaN.
+
+    |m_ij - conj(m_ji)| is symmetric in (i, j), so each row block is compared
+    with its transpose on and right of the diagonal only, and no full-size
+    temporary is formed. The value is exactly that of the full comparison.
+    """
+    defect = np.float64(0.0)
+    for lo in range(0, m.shape[0], HERMITICITY_BLOCK):
+        hi = lo + HERMITICITY_BLOCK
+        block = np.abs(m[lo:hi, lo:] - m[lo:, lo:hi].conj().T)
+        defect = np.maximum(defect, block.max())  # np.maximum keeps a NaN
+    return float(defect)
 
 
 def task_rng(master_seed: int, *stream: int) -> np.random.Generator:

@@ -10,6 +10,7 @@ product times the sinc kernel, and product forms are symmetric powers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import Caps, DEFAULT_CAPS, DegenerateWeightError, check_cap
+from ._util import Caps, DEFAULT_CAPS, DegenerateWeightError, check_cap, hermiticity_defect
 from .hilbert import (
     Bipartition,
     HermitianOperator,
@@ -66,17 +67,20 @@ class WeightedEnsemble:
         if not members:
             raise ValueError("ensemble needs at least one member")
         ws = np.array([w for w, _ in members])
+        if not np.all(np.isfinite(ws)):
+            raise ValueError("weights must be finite")
         if np.any(ws < 0):
             raise ValueError("weights must be nonnegative")
+        # each test below is written so that a NaN fails it
         if self.convention == "normalized":
             total = float(ws.sum())
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:
                 raise ValueError(f"normalized ensemble weights sum to {total}")
             for _, s in members:
-                if abs(s.norm() - 1.0) > 1e-10:
+                if not abs(s.norm() - 1.0) <= 1e-10:
                     raise ValueError("normalized ensemble contains a non-unit state")
         elif self.convention == "unnormalized":
-            if np.abs(ws - 1.0 / len(members)).max() > 1e-12:
+            if not np.abs(ws - 1.0 / len(members)).max() <= 1e-12:
                 raise ValueError("unnormalized ensemble weights must be uniform")
         else:
             raise ValueError(f"unknown convention {self.convention!r}")
@@ -90,7 +94,6 @@ class WeightedEnsemble:
         return self.members[0][1].dim
 
 
-@dataclass(frozen=True)
 class MomentOperator:
     """Hermitian k-copy moment, stored on the symmetric subspace Sym^k(C^d).
 
@@ -99,22 +102,59 @@ class MomentOperator:
     multiset n, rows in `multisets(d, k)` order. Its embedding V into
     (C^d)^(x)k is an isometry: trace, spectrum and unitarily invariant norms
     are those of the full operator V matrix V^dagger that `dense()` returns.
+
+    A moment has one of three forms:
+      * dense: `MomentOperator(k, d, matrix, convention)` checks the shape and
+        Hermiticity of `matrix` and keeps it;
+      * ensemble (`moment_k`): `columns` holds the d x r member vectors c_j and
+        `weights` their w_j, for sum_j w_j |c_j><c_j|^(x)k;
+      * scalar (`haar_moment`): `scalar` holds c, for c * I.
+    The unused attributes are None. A structured form builds its dense
+    `matrix` on the first read, once, after checking D^2 against the
+    `max_moment_entries` of the caps it was made with; `stats.trace_distance`
+    reads the structure and may never build it.
     """
 
     k: int
     space_dim: int
-    matrix: np.ndarray
     convention: str  # "normalized" | "unnormalized" | "weighted-projected"
+    columns: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    scalar: float | None = None
+    caps: Caps  # structured forms only
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = comb(self.space_dim + self.k - 1, self.k)
-        if m.shape != (dim, dim):
+    def __init__(self, k: int, space_dim: int, matrix, convention: str):
+        self.k, self.space_dim, self.convention = k, space_dim, convention
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (self.dim, self.dim):
             raise ValueError("moment matrix has the wrong shape")
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > 1e-9 * max(1.0, float(np.abs(np.trace(m)))):
+        herm = hermiticity_defect(m)
+        if not herm <= 1e-9 * max(1.0, float(np.abs(np.trace(m)))):  # NaN fails this test
             raise ValueError(f"moment deviates from Hermitian by {herm:.3e}")
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
+
+    @classmethod
+    def _structured(
+        cls, k, space_dim, convention, caps, columns=None, weights=None, scalar=None
+    ) -> "MomentOperator":
+        """An ensemble (`columns`, `weights`) or scalar (`scalar`) moment."""
+        self = cls.__new__(cls)
+        self.k, self.space_dim, self.convention, self.caps = k, space_dim, convention, caps
+        self.columns, self.weights, self.scalar = columns, weights, scalar
+        return self
+
+    @property
+    def dim(self) -> int:
+        """D = C(d+k-1, k), the dimension of Sym^k(C^d)."""
+        return comb(self.space_dim + self.k - 1, self.k)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The D x D moment; the dense form sets it, the structured forms build it here."""
+        if self.scalar is None:
+            return _moment_from_columns(self.columns, self.weights, self.k, self.caps)
+        check_cap(self.caps, "max_moment_entries", self.dim**2)
+        return np.eye(self.dim, dtype=complex) * self.scalar
 
     @property
     def trace(self) -> float:
@@ -140,7 +180,7 @@ def moment_defects(m: MomentOperator) -> dict:
     return {
         "min_eigenvalue": float(eigs[0]),
         "trace": m.trace,
-        "hermiticity": float(np.abs(m.matrix - m.matrix.conj().T).max()),
+        "hermiticity": hermiticity_defect(m.matrix),
     }
 
 
@@ -221,19 +261,26 @@ def _moment_from_columns(
 
 
 def moment_k(ens: WeightedEnsemble, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """k-th statistical moment sum_j w_j |psi_j><psi_j|^(x)k."""
-    d = ens.dim
+    """k-th statistical moment sum_j w_j |psi_j><psi_j|^(x)k, in ensemble form.
+
+    Keeps the d x r member amplitudes and the weights, both read-only. The
+    D x D matrix is built by `_moment_from_columns` under `caps` when
+    `.matrix` is first read, and `caps` bounds the Gram matrix of
+    `stats.trace_distance` too.
+    """
     cols = np.stack([s.amplitudes for _, s in ens.members], axis=1)
     w = np.array([w for w, _ in ens.members])
-    m = _moment_from_columns(cols, w, k, caps)
-    return MomentOperator(k, d, m, ens.convention)
+    cols.flags.writeable = w.flags.writeable = False
+    return MomentOperator._structured(k, ens.dim, ens.convention, caps, columns=cols, weights=w)
 
 
 def haar_moment(d: int, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """Closed-form Haar moment: the identity on Sym^k(C^d) over its dimension."""
-    dim = comb(d + k - 1, k)
-    check_cap(caps, "max_moment_entries", dim**2)
-    return MomentOperator(k, d, np.eye(dim) / dim, "normalized")
+    """Closed-form Haar moment I/D on Sym^k(C^d), D = C(d+k-1, k), in scalar form.
+
+    Keeps c = 1/D; the D x D matrix is built under `caps` when `.matrix` is
+    first read.
+    """
+    return MomentOperator._structured(k, d, "normalized", caps, scalar=1.0 / comb(d + k - 1, k))
 
 
 def random_phase_moment_exact(

@@ -25,6 +25,7 @@ from ._util import (
     InvalidMatrixError,
     InvalidModelError,
     check_cap,
+    hermiticity_defect,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -108,7 +109,7 @@ class HermitianOperator:
         d = int(np.prod(self.dims))
         if m.shape != (d, d):
             raise ValueError("entry matrix shape must match product of dims")
-        defect = float(np.abs(m - m.conj().T).max()) if d else 0.0
+        defect = hermiticity_defect(m)
         if not defect <= HERMITICITY_TOL:  # NaN fails this test
             raise InvalidMatrixError(f"matrix deviates from Hermitian by {defect:.3e}")
 

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 import scipy.special
 
-from ._util import FitError
+from ._util import FitError, check_cap
 from .ensembles import MomentOperator
 from .hilbert import (
     Bipartition,
@@ -46,14 +46,37 @@ def von_neumann_entropy_bits(rho) -> float:
 
 
 def trace_distance(m1: MomentOperator, m2: MomentOperator) -> float:
-    """Half the trace norm of the difference of two same-shape moments."""
+    """Half the trace norm of the difference of two same-shape moments.
+
+    When one side is c * I (`haar_moment`) and the other an ensemble moment
+    (`moment_k`) of r < D members, the distance comes from the r x r Gram
+    matrix G_zw = sqrt(w_z w_w) <c_z|c_w>^k: the moment's spectrum on Sym^k is
+    that of G padded with D - r zeros, so the distance is
+    (sum_i |g_i - c| + (D - r) |c|) / 2 over the eigenvalues g_i of G. That
+    path checks r^2 against the ensemble's `max_moment_entries` and builds no
+    D x D matrix. Every other pair diagonalizes the D x D difference, so the
+    cost is O(min(r, D)^3).
+    """
     if (m1.k, m1.space_dim, m1.convention) != (m2.k, m2.space_dim, m2.convention):
         raise ValueError(
             f"moment shapes differ: ({m1.k},{m1.space_dim},{m1.convention}) vs "
             f"({m2.k},{m2.space_dim},{m2.convention})"
         )
+    for ens, iso in ((m1, m2), (m2, m1)):
+        if iso.scalar is not None and ens.columns is not None and ens.weights.size < ens.dim:
+            return _gram_distance(ens, iso.scalar)
     diff = m1.matrix - m2.matrix
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def _gram_distance(ens: MomentOperator, c: float) -> float:
+    """Trace distance of an ensemble moment of r < D members to c * I on Sym^k."""
+    r = ens.weights.size
+    check_cap(ens.caps, "max_moment_entries", r**2)
+    sqrt_w = np.sqrt(ens.weights)
+    gram = np.outer(sqrt_w, sqrt_w) * (ens.columns.conj().T @ ens.columns) ** ens.k
+    g = np.linalg.eigvalsh(gram)
+    return 0.5 * float(np.abs(g - c).sum() + (ens.dim - r) * abs(c))
 
 
 # ---------------------------------------------------------------------------

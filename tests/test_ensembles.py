@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,58 @@ class TestMomentK:
             col = np.kron(s.amplitudes, s.amplitudes)
             direct += wi * np.outer(col, col.conj())
         assert np.abs(m - direct).max() <= 1e-12
+
+
+class TestStructuredMoments:
+    def _ensemble(self, rng, d=4, r=6):
+        states = [random_state(d, rng) for _ in range(r)]
+        w = rng.random(r)
+        w /= w.sum()
+        return en.WeightedEnsemble(tuple(zip(w, states)))
+
+    def test_ensemble_matrix_is_built_once_bit_for_bit(self, rng, monkeypatch):
+        ens = self._ensemble(rng)
+        cols = np.stack([s.amplitudes for _, s in ens.members], axis=1)
+        w = np.array([wi for wi, _ in ens.members])
+        expected = en._moment_from_columns(cols, w, 3, Caps())
+        calls = []
+        build = en._moment_from_columns
+        monkeypatch.setattr(en, "_moment_from_columns", lambda *a: calls.append(a) or build(*a))
+        m = en.moment_k(ens, 3)
+        assert not calls
+        assert not m.columns.flags.writeable and not m.weights.flags.writeable
+        assert np.array_equal(m.matrix, expected)
+        assert m.matrix is m.matrix
+        assert len(calls) == 1
+
+    def test_haar_matrix_bit_for_bit(self):
+        for d, k in ((5, 1), (3, 3), (4, 2)):
+            dim = math.comb(d + k - 1, k)
+            m = en.haar_moment(d, k).matrix
+            assert m.dtype == complex
+            assert np.array_equal(m, np.eye(dim) / dim)
+
+    def test_cap_is_checked_when_the_matrix_is_read(self, rng):
+        caps = Caps(max_moment_entries=99)  # D = 10 for d = 4, k = 2
+        for m in (en.moment_k(self._ensemble(rng), 2, caps), en.haar_moment(4, 2, caps)):
+            with pytest.raises(CapacityError, match="max_moment_entries"):
+                m.matrix
+
+
+class TestNonFiniteInputs:
+    def test_moment_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            en.MomentOperator(1, 2, [[np.nan, 0], [0, 1]], "normalized")
+
+    @pytest.mark.parametrize("convention", ["normalized", "unnormalized"])
+    def test_ensemble_rejects_nan_weight(self, convention):
+        with pytest.raises(ValueError, match="finite"):
+            en.WeightedEnsemble(((np.nan, hb.qubit_state([1, 0])),), convention)
+
+    def test_normalized_ensemble_rejects_nan_state(self):
+        nan_state = hb.PureState(np.array([np.nan, 0]), (2,), "unnormalized")
+        with pytest.raises(ValueError, match="non-unit"):
+            en.WeightedEnsemble(((1.0, nan_state),), "normalized")
 
 
 class TestHaarMoment:

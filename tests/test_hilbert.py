@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps, InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
+from qensembles._util import HERMITICITY_BLOCK, hermiticity_defect
 
 import moment_oracles as mo
 
@@ -182,6 +183,29 @@ class TestNonFiniteEntries:
             hb.PureState(np.array([math.nan, 0]), (2,))
         with pytest.raises(ValueError, match="norm"):
             hb.PureState(np.array([1.0, math.nan]), (2,))
+
+
+def full_hermiticity_defect(m):
+    """The comparison over the whole matrix at once."""
+    return float(np.abs(m - m.conj().T).max())
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("d", [1, 5, HERMITICITY_BLOCK - 1, HERMITICITY_BLOCK + 1, 2 * HERMITICITY_BLOCK + 37])
+    def test_equals_the_full_comparison(self, rng, d):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        near = (m + m.conj().T) / 2 + 1e-13 * rng.standard_normal((d, d))
+        for a in (m, near, m.real):
+            assert hermiticity_defect(a) == full_hermiticity_defect(a)
+
+    @pytest.mark.parametrize("value", [math.nan, complex(0, math.nan), math.inf])
+    def test_non_finite_entry_in_the_last_block(self, rng, value):
+        d = 2 * HERMITICITY_BLOCK + 37
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m[d - 1, 3] = value  # below the diagonal, seen only through its transpose
+        defect = hermiticity_defect(m)
+        assert np.array_equal(defect, full_hermiticity_defect(m), equal_nan=True)
+        assert not defect <= 1.0
 
 
 class TestProductState:

@@ -215,6 +215,11 @@ def dense_trace_distance(a, b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
+def dense_haar_moment(d, k):
+    """I/D on Sym^k(C^d) as a d^k x d^k operator: the symmetrizer over d (d+1) ... (d+k-1)."""
+    return mo.symmetrizer_sum(d, k) / math.prod(d + i for i in range(k))
+
+
 def dense_projected_moment(table, k):
     p = np.sum(np.abs(table) ** 2, axis=0)
     keep = p > 1e-14
@@ -235,6 +240,10 @@ class TestProjectedMomentComparison:
         table = hb.projection_table(state, part, basis)
         assert abs(out.dist_haar - gram_haar_distance(table, k)) <= 1e-12
         proj = dense_projected_moment(table, k)
+        # k = 3 has r = 16 outcomes on D = 20, where trace_distance takes the Gram
+        # path; the dense lift checks it by a second method
+        haar = dense_haar_moment(part.d_a, k)
+        assert abs(out.dist_haar - dense_trace_distance(proj, haar)) <= 1e-12
         rho_a = hb.partial_trace(state, part, "A").entries
         scr = sc.scrooge_moment(rho_a, k).dense()
         assert abs(out.dist_scrooge - dense_trace_distance(proj, scr)) <= 1e-12

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qensembles import FitError
+from qensembles import CapacityError, Caps, FitError
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
+from qensembles import pipelines as pl
 from qensembles import rmt
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
 from qensembles import stats as st
+from qensembles._util import DEFAULT_CAPS
+
+MFIM = {"model": "mfim", "hx": 0.8090, "hy": 0.9045, "j": 1.0}
 
 
 def random_moment(d, k, rng):
@@ -69,6 +73,88 @@ class TestTraceDistance:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             st.trace_distance(random_moment(2, 2, rng), random_moment(2, 1, rng))
+
+
+def member_ensemble(d, r, rng, convention="normalized", repeated=False):
+    """r random members of C^d; with `repeated`, the last r // 2 copy the first ones."""
+    distinct = r - r // 2 if repeated else r
+    cols = rng.standard_normal((d, distinct)) + 1j * rng.standard_normal((d, distinct))
+    cols = np.concatenate([cols, cols[:, : r - distinct]], axis=1)
+    if convention == "normalized":
+        cols /= np.linalg.norm(cols, axis=0)
+        w = rng.random(r) + 0.1
+        w /= w.sum()
+    else:
+        w = np.full(r, 1.0 / r)
+    members = tuple((wi, hb.PureState(c, (d,), convention)) for wi, c in zip(w, cols.T))
+    return en.WeightedEnsemble(members, convention)
+
+
+def dense_distance(a, b):
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+
+class TestGramTraceDistance:
+    """An ensemble moment of r < D members against c * I, without the D x D moment."""
+
+    # (d, k, r) with r = 1, r = D - 1 (D = 10, 20, 35) and r well below D
+    GRID = [(2, 1, 1), (3, 2, 1), (4, 2, 9), (4, 3, 19), (5, 3, 34), (3, 3, 4), (8, 2, 12)]
+
+    @pytest.mark.parametrize("d, k, r", GRID)
+    @pytest.mark.parametrize("convention", ["normalized", "unnormalized"])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_matches_the_dense_path(self, rng, d, k, r, convention, repeated):
+        m = en.moment_k(member_ensemble(d, r, rng, convention, repeated), k)
+        if convention == "normalized":
+            iso = en.haar_moment(d, k)
+        else:
+            iso = en.MomentOperator._structured(k, d, convention, DEFAULT_CAPS, scalar=0.3 / m.dim)
+        dense = dense_distance(m, iso)
+        assert abs(st.trace_distance(m, iso) - dense) <= 1e-12
+        assert abs(st.trace_distance(iso, m) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("r, built", [(9, 0), (10, 1), (14, 1)])
+    def test_path_follows_the_member_count(self, rng, monkeypatch, r, built):
+        calls = []
+        build = en._moment_from_columns
+        monkeypatch.setattr(en, "_moment_from_columns", lambda *a: calls.append(a) or build(*a))
+        m = en.moment_k(member_ensemble(4, r, rng), 2)  # D = 10
+        st.trace_distance(m, en.haar_moment(4, 2))
+        assert len(calls) == built
+
+    def test_gram_matrix_is_capped_at_r_squared(self, rng):
+        ens, haar = member_ensemble(4, 5, rng), en.haar_moment(4, 2)  # r^2 = 25, D^2 = 100
+        dense = dense_distance(en.moment_k(ens, 2), haar)
+        m = en.moment_k(ens, 2, Caps(max_moment_entries=25))
+        assert abs(st.trace_distance(m, haar) - dense) <= 1e-12
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            m.matrix
+        m = en.moment_k(ens, 2, Caps(max_moment_entries=24))
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            st.trace_distance(m, haar)
+
+    @staticmethod
+    def _projected_haar_distance(n, width, k):
+        part = hb.Bipartition(n, hb.central_sites(n, width))
+        state = pl.quench_state(pl.SpectrumCache(), dict(MFIM, n=n), 0.0, 20.0)
+        ens = en.projected_ensemble(state, part, hb.pauli_basis(part.sites_B, "Z"))
+        assert ens.size == part.d_b
+        dist = st.trace_distance(en.moment_k(ens, k), en.haar_moment(part.d_a, k))
+        # d_B generic states: every nonzero eigenvalue of the moment exceeds 1/D
+        return dist, 1.0 - part.d_b / math.comb(part.d_a + k - 1, k)
+
+    def test_kdesign_distance_builds_no_moment(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the D x D moment was built")
+
+        monkeypatch.setattr(en, "_moment_from_columns", refuse)
+        dist, closed_form = self._projected_haar_distance(10, 4, 3)  # D = 816, r = 64
+        assert abs(dist - closed_form) <= 1e-12
+
+    def test_moment_over_the_dense_cap(self):
+        # D = C(66, 3) = 45,760: D^2 = 2.09e9 entries exceed max_moment_entries
+        dist, closed_form = self._projected_haar_distance(10, 6, 3)
+        assert abs(dist - closed_form) <= 1e-12
 
 
 class TestPTTest:
