@@ -1,8 +1,9 @@
 """Ensemble construction and k-copy moment machinery.
 
-Weighted and projected ensembles of pure states, and their k-th moments
-stored on the symmetric subspace Sym^k(C^d) (see `MomentOperator`), where
-psi^(x)k has monomial coordinates: empirical moments are blocked Gram
+Weighted ensembles of pure states as one d x r array of columns with r weights
+(a projected ensemble is one slice of the projection table), and their k-th
+moments stored on the symmetric subspace Sym^k(C^d) (see `MomentOperator`),
+where psi^(x)k has monomial coordinates: ensemble moments are blocked Gram
 products of monomial panels, the Haar moment is I/D, the exact random-phase
 (infinite-interval) moment is diagonal, the finite-interval moment is an outer
 product times the sinc kernel, and product forms are symmetric powers.
@@ -25,11 +26,11 @@ from .hilbert import (
     HermitianOperator,
     MeasurementBasis,
     PureState,
-    n_qubit_dims,
     projection_table,
 )
 from .spectral import SpectralData, SpectralMeasure
 
+# Outcomes of smaller probability are dropped from projected ensembles and tables.
 ZERO_OUTCOME_CUTOFF = 1e-14
 PANEL_WIDTH = 64
 # Pairs per block of the Frobenius kernel, in its direct sum over near pairs and
@@ -49,49 +50,50 @@ NEAR_PHASE = 0.1
 
 @dataclass(frozen=True)
 class WeightedEnsemble:
-    """Finite list of (weight, state) pairs.
+    """Pure states as the d x r columns of `states`, with their r `weights`.
 
-    normalized convention: states are unit vectors and weights sum to one.
-    unnormalized convention: weights are uniform 1/len(members); the measure
-    is carried by the state norms.
+    normalized convention: columns are unit vectors and weights sum to one.
+    unnormalized convention: weights are uniform 1/r; the measure is carried
+    by the column norms. Both arrays are stored as read-only views.
     """
 
-    members: tuple
+    states: np.ndarray
+    weights: np.ndarray
     convention: str = "normalized"
-    label: str = ""
     dropped_members: int = 0
 
     def __post_init__(self):
-        members = tuple((float(w), s) for w, s in self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
+        states = np.asarray(self.states, dtype=complex).view()
+        ws = np.asarray(self.weights, dtype=float).view()
+        if states.ndim != 2 or ws.shape != (states.shape[1],):
+            raise ValueError(f"need one weight per column of a 2-D state array, got {ws.shape}")
+        if not ws.size:
             raise ValueError("ensemble needs at least one member")
-        ws = np.array([w for w, _ in members])
-        if not np.all(np.isfinite(ws)):
-            raise ValueError("weights must be finite")
-        if np.any(ws < 0):
-            raise ValueError("weights must be nonnegative")
-        # each test below is written so that a NaN fails it
+        # each test is written so that a NaN fails it
+        if not np.all(np.isfinite(ws) & (ws >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
         if self.convention == "normalized":
             total = float(ws.sum())
             if not abs(total - 1.0) <= 1e-10:
                 raise ValueError(f"normalized ensemble weights sum to {total}")
-            for _, s in members:
-                if not abs(s.norm() - 1.0) <= 1e-10:
-                    raise ValueError("normalized ensemble contains a non-unit state")
+            if not np.all(np.abs(np.linalg.norm(states, axis=0) - 1.0) <= 1e-10):
+                raise ValueError("normalized ensemble contains a non-unit state")
         elif self.convention == "unnormalized":
-            if not np.abs(ws - 1.0 / len(members)).max() <= 1e-12:
+            if not np.abs(ws - 1.0 / ws.size).max() <= 1e-12:
                 raise ValueError("unnormalized ensemble weights must be uniform")
         else:
             raise ValueError(f"unknown convention {self.convention!r}")
+        states.flags.writeable = ws.flags.writeable = False
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "weights", ws)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.weights.size
 
     @property
     def dim(self) -> int:
-        return self.members[0][1].dim
+        return self.states.shape[0]
 
 
 class MomentOperator:
@@ -106,8 +108,9 @@ class MomentOperator:
     A moment has one of three forms:
       * dense: `MomentOperator(k, d, matrix, convention)` checks the shape and
         Hermiticity of `matrix` and keeps it;
-      * ensemble (`moment_k`): `columns` holds the d x r member vectors c_j and
-        `weights` their w_j, for sum_j w_j |c_j><c_j|^(x)k;
+      * ensemble (`moment_k`, `weighted_projected_moment`): `columns` holds
+        the d x r member vectors c_j and `weights` their w_j, both read-only,
+        for sum_j w_j |c_j><c_j|^(x)k;
       * scalar (`haar_moment`): `scalar` holds c, for c * I.
     The unused attributes are None. A structured form builds its dense
     `matrix` on the first read, once, after checking D^2 against the
@@ -263,15 +266,14 @@ def _moment_from_columns(
 def moment_k(ens: WeightedEnsemble, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """k-th statistical moment sum_j w_j |psi_j><psi_j|^(x)k, in ensemble form.
 
-    Keeps the d x r member amplitudes and the weights, both read-only. The
-    D x D matrix is built by `_moment_from_columns` under `caps` when
+    Wraps the ensemble's read-only `states` and `weights` without copying.
+    The D x D matrix is built by `_moment_from_columns` under `caps` when
     `.matrix` is first read, and `caps` bounds the Gram matrix of
     `stats.trace_distance` too.
     """
-    cols = np.stack([s.amplitudes for _, s in ens.members], axis=1)
-    w = np.array([w for w, _ in ens.members])
-    cols.flags.writeable = w.flags.writeable = False
-    return MomentOperator._structured(k, ens.dim, ens.convention, caps, columns=cols, weights=w)
+    return MomentOperator._structured(
+        k, ens.dim, ens.convention, caps, columns=ens.states, weights=ens.weights
+    )
 
 
 def haar_moment(d: int, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
@@ -512,23 +514,15 @@ def projected_ensemble(
 ) -> WeightedEnsemble:
     """Measure B in a complete basis; outcomes weight the normalized A states.
 
-    Outcomes with probability below 1e-14 are dropped and counted in
-    dropped_members.
+    One slice of the projection table: the kept columns divided by the
+    square roots of their probabilities. Outcomes with probability below
+    ZERO_OUTCOME_CUTOFF are dropped and counted in dropped_members.
     """
     table = projection_table(state, part, basis)
     probs = np.sum(np.abs(table) ** 2, axis=0)
-    dims_a = n_qubit_dims(len(part.sites_A))
-    members = []
-    dropped = 0
-    for z in range(table.shape[1]):
-        if probs[z] < ZERO_OUTCOME_CUTOFF:
-            dropped += 1
-            continue
-        amps = table[:, z] / math.sqrt(probs[z])
-        members.append((float(probs[z]), PureState(amps, dims_a, "normalized")))
-    return WeightedEnsemble(
-        tuple(members), "normalized", label="outcome basis", dropped_members=dropped
-    )
+    keep = probs >= ZERO_OUTCOME_CUTOFF
+    cols = table[:, keep] / np.sqrt(probs[keep])
+    return WeightedEnsemble(cols, probs[keep], dropped_members=int(np.sum(~keep)))
 
 
 def weighted_projected_moment(
@@ -539,10 +533,13 @@ def weighted_projected_moment(
     k: int,
     caps: Caps = DEFAULT_CAPS,
 ) -> MomentOperator:
-    """Projected k-th moment with outcome weights 1 / p_d(x)^(k-1).
+    """Projected k-th moment with outcome weights 1 / p_d(x)^(k-1), in ensemble form.
 
     p_d holds the per-outcome time-averaged probabilities; outcomes whose
-    instantaneous weight is nonzero but whose p_d vanishes are an error.
+    instantaneous weight is nonzero but whose p_d vanishes are an error. The
+    moment keeps the unnormalized table columns of the outcomes with p_d > 0
+    and their weights p_d^(1-k), under the convention "weighted-projected";
+    its D x D matrix is built under `caps` when `.matrix` is first read.
     """
     table = projection_table(state, part, basis)
     p_d = np.asarray(p_d, dtype=float)
@@ -556,6 +553,8 @@ def weighted_projected_moment(
             "nonzero instantaneous amplitude"
         )
     keep = p_d > 0
-    weights = p_d[keep] ** (1 - k)
-    m = _moment_from_columns(table[:, keep], weights, k, caps)
-    return MomentOperator(k, table.shape[0], m, "weighted-projected")
+    cols, weights = table[:, keep], p_d[keep] ** (1 - k)
+    cols.flags.writeable = weights.flags.writeable = False
+    return MomentOperator._structured(
+        k, table.shape[0], "weighted-projected", caps, columns=cols, weights=weights
+    )

@@ -474,14 +474,3 @@ def partial_trace(obj, part: Bipartition, keep: str = "A") -> HermitianOperator:
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
-
-def tensor_power(v: np.ndarray, k: int, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """Kronecker power v^{(x) k}; copy 0 is the most significant index digit."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    v = np.asarray(v, dtype=complex)
-    check_cap(caps, "max_state_dim", v.size**k)
-    out = v
-    for _ in range(k - 1):
-        out = np.kron(out, v)
-    return out

@@ -88,9 +88,6 @@ class SpectrumCache:
                 store.pop(self._key(model), None)
 
 
-GLOBAL_CACHE = SpectrumCache()
-
-
 def _n_sites(dim: int) -> int:
     """Chain length of a qubit-chain space (explicit models carry no "n")."""
     return dim.bit_length() - 1
@@ -153,7 +150,7 @@ def projected_moment_comparison(
     d_gen = None
     if include_generalized:
         table = cache.conditional_states(model, theta, part, basis)
-        gen = sc.generalized_scrooge_moment(table, k, "normalized", caps)
+        gen = sc.generalized_scrooge_moment(table, k, caps)
         d_gen = st.trace_distance(proj, gen)
     return ProjectedComparison(n, k, t, basis_letter, d_scr, d_haar, d_gen)
 
@@ -245,7 +242,7 @@ def rescaled_joint_probability_ks(
     joint = st.joint_outcome_distribution(state, part, basis_a, basis_b)
     bound = cache.bound(model, theta)
     avg = st.time_averaged_joint_distribution(bound, part, basis_a, basis_b)
-    keep = avg > 1e-14
+    keep = avg > en.ZERO_OUTCOME_CUTOFF
     rescaled = (joint[keep] / avg[keep]).ravel()
     raw = (joint * joint.size).ravel()
     rep_rescaled = st.pt_test(rescaled / rescaled.mean())
@@ -301,18 +298,14 @@ def real_projected_table(
     table = hb.projection_table(eig, part, basis)
     us_a = [TAKAGI_X_FRAME] * len(part.sites_A)
     rotated = hb.apply_local_rotations(table.T, us_a, conjugate=True).T
-    leak = 0.0
+    norms = np.linalg.norm(rotated, axis=0)
+    kept = norms >= 1e-12
+    cols = rotated[:, kept]
+    phases = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
+    cols = cols * (np.conj(phases) / np.abs(phases))
     out = np.zeros(rotated.shape)
-    for z in range(rotated.shape[1]):
-        col = rotated[:, z]
-        norm = np.linalg.norm(col)
-        if norm < 1e-12:
-            continue
-        phase = col[np.abs(col).argmax()]
-        col = col * (np.conj(phase) / abs(phase))
-        leak = max(leak, float(np.abs(col.imag).max() / norm))
-        out[:, z] = col.real
-    return out, leak
+    out[:, kept] = cols.real
+    return out, float(np.max(np.abs(cols.imag).max(axis=0) / norms[kept], initial=0.0))
 
 
 def eigenstate_real_projected_comparison(
@@ -330,11 +323,9 @@ def eigenstate_real_projected_comparison(
     n = part.n_sites
     table, imag_leak = real_projected_table(sd, index, part)
     probs = np.sum(table**2, axis=0)
-    keep = probs > 1e-14
+    keep = probs > en.ZERO_OUTCOME_CUTOFF
     cols = table[:, keep] / np.sqrt(probs[keep])
-    proj = en.MomentOperator(
-        2, part.d_a, en._moment_from_columns(cols, probs[keep], 2, caps), "normalized"
-    )
+    proj = en.moment_k(en.WeightedEnsemble(cols, probs[keep]), 2, caps)
     rho_a = (table @ table.T).astype(complex)
     d_scr = st.trace_distance(proj, sc.real_scrooge_moment2(rho_a, caps))
     d_haar = st.trace_distance(proj, sc.real_haar_moment2(part.d_a))
@@ -372,6 +363,6 @@ def eigenstate_window_rescaled_probabilities(
         joints.append(st.joint_outcome_distribution(eig, part, basis_a, basis_b))
     joints = np.stack(joints)
     mean = joints.mean(axis=0)
-    keep = mean > 1e-14
+    keep = mean > en.ZERO_OUTCOME_CUTOFF
     vals = (joints[:, keep] / mean[keep]).ravel()
     return vals / vals.mean()

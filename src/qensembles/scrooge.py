@@ -15,7 +15,9 @@ outcome. It is evaluated as one batch over the stack of outcome states: one
 stacked eigendecomposition, one quadrature over every (outcome, multiset)
 row on a grid that spans every outcome's support, with zero modes masked
 instead of dropped, one Sym^k of the stacked eigenvectors and one matrix
-product per block of outcomes. `scrooge_moment` is the one-state case.
+product per block of outcomes. `scrooge_moment` is the one-state case. Every
+density matrix is checked for unit trace and Hermiticity, so a NaN or a
+non-Hermitian input raises instead of being read off one triangle.
 """
 
 from __future__ import annotations
@@ -26,14 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from ._util import Caps, DEFAULT_CAPS, check_cap
-from .ensembles import (
-    MomentOperator,
-    _occupation_basis,
-    _symmetric_power,
-    product_form_moment,
-)
+from ._util import Caps, DEFAULT_CAPS, InvalidMatrixError, check_cap, hermiticity_defect
+from .ensembles import ZERO_OUTCOME_CUTOFF, MomentOperator, _occupation_basis, _symmetric_power
 from .hilbert import (
+    HERMITICITY_TOL,
     Bipartition,
     HermitianOperator,
     MeasurementBasis,
@@ -74,11 +72,14 @@ class EigenSpectrum:
 
 
 def _as_density(rho) -> np.ndarray:
-    """The entries of a density matrix, or of a stack of them, checked for unit trace."""
+    """Entries of a density matrix or a stack of them, checked for unit trace and Hermiticity."""
     m = rho.entries if isinstance(rho, HermitianOperator) else np.asarray(rho, dtype=complex)
     tr = np.einsum("...aa->...", m).real
-    if np.any(np.abs(tr - 1.0) > 1e-8):
+    if not np.all(np.abs(tr - 1.0) <= 1e-8):
         raise ValueError(f"density matrix trace is {tr}")
+    defect = hermiticity_defect(m)
+    if not defect <= HERMITICITY_TOL:
+        raise InvalidMatrixError(f"density matrix deviates from Hermitian by {defect:.3e}")
     return m
 
 
@@ -131,7 +132,7 @@ def _support_eigenvalues(rho_or_eigs) -> np.ndarray:
         lam = np.linalg.eigvalsh(_as_density(rho_or_eigs))
     else:
         lam = np.asarray(rho_or_eigs, dtype=float)
-        if abs(lam.sum() - 1.0) > 1e-8:
+        if not abs(lam.sum() - 1.0) <= 1e-8:  # NaN fails this test
             raise ValueError("eigenvalues must sum to 1")
     lam = np.sort(lam)[::-1]
     return lam[lam > SUPPORT_CUTOFF]
@@ -375,7 +376,7 @@ def conditional_states(
     rho_bar(x) is the B-projection of the dephased density matrix, normalized
     per outcome; no time quadrature is involved. Eigenvectors are walked in
     blocks of EIGENVECTOR_CHUNK as tensors T[a, x, e] = <a, x | E_e> sqrt(p_E).
-    Outcomes with weight below 1e-14 are dropped and counted.
+    Outcomes with weight below ZERO_OUTCOME_CUTOFF are dropped and counted.
     """
     _require_sites(basis, part.sites_B)
     v = sd.eigenvectors
@@ -393,7 +394,7 @@ def conditional_states(
         t = np.moveaxis(flat.reshape(d_a, hi - lo, d_b), 2, 1)
         raw += np.einsum("axe,cxe->xac", t, t.conj(), optimize=True)
     p_d = np.einsum("xaa->x", raw).real
-    keep = np.flatnonzero(p_d >= 1e-14)
+    keep = np.flatnonzero(p_d >= ZERO_OUTCOME_CUTOFF)
     states = raw[keep] / p_d[keep, None, None]
     states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
     return ConditionalStateTable(
@@ -405,30 +406,15 @@ def conditional_states(
 
 
 def generalized_scrooge_moment(
-    table: ConditionalStateTable,
-    k: int,
-    convention: str = "normalized",
-    caps: Caps = DEFAULT_CAPS,
+    table: ConditionalStateTable, k: int, caps: Caps = DEFAULT_CAPS
 ) -> MomentOperator:
-    """Outcome-weighted mixture of per-outcome Scrooge moments.
+    """Outcome-weighted mixture sum_x p_d(x) Scrooge_k[rho_bar(x)] / sum_x p_d(x).
 
-    convention "normalized" mixes exact Scrooge moments, every outcome in one
-    batch (`_scrooge_mixture`); "unnormalized" mixes the product-form moments
-    of the unnormalized ensembles.
+    Every outcome is evaluated in one batch (`_scrooge_mixture`); the result
+    is a dense moment in the normalized convention.
     """
-    if convention not in ("normalized", "unnormalized"):
-        raise ValueError("convention must be 'normalized' or 'unnormalized'")
-    d_a, p = table.d_a, table.probabilities
-    if convention == "normalized":
-        total = _scrooge_mixture(_as_density(table.states), p, k, caps)
-        return MomentOperator(k, d_a, total, convention)
-    dim = math.comb(d_a + k - 1, k)
-    check_cap(caps, "max_moment_entries", dim**2)
-    total = np.zeros((dim, dim), dtype=complex)
-    for p_x, state in zip(p, table.states):
-        total += p_x * product_form_moment(_as_density(state), k, caps).moment.matrix
-    total /= p.sum()
-    return MomentOperator(k, d_a, (total + total.conj().T) / 2, convention)
+    total = _scrooge_mixture(_as_density(table.states), table.probabilities, k, caps)
+    return MomentOperator(k, table.d_a, total, "normalized")
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,20 @@ def _require_finite_times(t: np.ndarray) -> None:
 
 
 def evolve_grid(sd: SpectralData, psi0: PureState, times: Sequence[float]) -> np.ndarray:
-    """Column t of the result is exp(-i H t)|psi0>; one BLAS call for the grid."""
+    """Column t of the result is exp(-i H t)|psi0>; one BLAS call for the grid.
+
+    A bound spectrum must be bound to psi0: its stored overlaps are used, and
+    ValueError is raised when they differ from <E|psi0> by more than 1e-12.
+    """
     if psi0.dim != sd.dim:
         raise ValueError("state dimension does not match the spectrum")
     t = np.asarray(times, dtype=float)
     _require_finite_times(t)
-    c = sd.overlaps if sd.overlaps is not None else sd.eigenvectors.conj().T @ psi0.amplitudes
+    c = np.conj(psi0.amplitudes.conj() @ sd.eigenvectors)
+    if sd.overlaps is not None:
+        if not np.abs(c - sd.overlaps).max() <= 1e-12:  # NaN fails this test
+            raise ValueError("the spectrum is bound to another initial state than psi0")
+        c = sd.overlaps
     phases = np.exp(-1j * np.outer(sd.eigenvalues, t))
     return sd.eigenvectors @ (c[:, None] * phases)
 

@@ -46,12 +46,13 @@ def von_neumann_entropy_bits(rho) -> float:
 
 
 def trace_distance(m1: MomentOperator, m2: MomentOperator) -> float:
-    """Half the trace norm of the difference of two same-shape moments.
+    """Half the trace norm of the difference of two moments of one k, d and convention.
 
-    When one side is c * I (`haar_moment`) and the other an ensemble moment
-    (`moment_k`) of r < D members, the distance comes from the r x r Gram
-    matrix G_zw = sqrt(w_z w_w) <c_z|c_w>^k: the moment's spectrum on Sym^k is
-    that of G padded with D - r zeros, so the distance is
+    When one side is c * I (`haar_moment`) and the other an ensemble moment of
+    r < D members (`moment_k`; `weighted_projected_moment` against a c * I of
+    its own "weighted-projected" convention), the distance comes from the
+    r x r Gram matrix G_zw = sqrt(w_z w_w) <c_z|c_w>^k: the moment's spectrum
+    on Sym^k is that of G padded with D - r zeros, so the distance is
     (sum_i |g_i - c| + (D - r) |c|) / 2 over the eigenvalues g_i of G. That
     path checks r^2 against the ensemble's `max_moment_entries` and builds no
     D x D matrix. Every other pair diagonalizes the D x D difference, so the

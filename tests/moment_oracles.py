@@ -9,7 +9,8 @@ symmetric-subspace builders they check.
 The reference forms at the end are second methods of another kind: earlier,
 slower ways to the same numbers (one Scrooge moment per outcome, a contraction
 with every local block, the complex-arithmetic GUE draw, the dense chain
-Hamiltonian builder), kept to check the faster paths that replaced them.
+Hamiltonian builder, projected states and their phases one outcome at a time),
+kept to check the faster paths that replaced them.
 """
 
 import math
@@ -267,9 +268,8 @@ def dense_hamiltonian_reference(model):
 
 
 def moment_from_columns_per_member(columns, weights, k, panel_width=64):
-    """The symmetric-subspace moment with one `tensor_power` per member, panel by panel."""
+    """The symmetric-subspace moment with one Kronecker power per member, panel by panel."""
     from qensembles import ensembles as en
-    from qensembles.hilbert import tensor_power
 
     d, n = columns.shape
     idx, counts = en._occupation_basis(d, k)
@@ -280,6 +280,34 @@ def moment_from_columns_per_member(columns, weights, k, panel_width=64):
         cols = range(start, min(start + panel_width, n))
         panel = np.empty((flat.size, len(cols)), dtype=complex)
         for out_col, j in enumerate(cols):
-            panel[:, out_col] = (sqrt_w[j] * scale) * tensor_power(columns[:, j], k)[flat]
+            panel[:, out_col] = (sqrt_w[j] * scale) * kron_power(columns[:, j], k)[flat]
         acc += panel @ panel.conj().T
     return (acc + acc.conj().T) / 2
+
+
+def projected_ensemble_per_outcome(table, cutoff):
+    """Columns, weights and dropped count of the projected ensemble, one outcome at a time."""
+    probs = np.sum(np.abs(table) ** 2, axis=0)
+    cols, weights = [], []
+    for z in range(table.shape[1]):
+        if probs[z] < cutoff:
+            continue
+        cols.append(table[:, z] / math.sqrt(probs[z]))
+        weights.append(float(probs[z]))
+    return np.stack(cols, axis=1), np.array(weights), table.shape[1] - len(weights)
+
+
+def real_columns_per_outcome(rotated):
+    """Each column of a Takagi-frame table with its phase fixed, and the worst imaginary leak."""
+    leak = 0.0
+    out = np.zeros(rotated.shape)
+    for z in range(rotated.shape[1]):
+        col = rotated[:, z]
+        norm = np.linalg.norm(col)
+        if norm < 1e-12:
+            continue
+        phase = col[np.abs(col).argmax()]
+        col = col * (np.conj(phase) / abs(phase))
+        leak = max(leak, float(np.abs(col.imag).max() / norm))
+        out[:, z] = col.real
+    return out, leak

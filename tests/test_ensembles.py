@@ -23,16 +23,14 @@ def random_state(d, rng):
 class TestMomentK:
     def test_single_state_rank_one(self, rng):
         psi = random_state(4, rng)
-        ens = en.WeightedEnsemble(((1.0, psi),))
+        ens = en.WeightedEnsemble(psi.amplitudes[:, None], [1.0])
         m = en.moment_k(ens, 2)
         evals = np.linalg.eigvalsh(m.matrix)
         assert evals[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.abs(evals[:-1]).max() <= 1e-10
 
     def test_classical_mixture(self):
-        zero = hb.qubit_state([1, 0])
-        one = hb.qubit_state([0, 1])
-        ens = en.WeightedEnsemble(((0.5, zero), (0.5, one)))
+        ens = en.WeightedEnsemble(np.eye(2), [0.5, 0.5])  # |0> and |1>
         m = en.moment_k(ens, 2)
         assert np.allclose(m.dense(), np.diag([0.5, 0, 0, 0.5]))
 
@@ -40,7 +38,7 @@ class TestMomentK:
         states = [random_state(4, rng) for _ in range(150)]
         w = rng.random(150)
         w /= w.sum()
-        ens = en.WeightedEnsemble(tuple(zip(w, states)))
+        ens = en.WeightedEnsemble(np.stack([s.amplitudes for s in states], axis=1), w)
         m = en.moment_k(ens, 2).dense()
         direct = np.zeros((16, 16), dtype=complex)
         for wi, s in zip(w, states):
@@ -54,13 +52,11 @@ class TestStructuredMoments:
         states = [random_state(d, rng) for _ in range(r)]
         w = rng.random(r)
         w /= w.sum()
-        return en.WeightedEnsemble(tuple(zip(w, states)))
+        return en.WeightedEnsemble(np.stack([s.amplitudes for s in states], axis=1), w)
 
     def test_ensemble_matrix_is_built_once_bit_for_bit(self, rng, monkeypatch):
         ens = self._ensemble(rng)
-        cols = np.stack([s.amplitudes for _, s in ens.members], axis=1)
-        w = np.array([wi for wi, _ in ens.members])
-        expected = en._moment_from_columns(cols, w, 3, Caps())
+        expected = en._moment_from_columns(ens.states, ens.weights, 3, Caps())
         calls = []
         build = en._moment_from_columns
         monkeypatch.setattr(en, "_moment_from_columns", lambda *a: calls.append(a) or build(*a))
@@ -85,6 +81,25 @@ class TestStructuredMoments:
                 m.matrix
 
 
+class TestWeightedEnsemble:
+    def test_rejects_a_weight_count_that_differs_from_the_column_count(self):
+        with pytest.raises(ValueError, match="one weight per column"):
+            en.WeightedEnsemble(np.eye(2), [1.0])
+        with pytest.raises(ValueError, match="one weight per column"):
+            en.WeightedEnsemble(np.eye(2), [0.25, 0.25, 0.5])
+        with pytest.raises(ValueError, match="one weight per column"):
+            en.WeightedEnsemble(np.array([1.0, 0.0]), [1.0])
+
+    def test_arrays_are_read_only_views(self):
+        cols = np.eye(3, dtype=complex)
+        w = np.full(3, 1.0 / 3.0)
+        ens = en.WeightedEnsemble(cols, w)
+        assert not ens.states.flags.writeable and not ens.weights.flags.writeable
+        assert cols.flags.writeable and w.flags.writeable  # the caller's arrays stay writable
+        m = en.moment_k(ens, 2)
+        assert m.columns is ens.states and m.weights is ens.weights
+
+
 class TestNonFiniteInputs:
     def test_moment_rejects_nan_entry(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -93,12 +108,11 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("convention", ["normalized", "unnormalized"])
     def test_ensemble_rejects_nan_weight(self, convention):
         with pytest.raises(ValueError, match="finite"):
-            en.WeightedEnsemble(((np.nan, hb.qubit_state([1, 0])),), convention)
+            en.WeightedEnsemble(np.array([[1.0], [0.0]]), [np.nan], convention)
 
     def test_normalized_ensemble_rejects_nan_state(self):
-        nan_state = hb.PureState(np.array([np.nan, 0]), (2,), "unnormalized")
         with pytest.raises(ValueError, match="non-unit"):
-            en.WeightedEnsemble(((1.0, nan_state),), "normalized")
+            en.WeightedEnsemble(np.array([[np.nan], [0.0]]), [1.0], "normalized")
 
 
 class TestHaarMoment:
@@ -400,17 +414,17 @@ class TestProjectedEnsemble:
         part = hb.Bipartition(2, (0,))
         ens = en.projected_ensemble(bell, part, hb.pauli_basis(part.sites_B, "Z"))
         assert ens.size == 2
-        ws = sorted(w for w, _ in ens.members)
+        ws = sorted(ens.weights)
         assert np.allclose(ws, [0.5, 0.5])
 
     def test_product_state_members_identical(self):
         s = hb.product_state(0.8, 4)
         part = hb.Bipartition(4, (1,))
         ens = en.projected_ensemble(s, part, hb.pauli_basis(part.sites_B, "XYZ"))
-        ref = ens.members[0][1].amplitudes
+        ref = ens.states[:, 0]
         ref = ref / ref[np.abs(ref).argmax()]
-        for _, st in ens.members:
-            cur = st.amplitudes / st.amplitudes[np.abs(st.amplitudes).argmax()]
+        for amps in ens.states.T:
+            cur = amps / amps[np.abs(amps).argmax()]
             assert np.allclose(cur, ref)
 
     def test_first_moment_is_partial_trace(self, rng):
@@ -422,11 +436,28 @@ class TestProjectedEnsemble:
         rho = hb.partial_trace(s, part, "A").entries
         assert np.abs(m1 - rho).max() <= 1e-10
 
+    @pytest.mark.parametrize("letters", ["ZZZ", "XYZ"])
+    def test_matches_the_per_outcome_loop_bit_for_bit(self, rng, letters):
+        part = hb.Bipartition(5, (1, 3))
+        m = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        m[:, [1, 4]] = 0.0  # Z outcomes that never occur
+        m[:, 6] *= 1e-8  # and one below the cutoff
+        state = hb.merge_bipartite(m / np.linalg.norm(m), part)
+        basis = hb.pauli_basis(part.sites_B, letters)
+        ens = en.projected_ensemble(state, part, basis)
+        table = hb.projection_table(state, part, basis)
+        cols, w, dropped = mo.projected_ensemble_per_outcome(table, en.ZERO_OUTCOME_CUTOFF)
+        assert np.array_equal(ens.states, cols)
+        assert np.array_equal(ens.weights, w)
+        assert ens.dropped_members == dropped
+        if letters == "ZZZ":
+            assert dropped == 3
+
     def test_outcome_probabilities_sum_to_one(self, rng):
         s = random_state(64, rng)
         part = hb.Bipartition(6, (0, 3))
         ens = en.projected_ensemble(s, part, hb.pauli_basis(part.sites_B, "XXXX"))
-        assert sum(w for w, _ in ens.members) == pytest.approx(1.0, abs=1e-10)
+        assert sum(ens.weights) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestWeightedProjectedMoment:
@@ -462,6 +493,34 @@ class TestWeightedProjectedMoment:
             c2 = np.kron(col, col)
             direct += pd[x] * np.outer(c2, c2.conj())
         assert np.abs(m - direct).max() <= 1e-10
+
+    def test_matrix_is_built_once_bit_for_bit(self, rng, monkeypatch):
+        part = hb.Bipartition(4, (0, 2))
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m[:, 1] = 0.0
+        state = hb.merge_bipartite(m / np.linalg.norm(m), part)
+        basis = hb.pauli_basis(part.sites_B, "ZZ")
+        p_d = np.array([0.3, 0.0, 0.5, 0.2])  # zero where the outcome never occurs
+        table = hb.projection_table(state, part, basis)
+        keep = p_d > 0
+        expected = en._moment_from_columns(table[:, keep], p_d[keep] ** -2, 3, Caps())
+        calls = []
+        build = en._moment_from_columns
+        monkeypatch.setattr(en, "_moment_from_columns", lambda *a: calls.append(a) or build(*a))
+        moment = en.weighted_projected_moment(state, part, basis, p_d, 3)
+        assert not calls and moment.convention == "weighted-projected"
+        assert not moment.columns.flags.writeable and not moment.weights.flags.writeable
+        assert np.array_equal(moment.matrix, expected)
+        assert moment.matrix is moment.matrix
+        assert len(calls) == 1
+
+    def test_cap_is_checked_when_the_matrix_is_read(self, rng):
+        s = random_state(16, rng)
+        part = hb.Bipartition(4, (0, 1))
+        basis = hb.pauli_basis(part.sites_B, "ZZ")
+        moment = en.weighted_projected_moment(s, part, basis, np.full(4, 0.25), 2, Caps(max_moment_entries=99))
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            moment.matrix
 
     def test_zero_pd_with_amplitude_raises(self, rng):
         from qensembles import DegenerateWeightError

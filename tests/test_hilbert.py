@@ -208,6 +208,16 @@ class TestHermiticityDefect:
         assert not defect <= 1.0
 
 
+    def test_stack_gives_the_largest_defect_of_its_matrices(self, rng):
+        d = HERMITICITY_BLOCK + 3
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        stack = (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2
+        stack[1, 5, d - 1] += 1e-9
+        assert hermiticity_defect(stack) == max(full_hermiticity_defect(m) for m in stack) > 0
+        stack[2, d - 1, 0] = math.nan
+        assert math.isnan(hermiticity_defect(stack))
+
+
 class TestProductState:
     def test_theta_zero_is_all_zeros(self):
         s = hb.product_state(0.0, 3)
@@ -361,30 +371,6 @@ class TestPartialTrace:
         mix = table @ table.conj().T
         rho = hb.partial_trace(s, part, "A").entries
         assert np.abs(mix - rho).max() <= 1e-10
-
-
-class TestTensorPower:
-    def test_basis_vector(self):
-        out = hb.tensor_power(np.array([1.0, 0.0]), 3)
-        expected = np.zeros(8)
-        expected[0] = 1
-        assert np.allclose(out, expected)
-
-    def test_norm_multiplicativity(self, rng):
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out = hb.tensor_power(v, 3)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(v) ** 3) < 1e-10
-
-    def test_explicit_k2(self):
-        a, b = 0.3 + 0.1j, -0.7 + 0.2j
-        out = hb.tensor_power(np.array([a, b]), 2)
-        assert np.allclose(out, [a * a, a * b, b * a, b * b])
-
-    def test_capacity_error(self):
-        from qensembles import CapacityError
-
-        with pytest.raises(CapacityError):
-            hb.tensor_power(np.ones(2), 40)
 
 
 class TestBases:

@@ -286,6 +286,31 @@ class TestEigenstateComparisons:
         haar = mo.real_haar2_dense(part.d_a)
         assert abs(out["dist_real_haar"] - dense_trace_distance(proj, haar)) <= 1e-12
 
+    @staticmethod
+    def _check_real_table(sd, index, part):
+        eig = hb.PureState(sd.eigenvectors[:, index], (2,) * part.n_sites)
+        table = hb.projection_table(eig, part, hb.pauli_basis(part.sites_B, "X"))
+        frames = [pl.TAKAGI_X_FRAME] * len(part.sites_A)
+        rotated = hb.apply_local_rotations(table.T, frames, conjugate=True).T
+        expected, expected_leak = mo.real_columns_per_outcome(rotated)
+        out, leak = pl.real_projected_table(sd, index, part)
+        assert np.abs(out - expected).max() <= 1e-15
+        assert abs(leak - expected_leak) <= 1e-15
+        return out
+
+    def test_real_table_matches_the_per_outcome_phase_fix(self):
+        sd, part = self._setup()
+        for index in (0, 21, 63):
+            self._check_real_table(sd, index, part)
+
+    def test_real_table_leaves_empty_outcomes_zero(self, rng):
+        # A random, B in |+>^4: every X outcome on B but one has probability 0
+        part = hb.Bipartition(6, hb.central_sites(6, 2))
+        m = np.outer(rng.standard_normal(4) + 1j * rng.standard_normal(4), np.full(16, 0.25))
+        v = hb.merge_bipartite(m / np.linalg.norm(m), part).amplitudes
+        out = self._check_real_table(sp.SpectralData(np.zeros(1), v[:, None]), 0, part)
+        assert np.count_nonzero(np.abs(out).max(axis=0)) == 1
+
 
 class TestBasisInformationScan:
     def test_needs_no_spectrum(self, no_diagonalize):

@@ -12,7 +12,7 @@ from qensembles import hilbert as hb
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
 from qensembles import stats as st
-from qensembles._util import CapacityError, Caps, task_rng
+from qensembles._util import CapacityError, Caps, InvalidMatrixError, task_rng
 
 import moment_oracles as mo
 
@@ -447,16 +447,6 @@ class TestGeneralizedMoment:
         gen = sc.generalized_scrooge_moment(table, 1).matrix
         assert np.abs(gen - table.mixture()).max() <= 1e-12
 
-    def test_unnormalized_convention(self, rng):
-        states = np.stack([random_density(2, rng) for _ in range(2)])
-        p = np.array([0.4, 0.6])
-        table = sc.ConditionalStateTable(np.arange(2), p, states)
-        gen = sc.generalized_scrooge_moment(table, 2, "unnormalized").matrix
-        direct = sum(
-            pi * en.product_form_moment(s, 2).moment.matrix for pi, s in zip(p, states)
-        )
-        assert np.abs(gen - direct).max() <= 1e-12
-
 
 def random_table(rng, d, ranks):
     states = np.stack([random_density(d, rng, rank=r) for r in ranks])
@@ -542,6 +532,43 @@ class TestBatchedScroogeMixture:
         bad = sc.ConditionalStateTable(table.outcomes, table.probabilities, 2 * table.states)
         with pytest.raises(ValueError):
             sc.generalized_scrooge_moment(bad, 2)
+
+
+NON_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
+
+
+class TestDensityMatrixChecks:
+    """Density-matrix inputs are rejected, not read off one triangle, when not Hermitian or NaN."""
+
+    def test_non_hermitian_matrix_is_rejected(self):
+        with pytest.raises(InvalidMatrixError, match="Hermitian"):
+            sc.scrooge_moment(NON_HERMITIAN, 2)
+        with pytest.raises(InvalidMatrixError, match="Hermitian"):
+            sc.subentropy(NON_HERMITIAN)
+        with pytest.raises(InvalidMatrixError, match="Hermitian"):
+            sc.real_scrooge_moment2(NON_HERMITIAN.real.astype(complex))
+
+    def test_non_hermitian_state_in_a_table_is_rejected(self):
+        states = np.stack([np.eye(2, dtype=complex) / 2, NON_HERMITIAN])
+        table = sc.ConditionalStateTable(np.arange(2), np.array([0.5, 0.5]), states)
+        with pytest.raises(InvalidMatrixError, match="Hermitian"):
+            sc.generalized_scrooge_moment(table, 2)
+
+    def test_nan_on_the_diagonal_fails_the_trace_check(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError, match="trace"):
+            sc.scrooge_moment(rho, 2)
+
+    def test_nan_off_the_diagonal_fails_the_hermiticity_check(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = rho[1, 0] = np.nan
+        with pytest.raises(InvalidMatrixError, match="Hermitian"):
+            sc.scrooge_moment(rho, 2)
+
+    def test_nan_eigenvalue_is_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            sc.subentropy(np.array([np.nan, 0.5]))
 
 
 class TestRealScrooge:

@@ -153,6 +153,29 @@ class TestEvolve:
         assert y_expect(sp.evolve(sd, plus, np.pi / 4)) == pytest.approx(1.0, abs=1e-12)
         assert y_expect(sp.evolve(sd, plus, 3 * np.pi / 4)) == pytest.approx(-1.0, abs=1e-12)
 
+    @staticmethod
+    def _bound_at(theta):
+        sd = sp.diagonalize(hb.build_hamiltonian({"model": "mfim", "n": 6}))
+        return sd, sp.bind_state(sd, hb.product_state(theta, 6))
+
+    def test_evolve_grid_rejects_a_state_the_spectrum_is_not_bound_to(self):
+        _, bound = self._bound_at(0.3)
+        with pytest.raises(ValueError, match="bound to another initial state"):
+            sp.evolve_grid(bound, hb.product_state(1.2, 6), [0.0, 2.0])
+
+    def test_evolve_rejects_a_state_the_spectrum_is_not_bound_to(self):
+        _, bound = self._bound_at(0.3)
+        with pytest.raises(ValueError, match="bound to another initial state"):
+            sp.evolve(bound, hb.product_state(1.2, 6), 2.0)
+
+    def test_bound_spectrum_uses_its_stored_overlaps(self):
+        sd, bound = self._bound_at(0.3)
+        psi0, times = hb.product_state(0.3, 6), [0.0, 2.0]
+        out = sp.evolve_grid(bound, psi0, times)
+        phases = np.exp(-1j * np.outer(bound.eigenvalues, times))
+        assert np.array_equal(out, bound.eigenvectors @ (bound.overlaps[:, None] * phases))
+        assert np.abs(out - sp.evolve_grid(sd, psi0, times)).max() <= 1e-12
+
     def test_eigenstate_is_stationary(self):
         h = hb.build_hamiltonian({"model": "mfim", "n": 3})
         sd = sp.diagonalize(h)

@@ -86,8 +86,7 @@ def member_ensemble(d, r, rng, convention="normalized", repeated=False):
         w /= w.sum()
     else:
         w = np.full(r, 1.0 / r)
-    members = tuple((wi, hb.PureState(c, (d,), convention)) for wi, c in zip(w, cols.T))
-    return en.WeightedEnsemble(members, convention)
+    return en.WeightedEnsemble(cols, w, convention)
 
 
 def dense_distance(a, b):
@@ -233,6 +232,12 @@ class TestMutualInformationTime:
         h_mean = np.mean([st.shannon_entropy_bits(probs[:, i]) for i in range(times.size)])
         assert rep.bits == pytest.approx(st.shannon_entropy_bits(probs.mean(axis=1)) - h_mean, abs=1e-12)
 
+    def test_rejects_a_state_the_spectrum_is_not_bound_to(self, spectrum_factory):
+        bound = spectrum_factory("mfim", 6, 0.3)
+        basis = hb.pauli_basis(range(6), "Z")
+        with pytest.raises(ValueError, match="bound to another initial state"):
+            st.mutual_information_time(bound, hb.product_state(1.2, 6), basis, tau=20.0, grid_points=80)
+
     def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
         bound = spectrum_factory("mfim", 6, 0.4)
         basis = hb.pauli_basis((1, 0, 2, 3, 4, 5), "XZZZZZ")
@@ -314,6 +319,13 @@ class TestInteractionInformation:
             t=37.0,
         )
         assert abs(rep.bits) <= 1e-9
+
+    def test_rejects_a_state_the_spectrum_is_not_bound_to(self, spectrum_factory):
+        bound = spectrum_factory("mfim", 6, 0.3)
+        part = hb.Bipartition(6, hb.central_sites(6, 2))
+        ba, bb = hb.pauli_basis(part.sites_A, "X"), hb.pauli_basis(part.sites_B, "X")
+        with pytest.raises(ValueError, match="bound to another initial state"):
+            st.interaction_information(bound, hb.product_state(1.2, 6), part, ba, bb, 2.0)
 
     def test_decomposition_closure(self, spectrum_factory):
         n = 6
