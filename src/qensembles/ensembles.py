@@ -545,6 +545,8 @@ def weighted_projected_moment(
     p_d = np.asarray(p_d, dtype=float)
     if p_d.shape != (table.shape[1],):
         raise ValueError("p_d must have one entry per outcome")
+    if not np.all(np.isfinite(p_d)):
+        raise ValueError("p_d must be finite")
     inst = np.sum(np.abs(table) ** 2, axis=0)
     bad = (p_d <= 0) & (inst > ZERO_OUTCOME_CUTOFF)
     if np.any(bad):

@@ -4,12 +4,17 @@ A quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
 propagates the product state with the sparse Hamiltonian
 (`spectral.propagate`), so fixed-time pipelines never diagonalize. Full
 spectra (dense diagonalization up to D = 2^14) are built only for the paths
-that read eigenpairs: bound states, conditional-state tables, time averages
-and the eigenstate pipelines. The process cache keys spectra by the model
+that read eigenpairs: bound states, conditional-state tables and the
+eigenstate pipelines. The process cache keys spectra by the model
 specification, quenched states by the model, the initial-state angle and the
 time, and conditional-state tables by the model, the angle, the bipartition
-and the measurement basis (its sites and the bytes of each factor): a table
-does not depend on time, so every pipeline that needs one asks the cache.
+and the measurement basis (its sites and the bytes of each factor).
+
+A table does not depend on time, so every time average is read off the
+cached table of its B basis: the generalized Scrooge reference, the
+rescaled joint probabilities and the interaction information.
+`interaction_information_scan` reads its fixed-time state off the bound
+spectrum its table needs (`spectral.evolve`), once per scan.
 The cache can be released explicitly, per model or whole; large-chain
 workflows should group their uses and then drop it.
 """
@@ -36,10 +41,12 @@ class SpectrumCache:
 
     States are keyed by the model specification, theta and t, and are built by
     propagation, never from a spectrum. Spectra are keyed by the model
-    specification and built only when a caller reads eigenpairs. Tables are
-    keyed by the model, theta, the chain length and A sites of the
-    bipartition, and the basis sites and factor bytes; `release(model)` drops
-    a model's states, spectrum and tables together.
+    specification and built only when a caller reads eigenpairs; `bound`
+    binds the cached spectrum to the product state at theta. Tables are keyed
+    by the model, theta, the chain length and A sites of the bipartition, and
+    the basis sites and factor bytes; they are the one source of every time
+    average the pipelines report. `release(model)` drops a model's states,
+    spectrum and tables together.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
@@ -195,18 +202,20 @@ def interaction_information_scan(
     letters: tuple[str, ...] = ("X", "Y", "Z"),
     basis_b_letter: str = "X",
 ):
-    """Interaction information per A basis against the weighted-subentropy value."""
+    """Interaction information per A basis against the weighted-subentropy value.
+
+    The state at time t is read off the bound spectrum once per scan, and the
+    time-averaged part of every letter comes from one cached table.
+    """
     n = int(model["n"])
     part = hb.Bipartition(n, hb.central_sites(n, subsystem_width))
-    bound = cache.bound(model, theta)
-    psi0 = hb.product_state(theta, n)
+    state = sp.evolve(cache.bound(model, theta), t)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     table = cache.conditional_states(model, theta, part, basis_b)
     rows = []
     for letter in letters:
         rep = st.interaction_information(
-            bound, psi0, part, hb.pauli_basis(part.sites_A, letter), basis_b, t,
-            conditional_table=table,
+            state, table, part, hb.pauli_basis(part.sites_A, letter), basis_b
         )
         rows.append(
             {
@@ -240,8 +249,8 @@ def rescaled_joint_probability_ks(
     basis_b = hb.pauli_basis(part.sites_B, basis_letter)
     state = quench_state(cache, model, theta, t)
     joint = st.joint_outcome_distribution(state, part, basis_a, basis_b)
-    bound = cache.bound(model, theta)
-    avg = st.time_averaged_joint_distribution(bound, part, basis_a, basis_b)
+    table = cache.conditional_states(model, theta, part, basis_b)
+    avg = st.time_averaged_joint_distribution(table, part, basis_a)
     keep = avg > en.ZERO_OUTCOME_CUTOFF
     rescaled = (joint[keep] / avg[keep]).ravel()
     raw = (joint * joint.size).ravel()

@@ -51,13 +51,6 @@ class SpectralData:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-class FactoredTwoCopy(NamedTuple):
-    """Sum_E w_E |E,E><E,E| kept factored: weights w_E and the energy order."""
-
-    weights: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
     idx = np.abs(v).argmax(axis=0)
     lead = v[idx, np.arange(v.shape[1])]
@@ -132,29 +125,21 @@ def _require_finite_times(t: np.ndarray) -> None:
         raise ValueError(f"evolution times must be finite, got {t}")
 
 
-def evolve_grid(sd: SpectralData, psi0: PureState, times: Sequence[float]) -> np.ndarray:
-    """Column t of the result is exp(-i H t)|psi0>; one BLAS call for the grid.
-
-    A bound spectrum must be bound to psi0: its stored overlaps are used, and
-    ValueError is raised when they differ from <E|psi0> by more than 1e-12.
-    """
-    if psi0.dim != sd.dim:
-        raise ValueError("state dimension does not match the spectrum")
+def evolve_grid(sd: SpectralData, times: Sequence[float]) -> np.ndarray:
+    """Column t of the result is exp(-i H t)|psi0> for the state sd is bound to;
+    one BLAS call for the grid. Raises ValueError on an unbound spectrum."""
+    if sd.overlaps is None:
+        raise ValueError("spectral data must be bound to an initial state")
     t = np.asarray(times, dtype=float)
     _require_finite_times(t)
-    c = np.conj(psi0.amplitudes.conj() @ sd.eigenvectors)
-    if sd.overlaps is not None:
-        if not np.abs(c - sd.overlaps).max() <= 1e-12:  # NaN fails this test
-            raise ValueError("the spectrum is bound to another initial state than psi0")
-        c = sd.overlaps
     phases = np.exp(-1j * np.outer(sd.eigenvalues, t))
-    return sd.eigenvectors @ (c[:, None] * phases)
+    return sd.eigenvectors @ (sd.overlaps[:, None] * phases)
 
 
-def evolve(sd: SpectralData, psi0: PureState, t: float) -> PureState:
-    amps = evolve_grid(sd, psi0, [float(t)])[:, 0]
+def evolve(sd: SpectralData, t: float) -> PureState:
+    amps = evolve_grid(sd, [float(t)])[:, 0]
     amps = amps / np.linalg.norm(amps)
-    return PureState(amps, psi0.dims, "normalized")
+    return PureState(amps, qubit_or_flat_dims(sd.dim), "normalized")
 
 
 # Truncation target of `propagate`: the Bessel tail left out of the Chebyshev sum.
@@ -226,18 +211,13 @@ def propagate(h, a: float, psi0: np.ndarray, t: float) -> np.ndarray:
 
 def diagonal_ensemble(
     sd: SpectralData, caps: Caps = DEFAULT_CAPS
-) -> tuple[HermitianOperator, FactoredTwoCopy, float]:
-    """Infinite-time average of |psi0(t)><psi0(t)| plus its two-copy diagonal part.
-
-    Returns (rho_d, factored sum_E |c_E|^4 |E,E><E,E|, purity tr rho_d^2).
-    The two-copy part stays factored; it is never densified at D^2 size.
-    """
+) -> tuple[HermitianOperator, float]:
+    """Infinite-time average rho_d of |psi0(t)><psi0(t)| and its purity tr rho_d^2."""
     p = sd.populations
     check_cap(caps, "max_moment_entries", sd.dim**2)
     rho = (sd.eigenvectors * p) @ sd.eigenvectors.conj().T
     rho = (rho + rho.conj().T) / 2
-    op = HermitianOperator(rho, qubit_or_flat_dims(sd.dim))
-    return op, FactoredTwoCopy(p**2, sd.eigenvalues.copy()), float(np.sum(p**2))
+    return HermitianOperator(rho, qubit_or_flat_dims(sd.dim)), float(np.sum(p**2))
 
 
 def dephase(sd: SpectralData, a: np.ndarray) -> np.ndarray:

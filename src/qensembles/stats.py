@@ -21,8 +21,8 @@ from .hilbert import (
     basis_matrix,
     projection_table,
 )
-from .scrooge import ConditionalStateTable, conditional_states, subentropy
-from .spectral import SpectralData, evolve, evolve_grid
+from .scrooge import ConditionalStateTable, subentropy
+from .spectral import SpectralData, evolve_grid
 
 LN2 = math.log(2.0)
 EULER_GAMMA = float(np.euler_gamma)
@@ -141,12 +141,16 @@ def pt_test(
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
-    if np.any(x < 0):
-        raise ValueError("values must be nonnegative")
+    if not np.all((x >= 0) & np.isfinite(x)):  # NaN fails both tests
+        raise ValueError("values must be finite and nonnegative")
     if weights is None:
         w = np.full(x.size, 1.0 / x.size)
     else:
         w = np.asarray(weights, dtype=float)
+        if w.shape != x.shape:
+            raise ValueError("weights must have one entry per value")
+        if not np.all((w >= 0) & np.isfinite(w)):
+            raise ValueError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-8:
             raise ValueError("weights must sum to 1")
     cdf, label = _target_cdf(target)
@@ -181,13 +185,13 @@ class InfoReport:
 
 def mutual_information_time(
     sd: SpectralData,
-    psi0: PureState,
     basis: MeasurementBasis,
     tau: float,
     grid_points: int | None = None,
     t_start: float | None = None,
 ) -> InfoReport:
-    """Information between measurement outcomes and the (uniform) evolution time.
+    """Information between measurement outcomes and the (uniform) evolution time
+    of the state sd is bound to.
 
     Estimated on a uniform grid over [t_start, t_start + tau]: the entropy of
     the grid-averaged outcome distribution minus the mean per-time entropy.
@@ -196,7 +200,7 @@ def mutual_information_time(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    _require_sites(basis, range(psi0.n_sites))
+    _require_sites(basis, range(sd.dim.bit_length() - 1))
     p_pop = sd.populations
     e_mean = float(np.dot(p_pop, sd.eigenvalues))
     sigma_h = math.sqrt(max(float(np.dot(p_pop, sd.eigenvalues**2)) - e_mean**2, 0.0))
@@ -207,7 +211,7 @@ def mutual_information_time(
     times = t_start + np.linspace(0.0, tau, grid_points)
     if times.size < 2:
         raise ValueError("degenerate time grid")
-    states = evolve_grid(sd, psi0, times)
+    states = evolve_grid(sd, times)
     amps = apply_local_rotations(states.T, basis.factors, conjugate=True).T
     probs = np.abs(amps) ** 2  # (outcomes, times)
     h_mean = float(np.mean([shannon_entropy_bits(probs[:, i]) for i in range(times.size)]))
@@ -269,8 +273,17 @@ def conditional_mutual_information(
     return InfoReport(kind="I(O_A;Z_B|T)", bits=value)
 
 
-def _joint_from_table(table: ConditionalStateTable, basis_a: MeasurementBasis) -> np.ndarray:
-    """p_d(x) [U_A^dagger rho_bar(x) U_A]_oo, scattered to (D_A, D_B); dropped x give zeros."""
+def time_averaged_joint_distribution(
+    table: ConditionalStateTable, part: Bipartition, basis_a: MeasurementBasis
+) -> np.ndarray:
+    """E_t[p(o_A, x_B, t)] of shape (D_A, D_B), read off the conditional-state table.
+
+    p_avg(o, x) = sum_E p_E |<o, x|E>|^2 = p_d(x) <o|rho_bar(x)|o>: the
+    dephased state's diagonal in the product basis is each outcome's weight
+    times the A-basis diagonal of its conditional state. Outcomes the table
+    dropped give zero columns.
+    """
+    _require_sites(basis_a, part.sites_A)
     u = basis_matrix(basis_a)
     diag = np.einsum("ao,xab,bo->ox", u.conj(), table.states, u).real
     out = np.zeros((table.d_a, table.outcomes.size + table.dropped_outcomes))
@@ -278,43 +291,24 @@ def _joint_from_table(table: ConditionalStateTable, basis_a: MeasurementBasis) -
     return out
 
 
-def time_averaged_joint_distribution(
-    sd: SpectralData,
-    part: Bipartition,
-    basis_a: MeasurementBasis,
-    basis_b: MeasurementBasis,
-) -> np.ndarray:
-    """E_t[p(o_A, x_B, t)], read off the conditional-state table of the B basis.
-
-    p_avg(o, x) = sum_E p_E |<o, x|E>|^2 = p_d(x) <o|rho_bar(x)|o>: the
-    dephased state's diagonal in the product basis is each outcome's weight
-    times the A-basis diagonal of its conditional state.
-    """
-    _require_sites(basis_a, part.sites_A)
-    return _joint_from_table(conditional_states(sd, part, basis_b), basis_a)
-
-
 def interaction_information(
-    sd: SpectralData,
-    psi0: PureState,
+    state: PureState,
+    table: ConditionalStateTable,
     part: Bipartition,
     basis_a: MeasurementBasis,
     basis_b: MeasurementBasis,
-    t: float,
-    conditional_table: ConditionalStateTable | None = None,
 ) -> InfoReport:
     """I(O_A;X_B;T): fixed-time mutual information minus its time-averaged part.
 
-    The report carries the weighted-subentropy prediction
-    sum_x p_d(x) Q(rho_bar(x)) and the concavity bound Q(rho_A); the fixed-time
-    and time-averaged mutual informations ride along in the metadata.
+    state is the quenched state at the fixed time; table is
+    `scrooge.conditional_states` of the same quench, bipartition and basis_b,
+    and gives the time-averaged part. The report carries the
+    weighted-subentropy prediction sum_x p_d(x) Q(rho_bar(x)) and the
+    concavity bound Q(rho_A); the fixed-time and time-averaged mutual
+    informations ride along in the metadata.
     """
-    state_t = evolve(sd, psi0, t)
-    i_fixed = conditional_mutual_information(state_t, part, basis_a, basis_b).bits
-    table = conditional_table
-    if table is None:
-        table = conditional_states(sd, part, basis_b)
-    i_avg = mutual_information_of_joint(_joint_from_table(table, basis_a))
+    i_fixed = conditional_mutual_information(state, part, basis_a, basis_b).bits
+    i_avg = mutual_information_of_joint(time_averaged_joint_distribution(table, part, basis_a))
     weighted_q = float(
         np.sum(table.probabilities * np.array([subentropy(s) for s in table.states]))
     )
@@ -324,7 +318,6 @@ def interaction_information(
         bits=i_fixed - i_avg,
         prediction_bits=weighted_q,
         metadata={
-            "t": float(t),
             "fixed_time_bits": i_fixed,
             "time_averaged_bits": i_avg,
             "subentropy_bound_bits": subentropy(rho_a.astype(complex)),

@@ -531,13 +531,20 @@ class TestWeightedProjectedMoment:
         with pytest.raises(DegenerateWeightError):
             en.weighted_projected_moment(s, part, basis, np.array([0.0, 0.3, 0.3, 0.4]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pd_raises(self, rng, bad):
+        s = random_state(16, rng)
+        part = hb.Bipartition(4, (0, 1))
+        basis = hb.pauli_basis(part.sites_B, "ZZ")
+        with pytest.raises(ValueError, match="finite"):
+            en.weighted_projected_moment(s, part, basis, np.array([0.2, bad, 0.3, 0.5]), 2)
+
 
 class TestParseval:
     def test_all_outcome_probabilities_normalized_along_trajectory(self, rng):
         h = hb.build_hamiltonian({"model": "mfim", "n": 6})
-        sd = sp.diagonalize(h)
-        psi0 = hb.product_state(0.6, 6)
-        states = sp.evolve_grid(sd, psi0, np.linspace(1.0, 30.0, 7))
+        sd = sp.bind_state(sp.diagonalize(h), hb.product_state(0.6, 6))
+        states = sp.evolve_grid(sd, np.linspace(1.0, 30.0, 7))
         part = hb.Bipartition(6, (2, 3))
         basis = hb.pauli_basis(part.sites_B, "XZXZ")
         for i in range(states.shape[1]):

@@ -119,7 +119,14 @@ class TestConditionalStateCache:
         assert cache.conditional_states(other_model, 0.3, part, basis) is not kept
         assert len(table_builds) == 4
 
-    def test_pipelines_share_one_table(self, table_builds):
+    def test_pipelines_share_one_table(self, table_builds, monkeypatch):
+        averaged_from, average = [], st.time_averaged_joint_distribution
+
+        def spy(table, part, basis_a):
+            averaged_from.append(table)
+            return average(table, part, basis_a)
+
+        monkeypatch.setattr(st, "time_averaged_joint_distribution", spy)
         cache = pl.SpectrumCache()
         for k in (2, 3):
             pl.projected_moment_comparison(
@@ -128,7 +135,12 @@ class TestConditionalStateCache:
         assert len(table_builds) == 1
         pl.interaction_information_scan(cache, MFIM6, 0.0, 3.0, 2, ("Z",), basis_b_letter="Z")
         pl.interaction_information_scan(cache, MFIM6, 0.0, 5.0, 2, ("X",), basis_b_letter="Z")
+        pl.rescaled_joint_probability_ks(cache, MFIM6, 0.0, 3.0, 2, basis_letter="Z")
         assert len(table_builds) == 1
+        # every time average read the cached table
+        table = cache.conditional_states(MFIM6, 0.0, *central(6, 2, "Z"))
+        assert len(averaged_from) == 3
+        assert all(t is table for t in averaged_from)
 
 
 @pytest.fixture()
@@ -159,7 +171,7 @@ class TestQuenchStateCache:
         assert pl.quench_state(cache, dict(MFIM6), 0.3, 2.5) is first
         assert propagations == [2.5]
         assert not first.amplitudes.flags.writeable
-        expected = sp.evolve(cache.bound(MFIM6, 0.3), hb.product_state(0.3, 6), 2.5)
+        expected = sp.evolve(cache.bound(MFIM6, 0.3), 2.5)
         assert np.abs(first.amplitudes - expected.amplitudes).max() <= 1e-12
 
     def test_theta_time_and_model_get_their_own_entries(self, propagations):
@@ -338,13 +350,13 @@ class TestInteractionInformationScan:
         rows = pl.interaction_information_scan(cache, MFIM6, theta, t, 2, letters)
         assert [row["basis"] for row in rows] == list(letters)
         bound = cache.bound(MFIM6, theta)
-        psi0 = hb.product_state(theta, n)
+        state = sp.evolve(bound, t)
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         basis_b = hb.pauli_basis(part.sites_B, "X")
+        table = sc.conditional_states(bound, part, basis_b)  # built here, not read from the cache
         for row, letter in zip(rows, letters):
-            # no table passed: interaction_information builds its own
             rep = st.interaction_information(
-                bound, psi0, part, hb.pauli_basis(part.sites_A, letter), basis_b, t
+                state, table, part, hb.pauli_basis(part.sites_A, letter), basis_b
             )
             assert row == {
                 "basis": letter,

@@ -365,7 +365,7 @@ class TestConditionalStates:
         part = hb.Bipartition(4, (1, 2))
         basis = hb.pauli_basis(part.sites_B, "ZZ")
         table = sc.conditional_states(bound, part, basis)
-        rho_d, _, _ = sp.diagonal_ensemble(bound)
+        rho_d, _ = sp.diagonal_ensemble(bound)
         expected = hb.partial_trace(rho_d, part, "A").entries
         assert np.abs(table.mixture() - expected).max() <= 1e-10
         assert table.probabilities.sum() == pytest.approx(1.0, abs=1e-10)

@@ -32,7 +32,7 @@ def random_unitary(d, rng):
 
 def dense_time_averaged_joint(bound, part, ba, bb):
     """Diagonal of the dephased state in the product basis, from dense matrices."""
-    rho_d, _, _ = sp.diagonal_ensemble(bound)
+    rho_d, _ = sp.diagonal_ensemble(bound)
     u = np.kron(hb.basis_matrix(bb), hb.basis_matrix(ba))  # little-endian: A is low bits
     perm = hb._subsystem_indices(part.n_sites, part.sites_A + part.sites_B)
     inv = np.empty_like(perm)
@@ -199,6 +199,14 @@ class TestPTTest:
             st.pt_test([1.0, 2.0], weights=[0.3, 0.3])
         with pytest.raises(ValueError):
             st.pt_test([])
+        for values in ([1.0, np.nan, 0.5], [1.0, np.inf, 0.5], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                st.pt_test(values)
+        for weights in ([1.5, -0.5, 0.0], [0.5, np.nan, 0.5], [np.inf, -np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                st.pt_test([1.0, 2.0, 0.5], weights=weights)
+        with pytest.raises(ValueError, match="one entry per value"):
+            st.pt_test([1.0, 2.0, 0.5], weights=[0.5, 0.5])
 
 
 class TestMutualInformationTime:
@@ -208,15 +216,14 @@ class TestMutualInformationTime:
         eig = hb.PureState(sd.eigenvectors[:, 3], (2,) * 4)
         bound = sp.bind_state(sd, eig)
         basis = hb.pauli_basis(range(4), "Z")
-        rep = st.mutual_information_time(bound, eig, basis, tau=50.0, grid_points=200)
+        rep = st.mutual_information_time(bound, basis, tau=50.0, grid_points=200)
         assert abs(rep.bits) <= 1e-10
 
     def test_small_chain_approaches_universal_value(self, spectrum_factory):
         # at n = 10 the asymptote is already close; full-tolerance check is in acceptance
         bound = spectrum_factory("mfim", 10, 0.6)
-        psi0 = hb.product_state(0.6, 10)
         basis = hb.pauli_basis(range(10), "Z")
-        sigma = rep = st.mutual_information_time(bound, psi0, basis, tau=300.0 / 4.7)
+        rep = st.mutual_information_time(bound, basis, tau=300.0 / 4.7)
         assert rep.metadata["sigma_h_tau"] >= 200
         assert rep.bits == pytest.approx((1 - np.euler_gamma) / math.log(2), abs=0.05)
 
@@ -224,25 +231,18 @@ class TestMutualInformationTime:
     def test_explicit_basis_matches_dense_basis_matrix(self, spectrum_factory, rng):
         n = 6
         bound = spectrum_factory("mfim", n, 0.4)
-        psi0 = hb.product_state(0.4, n)
         basis = hb.explicit_basis(range(n), random_unitary(2**n, rng))
-        rep = st.mutual_information_time(bound, psi0, basis, tau=20.0, grid_points=80, t_start=5.0)
+        rep = st.mutual_information_time(bound, basis, tau=20.0, grid_points=80, t_start=5.0)
         times = 5.0 + np.linspace(0.0, 20.0, 80)
-        probs = np.abs(hb.basis_matrix(basis).conj().T @ sp.evolve_grid(bound, psi0, times)) ** 2
+        probs = np.abs(hb.basis_matrix(basis).conj().T @ sp.evolve_grid(bound, times)) ** 2
         h_mean = np.mean([st.shannon_entropy_bits(probs[:, i]) for i in range(times.size)])
         assert rep.bits == pytest.approx(st.shannon_entropy_bits(probs.mean(axis=1)) - h_mean, abs=1e-12)
-
-    def test_rejects_a_state_the_spectrum_is_not_bound_to(self, spectrum_factory):
-        bound = spectrum_factory("mfim", 6, 0.3)
-        basis = hb.pauli_basis(range(6), "Z")
-        with pytest.raises(ValueError, match="bound to another initial state"):
-            st.mutual_information_time(bound, hb.product_state(1.2, 6), basis, tau=20.0, grid_points=80)
 
     def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
         bound = spectrum_factory("mfim", 6, 0.4)
         basis = hb.pauli_basis((1, 0, 2, 3, 4, 5), "XZZZZZ")
         with pytest.raises(ValueError):
-            st.mutual_information_time(bound, hb.product_state(0.4, 6), basis, tau=20.0)
+            st.mutual_information_time(bound, basis, tau=20.0)
 
 
 class TestConditionalMI:
@@ -291,9 +291,7 @@ class TestConditionalMI:
 
     def test_sandwich_on_thermal_like_state(self, spectrum_factory):
         n = 8
-        bound = spectrum_factory("mfim", n, 0.6)
-        psi0 = hb.product_state(0.6, n)
-        state = sp.evolve(bound, psi0, 60.0)
+        state = sp.evolve(spectrum_factory("mfim", n, 0.6), 60.0)
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         rep = st.conditional_mutual_information(
             state, part, hb.pauli_basis(part.sites_A, "Z"), hb.pauli_basis(part.sites_B, "Z")
@@ -310,39 +308,24 @@ class TestInteractionInformation:
         eig = hb.PureState(sd.eigenvectors[:, 9], (2,) * 4)
         bound = sp.bind_state(sd, eig)
         part = hb.Bipartition(4, (1, 2))
-        rep = st.interaction_information(
-            bound,
-            eig,
-            part,
-            hb.pauli_basis(part.sites_A, "X"),
-            hb.pauli_basis(part.sites_B, "X"),
-            t=37.0,
-        )
-        assert abs(rep.bits) <= 1e-9
-
-    def test_rejects_a_state_the_spectrum_is_not_bound_to(self, spectrum_factory):
-        bound = spectrum_factory("mfim", 6, 0.3)
-        part = hb.Bipartition(6, hb.central_sites(6, 2))
         ba, bb = hb.pauli_basis(part.sites_A, "X"), hb.pauli_basis(part.sites_B, "X")
-        with pytest.raises(ValueError, match="bound to another initial state"):
-            st.interaction_information(bound, hb.product_state(1.2, 6), part, ba, bb, 2.0)
+        table = sc.conditional_states(bound, part, bb)
+        rep = st.interaction_information(sp.evolve(bound, 37.0), table, part, ba, bb)
+        assert abs(rep.bits) <= 1e-9
 
     def test_decomposition_closure(self, spectrum_factory):
         n = 6
         bound = spectrum_factory("mfim", n, 0.6)
-        psi0 = hb.product_state(0.6, n)
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         ba = hb.pauli_basis(part.sites_A, "X")
         bb = hb.pauli_basis(part.sites_B, "X")
-        t = 45.0
-        rep = st.interaction_information(bound, psi0, part, ba, bb, t)
-        # recompute the decomposition from scratch
-        state = sp.evolve(bound, psi0, t)
+        state = sp.evolve(bound, 45.0)
+        rep = st.interaction_information(state, sc.conditional_states(bound, part, bb), part, ba, bb)
+        # recompute the decomposition from scratch: the time average from the dense dephased state
         i_fixed = st.mutual_information_of_joint(
             st.joint_outcome_distribution(state, part, ba, bb)
         )
-        p_avg = st.time_averaged_joint_distribution(bound, part, ba, bb)
-        i_avg = st.mutual_information_of_joint(p_avg)
+        i_avg = st.mutual_information_of_joint(dense_time_averaged_joint(bound, part, ba, bb))
         assert rep.bits == pytest.approx(i_fixed - i_avg, abs=1e-10)
         assert rep.metadata["fixed_time_bits"] == pytest.approx(i_fixed, abs=1e-12)
 
@@ -352,8 +335,8 @@ class TestInteractionInformation:
         part = hb.Bipartition(n, (2, 3))
         ba = hb.pauli_basis(part.sites_A, "Y")
         bb = hb.pauli_basis(part.sites_B, "XZXZ")
-        p = st.time_averaged_joint_distribution(bound, part, ba, bb)
-        rho_d, _, _ = sp.diagonal_ensemble(bound)
+        p = st.time_averaged_joint_distribution(sc.conditional_states(bound, part, bb), part, ba)
+        rho_d, _ = sp.diagonal_ensemble(bound)
         u = np.kron(hb.basis_matrix(bb), hb.basis_matrix(ba))  # little-endian: A is low bits
         perm = hb._subsystem_indices(n, part.sites_A + part.sites_B)
         inv = np.empty_like(perm)
@@ -369,9 +352,9 @@ class TestInteractionInformation:
         part = hb.Bipartition(n, (1, 2, 4))
         ba = hb.explicit_basis(part.sites_A, random_unitary(part.d_a, rng))
         bb = hb.pauli_basis(part.sites_B, "ZXY")
-        p = st.time_averaged_joint_distribution(bound, part, ba, bb)
-        assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
         table = sc.conditional_states(bound, part, bb)
+        p = st.time_averaged_joint_distribution(table, part, ba)
+        assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
         assert np.abs(p.sum(axis=0)[table.outcomes] - table.probabilities).max() <= 1e-12
 
     def test_dropped_outcomes_give_zero_columns(self, rng):
@@ -388,7 +371,7 @@ class TestInteractionInformation:
         bb = hb.pauli_basis(part.sites_B, "Z")
         table = sc.conditional_states(bound, part, bb)
         assert table.dropped_outcomes == part.d_b - 1
-        p = st.time_averaged_joint_distribution(bound, part, ba, bb)
+        p = st.time_averaged_joint_distribution(table, part, ba)
         assert p.shape == (part.d_a, part.d_b)
         assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
         a0 = hb._subsystem_indices(n, part.sites_A)[z0]
@@ -397,20 +380,6 @@ class TestInteractionInformation:
         expected[:, x0] = np.abs(u[a0, :]) ** 2  # |<o|psi_A>|^2
         assert np.abs(p - expected).max() <= 1e-12
         assert np.abs(p.sum(axis=0)[table.outcomes] - table.probabilities).max() <= 1e-12
-
-    def test_same_report_with_and_without_table(self, spectrum_factory, rng):
-        n = 6
-        bound = spectrum_factory("mfim", n, 0.3)
-        psi0 = hb.product_state(0.3, n)
-        part = hb.Bipartition(n, hb.central_sites(n, 2))
-        ba = hb.explicit_basis(part.sites_A, random_unitary(part.d_a, rng))
-        bb = hb.pauli_basis(part.sites_B, "X")
-        table = sc.conditional_states(bound, part, bb)
-        bare = st.interaction_information(bound, psi0, part, ba, bb, 12.0)
-        given = st.interaction_information(bound, psi0, part, ba, bb, 12.0, conditional_table=table)
-        assert given.bits == bare.bits
-        assert given.prediction_bits == bare.prediction_bits
-        assert given.metadata == bare.metadata
 
 
 class TestBasisSites:
@@ -434,14 +403,17 @@ class TestBasisSites:
 
     @pytest.mark.parametrize("ba, bb", WRONG, ids=IDS)
     def test_time_averaged_joint_distribution(self, spectrum_factory, ba, bb):
-        with pytest.raises(ValueError):
-            st.time_averaged_joint_distribution(spectrum_factory("mfim", self.N, 0.4), self.PART, ba, bb)
+        bound = spectrum_factory("mfim", self.N, 0.4)
+        with pytest.raises(ValueError):  # B sites are checked where the table is built
+            table = sc.conditional_states(bound, self.PART, bb)
+            st.time_averaged_joint_distribution(table, self.PART, ba)
 
     @pytest.mark.parametrize("ba, bb", WRONG, ids=IDS)
     def test_interaction_information(self, spectrum_factory, ba, bb):
         bound = spectrum_factory("mfim", self.N, 0.4)
+        table = sc.conditional_states(bound, self.PART, self.GOOD_B)
         with pytest.raises(ValueError):
-            st.interaction_information(bound, hb.product_state(0.4, self.N), self.PART, ba, bb, 3.0)
+            st.interaction_information(sp.evolve(bound, 3.0), table, self.PART, ba, bb)
 
 
 class TestEnsembleEntropy:
