@@ -29,6 +29,7 @@ from ._util import (
 )
 
 HERMITICITY_TOL = 1e-12
+ROTATION_BLOCK_ENTRIES = 2**16  # entries per row block in apply_local_rotations; bounds its memory
 
 # Columns are the basis vectors of the single-site X/Y/Z eigenbases.
 _SINGLE_QUBIT_BASIS = {
@@ -171,6 +172,10 @@ class MeasurementBasis:
     def dim(self) -> int:
         return 2 ** len(self.sites)
 
+    def key(self) -> tuple:
+        """Hashable identity: the sites and the shape, dtype and bytes of each factor."""
+        return self.sites, tuple((u.shape, u.dtype.str, u.tobytes()) for u in self.factors)
+
 
 def pauli_basis(sites: Sequence[int], letters: str) -> MeasurementBasis:
     sites = tuple(int(s) for s in sites)
@@ -258,21 +263,34 @@ def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray], conjug
     <basis vector | state>. A block equal to the identity (the Pauli Z
     factor) is skipped: contracting with it returns its input exactly, up to
     the sign of zero. The result is always a new array.
+
+    Rows are taken ROTATION_BLOCK_ENTRIES entries at a time (at least one
+    row), and each row block runs through every factor before it is written
+    into the preallocated result. Rows are independent, so this gives the
+    single-pass values bit for bit, and the transient memory is the result
+    plus about three block-sized arrays (the input block, the einsum's
+    product and its reshaped copy), whatever the number of factors.
     """
     rows, d = m.shape
     if d != math.prod(u.shape[0] for u in unitaries):
         raise ValueError("column dimension does not match the unitary block sizes")
-    out = np.ascontiguousarray(m)
+    steps = []
     lo = 1
     for u in unitaries:
         b = u.shape[0]
         if not np.array_equal(u, np.eye(b)):
-            uj = np.conj(u) if conjugate else u
-            t = out.reshape(rows, d // (lo * b), b, lo)
-            out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
+            steps.append((lo, b, np.conj(u) if conjugate else u))
         lo *= b
-    dtype = np.result_type(m, *unitaries)
-    return out.astype(dtype) if out is m or out.dtype != dtype else out
+    out = np.empty((rows, d), dtype=np.result_type(m, *unitaries))
+    step = max(1, ROTATION_BLOCK_ENTRIES // d)
+    for r0 in range(0, rows, step):
+        block = np.ascontiguousarray(m[r0 : r0 + step])
+        n = block.shape[0]
+        for lo, b, uj in steps:
+            t = block.reshape(n, d // (lo * b), b, lo)
+            block = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(n, d)
+        out[r0 : r0 + n] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +413,13 @@ def sparse_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> tuple[scipy
     """A model Hamiltonian as a CSR matrix, with the bound a >= ||H|| on its norm.
 
     Chain models are assembled from their `model_terms` without a dense
-    matrix, and a = sum |coeff|; "gue" and "explicit" models convert their
-    checked matrix, and a is its largest absolute row sum. The d entries per
-    term that assembly allocates are checked against `max_state_dim`.
+    matrix. Their a is sum |coeff| over the multi-site terms plus, per site,
+    the norm sqrt(c_x^2 + c_y^2 + c_z^2) of its one-site field
+    F = c_x X + c_y Y + c_z Z: the three Paulis of one site anticommute, so
+    F^2 = (c_x^2 + c_y^2 + c_z^2) I. "gue" and "explicit" models convert
+    their checked matrix, and a is its largest absolute row sum. The d
+    entries per term that assembly allocates are checked against
+    `max_state_dim`.
     """
     if model.get("model") in ("gue", "explicit"):
         m = scipy.sparse.csr_matrix(_checked_matrix(model).entries)
@@ -406,13 +428,21 @@ def sparse_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> tuple[scipy
     d = 2**n
     check_cap(caps, "max_state_dim", d * max(len(terms), 1))
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
+    fields = np.zeros((n, 3))  # summed X, Y, Z coefficients of the one-site terms
+    a = 0.0
     for coeff, ops in terms:
         r, c, v = _pauli_string_entries(n, ops)
         rows.append(r)
         cols.append(c)
         vals.append(coeff * v)
+        if len(ops) == 1:
+            ((site, letter),) = ops.items()
+            fields[site, "XYZ".index(letter)] += coeff
+        else:
+            a += abs(coeff)
     coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return scipy.sparse.csr_matrix(coo, shape=(d, d)), float(sum(abs(c) for c, _ in terms))
+    a += float(np.sqrt((fields * fields).sum(axis=1)).sum())
+    return scipy.sparse.csr_matrix(coo, shape=(d, d)), a
 
 
 def project_outcome(

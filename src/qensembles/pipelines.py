@@ -6,9 +6,10 @@ propagates the product state with the sparse Hamiltonian
 spectra (dense diagonalization up to D = 2^14) are built only for the paths
 that read eigenpairs: bound states, conditional-state tables and the
 eigenstate pipelines. The process cache keys spectra by the model
-specification, quenched states by the model, the initial-state angle and the
-time, and conditional-state tables by the model, the angle, the bipartition
-and the measurement basis (its sites and the bytes of each factor).
+specification, bound spectra by the model and the initial-state angle,
+quenched states by the model, the angle and the time, and conditional-state
+tables by the model, the angle, the bipartition and the measurement basis
+(its sites and the bytes of each factor).
 
 A table does not depend on time, so every time average is read off the
 cached table of its B basis: the generalized Scrooge reference, the
@@ -42,15 +43,17 @@ class SpectrumCache:
     States are keyed by the model specification, theta and t, and are built by
     propagation, never from a spectrum. Spectra are keyed by the model
     specification and built only when a caller reads eigenpairs; `bound`
-    binds the cached spectrum to the product state at theta. Tables are keyed
-    by the model, theta, the chain length and A sites of the bipartition, and
-    the basis sites and factor bytes; they are the one source of every time
-    average the pipelines report. `release(model)` drops a model's states,
-    spectrum and tables together.
+    binds the cached spectrum to the product state at theta, once per
+    (model, theta). Tables are keyed by the model, theta, the chain length and
+    A sites of the bipartition, and the basis (`MeasurementBasis.key`); they
+    are the one source of every time average the pipelines report.
+    `release(model)` drops a model's states, spectrum, bound spectra and
+    tables together.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self._store: dict[str, sp.SpectralData] = {}
+        self._bound: dict[str, dict[float, sp.SpectralData]] = {}
         self._states: dict[str, dict[tuple, hb.PureState]] = {}
         self._tables: dict[str, dict[tuple, sc.ConditionalStateTable]] = {}
         self.caps = caps
@@ -72,26 +75,26 @@ class SpectrumCache:
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
         sd = self.spectrum(model)
-        return sp.bind_state(sd, hb.product_state(theta, _n_sites(sd.dim)))
+        bound = self._bound.setdefault(self._key(model), {})
+        if float(theta) not in bound:
+            bound[float(theta)] = sp.bind_state(sd, hb.product_state(theta, _n_sites(sd.dim)))
+        return bound[float(theta)]
 
     def conditional_states(
         self, model: dict, theta: float, part: hb.Bipartition, basis: hb.MeasurementBasis
     ) -> sc.ConditionalStateTable:
         """`scrooge.conditional_states` of the model quenched from angle theta, built once."""
         tables = self._tables.setdefault(self._key(model), {})
-        factors = tuple((u.shape, u.dtype.str, u.tobytes()) for u in basis.factors)
-        key = (float(theta), part.n_sites, part.sites_A, basis.sites, factors)
+        key = (float(theta), part.n_sites, part.sites_A, basis.key())
         if key not in tables:
             tables[key] = sc.conditional_states(self.bound(model, theta), part, basis)
         return tables[key]
 
     def release(self, model: dict | None = None) -> None:
-        if model is None:
-            self._store.clear()
-            self._states.clear()
-            self._tables.clear()
-        else:
-            for store in (self._store, self._states, self._tables):
+        for store in (self._store, self._bound, self._states, self._tables):
+            if model is None:
+                store.clear()
+            else:
                 store.pop(self._key(model), None)
 
 

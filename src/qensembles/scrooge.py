@@ -50,7 +50,9 @@ CLUSTER_RTOL = 1e-9
 SPLIT_EPSILONS = (1e-4, 5e-5)  # relative to the mean eigenvalue; ratio 2 for Richardson
 GRID_STEP = 0.25  # trapezoid step in t = ln s
 GRID_MARGIN = 40.0  # reach in ln s past 1/lam_max and 1/lam_min; cut tails < e^-35 relative
-EIGENVECTOR_CHUNK = 2048  # eigenvectors per block in conditional_states; bounds its memory
+# Eigenvectors per block in conditional_states. Its transient memory is two complex
+# (D_A, chunk, D_B) tensors plus a few rotation row blocks (hilbert.ROTATION_BLOCK_ENTRIES).
+EIGENVECTOR_CHUNK = 2048
 OUTCOME_BLOCK_ENTRIES = 2**20  # entries per outcome-block array in _scrooge_mixture; bounds its memory
 
 
@@ -358,6 +360,7 @@ class ConditionalStateTable:
     probabilities: np.ndarray       # p_d per kept outcome
     states: np.ndarray              # (n_kept, D_A, D_A)
     dropped_outcomes: int = 0
+    basis: MeasurementBasis | None = None  # the B basis the table was built for
 
     @property
     def d_a(self) -> int:
@@ -375,8 +378,11 @@ def conditional_states(
 
     rho_bar(x) is the B-projection of the dephased density matrix, normalized
     per outcome; no time quadrature is involved. Eigenvectors are walked in
-    blocks of EIGENVECTOR_CHUNK as tensors T[a, x, e] = <a, x | E_e> sqrt(p_E).
-    Outcomes with weight below ZERO_OUTCOME_CUTOFF are dropped and counted.
+    blocks of EIGENVECTOR_CHUNK as tensors T[a, e, x] = <a, x | E_e> sqrt(p_E),
+    gathered straight into the layout the B rotation and the contraction
+    read, so no whole-size transpose is made. Outcomes with weight below
+    ZERO_OUTCOME_CUTOFF are dropped and counted. The returned table records
+    `basis`.
     """
     _require_sites(basis, part.sites_B)
     v = sd.eigenvectors
@@ -387,10 +393,9 @@ def conditional_states(
     raw = np.zeros((d_b, d_a, d_a), dtype=complex)
     for lo in range(0, sd.dim, EIGENVECTOR_CHUNK):
         hi = min(lo + EIGENVECTOR_CHUNK, sd.dim)
-        t = np.zeros((d_a, d_b, hi - lo), dtype=complex)
-        t[a_idx, b_idx, :] = v[:, lo:hi] * weights[lo:hi]
-        flat = np.moveaxis(t, 1, 2).reshape(d_a * (hi - lo), d_b)
-        flat = apply_local_rotations(flat, basis.factors, conjugate=True)
+        t = np.zeros((d_a, hi - lo, d_b), dtype=complex)
+        t[a_idx, :, b_idx] = v[:, lo:hi] * weights[lo:hi]
+        flat = apply_local_rotations(t.reshape(d_a * (hi - lo), d_b), basis.factors, conjugate=True)
         t = np.moveaxis(flat.reshape(d_a, hi - lo, d_b), 2, 1)
         raw += np.einsum("axe,cxe->xac", t, t.conj(), optimize=True)
     p_d = np.einsum("xaa->x", raw).real
@@ -402,6 +407,7 @@ def conditional_states(
         probabilities=p_d[keep],
         states=states,
         dropped_outcomes=int(d_b - keep.size),
+        basis=basis,
     )
 
 

@@ -305,8 +305,11 @@ def interaction_information(
     and gives the time-averaged part. The report carries the
     weighted-subentropy prediction sum_x p_d(x) Q(rho_bar(x)) and the
     concavity bound Q(rho_A); the fixed-time and time-averaged mutual
-    informations ride along in the metadata.
+    informations ride along in the metadata. Raises ValueError unless the
+    table records basis_b as the basis it was built for.
     """
+    if table.basis is None or table.basis.key() != basis_b.key():
+        raise ValueError("the conditional-state table was not built for basis_b")
     i_fixed = conditional_mutual_information(state, part, basis_a, basis_b).bits
     i_avg = mutual_information_of_joint(time_averaged_joint_distribution(table, part, basis_a))
     weighted_q = float(

@@ -182,18 +182,23 @@ def generalized_scrooge_sum(table, k):
     return total / table.probabilities.sum()
 
 
-def rotations_unskipped(m, unitaries, conjugate=False):
-    """Contract every little-endian column block of m, identity blocks included."""
+def rotations_single_pass(m, unitaries, conjugate=False, skip_identity=False):
+    """Contract every little-endian column block of m, all rows in one pass per block.
+
+    With skip_identity=False identity blocks are contracted too; with True
+    this is the unblocked form of `hilbert.apply_local_rotations`.
+    """
     rows, d = m.shape
     out = np.ascontiguousarray(m)
     lo = 1
     for u in unitaries:
-        uj = np.conj(u) if conjugate else u
         b = u.shape[0]
-        t = out.reshape(rows, d // (lo * b), b, lo)
-        out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
+        if not (skip_identity and np.array_equal(u, np.eye(b))):
+            uj = np.conj(u) if conjugate else u
+            t = out.reshape(rows, d // (lo * b), b, lo)
+            out = np.einsum("rhbl,bz->rhzl", t, uj, optimize=True).reshape(rows, d)
         lo *= b
-    return out
+    return out.astype(np.result_type(m, *unitaries))
 
 
 def sample_gue_complex(d, rng):

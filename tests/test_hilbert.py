@@ -140,8 +140,19 @@ class TestModelTerms:
         dense = hb.build_hamiltonian(spec).entries
         assert np.abs(h.toarray() - dense).max() <= 1e-14
         _, terms = hb.model_terms(spec)
-        assert a == sum(abs(c) for c, _ in terms)
+        # one-site X, Y, Z anticommute: each site's field has norm sqrt(sum c^2)
+        fields = {}
+        for c, ops in terms:
+            if len(ops) == 1:
+                fields[next(iter(ops))] = fields.get(next(iter(ops)), 0.0) + c * c
+        couplings = sum(abs(c) for c, ops in terms if len(ops) > 1)
+        assert a == pytest.approx(couplings + sum(math.sqrt(f) for f in fields.values()), rel=1e-15)
         assert np.abs(np.linalg.eigvalsh(dense)).max() <= a
+
+    def test_one_site_norm_bound_is_attained(self):
+        h, a = hb.sparse_hamiltonian({"model": "mfim_broken_trs", "n": 1, "hx": 0.3, "hy": -0.4, "hz": 1.2})
+        assert a == pytest.approx(1.3, rel=1e-15)
+        assert np.linalg.eigvalsh(h.toarray()) == pytest.approx([-1.3, 1.3], rel=1e-15)
 
     def test_sparse_explicit_matrix_uses_the_row_sum_bound(self):
         m = np.array([[1.0, 2.0j], [-2.0j, -0.5]])
@@ -470,7 +481,7 @@ def test_identity_blocks_are_skipped_bit_for_bit(rng, factors, conjugate):
     d = math.prod(u.shape[0] for u in us)
     m = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
     out = hb.apply_local_rotations(m, us, conjugate=conjugate)
-    assert np.array_equal(out, mo.rotations_unskipped(m, us, conjugate))
+    assert np.array_equal(out, mo.rotations_single_pass(m, us, conjugate))
     assert out.dtype == complex
     assert not np.shares_memory(out, m)
 
@@ -485,3 +496,49 @@ def test_all_identity_rotation_returns_a_new_array(dtype):
         assert np.array_equal(out, view)
         out[0, 0] = 99.0
         assert m[0, 0] == 0.0
+
+
+ROTATION_CASES = {
+    "qubits": [2] * 5,
+    "pairs": [4, 4, 4],
+    "mixed": [2, 4, 2, 8],
+}
+
+
+@pytest.mark.parametrize("blocks", list(ROTATION_CASES.values()), ids=list(ROTATION_CASES))
+@pytest.mark.parametrize("rows", [1, 5, 23])
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("real", [False, True], ids=["complex-input", "real-input"])
+def test_row_blocks_match_the_single_pass_bit_for_bit(monkeypatch, rng, blocks, rows, conjugate, real):
+    d = math.prod(blocks)
+    m = rng.standard_normal((rows, d))
+    if not real:
+        m = m + 1j * rng.standard_normal((rows, d))
+    us = [unitary_group.rvs(b, random_state=rng) for b in blocks]
+    us[1] = np.eye(blocks[1], dtype=complex)  # an identity factor among them
+    expected = mo.rotations_single_pass(m, us, conjugate, skip_identity=True)
+    for block_rows in (1, 2, 4, rows):  # 23 rows are no multiple of 2 or 4
+        monkeypatch.setattr(hb, "ROTATION_BLOCK_ENTRIES", block_rows * d)
+        out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+        assert out.dtype == expected.dtype == complex
+        assert np.array_equal(out, expected)
+    monkeypatch.setattr(hb, "ROTATION_BLOCK_ENTRIES", d // 2)  # smaller than a row: one row per block
+    assert np.array_equal(hb.apply_local_rotations(m, us, conjugate=conjugate), expected)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_row_blocks_at_the_default_size(rng, conjugate):
+    # 5,000 rows of 16 entries span two blocks of 2^16 entries, the second one partial
+    m = rng.standard_normal((5000, 16)) + 1j * rng.standard_normal((5000, 16))
+    us = [unitary_group.rvs(2, random_state=rng) for _ in range(4)]
+    out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+    assert m.size > hb.ROTATION_BLOCK_ENTRIES and m.size % hb.ROTATION_BLOCK_ENTRIES != 0
+    assert np.array_equal(out, mo.rotations_single_pass(m, us, conjugate, skip_identity=True))
+
+
+def test_real_factors_keep_a_real_result(rng):
+    m = rng.standard_normal((9, 8))
+    us = [np.array([[0.6, 0.8], [-0.8, 0.6]]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    out = hb.apply_local_rotations(m, us)
+    assert out.dtype == float
+    assert np.array_equal(out, mo.rotations_single_pass(m, us, skip_identity=True))

@@ -33,6 +33,20 @@ class TestSpectrumCache:
         cache.release(model)
         assert cache.spectrum(model) is not first
 
+    def test_bound_spectrum_is_cached_per_angle_until_released(self):
+        cache = pl.SpectrumCache()
+        first = cache.bound(MFIM6, 0.3)
+        assert cache.bound(dict(MFIM6), 0.3) is first
+        other = cache.bound(MFIM6, 0.4)
+        assert other is not first
+        assert other.eigenvectors is first.eigenvectors  # one spectrum, two bindings
+        cache.release(MFIM6)
+        rebound = cache.bound(MFIM6, 0.3)
+        assert rebound is not first
+        assert np.array_equal(rebound.overlaps, first.overlaps)
+        cache.release()
+        assert cache.bound(MFIM6, 0.3) is not rebound
+
     def test_bound_and_quench_state_accept_explicit_models(self):
         h = hb.build_hamiltonian({"model": "mfim", "n": 3}).entries
         model = explicit(h)
@@ -121,12 +135,18 @@ class TestConditionalStateCache:
 
     def test_pipelines_share_one_table(self, table_builds, monkeypatch):
         averaged_from, average = [], st.time_averaged_joint_distribution
+        bindings, bind = [], sp.bind_state
 
         def spy(table, part, basis_a):
             averaged_from.append(table)
             return average(table, part, basis_a)
 
+        def bind_spy(sd, psi0):
+            bindings.append(psi0)
+            return bind(sd, psi0)
+
         monkeypatch.setattr(st, "time_averaged_joint_distribution", spy)
+        monkeypatch.setattr(sp, "bind_state", bind_spy)
         cache = pl.SpectrumCache()
         for k in (2, 3):
             pl.projected_moment_comparison(
@@ -141,6 +161,8 @@ class TestConditionalStateCache:
         table = cache.conditional_states(MFIM6, 0.0, *central(6, 2, "Z"))
         assert len(averaged_from) == 3
         assert all(t is table for t in averaged_from)
+        # the table build and both scans' states read one bound spectrum
+        assert len(bindings) == 1
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,23 @@ class TestConditionalStates:
         part = hb.Bipartition(4, (1, 2))
         with pytest.raises(ValueError):
             sc.conditional_states(bound, part, hb.pauli_basis((3, 0), "Z"))
+
+    def test_peak_memory_is_below_three_tensors(self, spectrum_factory):
+        n = 9
+        bound = spectrum_factory("mfim", n, 0.6)
+        part = hb.Bipartition(n, hb.central_sites(n, 3))
+        basis = hb.pauli_basis(part.sites_B, "X")
+        assert bound.dim <= sc.EIGENVECTOR_CHUNK  # one block of eigenvectors
+        unit = 16 * part.d_a * part.d_b * bound.dim  # one complex (D_A, D, D_B) tensor
+        tracemalloc.start()
+        try:
+            table = sc.conditional_states(bound, part, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-size transpose and one copy per factor rotation took 5.0 units
+        assert peak <= 3 * unit
+        assert table.basis is basis
 
     def test_eigenvector_blocks_sum_to_one_walk(self, monkeypatch):
         bound, _ = self._bound(5)

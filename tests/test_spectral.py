@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -55,6 +57,15 @@ class TestDiagonalize:
         lead = np.take_along_axis(v1, np.abs(v1).argmax(axis=0)[None, :], axis=0)[0]
         assert np.all(np.abs(lead.imag) <= 1e-12)
         assert np.all(lead.real > 0)
+
+    def test_phases_are_fixed_in_place(self, rng):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        _, v = np.linalg.eigh((g + g.conj().T) / 2)
+        lead = v[np.abs(v).argmax(axis=0), np.arange(8)]
+        expected = v * np.conj(lead / np.abs(lead))
+        out = sp._fix_eigenvector_phases(v)
+        assert out is v
+        assert np.array_equal(out, expected)
 
 
 def _dense_measure(h):
@@ -368,6 +379,19 @@ class TestEffectiveDimension:
         w, p = np.abs(overlaps) ** 2, bound.populations
         expected = float(np.sum(((w * w) @ (p * p)) / (w @ p)))
         assert sp.effective_dimension(bound, basis).inverse == pytest.approx(expected, abs=1e-12)
+
+    def test_overlap_matrix_peak_memory_is_below_two_matrices(self, spectrum_factory):
+        n = 9
+        bound = spectrum_factory("mfim", n, 0.6)
+        basis = hb.pauli_basis(range(n), "X")
+        tracemalloc.start()
+        try:
+            sp.basis_overlap_matrix(bound, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a contiguous copy of V^T and one copy per factor rotation took 3.0 D x D matrices
+        assert peak <= 2 * 16 * bound.dim**2
 
     def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
         n = 6

@@ -329,6 +329,26 @@ class TestInteractionInformation:
         assert rep.bits == pytest.approx(i_fixed - i_avg, abs=1e-10)
         assert rep.metadata["fixed_time_bits"] == pytest.approx(i_fixed, abs=1e-12)
 
+    def test_table_of_another_b_basis_is_rejected(self, spectrum_factory):
+        n = 6
+        bound = spectrum_factory("mfim", n, 0.6)
+        part = hb.Bipartition(n, hb.central_sites(n, 2))
+        ba = hb.pauli_basis(part.sites_A, "X")
+        bx, bz = (hb.pauli_basis(part.sites_B, letter) for letter in "XZ")
+        state = sp.evolve(bound, 12.0)
+        x_table = sc.conditional_states(bound, part, bx)
+        assert x_table.basis is bx
+        rep = st.interaction_information(state, x_table, part, ba, hb.pauli_basis(part.sites_B, "X"))
+        assert rep.bits == pytest.approx(0.1526, abs=1e-4)
+        z_table = sc.conditional_states(bound, part, bz)
+        with pytest.raises(ValueError, match="basis_b"):  # read as X it would give 0.2430 bits
+            st.interaction_information(state, z_table, part, ba, bx)
+        unrecorded = sc.ConditionalStateTable(
+            x_table.outcomes, x_table.probabilities, x_table.states, x_table.dropped_outcomes
+        )
+        with pytest.raises(ValueError, match="basis_b"):
+            st.interaction_information(state, unrecorded, part, ba, bx)
+
     def test_time_averaged_joint_matches_dense_construction(self, spectrum_factory):
         n = 6
         bound = spectrum_factory("mfim", n, 0.6)
