@@ -55,19 +55,20 @@ class Caps:
     `moment_k` and `weighted_projected_moment` and the scalar form of
     `haar_moment`, on the first read of `.matrix`); r^2 for the Gram matrix of
     r ensemble members that `trace_distance` diagonalizes in place of the moment;
-    (d^k)^2 for a full-space operator (`MomentOperator.dense()`, `twirl2`);
+    (d^k)^2 for a full-space operator (`MomentOperator.dense()`);
     and the pairwise tables of `rmt.gap_histograms` (d^2 gaps, d^4 sum-gaps);
     `max_state_dim` bounds state vectors and the d entries per term that a
     sparse Hamiltonian assembles; `max_multiset_terms` bounds exact multiset
-    enumerations; `max_sinc_terms` bounds the finite-interval double sums.
+    enumerations: the random-phase moment, the Frobenius kernel's sorted sums
+    and the no-resonance scan of `ensembles.check_no_resonance`;
+    `max_sinc_terms` bounds the finite-interval double sums.
     """
 
     max_spectrum_dim: int = 2**14          # eigensolves: full or basis-state measure
     max_state_dim: int = 2**22             # state vectors, sparse Hamiltonian entries
     max_moment_entries: int = 2**26        # k-copy moment entries
-    max_multiset_terms: int = 2_500_000    # multiset sums (random-phase moments)
+    max_multiset_terms: int = 2_500_000    # multiset sums (moments, resonance scans)
     max_sinc_terms: int = 40_000_000       # finite-interval double multiset sums
-    max_resonance_sums: int = 2_000_000    # k-multiset sums in resonance checks
 
 
 DEFAULT_CAPS = Caps()

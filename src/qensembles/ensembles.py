@@ -7,6 +7,11 @@ where psi^(x)k has monomial coordinates: ensemble moments are blocked Gram
 products of monomial panels, the Haar moment is I/D, the exact random-phase
 (infinite-interval) moment is diagonal, the finite-interval moment is an outer
 product times the sinc kernel, and product forms are symmetric powers.
+
+Multisets of energy levels are enumerated, sorted by their sums and paired by
+gap in one place (`_sorted_sums`, `_close_pairs`), shared by the Frobenius
+kernel of the finite-interval moment and by `check_no_resonance`, the check of
+the k-th no-resonance condition.
 """
 
 from __future__ import annotations
@@ -207,6 +212,27 @@ def _occupation_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         run = np.where(idx[:, i] == idx[:, i - 1], run + 1, 1.0)
         fact *= run
     return idx, math.factorial(k) / fact
+
+
+def _sorted_sums(levels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_occupation_basis(levels.size, k)` and the level sums s_n = sum_i levels[t_i]
+    of its multisets, all three in ascending order of s."""
+    idx, counts = _occupation_basis(levels.size, k)
+    s = levels[idx].sum(axis=1)
+    order = np.argsort(s)
+    return idx[order], counts[order], s[order]
+
+
+def _close_pairs(first: np.ndarray, block: int):
+    """The pairs n < m < first[n] as (rows, cols) index arrays of up to `block`
+    pairs each, in row order; first[n] > n for every n."""
+    per_row = first - np.arange(1, first.size + 1)
+    starts = np.cumsum(per_row) - per_row
+    total = int(per_row.sum())
+    for lo in range(0, total, block):
+        pair = np.arange(lo, min(total, lo + block))
+        rows = np.searchsorted(starts, pair, side="right") - 1
+        yield rows, rows + 1 + (pair - starts[rows])
 
 
 def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
@@ -412,11 +438,8 @@ def finite_time_frobenius_distances(
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_sinc_terms", dim**2)
     halves = np.abs(_finite_taus(taus)) / 2.0  # the kernel is even in tau
-    idx, counts = _occupation_basis(d, k)
+    idx, counts, s = _sorted_sums(sd.eigenvalues, k)
     v = counts * np.prod(sd.populations[idx], axis=1)
-    s = sd.eigenvalues[idx].sum(axis=1)
-    order = np.argsort(s)
-    idx, v, s = idx[order], v[order], s[order]
     positive = halves[halves > 0]
     far_gap = NEAR_PHASE / positive.min() if positive.size else np.inf
     # row n pairs with m in (n, first_far[n]) directly and with m >= first_far[n] as far
@@ -435,14 +458,8 @@ def _finite_taus(taus) -> np.ndarray:
 
 def _near_pair_sums(s, v, first_far, halves) -> np.ndarray:
     """sum over n < m < first_far[n] of v_n v_m sinc^2((s_m - s_n) h), per h."""
-    per_row = first_far - np.arange(1, s.size + 1)
-    starts = np.cumsum(per_row) - per_row
-    total = int(per_row.sum())
     sq = np.zeros(halves.size)
-    for lo in range(0, total, SINC_CHUNK):
-        pair = np.arange(lo, min(total, lo + SINC_CHUNK))
-        rows = np.searchsorted(starts, pair, side="right") - 1
-        cols = rows + 1 + (pair - starts[rows])
+    for rows, cols in _close_pairs(first_far, SINC_CHUNK):
         gaps = s[cols] - s[rows]
         weights = v[rows] * v[cols]
         for i, half in enumerate(halves):
@@ -502,6 +519,65 @@ def _split(a):
     c = 134217729.0 * a  # 2^27 + 1
     hi = c - (c - a)
     return hi, a - hi
+
+
+# ---------------------------------------------------------------------------
+# the k-th no-resonance condition
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NoResonanceReport:
+    """Result of scanning k-fold eigenvalue sums for coincidences."""
+
+    k: int
+    tolerance: float
+    violations: tuple
+    verdict: str  # "pass" | "fail" | "pass-modulo-degeneracies"
+    degenerate_clusters: int
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict in ("pass", "pass-modulo-degeneracies")
+
+
+def check_no_resonance(
+    eigenvalues: Sequence[float],
+    k: int,
+    tolerance: float | None = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> NoResonanceReport:
+    """Scan all k-multiset eigenvalue sums for non-permutation coincidences.
+
+    Degeneracies are merged first: sorted levels form one run while each gap
+    to the next is within the tolerance (default 1e-8 times the spectral
+    width), and a run counts once, at its lowest level. A clean scan after
+    merging yields the verdict "pass-modulo-degeneracies". The sums of the
+    merged levels are sorted as in the Frobenius kernel, and every pair of
+    distinct multisets whose sums lie within the tolerance is a violation;
+    the first 1000 are listed as (multiset, multiset, gap).
+    The sums are bounded by `max_multiset_terms`.
+    """
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    ev = np.sort(np.asarray(eigenvalues, dtype=float))
+    width = float(ev[-1] - ev[0]) if ev.size > 1 else 1.0
+    tol = 1e-8 * width if tolerance is None else float(tolerance)
+    levels = ev[np.insert(np.diff(ev) > tol, 0, True)]
+    check_cap(caps, "max_multiset_terms", comb(levels.size + k - 1, k))
+    idx, _, s = _sorted_sums(levels, k)
+    first = np.searchsorted(s, s + tol, side="right")
+    rows, cols = next(_close_pairs(first, 1000), ((), ()))
+    violations = tuple(
+        (tuple(idx[n].tolist()), tuple(idx[m].tolist()), float(s[m] - s[n]))
+        for n, m in zip(rows, cols)
+    )
+    n_deg = ev.size - levels.size
+    if violations:
+        verdict = "fail"
+    else:
+        verdict = "pass-modulo-degeneracies" if n_deg else "pass"
+    return NoResonanceReport(k, tol, violations, verdict, n_deg)
 
 
 # ---------------------------------------------------------------------------

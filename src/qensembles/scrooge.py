@@ -47,7 +47,6 @@ LN2 = math.log(2.0)
 SUBENTROPY_LIMIT_BITS = (1.0 - np.euler_gamma) / LN2  # large-D maximally mixed value
 SUPPORT_CUTOFF = 1e-13
 CLUSTER_RTOL = 1e-9
-SPLIT_EPSILONS = (1e-4, 5e-5)  # relative to the mean eigenvalue; ratio 2 for Richardson
 GRID_STEP = 0.25  # trapezoid step in t = ln s
 GRID_MARGIN = 40.0  # reach in ln s past 1/lam_max and 1/lam_min; cut tails < e^-35 relative
 # Eigenvectors per block in conditional_states. Its transient memory is two complex
@@ -176,33 +175,19 @@ def _confluent_divided_difference(nodes: np.ndarray, r: int) -> float:
     return float(table[0, n - 1])
 
 
-def subentropy(rho_or_eigs, method: str = "stable") -> float:
+def subentropy(rho_or_eigs) -> float:
     """Subentropy in bits: the measurement-basis-averaged mutual information of rho.
 
     Zero eigenvalues contribute nothing (the value restricts to the support).
-    method "stable" evaluates the divided difference of t^r ln t with exact
-    confluent limits for degenerate eigenvalues; "split-extrapolate" resolves
-    degeneracies by symmetric epsilon-splitting with two-point Richardson
-    extrapolation (the oracle form; small ranks only).
+    Evaluates the divided difference of t^r ln t with exact confluent limits
+    for degenerate eigenvalues.
     """
     lam = _support_eigenvalues(rho_or_eigs)
     r = lam.size
     if r == 1:
         return 0.0
-    if method == "stable":
-        spec_clusters = _cluster_plain(lam)
-        nodes = np.concatenate([[lam[list(c)].mean()] * len(c) for c in spec_clusters])
-        return -_confluent_divided_difference(nodes, r) / LN2
-    if method == "split-extrapolate":
-        clusters = _cluster_plain(lam)
-        if all(len(c) == 1 for c in clusters):
-            return -_plain_sum_subentropy(lam) / LN2
-        vals = []
-        for eps in SPLIT_EPSILONS:
-            split = _split_values(lam, clusters, eps)
-            vals.append(-_plain_sum_subentropy(split) / LN2)
-        return vals[1] + (vals[1] - vals[0]) / 3.0
-    raise ValueError(f"unknown method {method!r}")
+    nodes = np.concatenate([[lam[list(c)].mean()] * len(c) for c in _cluster_plain(lam)])
+    return -_confluent_divided_difference(nodes, r) / LN2
 
 
 def _cluster_plain(lam: np.ndarray) -> list[list[int]]:
@@ -214,30 +199,6 @@ def _cluster_plain(lam: np.ndarray) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
-
-
-def _split_values(lam: np.ndarray, clusters: list[list[int]], eps_rel: float) -> np.ndarray:
-    out = lam.astype(float).copy()
-    eps = eps_rel * float(lam.mean())
-    for c in clusters:
-        if len(c) == 1:
-            continue
-        center = float(lam[c].mean())
-        out[c] = center + eps * np.linspace(1.0, -1.0, len(c))
-    return out
-
-
-def _plain_sum_subentropy(lam: np.ndarray) -> float:
-    """Direct rational sum over distinct eigenvalues (natural log units)."""
-    inv = 1.0 / lam
-    total = 0.0
-    for j in range(lam.size):
-        a_j = 1.0
-        for k in range(lam.size):
-            if k != j:
-                a_j /= inv[k] - inv[j]
-        total += a_j * lam[j] ** 2 * math.log(lam[j])
-    return float(np.prod(inv)) * total
 
 
 # ---------------------------------------------------------------------------

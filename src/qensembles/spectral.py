@@ -1,12 +1,9 @@
-"""Eigen-engine: diagonalization, evolution, diagonal ensemble, resonance checks, twirling,
+"""Eigen-engine: diagonalization, evolution, diagonal ensemble, effective dimension,
 and Chebyshev propagation of one state without a spectrum."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import comb
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -223,12 +220,6 @@ def diagonal_ensemble(
     return HermitianOperator(rho, qubit_or_flat_dims(sd.dim)), float(np.sum(p**2))
 
 
-def dephase(sd: SpectralData, a: np.ndarray) -> np.ndarray:
-    """Energy-basis dephasing of a single-copy operator (infinite-time twirl, k=1)."""
-    at = sd.eigenvectors.conj().T @ a @ sd.eigenvectors
-    return (sd.eigenvectors * np.diag(at).real) @ sd.eigenvectors.conj().T
-
-
 def energy_moments(psi0: PureState, h: HermitianOperator) -> tuple[float, float]:
     """Mean energy and energy uncertainty of a state under h."""
     hv = h.entries @ psi0.amplitudes
@@ -266,117 +257,3 @@ def effective_dimension(sd: SpectralData, basis: MeasurementBasis) -> EffectiveD
     keep = p_avg >= 1e-300
     val = float(np.sum(num[keep] / p_avg[keep]))
     return EffectiveDimensionReport(val, int(np.sum(~keep)))
-
-
-# ---------------------------------------------------------------------------
-# no-resonance diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoResonanceReport:
-    """Result of scanning k-fold eigenvalue sums for coincidences."""
-
-    k: int
-    tolerance: float
-    violations: tuple
-    verdict: str  # "pass" | "fail" | "pass-modulo-degeneracies"
-    degenerate_clusters: int
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "pass-modulo-degeneracies")
-
-
-def _cluster_eigenvalues(values: np.ndarray, tol: float) -> np.ndarray:
-    """Representative values after merging eigenvalues within tol."""
-    reps = [values[0]]
-    for v in values[1:]:
-        if v - reps[-1] <= tol:
-            continue
-        reps.append(v)
-    return np.array(reps)
-
-
-def check_no_resonance(
-    eigenvalues: Sequence[float],
-    k: int,
-    tolerance: float | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> NoResonanceReport:
-    """Scan all k-multiset eigenvalue sums for non-permutation coincidences.
-
-    Exact degeneracies (within the same tolerance) are merged first; a clean
-    scan after merging yields the verdict "pass-modulo-degeneracies". Sums are
-    bucketed by sorting, and adjacent sums closer than the tolerance are
-    reported as violations.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    width = float(ev[-1] - ev[0]) if ev.size > 1 else 1.0
-    tol = 1e-8 * width if tolerance is None else float(tolerance)
-    reps = _cluster_eigenvalues(ev, tol)
-    n_deg = ev.size - reps.size
-    n_sums = comb(reps.size + k - 1, k)
-    check_cap(caps, "max_resonance_sums", n_sums)
-
-    tuples = np.array(list(combinations_with_replacement(range(reps.size), k)), dtype=np.int64)
-    sums = reps[tuples].sum(axis=1)
-    order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    tuples = tuples[order]
-    gaps = np.diff(sums)
-    hits = np.flatnonzero(gaps <= tol)
-    violations = tuple(
-        (tuple(tuples[i]), tuple(tuples[i + 1]), float(gaps[i])) for i in hits[:1000]
-    )
-    if violations:
-        verdict = "fail"
-    else:
-        verdict = "pass-modulo-degeneracies" if n_deg else "pass"
-    return NoResonanceReport(k, tol, violations, verdict, n_deg)
-
-
-# ---------------------------------------------------------------------------
-# exact dephasing/twirling channel on two copies
-# ---------------------------------------------------------------------------
-
-
-def twirl2(
-    sd: SpectralData,
-    a: np.ndarray,
-    caps: Caps = DEFAULT_CAPS,
-) -> np.ndarray:
-    """Infinite-time average of U_t^(x)2 A U_t^(x)2-dagger.
-
-    Exact dephasing form: keep the two-copy energy-diagonal of A, add the
-    swap-coupled diagonal times the swap, and subtract the doubly-diagonal
-    block once (it is double counted by the first two pieces). Requires the
-    second no-resonance condition; a warning is emitted when the spectrum
-    violates it.
-    """
-    d = sd.dim
-    d2 = d * d
-    check_cap(caps, "max_moment_entries", d2 * d2)
-    if a.shape != (d2, d2):
-        raise ValueError("operator must act on two copies of the space")
-    rep = check_no_resonance(sd.eigenvalues, 2, caps=caps)
-    if rep.verdict == "fail":
-        warnings.warn(
-            f"spectrum violates the 2nd no-resonance condition "
-            f"({len(rep.violations)} coincidences); twirl formula is inexact",
-            stacklevel=2,
-        )
-
-    v2 = np.kron(sd.eigenvectors, sd.eigenvectors)
-    at = v2.conj().T @ a @ v2
-
-    idx = np.arange(d2)
-    swap = (idx % d) * d + (idx // d)
-    out = np.zeros_like(at)
-    out[idx, idx] = at[idx, idx]
-    out[idx, swap] += at[idx, swap]
-    both = np.arange(d) * d + np.arange(d)  # (E,E) pairs
-    out[both, both] -= at[both, both]
-    return v2 @ out @ v2.conj().T

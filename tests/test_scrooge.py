@@ -87,15 +87,15 @@ class TestSubentropy:
 
     def test_epsilon_extrapolation_oracle(self):
         expected = 1.0 - 1.0 / (2.0 * math.log(2.0))
-        val = sc.subentropy(np.array([0.5, 0.5]), method="split-extrapolate")
+        val = mo.subentropy_split_extrapolate(np.array([0.5, 0.5]))
         assert val == pytest.approx(expected, abs=1e-6)
 
     def test_methods_agree_generic(self, rng):
         for _ in range(5):
             lam = rng.random(5)
             lam /= lam.sum()
-            a = sc.subentropy(lam, method="stable")
-            b = sc.subentropy(lam, method="split-extrapolate")
+            a = sc.subentropy(lam)
+            b = mo.subentropy_split_extrapolate(lam)
             assert a == pytest.approx(b, abs=1e-8)
 
     def test_maximally_mixed_monotone_and_bounded(self):

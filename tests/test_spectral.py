@@ -13,6 +13,8 @@ from qensembles import ensembles as en
 from qensembles import rmt
 from qensembles._util import task_rng
 
+import moment_oracles as mo
+
 
 def random_state(d, rng, real=False):
     amps = rng.standard_normal(d) + (0 if real else 1j * rng.standard_normal(d))
@@ -313,7 +315,7 @@ class TestDiagonalEnsemble:
         psi = random_state(8, rng)
         bound = sp.bind_state(sd, psi)
         rho, _ = sp.diagonal_ensemble(bound)
-        dephased = sp.dephase(sd, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        dephased = mo.dephase(sd, np.outer(psi.amplitudes, psi.amplitudes.conj()))
         assert np.abs(rho.entries - dephased).max() <= 1e-10
 
 
@@ -414,31 +416,31 @@ class TestEffectiveDimension:
 
 class TestNoResonance:
     def test_generic_four_level_pass(self):
-        rep = sp.check_no_resonance([0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
+        rep = en.check_no_resonance([0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
         assert rep.verdict == "pass"
         assert not rep.violations
 
     def test_arithmetic_progression_fails(self):
-        rep = sp.check_no_resonance([0.0, 1.0, 2.0, 3.0], 2, tolerance=1e-9)
+        rep = en.check_no_resonance([0.0, 1.0, 2.0, 3.0], 2, tolerance=1e-9)
         assert rep.verdict == "fail"
         assert any(abs(gap) <= 1e-9 for _, _, gap in rep.violations)
 
     def test_tfim_free_fermion_resonances(self):
         h = hb.build_hamiltonian({"model": "tfim", "n": 6})
         sd = sp.diagonalize(h)
-        rep = sp.check_no_resonance(sd.eigenvalues, 2)
+        rep = en.check_no_resonance(sd.eigenvalues, 2)
         assert rep.verdict == "fail"
 
     def test_shift_invariance_and_scale_covariance(self, rng):
         ev = np.sort(rng.standard_normal(12))
-        base = sp.check_no_resonance(ev, 2, tolerance=1e-7)
-        shifted = sp.check_no_resonance(ev + 5.0, 2, tolerance=1e-7)
-        scaled = sp.check_no_resonance(3.0 * ev, 2, tolerance=3e-7)
+        base = en.check_no_resonance(ev, 2, tolerance=1e-7)
+        shifted = en.check_no_resonance(ev + 5.0, 2, tolerance=1e-7)
+        scaled = en.check_no_resonance(3.0 * ev, 2, tolerance=3e-7)
         assert base.verdict == shifted.verdict == scaled.verdict
         assert len(base.violations) == len(shifted.violations) == len(scaled.violations)
 
     def test_degeneracy_reported_modulo(self):
-        rep = sp.check_no_resonance([0.0, 0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
+        rep = en.check_no_resonance([0.0, 0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
         assert rep.verdict == "pass-modulo-degeneracies"
         assert rep.degenerate_clusters == 1
 
@@ -449,7 +451,8 @@ class TestTwirl2:
             rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         )
         sd = sp.diagonalize(h)
-        out = sp.twirl2(sd, np.eye(16, dtype=complex))
+        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        out = mo.twirl2(sd, np.eye(16, dtype=complex))
         assert np.abs(out - np.eye(16)).max() <= 1e-10
 
     def test_initial_state_twirl_matches_random_phase_moment(self, rng):
@@ -460,26 +463,26 @@ class TestTwirl2:
         bound = sp.bind_state(sd, psi)
         a = np.outer(psi.amplitudes, psi.amplitudes.conj())
         a2 = np.kron(a, a)
-        out = sp.twirl2(sd, a2)
+        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        out = mo.twirl2(sd, a2)
         v2 = np.kron(sd.eigenvectors, sd.eigenvectors)
         out_eig = v2.conj().T @ out @ v2
         expected = en.random_phase_moment_exact(bound.populations, 2).dense()
         assert np.abs(out_eig - expected).max() <= 1e-10
 
-    def test_resonance_check_uses_the_callers_caps(self, rng):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        sd = sp.diagonalize(hb.HermitianOperator((g + g.conj().T) / 2, (2, 2)))
-        # 10 two-multisets of 4 eigenvalues exceed a cap of 3 resonance sums
+    def test_resonance_check_uses_the_callers_caps(self):
+        # 10 two-multisets of 4 levels exceed a cap of 3 multiset sums
         with pytest.raises(CapacityError) as info:
-            sp.twirl2(sd, np.eye(16, dtype=complex), caps=Caps(max_resonance_sums=3))
-        assert info.value.cap_name == "max_resonance_sums"
+            en.check_no_resonance([0.0, 1.0, 3.0, 7.0], 2, caps=Caps(max_multiset_terms=3))
+        assert info.value.cap_name == "max_multiset_terms"
 
     def test_commutes_with_two_copy_evolution(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = hb.HermitianOperator((g + g.conj().T) / 2, (2, 2))
         sd = sp.diagonalize(h)
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        out = sp.twirl2(sd, a)
+        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        out = mo.twirl2(sd, a)
         for t in (0.37, 2.11):
             u = sd.eigenvectors @ np.diag(np.exp(-1j * sd.eigenvalues * t)) @ sd.eigenvectors.conj().T
             u2 = np.kron(u, u)
@@ -498,7 +501,8 @@ class TestTwirl2:
         at = v2.conj().T @ a @ v2
         s = np.add.outer(sd.eigenvalues, sd.eigenvalues).ravel()
         de = s[:, None] - s[None, :]
-        tw = v2.conj().T @ sp.twirl2(sd, a) @ v2
+        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        tw = v2.conj().T @ mo.twirl2(sd, a) @ v2
         spacing = sd.spectral_width() / (d - 1)
         ts = np.logspace(3, 6, 10) / spacing
         residuals = []
