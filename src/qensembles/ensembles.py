@@ -179,19 +179,6 @@ class MomentOperator:
         return v @ self.matrix @ v.T
 
 
-def moment_defects(m: MomentOperator) -> dict:
-    """Measured convention invariants: PSD margin, trace and Hermiticity.
-
-    Copy-permutation symmetry holds by construction on the symmetric subspace.
-    """
-    eigs = np.linalg.eigvalsh(m.matrix)
-    return {
-        "min_eigenvalue": float(eigs[0]),
-        "trace": m.trace,
-        "hermiticity": hermiticity_defect(m.matrix),
-    }
-
-
 # ---------------------------------------------------------------------------
 # the occupation basis of the symmetric subspace
 # ---------------------------------------------------------------------------
@@ -204,8 +191,23 @@ def multisets(d: int, k: int) -> list[tuple[int, ...]]:
 
 def _occupation_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted index tuples of Sym^k(C^d) as a (D, k) array in `multisets` order,
-    and the number of distinct orderings N_n = k!/prod_m n_m! of each."""
-    idx = np.array(multisets(d, k), dtype=np.int64).reshape(-1, k)
+    and the number of distinct orderings N_n = k!/prod_m n_m! of each.
+
+    The tuples are built one leading digit at a time, without Python tuples:
+    in `multisets` order, the j-tuples that start with digit a are a followed
+    by the (j-1)-tuples whose first digit is at least a, which form a suffix
+    of the (j-1)-tuples.
+    """
+    idx = np.zeros((1, 0), dtype=np.int64)  # the one empty tuple
+    for _ in range(k):
+        start = np.searchsorted(idx[:, 0], np.arange(d)) if idx.shape[1] else np.zeros(d, np.int64)
+        per_lead = len(idx) - start
+        rows = np.arange(per_lead.sum())
+        rows += np.repeat(start - (np.cumsum(per_lead) - per_lead), per_lead)
+        nxt = np.empty((rows.size, idx.shape[1] + 1), dtype=np.int64)
+        nxt[:, 0] = np.repeat(np.arange(d), per_lead)
+        nxt[:, 1:] = idx[rows]
+        idx = nxt
     run = np.ones(len(idx))
     fact = np.ones(len(idx))  # prod_m n_m!, one factor per repeated digit
     for i in range(1, k):
@@ -355,17 +357,6 @@ def product_form_moment(rho_d, k: int, caps: Caps = DEFAULT_CAPS) -> ProductForm
     purity = float(np.trace(rho @ rho).real)
     bound = math.factorial(k) * math.exp(math.pi * math.sqrt(2 * k / 3)) * purity
     return ProductFormMoment(MomentOperator(k, d, m, "unnormalized"), bound)
-
-
-def product_vs_random_phase_distance_k2(populations: Sequence[float]) -> float:
-    """Trace distance between the k=2 product form and the exact random-phase moment.
-
-    Both operators share the multiset sparsity pattern in the populations'
-    basis; their difference is sum_E p_E^2 |E,E><E,E|, so the distance is
-    computable at any dimension without densifying.
-    """
-    p = np.asarray(populations, dtype=float)
-    return 0.5 * float(np.sum(p**2))
 
 
 def stable_sinc(x: np.ndarray) -> np.ndarray:

@@ -201,14 +201,6 @@ def _require_sites(basis: MeasurementBasis, sites: Iterable[int]) -> None:
         raise ValueError(f"basis must live on sites {sites}, not {basis.sites}")
 
 
-def basis_gram_defect(basis: MeasurementBasis) -> float:
-    """Max deviation of the basis Gram matrix from the identity."""
-    defect = 0.0
-    for u in basis.factors:
-        defect = max(defect, float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()))
-    return defect
-
-
 def basis_matrix(basis: MeasurementBasis, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Dense matrix whose columns are the basis vectors (capped)."""
     check_cap(caps, "max_moment_entries", basis.dim**2)
@@ -395,14 +387,16 @@ def _checked_matrix(model: Mapping) -> HermitianOperator:
 def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOperator:
     """Assemble a dense model Hamiltonian from its specification.
 
-    Chain models are summed from their `model_terms`, in table order; "gue"
-    and "explicit" models carry their own Hermitian matrix.
+    Chain models are summed from their `model_terms`, in table order, into a
+    new Fortran-ordered matrix, the layout LAPACK works in (see
+    `spectral.model_spectrum`); "gue" and "explicit" models carry their own
+    Hermitian matrix.
     """
     if model.get("model") in ("gue", "explicit"):
         return _checked_matrix(model)
     n, terms = model_terms(model)
     check_cap(caps, "max_moment_entries", (2**n) ** 2)
-    h = np.zeros((2**n, 2**n), dtype=complex)
+    h = np.zeros((2**n, 2**n), dtype=complex, order="F")
     for coeff, ops in terms:
         rows, cols, vals = _pauli_string_entries(n, ops)
         h[rows, cols] += coeff * vals
@@ -443,25 +437,6 @@ def sparse_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> tuple[scipy
     coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     a += float(np.sqrt((fields * fields).sum(axis=1)).sum())
     return scipy.sparse.csr_matrix(coo, shape=(d, d)), a
-
-
-def project_outcome(
-    state: PureState,
-    part: Bipartition,
-    basis: MeasurementBasis,
-    outcome_index: int,
-) -> tuple[PureState, float]:
-    """Project the B factor onto one basis vector.
-
-    Returns the unnormalized A-side state and the outcome probability (its
-    squared norm).
-    """
-    table = projection_table(state, part, basis)
-    if not 0 <= outcome_index < part.d_b:
-        raise IndexError("outcome index out of range")
-    amp = table[:, outcome_index]
-    p = float(np.vdot(amp, amp).real)
-    return PureState(amp, n_qubit_dims(len(part.sites_A)), "unnormalized"), p
 
 
 def projection_table(state: PureState, part: Bipartition, basis: MeasurementBasis) -> np.ndarray:

@@ -3,13 +3,17 @@
 A quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
 propagates the product state with the sparse Hamiltonian
 (`spectral.propagate`), so fixed-time pipelines never diagonalize. Full
-spectra (dense diagonalization up to D = 2^14) are built only for the paths
-that read eigenpairs: bound states, conditional-state tables and the
-eigenstate pipelines. The process cache keys spectra by the model
-specification, bound spectra by the model and the initial-state angle,
-quenched states by the model, the angle and the time, and conditional-state
-tables by the model, the angle, the bipartition and the measurement basis
-(its sites and the bytes of each factor).
+spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix
+the Hamiltonian was built in) are built only for the paths that read
+eigenpairs: bound states, conditional-state tables and the eigenstate
+pipelines. Chain models stop at D = 2^13, where the dense build's D^2
+entries reach `Caps.max_moment_entries` (2^26); `max_spectrum_dim` (2^14)
+is checked first and binds only when it is set lower. The process cache
+keys spectra by the model specification, bound spectra by the model and
+the initial-state angle, quenched states by the model, the angle and the
+time, and conditional-state tables by the model, the angle, the
+bipartition and the measurement basis (its sites and the bytes of each
+factor).
 
 A table does not depend on time, so every time average is read off the
 cached table of its B basis: the generalized Scrooge reference, the
@@ -69,8 +73,7 @@ class SpectrumCache:
     def spectrum(self, model: dict) -> sp.SpectralData:
         key = self._key(model)
         if key not in self._store:
-            h = hb.build_hamiltonian(model, self.caps)
-            self._store[key] = sp.diagonalize(h, self.caps)
+            self._store[key] = sp.model_spectrum(model, self.caps)
         return self._store[key]
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:

@@ -1,4 +1,4 @@
-"""The Scrooge family: samplers, subentropy, exact moments, conditional-state tables.
+"""The Scrooge family: subentropy, exact moments, conditional-state tables.
 
 The Scrooge ensemble attached to a density matrix rho is the rho-distortion of
 the Haar ensemble (draw |psi> Haar, keep sqrt(rho)|psi> with weight equal to
@@ -35,11 +35,9 @@ from .hilbert import (
     Bipartition,
     HermitianOperator,
     MeasurementBasis,
-    PureState,
     _require_sites,
     _subsystem_indices,
     apply_local_rotations,
-    qubit_or_flat_dims,
 )
 from .spectral import SpectralData
 
@@ -90,35 +88,6 @@ def eigen_spectrum(rho) -> EigenSpectrum:
     w, v = w[::-1], v[:, ::-1]
     keep = w > SUPPORT_CUTOFF * max(w[0], 1e-300)
     return EigenSpectrum(w[keep], v[:, keep])
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def scrooge_sample_batch(
-    rho, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n states; returns (normalized, unnormalized) as (dim, n) column stacks.
-
-    Unnormalized draws are independent complex Gaussians with variance lambda_m
-    along each eigenvector of rho (support only). The squared norm of an
-    unnormalized draw is the ensemble weight of its normalized state.
-    """
-    spec = eigen_spectrum(rho)
-    r = spec.rank
-    scale = np.sqrt(spec.eigenvalues / 2.0)
-    g = scale[:, None] * (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
-    raw = spec.eigenvectors @ g
-    norms = np.linalg.norm(raw, axis=0)
-    return raw / norms, raw
-
-
-def scrooge_sample(rho, rng: np.random.Generator) -> tuple[PureState, np.ndarray]:
-    """One draw from Scrooge[rho]; returns the normalized state and the raw vector."""
-    normed, raw = scrooge_sample_batch(rho, 1, rng)
-    return PureState(normed[:, 0], qubit_or_flat_dims(normed.shape[0]), "normalized"), raw[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Eigen-engine: diagonalization, evolution, diagonal ensemble, effective dimension,
-and Chebyshev propagation of one state without a spectrum."""
+and Chebyshev propagation of one state without a spectrum.
+
+`_eigh` is the one call of the dense eigensolver. `model_spectrum` runs it in
+the Hamiltonian it has just built, `diagonalize` on a copy of the caller's.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +21,8 @@ from .hilbert import (
     PureState,
     _require_sites,
     apply_local_rotations,
+    build_hamiltonian,
+    model_terms,
     qubit_or_flat_dims,
 )
 
@@ -48,31 +54,68 @@ class SpectralData:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
+# Columns per block of `_fix_eigenvector_phases`, so that its |v| is never d x d.
+PHASE_COLUMNS = 64
+
+
 def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column real positive, in place."""
-    idx = np.abs(v).argmax(axis=0)
+    idx = np.empty(v.shape[1], dtype=np.intp)
+    for lo in range(0, v.shape[1], PHASE_COLUMNS):
+        idx[lo : lo + PHASE_COLUMNS] = np.abs(v[:, lo : lo + PHASE_COLUMNS]).argmax(axis=0)
     lead = v[idx, np.arange(v.shape[1])]
     phases = np.where(np.abs(lead) > 0, lead / np.abs(np.where(np.abs(lead) > 0, lead, 1)), 1.0)
     v *= np.conj(phases)
     return v
 
 
-def diagonalize(h: HermitianOperator, caps: Caps = DEFAULT_CAPS) -> SpectralData:
-    """Full eigen-decomposition with ascending eigenvalues and fixed phases."""
-    d = h.dim
-    check_cap(caps, "max_spectrum_dim", d)
-    # 'evr' keeps the workspace ~O(n) instead of zheevd's extra ~2 n^2,
-    # which matters for the largest chains on small-memory hosts. Phases are
-    # then fixed in place, so the peak after the solver is V plus |V|.
-    driver = "evr" if d >= 8192 else "evd"
+# Dimension from which `_eigh` runs LAPACK's ?heevr in place of ?heevd.
+EVR_DIM = 8192
+
+
+def _eigh(a: np.ndarray) -> SpectralData:
+    """Eigenpairs of the Hermitian, Fortran-ordered complex matrix a, which is destroyed.
+
+    LAPACK works in a itself, so no copy of it is made. Peak memory in units
+    of d x d complex matrices: ?heevd (below EVR_DIM) needs a, which it
+    overwrites with the eigenvectors, plus d^2 + 2d complex and 1 + 5d + 2d^2
+    real workspace, about 3 units; ?heevr (from EVR_DIM) needs a plus the
+    separate eigenvector matrix Z, about 2 units, and O(d) workspace. Phases
+    are then fixed in place, PHASE_COLUMNS columns at a time, which adds no
+    d x d temporary.
+    """
+    solver = "evr" if a.shape[0] >= EVR_DIM else "evd"
     try:
-        w, v = scipy.linalg.eigh(h.entries, driver=driver, check_finite=False)
+        w, v = scipy.linalg.eigh(a, driver=solver, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        norm = float(np.linalg.norm(h.entries))
-        raise NumericalFailureError(
-            f"eigensolver failed (dim={d}, frobenius={norm:.3e}): {exc}"
-        ) from exc
+        raise NumericalFailureError(f"eigensolver failed (dim={a.shape[0]}): {exc}") from exc
     return SpectralData(w, _fix_eigenvector_phases(v))
+
+
+def diagonalize(h: HermitianOperator, caps: Caps = DEFAULT_CAPS) -> SpectralData:
+    """Full eigen-decomposition with ascending eigenvalues and fixed phases.
+
+    h is left unchanged: the solver runs on a Fortran-ordered copy of it, so
+    the peak is h plus the solver's own (see `_eigh`).
+    """
+    check_cap(caps, "max_spectrum_dim", h.dim)
+    return _eigh(np.array(h.entries, order="F"))
+
+
+def model_spectrum(model: Mapping, caps: Caps = DEFAULT_CAPS) -> SpectralData:
+    """`diagonalize(build_hamiltonian(model))`, bit for bit, without a copy of H.
+
+    A chain model's dimension is checked against `max_spectrum_dim` before its
+    Hamiltonian is built, and the solver then runs in the Fortran-ordered
+    matrix that `build_hamiltonian` allocated: only a matrix built here is
+    overwritten, and the peak is that of `_eigh` alone. "gue" and "explicit"
+    models hold the caller's own matrix and go through `diagonalize`, which
+    leaves it unchanged.
+    """
+    if model.get("model") in ("gue", "explicit"):
+        return diagonalize(build_hamiltonian(model, caps), caps)
+    check_cap(caps, "max_spectrum_dim", 2 ** model_terms(model)[0])
+    return _eigh(build_hamiltonian(model, caps).entries)
 
 
 def bind_state(sd: SpectralData, psi0: PureState) -> SpectralData:
@@ -218,15 +261,6 @@ def diagonal_ensemble(
     rho = (sd.eigenvectors * p) @ sd.eigenvectors.conj().T
     rho = (rho + rho.conj().T) / 2
     return HermitianOperator(rho, qubit_or_flat_dims(sd.dim)), float(np.sum(p**2))
-
-
-def energy_moments(psi0: PureState, h: HermitianOperator) -> tuple[float, float]:
-    """Mean energy and energy uncertainty of a state under h."""
-    hv = h.entries @ psi0.amplitudes
-    e = float(np.vdot(psi0.amplitudes, hv).real)
-    e2 = float(np.vdot(hv, hv).real)
-    var = max(e2 - e * e, 0.0)
-    return e, var**0.5
 
 
 def basis_overlap_matrix(sd: SpectralData, basis: MeasurementBasis) -> np.ndarray:

@@ -27,8 +27,7 @@ def spectrum_factory():
     def get(model_name: str, n: int, theta: float | None = None):
         key = (model_name, n)
         if key not in _SPECTRUM_CACHE:
-            h = hb.build_hamiltonian({"model": model_name, "n": n})
-            _SPECTRUM_CACHE[key] = sp.diagonalize(h)
+            _SPECTRUM_CACHE[key] = sp.model_spectrum({"model": model_name, "n": n})
         sd = _SPECTRUM_CACHE[key]
         if theta is None:
             return sd

@@ -13,6 +13,11 @@ Hamiltonian builder, projected states and their phases one outcome at a time,
 the resonance scan over a tuple array, subentropy by splitting degenerate
 eigenvalues), kept to check the faster paths that replaced them, and the
 exact infinite-time twirls of one and two copies in the energy basis.
+
+The helpers at the very end have no caller in the package: the Scrooge
+sampler for Monte Carlo checks, the energy moments of a state, the moment
+invariants, the k = 2 product-form distance, one projected outcome at a time
+and the Gram defect of a basis.
 """
 
 import math
@@ -420,3 +425,71 @@ def _plain_sum_subentropy(lam):
                 a_j /= inv[k] - inv[j]
         total += a_j * lam[j] ** 2 * math.log(lam[j])
     return float(np.prod(inv)) * total
+
+
+def energy_moments(psi0, h):
+    """Mean energy and energy uncertainty of a state under a dense Hermitian operator."""
+    hv = h.entries @ psi0.amplitudes
+    e = float(np.vdot(psi0.amplitudes, hv).real)
+    e2 = float(np.vdot(hv, hv).real)
+    return e, max(e2 - e * e, 0.0) ** 0.5
+
+
+def scrooge_sample_batch(rho, n, rng):
+    """n draws from Scrooge[rho] as (normalized, unnormalized) (dim, n) column stacks.
+
+    Unnormalized draws are independent complex Gaussians with variance lambda_m
+    along each eigenvector of rho (support only). The squared norm of an
+    unnormalized draw is the ensemble weight of its normalized state.
+    """
+    from qensembles import scrooge as sc
+
+    spec = sc.eigen_spectrum(rho)
+    scale = np.sqrt(spec.eigenvalues / 2.0)
+    g = scale[:, None] * (rng.standard_normal((spec.rank, n)) + 1j * rng.standard_normal((spec.rank, n)))
+    raw = spec.eigenvectors @ g
+    return raw / np.linalg.norm(raw, axis=0), raw
+
+
+def scrooge_sample(rho, rng):
+    """One draw from Scrooge[rho]: the normalized state and the raw vector."""
+    from qensembles import hilbert as hb
+
+    normed, raw = scrooge_sample_batch(rho, 1, rng)
+    return hb.PureState(normed[:, 0], hb.qubit_or_flat_dims(normed.shape[0])), raw[:, 0]
+
+
+def moment_defects(m):
+    """PSD margin, trace and Hermiticity defect of a stored moment."""
+    from qensembles._util import hermiticity_defect
+
+    return {
+        "min_eigenvalue": float(np.linalg.eigvalsh(m.matrix)[0]),
+        "trace": m.trace,
+        "hermiticity": hermiticity_defect(m.matrix),
+    }
+
+
+def product_vs_random_phase_distance_k2(populations):
+    """Trace distance between the k = 2 product form and the exact random-phase moment.
+
+    In the populations' basis the two differ by sum_E p_E^2 |E,E><E,E|.
+    """
+    return 0.5 * float(np.sum(np.asarray(populations, dtype=float) ** 2))
+
+
+def project_outcome(state, part, basis, outcome_index):
+    """The unnormalized A-side state of one B outcome and its probability."""
+    from qensembles import hilbert as hb
+
+    table = hb.projection_table(state, part, basis)
+    if not 0 <= outcome_index < part.d_b:
+        raise IndexError("outcome index out of range")
+    amp = table[:, outcome_index]
+    p = float(np.vdot(amp, amp).real)
+    return hb.PureState(amp, hb.n_qubit_dims(len(part.sites_A)), "unnormalized"), p
+
+
+def basis_gram_defect(basis):
+    """Max deviation of the Gram matrix of each basis factor from the identity."""
+    return max(float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()) for u in basis.factors)

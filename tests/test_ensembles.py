@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestRandomPhaseMoment:
         p = rng.random(4)
         p /= p.sum()
         m = en.random_phase_moment_exact(p, 2)
-        d = en.moment_defects(m)
+        d = mo.moment_defects(m)
         assert d["min_eigenvalue"] >= -1e-9
         assert d["trace"] == pytest.approx(1.0, abs=1e-8)
         full = m.dense()
@@ -201,13 +202,13 @@ class TestProductForm:
         exact = en.random_phase_moment_exact(p, 2)
         diff = pf.matrix - exact.matrix
         dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
-        factored = en.product_vs_random_phase_distance_k2(p)
+        factored = mo.product_vs_random_phase_distance_k2(p)
         assert dense == pytest.approx(factored, abs=1e-12)
 
     def test_distance_below_bound_at_n10(self, spectrum_factory):
         bound_sd = spectrum_factory("mfim", 10, 0.6)
         p = bound_sd.populations
-        dist = en.product_vs_random_phase_distance_k2(p)
+        dist = mo.product_vs_random_phase_distance_k2(p)
         bound = 2 * np.exp(np.pi * np.sqrt(4 / 3)) * float(np.sum(p**2))
         assert dist <= bound
 
@@ -406,6 +407,25 @@ class TestFrobeniusPairSum:
             tracemalloc.stop()
         # one unblocked phase table, D x T = 528 x 4096 complex, would take 35 MB
         assert peak < 32 * 2**20
+
+
+class TestOccupationBasis:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_follow_combinations_with_replacement(self, k):
+        for d in range(0, 13):
+            idx, counts = en._occupation_basis(d, k)
+            tuples = list(combinations_with_replacement(range(d), k))
+            assert idx.dtype == np.int64 and idx.shape == (len(tuples), k)
+            assert np.array_equal(idx, np.array(tuples, dtype=np.int64).reshape(-1, k))
+            orderings = [len(set(permutations(t))) for t in tuples]
+            assert np.array_equal(counts, np.array(orderings, dtype=float))
+
+    def test_pairs_of_the_n12_spectrum_size(self):
+        d = 2081  # populated mfim levels at n = 12
+        idx, counts = en._occupation_basis(d, 2)
+        # i <= j in row-major order is combinations_with_replacement order at k = 2
+        assert np.array_equal(idx, np.column_stack(np.triu_indices(d)))
+        assert np.array_equal(counts, np.where(idx[:, 0] == idx[:, 1], 1.0, 2.0))
 
 
 class TestClosePairs:

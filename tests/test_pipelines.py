@@ -33,6 +33,37 @@ class TestSpectrumCache:
         cache.release(model)
         assert cache.spectrum(model) is not first
 
+    def test_explicit_fortran_matrix_is_left_unchanged_and_cached(self, monkeypatch):
+        solves, eigh = [], sp._eigh
+
+        def spy(a):
+            solves.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(sp, "_eigh", spy)
+        m = np.asfortranarray(hb.build_hamiltonian({"model": "mfim", "n": 4}).entries)
+        before = m.copy()
+        cache = pl.SpectrumCache()
+        first = cache.spectrum(explicit(m))
+        assert np.array_equal(m, before) and m.flags.f_contiguous
+        assert cache.spectrum(explicit(m)) is first
+        assert solves == [(16, 16)]
+
+    def test_chain_spectra_come_from_model_spectrum(self, monkeypatch):
+        calls, model_spectrum = [], sp.model_spectrum
+
+        def spy(model, caps):
+            calls.append(model)
+            return model_spectrum(model, caps)
+
+        monkeypatch.setattr(sp, "model_spectrum", spy)
+        cache = pl.SpectrumCache()
+        sd = cache.spectrum(MFIM6)
+        assert cache.spectrum(dict(MFIM6)) is sd
+        assert calls == [MFIM6]
+        ref = sp.diagonalize(hb.build_hamiltonian(MFIM6))
+        assert np.array_equal(sd.eigenvectors, ref.eigenvectors)
+
     def test_bound_spectrum_is_cached_per_angle_until_released(self):
         cache = pl.SpectrumCache()
         first = cache.bound(MFIM6, 0.3)
@@ -168,9 +199,9 @@ class TestConditionalStateCache:
 @pytest.fixture()
 def no_diagonalize(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("diagonalize was called")
+        raise AssertionError("the dense eigensolver was called")
 
-    monkeypatch.setattr(sp, "diagonalize", fail)
+    monkeypatch.setattr(sp, "_eigh", fail)
 
 
 @pytest.fixture()
@@ -357,7 +388,7 @@ class TestBasisInformationScan:
             pl.SpectrumCache(), MFIM6, theta, 3.0, 2, letters
         )
         h = hb.build_hamiltonian(MFIM6)
-        energy, _ = sp.energy_moments(hb.product_state(theta, 6), h)
+        energy, _ = mo.energy_moments(hb.product_state(theta, 6), h)
         assert density == pytest.approx(energy / 6, abs=1e-12)
         assert [letter for letter, _ in rows] == list(letters)
         # Holevo: no basis on A learns more than S(rho_A) from the B outcomes

@@ -40,13 +40,13 @@ class TestSampler:
         v /= np.linalg.norm(v)
         rho = np.outer(v, v.conj())
         for _ in range(5):
-            state, raw = sc.scrooge_sample(rho, rng)
+            state, raw = mo.scrooge_sample(rho, rng)
             overlap = abs(np.vdot(v, state.amplitudes))
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed_matches_haar_second_moment(self, rng):
         d, n = 2, 100_000
-        normed, raw = sc.scrooge_sample_batch(np.eye(d, dtype=complex) / d, n, rng)
+        normed, raw = mo.scrooge_sample_batch(np.eye(d, dtype=complex) / d, n, rng)
         w = np.sum(np.abs(raw) ** 2, axis=0)
         cols = np.einsum("in,jn->ijn", normed, normed).reshape(d * d, n)
         mc = (cols * w) @ cols.conj().T / w.sum()
@@ -58,7 +58,7 @@ class TestSampler:
     def test_weighted_first_moment_matches_rho(self, rng):
         rho = np.diag([0.9, 0.1]).astype(complex)
         n = 100_000
-        normed, raw = sc.scrooge_sample_batch(rho, n, rng)
+        normed, raw = mo.scrooge_sample_batch(rho, n, rng)
         w = np.sum(np.abs(raw) ** 2, axis=0)
         est = float(((np.abs(normed[0]) ** 2) * w).sum() / w.sum())
         vals = np.abs(normed[0]) ** 2 * w
@@ -71,7 +71,7 @@ class TestSampler:
     def test_unnormalized_draws_have_product_moments(self, rng):
         rho = random_density(3, rng)
         n = 200_000
-        _, raw = sc.scrooge_sample_batch(rho, n, rng)
+        _, raw = mo.scrooge_sample_batch(rho, n, rng)
         mc1 = raw @ raw.conj().T / n
         assert np.abs(mc1 - rho).max() <= 6 / math.sqrt(n)
 
@@ -159,7 +159,7 @@ class TestScroogeMoment:
         d, n = 4, 200_000
         rho = random_density(d, rng)
         exact = sc.scrooge_moment(rho, 2).dense()
-        normed, raw = sc.scrooge_sample_batch(rho, n, rng)
+        normed, raw = mo.scrooge_sample_batch(rho, n, rng)
         w = np.sum(np.abs(raw) ** 2, axis=0)
         cols = np.einsum("in,jn->ijn", normed, normed).reshape(d * d, n)
         wn = w / w.sum()
@@ -174,7 +174,7 @@ class TestScroogeMoment:
         d, n = 2, 150_000
         rho = np.diag([0.7, 0.3]).astype(complex)
         exact = sc.scrooge_moment(rho, 3).dense()
-        normed, raw = sc.scrooge_sample_batch(rho, n, rng)
+        normed, raw = mo.scrooge_sample_batch(rho, n, rng)
         w = np.sum(np.abs(raw) ** 2, axis=0)
         cols = np.einsum("in,jn,kn->ijkn", normed, normed, normed).reshape(d**3, n)
         mc = (cols * (w / w.sum() * n)) @ cols.conj().T / n
@@ -186,7 +186,7 @@ class TestScroogeMoment:
     def test_permutation_structure(self, rng):
         rho = random_density(3, rng)
         m = sc.scrooge_moment(rho, 2)
-        defects = en.moment_defects(m)
+        defects = mo.moment_defects(m)
         assert defects["min_eigenvalue"] >= -1e-9
         assert defects["trace"] == pytest.approx(1.0, abs=1e-8)
         full = m.dense()

@@ -69,6 +69,84 @@ class TestDiagonalize:
         assert out is v
         assert np.array_equal(out, expected)
 
+    def test_phases_are_fixed_column_block_by_column_block(self, rng):
+        d = 2 * sp.PHASE_COLUMNS + 22  # three blocks, the last one partial
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        _, v = np.linalg.eigh((g + g.conj().T) / 2)
+        lead = v[np.abs(v).argmax(axis=0), np.arange(d)]
+        expected = v * np.conj(lead / np.abs(lead))
+        assert np.array_equal(sp._fix_eigenvector_phases(v), expected)
+
+    @pytest.mark.parametrize("evr_dim", [sp.EVR_DIM, 1])
+    def test_input_is_left_unchanged(self, monkeypatch, rng, evr_dim):
+        monkeypatch.setattr(sp, "EVR_DIM", evr_dim)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        for entries in ((g + g.conj().T) / 2, hb.build_hamiltonian({"model": "mfim", "n": 5}).entries):
+            h = hb.HermitianOperator(entries, hb.qubit_or_flat_dims(entries.shape[0]))
+            before = h.entries.copy()
+            sp.diagonalize(h)
+            assert np.array_equal(h.entries, before)
+
+
+def _old_route(model, solver):
+    """The earlier `diagonalize`: LAPACK on scipy's own copy of a C-ordered H."""
+    h = np.ascontiguousarray(hb.build_hamiltonian(model).entries)
+    w, v = scipy.linalg.eigh(h, driver=solver, check_finite=False)
+    return w, sp._fix_eigenvector_phases(v)
+
+
+class TestModelSpectrum:
+    @pytest.mark.parametrize("evr_dim", [sp.EVR_DIM, 1])
+    @pytest.mark.parametrize("name", ["mfim", "tfim", "xxz", "mfim_broken_trs"])
+    def test_bit_identical_to_diagonalize_of_the_built_matrix(self, monkeypatch, name, evr_dim):
+        monkeypatch.setattr(sp, "EVR_DIM", evr_dim)
+        for n in range(1, 9):
+            model = {"model": name, "n": n}
+            sd = sp.model_spectrum(model)
+            ref = sp.diagonalize(hb.build_hamiltonian(model))
+            old_w, old_v = _old_route(model, "evr" if evr_dim == 1 else "evd")
+            for w, v in ((ref.eigenvalues, ref.eigenvectors), (old_w, old_v)):
+                assert np.array_equal(sd.eigenvalues, w)
+                assert np.array_equal(sd.eigenvectors, v)
+
+    def test_explicit_models_are_diagonalized_on_a_copy(self, rng):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        m = np.asfortranarray((g + g.conj().T) / 2)
+        before = m.copy()
+        sd = sp.model_spectrum({"model": "explicit", "matrix": m})
+        assert np.array_equal(m, before)
+        ref = sp.diagonalize(hb.HermitianOperator(before, (2,) * 3))
+        assert np.array_equal(sd.eigenvectors, ref.eigenvectors)
+
+    # evd: H, overwritten by V, plus about two matrices of workspace (4.01 when
+    # H was copied first); evr: H plus Z, with no d x d |V| while phases are fixed
+    @pytest.mark.parametrize("evr_dim, units", [(sp.EVR_DIM, 3.5), (1, 2.25)])
+    def test_peak_memory_in_matrices(self, monkeypatch, evr_dim, units):
+        monkeypatch.setattr(sp, "EVR_DIM", evr_dim)
+        n = 9
+        unit = (2**n) ** 2 * 16
+        model = {"model": "mfim", "n": n}
+        sp.model_spectrum(model)  # warm up lazily created module state
+        tracemalloc.start()
+        try:
+            sp.model_spectrum(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= units * unit
+
+    def test_spectrum_cap_is_checked_before_the_build(self):
+        n = 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as err:
+                sp.model_spectrum({"model": "mfim", "n": n}, Caps(max_spectrum_dim=2**5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.cap_name == "max_spectrum_dim"
+        assert peak < (2**n) ** 2 * 16
+
 
 def _dense_measure(h):
     """The oracle: populations of |0> through the full eigendecomposition."""
@@ -334,21 +412,21 @@ class TestEnergyMoments:
         h = hb.build_hamiltonian({"model": "mfim", "n": 3})
         sd = sp.diagonalize(h)
         eig = hb.PureState(sd.eigenvectors[:, 4], (2,) * 3)
-        e, sigma = sp.energy_moments(eig, h)
+        e, sigma = mo.energy_moments(eig, h)
         assert e == pytest.approx(sd.eigenvalues[4], abs=1e-10)
         assert sigma <= 1e-6
 
     def test_plus_under_z(self):
         h = hb.HermitianOperator(np.diag([1.0, -1.0]).astype(complex), (2,))
         plus = hb.qubit_state([1, 1] / np.sqrt(2))
-        e, sigma = sp.energy_moments(plus, h)
+        e, sigma = mo.energy_moments(plus, h)
         assert e == pytest.approx(0.0, abs=1e-12)
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_density_of_standard_quench(self):
         h = hb.build_hamiltonian({"model": "mfim", "n": 12})
         psi = hb.product_state(0.6, 12)
-        e, _ = sp.energy_moments(psi, h)
+        e, _ = mo.energy_moments(psi, h)
         assert e / 12 == pytest.approx(0.51, abs=0.02)
 
 
