@@ -393,6 +393,14 @@ def finite_time_temporal_moment(
     return MomentOperator(k, d, m, "normalized")
 
 
+def _check_frobenius_caps(d: int, k: int, caps: Caps) -> None:
+    """The caps of `finite_time_frobenius_distances` on d levels: C(d+k-1, k)
+    multiset sums and their square of pairs."""
+    dim = comb(d + k - 1, k)
+    check_cap(caps, "max_multiset_terms", dim)
+    check_cap(caps, "max_sinc_terms", dim**2)
+
+
 def finite_time_frobenius_distances(
     sd: SpectralData | SpectralMeasure, k: int, taus: Sequence[float], caps: Caps = DEFAULT_CAPS
 ) -> np.ndarray:
@@ -424,10 +432,7 @@ def finite_time_frobenius_distances(
     Only the eigenvalues and populations of `sd` are read, so a bound
     `SpectralData` and a `SpectralMeasure` serve equally.
     """
-    d = sd.dim
-    dim = comb(d + k - 1, k)
-    check_cap(caps, "max_multiset_terms", dim)
-    check_cap(caps, "max_sinc_terms", dim**2)
+    _check_frobenius_caps(sd.dim, k, caps)
     halves = np.abs(_finite_taus(taus)) / 2.0  # the kernel is even in tau
     idx, counts, s = _sorted_sums(sd.eigenvalues, k)
     v = counts * np.prod(sd.populations[idx], axis=1)

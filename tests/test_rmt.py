@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
-from qensembles import CapacityError, FitError, rmt
+from qensembles import CapacityError, Caps, FitError, rmt
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
 from qensembles import spectral as sp
@@ -25,6 +26,11 @@ class TestSampling:
         h = rmt.sample_gue(d, task_rng(seed)).entries
         ref = mo.sample_gue_complex(d, task_rng(seed))
         assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [65, 130])
+    def test_draw_with_a_partial_last_tile_is_bit_identical(self, d):
+        assert d % rmt.GUE_BLOCK
+        self.test_real_arithmetic_draw_is_bit_identical_to_complex(d, 3)
 
     def test_two_level_gap_mean_against_density_quadrature(self):
         # oracle: the 2x2 gap follows a 3-dof chi law in this normalization
@@ -107,6 +113,31 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError):
             rmt.convergence_experiment(8, 1, **kwargs)
 
+    @pytest.mark.parametrize(
+        "cap, value", [("max_spectrum_dim", 8), ("max_multiset_terms", 15), ("max_sinc_terms", 255)]
+    )
+    def test_caps_are_checked_before_the_first_draw(self, monkeypatch, cap, value):
+        def draw(*args):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(rmt, "sample_gue", draw)
+        with pytest.raises(CapacityError) as err:
+            rmt.convergence_experiment(16, 1, caps=Caps(**{cap: value}))
+        assert err.value.cap_name == cap
+
+    # (256, 2) is left out: its 32,896^2 sinc terms exceed the default max_sinc_terms
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (48, 1), (256, 1), (2, 2), (3, 2), (48, 2)])
+    def test_bit_identical_to_the_route_through_basis_state_measure(self, d, k):
+        curve = rmt.convergence_experiment(d, k, n_samples=2, seed=9)
+        rows = np.array([
+            en.finite_time_frobenius_distances(
+                sp.basis_state_measure(rmt.sample_gue(d, task_rng(9, i))), k, curve.tau_grid
+            )
+            for i in range(2)
+        ])
+        assert np.array_equal(curve.frobenius, rows.mean(axis=0))
+        assert np.array_equal(curve.squared_frobenius_mean, (rows**2).mean(axis=0))
+
     def test_curve_rejects_non_finite_distances(self):
         with pytest.raises(ValueError):
             rmt.ConvergenceCurve(
@@ -141,6 +172,25 @@ class TestConvergenceExperiment:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         curve = rmt.convergence_experiment(48, 2)
         assert np.all(np.isfinite(curve.frobenius))
+
+
+class TestPeakMemory:
+    # one d x d complex matrix (d^2 16 B) at a time, plus temporaries of 64 rows
+    @pytest.mark.parametrize(
+        "run",
+        [lambda d: rmt.sample_gue(d, task_rng(0)), lambda d: rmt.convergence_experiment(d, 1)],
+        ids=["sample_gue", "convergence_experiment"],
+    )
+    def test_peak_memory_in_matrices(self, run):
+        d = 1024
+        run(16)  # warm up lazily created module state
+        tracemalloc.start()
+        try:
+            run(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * d * d * 16
 
 
 class TestGapHistograms:

@@ -207,8 +207,36 @@ class TestBasisStateMeasure:
         with pytest.raises(CapacityError):
             sp.basis_state_measure(h, Caps(max_spectrum_dim=8))
 
-    @pytest.mark.parametrize("failure", ["zhetrd", "eigh_tridiagonal"])
-    def test_solver_failure_is_named(self, monkeypatch, failure):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_left_unchanged(self, order):
+        entries = np.array(rmt.sample_gue(48, task_rng(36)).entries, order=order)
+        h = hb.HermitianOperator(entries, (48,))
+        before = h.entries.copy()
+        sp.basis_state_measure(h)
+        assert h.entries.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 48, 256])
+    def test_reduction_is_bit_identical_to_the_column_major_call(self, d):
+        # the C-ordered matrix as given, which f2py copies to column-major order
+        h = rmt.sample_gue(d, task_rng(37, d)).entries
+        work, _ = scipy.linalg.lapack.zhetrd_lwork(d, lower=1)
+        _, diag, off, _, info = scipy.linalg.lapack.zhetrd(h, lower=1, lwork=int(work.real))
+        assert info == 0
+        got = sp._tridiagonalize(h.copy())
+        assert np.array_equal(got[0], diag) and np.array_equal(got[1], off)
+
+    @pytest.mark.parametrize(
+        "failure, call",
+        [
+            pytest.param(failure, call, id=failure + suffix)
+            for suffix, call in [
+                ("", lambda: sp.basis_state_measure(rmt.sample_gue(8, task_rng(35)))),
+                ("-convergence_experiment", lambda: rmt.convergence_experiment(8, 1)),
+            ]
+            for failure in ("zhetrd", "eigh_tridiagonal")
+        ],
+    )
+    def test_solver_failure_is_named(self, monkeypatch, failure, call):
         if failure == "zhetrd":
             real = scipy.linalg.lapack.zhetrd
             monkeypatch.setattr(
@@ -220,7 +248,7 @@ class TestBasisStateMeasure:
 
             monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NumericalFailureError):
-            sp.basis_state_measure(rmt.sample_gue(8, task_rng(35)))
+            call()
 
 
 class TestEvolve:
@@ -424,9 +452,9 @@ class TestEnergyMoments:
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_density_of_standard_quench(self):
-        h = hb.build_hamiltonian({"model": "mfim", "n": 12})
-        psi = hb.product_state(0.6, 12)
-        e, _ = mo.energy_moments(psi, h)
+        h, _ = hb.sparse_hamiltonian({"model": "mfim", "n": 12})
+        psi = hb.product_state(0.6, 12).amplitudes
+        e = float(np.vdot(psi, h @ psi).real)
         assert e / 12 == pytest.approx(0.51, abs=0.02)
 
 
