@@ -57,8 +57,9 @@ class Caps:
     r ensemble members that `trace_distance` diagonalizes in place of the moment;
     (d^k)^2 for a full-space operator (`MomentOperator.dense()`);
     and the pairwise tables of `rmt.gap_histograms` (d^2 gaps, d^4 sum-gaps);
-    `max_state_dim` bounds state vectors and the d entries per term that a
-    sparse Hamiltonian assembles; `max_multiset_terms` bounds exact multiset
+    `max_state_dim` bounds state vectors and the entries of a sparse chain
+    Hamiltonian, d per row and per flip mask, doubled for the realified form
+    of a real one; `max_multiset_terms` bounds exact multiset
     enumerations: the random-phase moment, the Frobenius kernel's sorted sums
     and the no-resonance scan of `ensembles.check_no_resonance`;
     `max_sinc_terms` bounds the finite-interval double sums.

@@ -2,7 +2,13 @@
 
 A quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
 propagates the product state with the sparse Hamiltonian
-(`spectral.propagate`), so fixed-time pipelines never diagonalize. Full
+(`spectral.propagate`), so fixed-time pipelines never diagonalize. The
+sparse chain Hamiltonian lives in a site-local frame where mfim, tfim and
+xxz are real (`hilbert.sparse_hamiltonian`): the product state enters it
+site by site, and the propagated state leaves it through
+`hilbert.apply_local_rotations`. `basis_information_scan` reads its
+quench energy in the same frame. The dense Hamiltonian and every spectrum
+stay in the computational basis. Full
 spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix
 the Hamiltonian was built in) are built only for the paths that read
 eigenpairs: bound states, conditional-state tables and the eigenstate
@@ -109,16 +115,21 @@ def _n_sites(dim: int) -> int:
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:
     """exp(-iHt) of the product state at angle theta, memoized in the cache.
 
-    Propagated with the sparse Hamiltonian (`spectral.propagate`), never read
-    off a spectrum, so the result does not depend on what the cache holds.
-    The amplitudes are read-only: every caller shares them.
+    Propagated with the sparse Hamiltonian in its site-local frame u
+    (`spectral.propagate`), never read off a spectrum, so the result does
+    not depend on what the cache holds: the product state enters the frame
+    site by site, and the propagated state leaves it with one pass of u^dag
+    per site (`hilbert.apply_local_rotations`). The amplitudes are
+    read-only: every caller shares them.
     """
     states = cache._states.setdefault(cache._key(model), {})
     key = (float(theta), float(t))
     if key not in states:
-        h, a = hb.sparse_hamiltonian(model, cache.caps)
-        psi0 = hb.product_state(theta, _n_sites(h.shape[0]))
-        amps = sp.propagate(h, a, psi0.amplitudes, t)
+        h, frame, interval = hb.sparse_hamiltonian(model, cache.caps)
+        n = _n_sites(h.shape[0])
+        psi0 = hb.product_state(theta, n, frame)
+        amps = sp.propagate(h, interval, psi0.amplitudes, t)
+        amps = hb.apply_local_rotations(amps[None, :], [frame] * n, conjugate=True)[0]
         amps /= np.linalg.norm(amps)
         amps.flags.writeable = False
         states[key] = hb.PureState(amps, psi0.dims)
@@ -186,8 +197,8 @@ def basis_information_scan(
     state = quench_state(cache, model, theta, t)
     rho_a = hb.partial_trace(state, part, "A")
     q_bits, s_bits = st.holevo_sandwich(rho_a)
-    h, _ = hb.sparse_hamiltonian(model, cache.caps)
-    psi0 = hb.product_state(theta, n).amplitudes
+    h, frame, _ = hb.sparse_hamiltonian(model, cache.caps)
+    psi0 = hb.product_state(theta, n, frame).amplitudes
     energy = float(np.vdot(psi0, h @ psi0).real)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     rows = []

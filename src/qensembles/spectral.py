@@ -15,7 +15,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.special
+
+# y += A x for a CSR matrix A, into the caller's y. The products of `propagate` call
+# it directly: at d = 1024, scipy's `@` spends longer on dispatch and on a new
+# result array than on the product itself.
+from scipy.sparse._sparsetools import csr_matvec
 
 from ._util import Caps, DEFAULT_CAPS, NumericalFailureError, check_cap
 from .hilbert import (
@@ -234,18 +240,40 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     return c
 
 
-def propagate(h, a: float, psi0: np.ndarray, t: float) -> np.ndarray:
+def _interleaved(h: scipy.sparse.csr_matrix, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of scale H (x) I_2 for a real CSR matrix H: scale H acting on
+    the interleaved real and imaginary parts of a complex vector."""
+    p, j = h.indptr, h.indices
+    counts = np.diff(p)
+    even = np.repeat(p[:-1], counts) + np.arange(h.nnz, dtype=p.dtype)  # row 2i
+    odd = even + np.repeat(counts, counts)  # row 2i + 1, right after it
+    indptr = np.empty(2 * p.size - 1, dtype=p.dtype)
+    indptr[0::2], indptr[1::2] = 2 * p, 2 * p[:-1] + counts
+    indices, data = np.empty(2 * h.nnz, dtype=j.dtype), np.empty(2 * h.nnz)
+    indices[even], indices[odd] = 2 * j, 2 * j + 1
+    data[even] = data[odd] = scale * h.data
+    return indptr, indices, data
+
+
+def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) psi0 by the Chebyshev expansion of Tal-Ezer and Kosloff,
     J. Chem. Phys. 81, 3967 (1984).
 
-    h is any matrix with a `@` product (a CSR matrix from
-    `hilbert.sparse_hamiltonian`, say) and a >= ||h|| a bound on its norm, so
-    the spectrum of H/a lies in [-1, 1]. The result is
-    sum_{k<K} (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi0, with T_k(H/a) psi0
-    from the three-term recurrence, one product with h per term.
+    h is a real or complex CSR matrix (from `hilbert.sparse_hamiltonian`, say)
+    whose spectrum lies in interval = [lo, hi]. With centre c = (lo + hi) / 2
+    and half-width r = (hi - lo) / 2 the spectrum of S = (H - c) / r lies in
+    [-1, 1], and the result is
+    exp(-i c t) sum_{k<K} (2 - delta_k0) (-i)^k J_k(r t) T_k(S) psi0, with
+    T_k(S) psi0 from the three-term recurrence, one sparse product per term:
+    (2/r) H v is added into a vector that already holds -(2c/r) v minus the
+    previous term. The scaled matrix is formed once per call; for a real h
+    it is the real CSR matrix (2/r) H (x) I_2, which acts on the interleaved
+    real and imaginary parts of a complex vector, so every product is real
+    arithmetic. A zero-width interval, or t = 0, leaves one term: the result
+    is exp(-i c t) psi0, and r is never divided by.
 
-    Error: ||T_k(H/a)|| <= 1, so the left-out terms move the result by at most
-    the Bessel tail 2 sum_{k>=K} |J_k(a t)| ||psi0||, and K is the first order
+    Error: ||T_k(S)|| <= 1, so the left-out terms move the result by at most
+    the Bessel tail 2 sum_{k>=K} |J_k(r t)| ||psi0||, and K is the first order
     that makes this tail smaller than 2^-53 ||psi0||. Rounding in the
     recurrence and in `scipy.special.jv` adds about 2^-53 per term; any
     double-precision method errs at this level, since rounding H by a relative
@@ -254,27 +282,43 @@ def propagate(h, a: float, psi0: np.ndarray, t: float) -> np.ndarray:
     references (n = 3 to 8, t = 100 and 1e3) the error norm was 0.9 to 1.2
     K 2^-53, and no entry was off by more than K 2^-53.
 
-    Cost: K is about a |t| + 11 (a |t|)^(1/3) products with h, so the cost
-    grows linearly in |t|; at t = 0 the result is psi0 itself. On a 2-core
-    host, mfim at n = 10 and t = 20 takes K = 506 terms and about 40 ms,
-    against 1.2 s for a dense diagonalization. For long times diagonalizing
-    is cheaper: at n = 8 and t = 1e3 the sum takes 17,000 terms and 0.45 s,
-    the diagonalization 0.03 s; the package's pipelines and benchmark quench
-    to t <= 20. Raises ValueError for a non-finite t.
+    Cost: K is about r |t| + 11 (r |t|)^(1/3) sparse products, so the cost
+    grows linearly in |t|. On a 2-core host, mfim at t = 20 in the frame of
+    `hilbert.sparse_hamiltonian` takes K = 399 terms and about 17 ms at
+    n = 10, 471 terms and 71 ms at n = 12, and 542 terms and 0.36 s at
+    n = 14, against 1.0 s for a dense diagonalization at n = 10. For long
+    times diagonalizing is cheaper: at n = 8 and t = 1e3 the sum takes
+    13,000 terms and 0.26 s, the diagonalization 0.024 s; the package's
+    pipelines and benchmark quench to t <= 20. Raises ValueError for a
+    non-finite t.
     """
     _require_finite_times(np.asarray(t, dtype=float))
-    psi = np.asarray(psi0, dtype=complex)
-    c = _chebyshev_coefficients(a * t)
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    lo, hi = interval
+    centre, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+    c = _chebyshev_coefficients(r * t)
     out = c[0] * psi
-    if c.size == 1:
-        return out
-    h2 = h * (2.0 / a)
-    prev, cur = psi, 0.5 * (h2 @ psi)
-    out += c[1] * cur
-    for ck in c[2:]:
-        prev, cur = cur, h2 @ cur - prev
-        out += ck * cur
-    return out
+    if c.size > 1:
+        arrays, view = (h.indptr, h.indices, (2.0 / r) * h.data), complex
+        if h.dtype.kind == "f":
+            arrays, view = _interleaved(h, 2.0 / r), np.float64
+        size = arrays[0].size - 1
+        shift = -2.0 * centre / r
+
+        def add_product(v, acc):  # acc += (2/r) H v; acc holds the rest of the step
+            csr_matvec(size, size, *arrays, v.view(view), acc.view(view))
+
+        prev, cur, nxt = psi.copy(), shift * psi, np.empty_like(psi)
+        add_product(psi, cur)
+        cur *= 0.5
+        out += c[1] * cur
+        for ck in c[2:]:
+            np.multiply(cur, shift, out=nxt)
+            nxt -= prev
+            add_product(cur, nxt)
+            prev, cur, nxt = cur, nxt, prev
+            out += ck * cur
+    return np.exp(-1j * centre * t) * out
 
 
 def diagonal_ensemble(

@@ -11,7 +11,8 @@ slower ways to the same numbers (one Scrooge moment per outcome, a contraction
 with every local block, the complex-arithmetic GUE draw, the dense chain
 Hamiltonian builder, projected states and their phases one outcome at a time,
 the resonance scan over a tuple array, subentropy by splitting degenerate
-eigenvalues), kept to check the faster paths that replaced them, and the
+eigenvalues, Chebyshev propagation with a complex matrix and a symmetric
+norm bound), kept to check the faster paths that replaced them, and the
 exact infinite-time twirls of one and two copies in the energy basis.
 
 The helpers at the very end have no caller in the package: the Scrooge
@@ -277,6 +278,56 @@ def dense_hamiltonian_reference(model):
             add(delta2 / 4.0, {s: "Z", s + 2: "Z"})
     assert not spec, spec
     return h
+
+
+def complex_chebyshev_propagate(model, psi0, t):
+    """exp(-iHt) psi0 by the earlier propagation route: a complex CSR matrix in
+    the computational basis and a symmetric bound a >= ||H||.
+
+    Chain models add the COO entries of every term of `model_terms`; a is
+    sum |coeff| over the multi-site terms plus, per site, the norm of its
+    one-site field. "gue" and "explicit" models take their largest absolute
+    row sum. The result is sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi0
+    from the three-term recurrence in complex arithmetic.
+    """
+    import scipy.sparse
+
+    from qensembles import hilbert as hb
+    from qensembles import spectral as sp
+
+    if model["model"] in ("gue", "explicit"):
+        h = scipy.sparse.csr_matrix(np.asarray(model["matrix"], dtype=complex))
+        a = float(abs(h).sum(axis=1).max())
+    else:
+        n, terms = hb.model_terms(model)
+        rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
+        fields = np.zeros((n, 3))
+        a = 0.0
+        for coeff, ops in terms:
+            r, c, v = _pauli_string_reference(n, ops)
+            rows.append(r)
+            cols.append(c)
+            vals.append(coeff * v)
+            if len(ops) == 1:
+                ((site, letter),) = ops.items()
+                fields[site, "XYZ".index(letter)] += coeff
+            else:
+                a += abs(coeff)
+        a += float(np.sqrt((fields * fields).sum(axis=1)).sum())
+        coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        h = scipy.sparse.csr_matrix(coo, shape=(2**n, 2**n))
+    psi = np.asarray(psi0, dtype=complex)
+    c = sp._chebyshev_coefficients(a * t)
+    out = c[0] * psi
+    if c.size == 1:
+        return out
+    h2 = h * (2.0 / a)
+    prev, cur = psi, 0.5 * (h2 @ psi)
+    out += c[1] * cur
+    for ck in c[2:]:
+        prev, cur = cur, h2 @ cur - prev
+        out += ck * cur
+    return out
 
 
 def moment_from_columns_per_member(columns, weights, k, panel_width=64):

@@ -115,6 +115,15 @@ CHAIN_MODELS = {
 }
 
 
+def in_frame(m, n):
+    """CHAIN_FRAME^(x n) m CHAIN_FRAME^dag(x n), by one 2 x 2 contraction per
+    site on each side, in extended precision so that its own rounding stays
+    far below that of a float64 matrix."""
+    u = np.array([[1, 1], [1j, -1j]], dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
+    right = hb.apply_local_rotations(m.astype(np.clongdouble), [u.conj().T] * n)  # m U^dag
+    return hb.apply_local_rotations(right.T, [u.T] * n).T  # U (m U^dag)
+
+
 class TestModelTerms:
     @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
     @pytest.mark.parametrize("overridden", [False, True])
@@ -134,39 +143,58 @@ class TestModelTerms:
         )
 
     @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
-    def test_sparse_matrix_and_norm_bound(self, name):
-        spec = dict(CHAIN_MODELS[name], model=name, n=6)
-        h, a = hb.sparse_hamiltonian(spec)
-        dense = hb.build_hamiltonian(spec).entries
-        assert np.abs(h.toarray() - dense).max() <= 1e-14
-        _, terms = hb.model_terms(spec)
-        # one-site X, Y, Z anticommute: each site's field has norm sqrt(sum c^2)
-        fields = {}
-        for c, ops in terms:
-            if len(ops) == 1:
-                fields[next(iter(ops))] = fields.get(next(iter(ops)), 0.0) + c * c
-        couplings = sum(abs(c) for c, ops in terms if len(ops) > 1)
-        assert a == pytest.approx(couplings + sum(math.sqrt(f) for f in fields.values()), rel=1e-15)
-        assert np.abs(np.linalg.eigvalsh(dense)).max() <= a
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_sparse_matrix_and_norm_bound(self, name, overridden):
+        params = CHAIN_MODELS[name] if overridden else {}
+        for n in range(1, 9):
+            spec = dict(params, model=name, n=n)
+            h, u, (lo, hi) = hb.sparse_hamiltonian(spec)
+            dense = hb.build_hamiltonian(spec).entries
+            assert np.array_equal(u, hb.CHAIN_FRAME)
+            assert np.abs(h.toarray() - in_frame(dense, n)).max() <= 1e-14, n
+            # a mapped string is real when it holds an even number of Y
+            assert h.dtype == (complex if name == "mfim_broken_trs" else np.float64)
+            levels = np.linalg.eigvalsh(dense)
+            # where one window is the whole chain, or every window a lone site
+            # field, both sides are the same number up to rounding
+            slack = 4 * 2.0**-53 * (hi - lo)
+            assert lo <= levels[0] + slack and levels[-1] <= hi + slack, n
+            # the earlier symmetric bound: sum |c| over couplings plus each site's field norm
+            _, terms = hb.model_terms(spec)
+            fields = {}
+            for c, ops in terms:
+                if len(ops) == 1:
+                    fields[next(iter(ops))] = fields.get(next(iter(ops)), 0.0) + c * c
+            couplings = sum(abs(c) for c, ops in terms if len(ops) > 1)
+            assert (hi - lo) / 2 <= couplings + sum(math.sqrt(f) for f in fields.values()) + slack, n
 
-    def test_one_site_norm_bound_is_attained(self):
-        h, a = hb.sparse_hamiltonian({"model": "mfim_broken_trs", "n": 1, "hx": 0.3, "hy": -0.4, "hz": 1.2})
-        assert a == pytest.approx(1.3, rel=1e-15)
+    def test_mfim_interval_is_within_four_percent_of_the_spectrum(self):
+        _, _, (lo, hi) = hb.sparse_hamiltonian({"model": "mfim", "n": 10})
+        assert lo == pytest.approx(-13.48, abs=1e-2)
+        assert hi == pytest.approx(18.74, abs=1e-2)
+
+    def test_one_site_interval_is_its_spectrum(self):
+        spec = {"model": "mfim_broken_trs", "n": 1, "hx": 0.3, "hy": -0.4, "hz": 1.2}
+        h, _, interval = hb.sparse_hamiltonian(spec)
+        assert interval == pytest.approx((-1.3, 1.3), rel=1e-15)
         assert np.linalg.eigvalsh(h.toarray()) == pytest.approx([-1.3, 1.3], rel=1e-15)
 
-    def test_sparse_explicit_matrix_uses_the_row_sum_bound(self):
+    def test_sparse_explicit_matrix_uses_the_gershgorin_interval(self):
         m = np.array([[1.0, 2.0j], [-2.0j, -0.5]])
-        h, a = hb.sparse_hamiltonian({"model": "explicit", "matrix": m})
+        h, u, interval = hb.sparse_hamiltonian({"model": "explicit", "matrix": m})
         assert np.array_equal(h.toarray(), m)
-        assert a == 3.0
+        assert np.array_equal(u, np.eye(2))
+        assert interval == (-2.5, 3.0)
+        _, _, interval = hb.sparse_hamiltonian({"model": "explicit", "matrix": 2.5 * np.eye(8)})
+        assert interval == (2.5, 2.5)
         with pytest.raises(InvalidMatrixError):
             hb.sparse_hamiltonian({"model": "explicit", "matrix": np.array([[0, 1], [0, 0]])})
 
     def test_zero_chain_has_no_terms(self):
         spec = {"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0}
         assert hb.model_terms(spec) == (3, ())
-        h, a = hb.sparse_hamiltonian(spec)
-        assert h.shape == (8, 8) and h.nnz == 0 and a == 0.0
+        h, _, interval = hb.sparse_hamiltonian(spec)
+        assert h.shape == (8, 8) and h.count_nonzero() == 0 and interval == (0.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
@@ -177,9 +205,19 @@ class TestModelTerms:
                 with pytest.raises(InvalidModelError, match="non-finite"):
                     build(spec)
 
-    def test_sparse_assembly_is_capped(self):
+    @pytest.mark.parametrize(
+        "name, entries",
+        [
+            ("mfim", 2**6 * 7 * 2),  # diagonal + 6 masks per row, realified
+            ("mfim_broken_trs", 2**6 * 12),  # diagonal + 11 masks per row, complex
+        ],
+    )
+    def test_sparse_assembly_is_capped(self, name, entries):
+        spec = {"model": name, "n": 6}
+        h, _, _ = hb.sparse_hamiltonian(spec, Caps(max_state_dim=entries))
+        assert h.nnz * (2 if h.dtype == np.float64 else 1) == entries
         with pytest.raises(CapacityError, match="max_state_dim"):
-            hb.sparse_hamiltonian({"model": "mfim", "n": 6}, Caps(max_state_dim=2**6 * 16))
+            hb.sparse_hamiltonian(spec, Caps(max_state_dim=entries - 1))
 
 
 class TestNonFiniteEntries:

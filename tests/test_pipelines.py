@@ -209,9 +209,9 @@ def propagations(monkeypatch):
     """Times of every `spectral.propagate` call, in order."""
     calls, propagate = [], sp.propagate
 
-    def spy(h, a, psi0, t):
+    def spy(h, interval, psi0, t):
         calls.append(t)
-        return propagate(h, a, psi0, t)
+        return propagate(h, interval, psi0, t)
 
     monkeypatch.setattr(sp, "propagate", spy)
     return calls
@@ -258,6 +258,18 @@ class TestQuenchStateCache:
     def test_non_finite_time_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             pl.quench_state(pl.SpectrumCache(), MFIM6, 0.3, math.nan)
+
+    @pytest.mark.parametrize("name", ["mfim", "tfim", "xxz", "mfim_broken_trs"])
+    def test_matches_the_dense_exponential(self, name):
+        cache = pl.SpectrumCache()
+        for n in range(1, 9):
+            model = {"model": name, "n": n}
+            h = hb.build_hamiltonian(model).entries
+            psi0 = hb.product_state(0.7, n).amplitudes
+            for t in (1.7, 20.0):
+                expected = scipy.linalg.expm(-1j * h * t) @ psi0
+                out = pl.quench_state(cache, model, 0.7, t).amplitudes
+                assert np.abs(out - expected).max() <= 1e-14, (n, t)
 
 
 def gram_haar_distance(table, k):

@@ -8,6 +8,7 @@ from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps, NumericalFailureError
 from qensembles import hilbert as hb
+from qensembles import pipelines as pl
 from qensembles import spectral as sp
 from qensembles import ensembles as en
 from qensembles import rmt
@@ -333,42 +334,84 @@ PROPAGATION_MODELS = [
 ]
 
 
+def to_frame(psi, u):
+    """u^(x n) psi for a state on n qubits, one 2 x 2 contraction per site."""
+    n = psi.size.bit_length() - 1
+    return hb.apply_local_rotations(psi[None, :], [u.T] * n)[0]
+
+
+def from_frame(psi, u):
+    """u^dag(x n) psi: the inverse of `to_frame`."""
+    n = psi.size.bit_length() - 1
+    return hb.apply_local_rotations(psi[None, :], [u] * n, conjugate=True)[0]
+
+
 class TestPropagate:
     @pytest.mark.parametrize("model", PROPAGATION_MODELS, ids=lambda m: m["model"])
     def test_matches_spectral_evolution(self, model, rng):
-        h, a = hb.sparse_hamiltonian(model)
+        h, u, interval = hb.sparse_hamiltonian(model)
         psi = random_state(h.shape[0], rng)
         sd = sp.bind_state(sp.diagonalize(hb.build_hamiltonian(model)), psi)
         for t in (0.0, 1e-3, 3.0, 20.0, 100.0, -7.0):
-            out = sp.propagate(h, a, psi.amplitudes, t)
+            out = from_frame(sp.propagate(h, interval, to_frame(psi.amplitudes, u), t), u)
             assert np.abs(out - sp.evolve(sd, t).amplitudes).max() <= 1e-12, t
+
+    @pytest.mark.parametrize("model", PROPAGATION_MODELS, ids=lambda m: m["model"])
+    def test_quench_state_matches_the_complex_route_and_evolution(self, model):
+        theta = 0.7
+        cache = pl.SpectrumCache()
+        bound = cache.bound(model, theta)
+        psi0 = hb.product_state(theta, bound.dim.bit_length() - 1).amplitudes
+        for t in (0.0, 1e-3, 3.0, 20.0, 100.0, -7.0):
+            out = pl.quench_state(cache, model, theta, t).amplitudes
+            assert np.abs(out - mo.complex_chebyshev_propagate(model, psi0, t)).max() <= 1e-12, t
+            assert np.abs(out - sp.evolve(bound, t).amplitudes).max() <= 1e-12, t
 
     def test_long_time_within_the_stated_bound(self):
         n, t = 8, 1e3
         psi0 = hb.product_state(0.3, n).amplitudes
         # field-only chain: exp(-iHt) is a product of exact single-site rotations
-        h, a = hb.sparse_hamiltonian({"model": "mfim", "n": n, "hx": 1.0, "hy": 0.0, "j": 0.0})
+        h, u, interval = hb.sparse_hamiltonian({"model": "mfim", "n": n, "hx": 1.0, "hy": 0.0, "j": 0.0})
         site = np.cos(t) * np.eye(2) - 1j * np.sin(t) * np.array([[0.0, 1.0], [1.0, 0.0]])
         exact = np.array([[1.0]])
         for _ in range(n):
             exact = np.kron(site, exact)
-        terms = sp._chebyshev_coefficients(a * t).size
-        out = sp.propagate(h, a, psi0, t)
+        terms = sp._chebyshev_coefficients((interval[1] - interval[0]) / 2 * t).size
+        out = from_frame(sp.propagate(h, interval, to_frame(psi0, u), t), u)
         assert np.linalg.norm(out - exact @ psi0) <= 2 * terms * 2.0**-53
         # the interacting chain, against the eigendecomposition
         model = {"model": "mfim", "n": n}
-        h, a = hb.sparse_hamiltonian(model)
-        terms = sp._chebyshev_coefficients(a * t).size
-        out = sp.propagate(h, a, psi0, t)
+        h, u, interval = hb.sparse_hamiltonian(model)
+        terms = sp._chebyshev_coefficients((interval[1] - interval[0]) / 2 * t).size
+        out = from_frame(sp.propagate(h, interval, to_frame(psi0, u), t), u)
         sd = sp.diagonalize(hb.build_hamiltonian(model))
         sd = sp.bind_state(sd, hb.PureState(psi0, (2,) * n))
         expected = sp.evolve_grid(sd, [t])[:, 0]
         assert np.abs(out - expected).max() <= terms * 2.0**-53
 
     def test_time_zero_returns_the_input(self, rng):
-        h, a = hb.sparse_hamiltonian({"model": "xxz", "n": 5})
+        h, _, interval = hb.sparse_hamiltonian({"model": "xxz", "n": 5})
         psi = random_state(32, rng).amplitudes
-        assert np.array_equal(sp.propagate(h, a, psi, 0.0), psi)
+        assert np.array_equal(sp.propagate(h, interval, psi, 0.0), psi)
+
+    @pytest.mark.parametrize("t", [0.0, 2.5, -40.0])
+    def test_zero_width_interval_is_a_phase(self, t, rng):
+        psi = random_state(8, rng).amplitudes
+        h, _, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0})
+        assert interval == (0.0, 0.0)
+        assert np.array_equal(sp.propagate(h, interval, psi, t), psi)
+        h, _, interval = hb.sparse_hamiltonian({"model": "explicit", "matrix": 1.5 * np.eye(8)})
+        assert interval == (1.5, 1.5)
+        # one term: the phase times psi0, with no division by the zero half-width
+        assert np.array_equal(sp.propagate(h, interval, psi, t), np.exp(-1.5j * t) * psi)
+
+    def test_input_is_left_unchanged(self, rng):
+        for model in ({"model": "mfim", "n": 5}, {"model": "mfim_broken_trs", "n": 5}):
+            h, _, interval = hb.sparse_hamiltonian(model)
+            psi = random_state(32, rng).amplitudes
+            kept = psi.copy()
+            sp.propagate(h, interval, psi, 3.0)
+            assert np.array_equal(psi, kept)
 
     def test_series_stops_below_the_bessel_tail(self):
         for x in (0.0, 0.5, 30.0, -250.0, 3000.0):
@@ -382,9 +425,9 @@ class TestPropagate:
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_is_rejected(self, t):
-        h, a = hb.sparse_hamiltonian({"model": "mfim", "n": 3})
+        h, _, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3})
         with pytest.raises(ValueError, match="finite"):
-            sp.propagate(h, a, hb.product_state(0.2, 3).amplitudes, t)
+            sp.propagate(h, interval, hb.product_state(0.2, 3).amplitudes, t)
 
 
 class TestDiagonalEnsemble:
@@ -452,8 +495,8 @@ class TestEnergyMoments:
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_density_of_standard_quench(self):
-        h, _ = hb.sparse_hamiltonian({"model": "mfim", "n": 12})
-        psi = hb.product_state(0.6, 12).amplitudes
+        h, u, _ = hb.sparse_hamiltonian({"model": "mfim", "n": 12})
+        psi = hb.product_state(0.6, 12, u).amplitudes  # the product state in h's frame
         e = float(np.vdot(psi, h @ psi).real)
         assert e / 12 == pytest.approx(0.51, abs=0.02)
 
