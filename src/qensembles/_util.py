@@ -57,16 +57,16 @@ class Caps:
     r ensemble members that `trace_distance` diagonalizes in place of the moment;
     (d^k)^2 for a full-space operator (`MomentOperator.dense()`);
     and the pairwise tables of `rmt.gap_histograms` (d^2 gaps, d^4 sum-gaps);
-    `max_state_dim` bounds state vectors and the entries of a sparse chain
-    Hamiltonian, d per row and per flip mask, doubled for the realified form
-    of a real one; `max_multiset_terms` bounds exact multiset
+    `max_state_dim` bounds state vectors and the row table of every chain
+    Hamiltonian build (dense, sparse or window), d per flip mask, doubled for
+    the realified form of a real one; `max_multiset_terms` bounds exact multiset
     enumerations: the random-phase moment, the Frobenius kernel's sorted sums
     and the no-resonance scan of `ensembles.check_no_resonance`;
     `max_sinc_terms` bounds the finite-interval double sums.
     """
 
     max_spectrum_dim: int = 2**14          # eigensolves: full or basis-state measure
-    max_state_dim: int = 2**22             # state vectors, sparse Hamiltonian entries
+    max_state_dim: int = 2**22             # state vectors, chain row-table entries
     max_moment_entries: int = 2**26        # k-copy moment entries
     max_multiset_terms: int = 2_500_000    # multiset sums (moments, resonance scans)
     max_sinc_terms: int = 40_000_000       # finite-interval double multiset sums

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -106,7 +106,7 @@ class MomentOperator:
 
     `matrix` is D x D, D = C(d+k-1, k), in the orthonormal occupation basis
     |n> = N_n^(-1/2) sum_t |t> over the N_n = k!/prod_m n_m! orderings t of the
-    multiset n, rows in `multisets(d, k)` order. Its embedding V into
+    multiset n, rows in `_occupation_basis(d, k)` order. Its embedding V into
     (C^d)^(x)k is an isometry: trace, spectrum and unitarily invariant norms
     are those of the full operator V matrix V^dagger that `dense()` returns.
 
@@ -184,17 +184,13 @@ class MomentOperator:
 # ---------------------------------------------------------------------------
 
 
-def multisets(d: int, k: int) -> list[tuple[int, ...]]:
-    """Non-decreasing index tuples (odometer order)."""
-    return list(combinations_with_replacement(range(d), k))
-
-
 def _occupation_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted index tuples of Sym^k(C^d) as a (D, k) array in `multisets` order,
-    and the number of distinct orderings N_n = k!/prod_m n_m! of each.
+    """Non-decreasing index tuples of Sym^k(C^d) as a (D, k) array in odometer
+    order (that of `itertools.combinations_with_replacement`), and the number
+    of distinct orderings N_n = k!/prod_m n_m! of each.
 
     The tuples are built one leading digit at a time, without Python tuples:
-    in `multisets` order, the j-tuples that start with digit a are a followed
+    in odometer order, the j-tuples that start with digit a are a followed
     by the (j-1)-tuples whose first digit is at least a, which form a suffix
     of the (j-1)-tuples.
     """

@@ -3,7 +3,8 @@
 States, Hermitian operators, bipartitions, product measurement bases, and the
 model Hamiltonians used throughout (mixed-field Ising chain and variants,
 chaotic XXZ, transverse-field Ising), each defined once as a table of
-Pauli-string terms (`model_terms`) and built dense or sparse from it. Site
+Pauli-string terms (`model_terms`), which one flip-mask row table
+(`_flip_rows`) turns into the dense, sparse and spectral-window matrices. Site
 ordering is little-endian: site 0 is the least significant bit of a basis
 index, so basis index i = sum_j bit_j * 2^j. All values are immutable after
 construction and all operations are pure functions.
@@ -191,6 +192,9 @@ def explicit_basis(sites: Sequence[int], matrix: np.ndarray) -> MeasurementBasis
     d = 2 ** len(sites)
     if m.shape != (d, d):
         raise ValueError("basis matrix must be square of the subsystem dimension")
+    defect = float(np.abs(m.conj().T @ m - np.eye(d)).max())
+    if not defect <= 1e-10:  # NaN fails this test
+        raise InvalidMatrixError(f"basis matrix deviates from unitary by {defect:.3e}")
     return MeasurementBasis(tuple(int(s) for s in sites), (m,))
 
 
@@ -307,25 +311,6 @@ def product_state(theta: float, n: int, frame: np.ndarray | None = None) -> Pure
     return PureState(amps, n_qubit_dims(n))
 
 
-def _pauli_string_entries(n: int, ops: Mapping[int, str]):
-    """Rows, columns and values of a Pauli string with identity padding."""
-    d = 2**n
-    cols = np.arange(d, dtype=np.int64)
-    flip = 0
-    for site, letter in ops.items():
-        if letter in ("X", "Y"):
-            flip |= 1 << site
-    rows = cols ^ flip
-    vals = np.ones(d, dtype=complex)
-    for site, letter in ops.items():
-        bit = (cols >> site) & 1
-        if letter == "Y":
-            vals = vals * np.where(bit == 0, 1j, -1j)
-        elif letter == "Z":
-            vals = vals * (1 - 2 * bit)
-    return rows, cols, vals
-
-
 def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]], ...]]:
     """Chain length and ordered Pauli-string terms (coeff, {site: letter}) of a model.
 
@@ -384,8 +369,8 @@ def _checked_matrix(model: Mapping) -> HermitianOperator:
     m = np.asarray(model["matrix"], dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrixError("explicit Hamiltonian must be square")
-    n = int(round(math.log2(m.shape[0])))
-    if 2**n != m.shape[0]:
+    n = m.shape[0].bit_length() - 1
+    if m.shape[0] != 2**n:  # an empty matrix gives n = -1
         raise InvalidMatrixError("explicit Hamiltonian dimension must be a power of 2")
     return HermitianOperator(m, n_qubit_dims(n))
 
@@ -393,72 +378,49 @@ def _checked_matrix(model: Mapping) -> HermitianOperator:
 def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOperator:
     """Assemble a dense model Hamiltonian from its specification.
 
-    Chain models are summed from their `model_terms`, in table order, into a
-    new Fortran-ordered matrix, the layout LAPACK works in (see
-    `spectral.model_spectrum`); "gue" and "explicit" models carry their own
-    Hermitian matrix.
+    Chain models write the `_flip_rows` table of their `model_terms`, in the
+    computational basis, into a new Fortran-ordered matrix, the layout LAPACK
+    works in (see `spectral.model_spectrum`); "gue" and "explicit" models
+    carry their own Hermitian matrix.
     """
     if model.get("model") in ("gue", "explicit"):
         return _checked_matrix(model)
     n, terms = model_terms(model)
     check_cap(caps, "max_moment_entries", (2**n) ** 2)
+    cols, vals = _flip_rows(n, terms, _COMPUTATIONAL_LETTERS, caps)
     h = np.zeros((2**n, 2**n), dtype=complex, order="F")
-    for coeff, ops in terms:
-        rows, cols, vals = _pauli_string_entries(n, ops)
-        h[rows, cols] += coeff * vals
+    h[np.arange(2**n)[:, None], cols] = vals
     return HermitianOperator(h, n_qubit_dims(n))
 
 
 # Site-local frame of the sparse chain Hamiltonians, u = [[1, 1], [i, -i]] / sqrt(2)
 # (the Y eigenbasis), and the letter each Pauli becomes in it: u X u^dag = Z,
-# u Y u^dag = X, u Z u^dag = Y.
+# u Y u^dag = X, u Z u^dag = Y. The identity map keeps the computational basis.
 CHAIN_FRAME = _SINGLE_QUBIT_BASIS["Y"]
 _FRAME_LETTERS = {"X": "Z", "Y": "X", "Z": "Y"}
+_COMPUTATIONAL_LETTERS = {"X": "X", "Y": "Y", "Z": "Z"}
 
 
-def sparse_hamiltonian(
-    model: Mapping, caps: Caps = DEFAULT_CAPS
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray, tuple[float, float]]:
-    """A model Hamiltonian as a CSR matrix in a site-local frame, the frame
-    and an interval [lo, hi] that holds its spectrum.
-
-    Returns (h, u, (lo, hi)) with h = u^(x n) H u^dag(x n) for the 2 x 2
-    unitary u. Chain models take u = CHAIN_FRAME, in which X, Y and Z become
-    Z, X and Y. A mapped Pauli string is real when it holds an even number
-    of Y, so mfim, tfim and xxz give a float64 h; mfim_broken_trs, whose Z
-    field becomes Y, gives a complex one. Each row of h holds its diagonal,
-    where every Z-only term lands, and one entry per flip mask of the other
-    terms. That is d (1 + masks) entries, and twice as many in the realified
-    form of a real h (see `spectral.propagate`); this count is checked
-    against `max_state_dim` before anything is allocated.
-
-    The interval is that of Anderson, Phys. Rev. 83, 1260 (1951): with w the
-    widest span of a term, H is the sum of one window term H_W per run of w
-    sites, each term split equally among the windows that hold it, and
-    lo = sum lambda_min(H_W), hi = sum lambda_max(H_W). Its half-width is at
-    most the sum |coeff| of the terms, with the one-site fields taken by
-    their norms; for mfim at n = 10 it is 3.5 % wider than the spectrum.
-
-    "gue" and "explicit" models keep the identity frame and convert their
-    checked matrix; their interval is the union of the Gershgorin discs.
+def _flip_rows(n: int, terms, letters: Mapping[str, str], caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:
+    """Row table (cols, vals) of a sum of Pauli-string terms on n sites, each
+    term's letters first mapped through `letters`: for every basis row i,
+    cols[i, j] = i ^ f_j and vals[i, j] = <i|H|i ^ f_j>, one slot per flip mask
+    f_j, the diagonal (every Z-only term) first; a slot sums its terms in table
+    order. vals is float64 when every mapped string is real (holds an even
+    number of Y), else complex. Its d (1 + masks) entries, doubled when real
+    for the realified form of `spectral.propagate`, are checked against
+    `max_state_dim` before anything is allocated.
     """
-    if model.get("model") in ("gue", "explicit"):
-        m = _checked_matrix(model).entries
-        centre = m.diagonal().real
-        radius = np.abs(m).sum(axis=1) - np.abs(m.diagonal())
-        interval = (float((centre - radius).min()), float((centre + radius).max()))
-        return scipy.sparse.csr_matrix(m), np.eye(2, dtype=complex), interval
-    n, terms = model_terms(model)
     d = 2**n
     # <i|P|i ^ flip> of a Pauli string P is (-i)^(number of Y) times -1 per Y or Z
     # site where bit i is set
-    strings = []  # (that value at i = 0, flip mask, Y and Z sites) per term, in the frame
+    strings = []  # (that value at i = 0, flip mask, Y and Z sites) per term, mapped
     slots = {0: 0}  # flip mask -> its column in a row; the diagonal comes first
     for coeff, ops in terms:
-        letters = {site: _FRAME_LETTERS[letter] for site, letter in ops.items()}
-        flip = sum(1 << s for s, letter in letters.items() if letter != "Z")
-        signed = [s for s, letter in letters.items() if letter != "X"]
-        strings.append((coeff * (-1j) ** list(letters.values()).count("Y"), flip, signed))
+        mapped = {site: letters[letter] for site, letter in ops.items()}
+        flip = sum(1 << s for s, letter in mapped.items() if letter != "Z")
+        signed = [s for s, letter in mapped.items() if letter != "X"]
+        strings.append((coeff * (-1j) ** list(mapped.values()).count("Y"), flip, signed))
         slots.setdefault(flip, len(slots))
     real = all(value.imag == 0 for value, _, _ in strings)
     width = len(slots)
@@ -474,7 +436,45 @@ def sparse_hamiltonian(
         for site in signed:
             parity ^= (rows >> site) & 1
         vals[:, slots[flip]] += (value.real if real else value) * (1 - 2 * parity)
-    indptr = np.arange(0, d * width + 1, width, dtype=index)
+    return cols, vals
+
+
+def sparse_hamiltonian(
+    model: Mapping, caps: Caps = DEFAULT_CAPS
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, tuple[float, float]]:
+    """A model Hamiltonian as a CSR matrix in a site-local frame, the frame
+    and an interval [lo, hi] that holds its spectrum.
+
+    Returns (h, u, (lo, hi)) with h = u^(x n) H u^dag(x n) for the 2 x 2
+    unitary u. Chain models take u = CHAIN_FRAME, in which X, Y and Z become
+    Z, X and Y, and store the `_flip_rows` table of their terms in that frame
+    row by row. A mapped Pauli string is real when it holds an even number
+    of Y, so mfim, tfim and xxz give a float64 h; mfim_broken_trs, whose Z
+    field becomes Y, gives a complex one. Each row of h holds its diagonal
+    and one entry per flip mask of the other terms, zeros included.
+
+    The interval is that of Anderson, Phys. Rev. 83, 1260 (1951): with w the
+    widest span of a term, H is the sum of one window term H_W per run of w
+    sites, each term split equally among the windows that hold it, and
+    lo = sum lambda_min(H_W), hi = sum lambda_max(H_W). Its half-width is at
+    most the sum |coeff| of the terms, with the one-site fields taken by
+    their norms; for mfim at n = 10 it is 3.5 % wider than the spectrum.
+    The windows are built in the computational basis; in the frame their
+    eigenvalues, and so every quench, would move in the last bits.
+
+    "gue" and "explicit" models keep the identity frame and convert their
+    checked matrix; their interval is the union of the Gershgorin discs.
+    """
+    if model.get("model") in ("gue", "explicit"):
+        m = _checked_matrix(model).entries
+        centre = m.diagonal().real
+        radius = np.abs(m).sum(axis=1) - np.abs(m.diagonal())
+        interval = (float((centre - radius).min()), float((centre + radius).max()))
+        return scipy.sparse.csr_matrix(m), np.eye(2, dtype=complex), interval
+    n, terms = model_terms(model)
+    cols, vals = _flip_rows(n, terms, _FRAME_LETTERS, caps)
+    d, width = cols.shape
+    indptr = np.arange(0, d * width + 1, width, dtype=cols.dtype)
     h = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(d, d))
     return h, CHAIN_FRAME, _window_interval(n, terms)
 
@@ -484,17 +484,16 @@ def _window_interval(n: int, terms) -> tuple[float, float]:
     if not terms:
         return 0.0, 0.0
     w = max(max(ops) - min(ops) + 1 for _, ops in terms)
-    windows = np.zeros((n - w + 1, 2**w, 2**w), dtype=complex)
-    strings = {}  # entries of each Pauli string on w sites, built once
+    local_terms = [[] for _ in range(n - w + 1)]  # each window's share of the terms, in table order
     for coeff, ops in terms:
         first, last = max(max(ops) - w + 1, 0), min(min(ops), n - w)
-        share = coeff / (last - first + 1)
         for s in range(first, last + 1):
-            local = tuple((site - s, letter) for site, letter in ops.items())
-            if local not in strings:
-                strings[local] = _pauli_string_entries(w, dict(local))
-            rows, cols, vals = strings[local]
-            windows[s, rows, cols] += share * vals
+            local = {site - s: letter for site, letter in ops.items()}
+            local_terms[s].append((coeff / (last - first + 1), local))
+    windows = np.zeros((n - w + 1, 2**w, 2**w), dtype=complex)
+    for window, window_terms in zip(windows, local_terms):
+        cols, vals = _flip_rows(w, window_terms, _COMPUTATIONAL_LETTERS)
+        window[np.arange(2**w)[:, None], cols] = vals
     levels = np.linalg.eigvalsh(windows)
     return float(levels[:, 0].sum()), float(levels[:, -1].sum())
 

@@ -93,8 +93,6 @@ class PTReport:
     moments: tuple[float, float, float]  # weighted E[x], E[x^2], E[x^3]
     ks_statistic: float
     target: str
-    histogram_edges: np.ndarray = field(repr=False, default=None)
-    histogram_density: np.ndarray = field(repr=False, default=None)
 
     @property
     def m1(self) -> float:
@@ -130,7 +128,6 @@ def pt_test(
     values: Sequence[float],
     weights: Sequence[float] | None = None,
     target="exponential",
-    bins: int = 50,
 ) -> PTReport:
     """Weighted moments m^(r) and KS statistic of `values` against a target CDF.
 
@@ -161,11 +158,7 @@ def pt_test(
     last = np.searchsorted(xs, xs, side="right") - 1
     ks = float(np.abs(cum[last] - cdf(xs)).max())
     moments = tuple(float(np.sum(w * x**r)) for r in (1, 2, 3))
-    hi = max(float(x.max()), 1e-12)
-    edges = np.linspace(0.0, hi, bins + 1)
-    counts, _ = np.histogram(x, bins=edges, weights=w)
-    density = counts / (edges[1] - edges[0])
-    return PTReport(x.size, moments, ks, label, edges, density)
+    return PTReport(x.size, moments, ks, label)
 
 
 # ---------------------------------------------------------------------------

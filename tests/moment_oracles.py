@@ -280,6 +280,32 @@ def dense_hamiltonian_reference(model):
     return h
 
 
+def window_interval_reference(n, terms):
+    """Anderson's interval of a chain as first built: a frozen copy of the
+    earlier `hilbert._window_interval`, which added each term's share into
+    its windows string by string, from `_pauli_string_reference`.
+
+    The number of Chebyshev terms of a propagation follows from the
+    interval, so this pins it bit for bit.
+    """
+    if not terms:
+        return 0.0, 0.0
+    w = max(max(ops) - min(ops) + 1 for _, ops in terms)
+    windows = np.zeros((n - w + 1, 2**w, 2**w), dtype=complex)
+    strings = {}
+    for coeff, ops in terms:
+        first, last = max(max(ops) - w + 1, 0), min(min(ops), n - w)
+        share = coeff / (last - first + 1)
+        for s in range(first, last + 1):
+            local = tuple((site - s, letter) for site, letter in ops.items())
+            if local not in strings:
+                strings[local] = _pauli_string_reference(w, dict(local))
+            rows, cols, vals = strings[local]
+            windows[s, rows, cols] += share * vals
+    levels = np.linalg.eigvalsh(windows)
+    return float(levels[:, 0].sum()), float(levels[:, -1].sum())
+
+
 def complex_chebyshev_propagate(model, psi0, t):
     """exp(-iHt) psi0 by the earlier propagation route: a complex CSR matrix in
     the computational basis and a symmetric bound a >= ||H||.

@@ -101,6 +101,12 @@ class TestBuildHamiltonian:
         with pytest.raises(InvalidMatrixError):
             hb.build_hamiltonian({"model": "explicit", "matrix": np.array([[0, 1], [0, 0]])})
 
+    def test_empty_explicit_matrix_is_an_invalid_matrix(self):
+        spec = {"model": "explicit", "matrix": np.zeros((0, 0))}
+        for build in (hb.build_hamiltonian, hb.sparse_hamiltonian):
+            with pytest.raises(InvalidMatrixError, match="power of 2"):
+                build(spec)
+
     def test_explicit_matrix_roundtrip(self):
         m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         h = hb.build_hamiltonian({"model": "explicit", "matrix": m})
@@ -132,7 +138,17 @@ class TestModelTerms:
         for n in range(1, 11):
             spec = dict(params, model=name, n=n)
             h = hb.build_hamiltonian(spec).entries
-            assert np.array_equal(h, mo.dense_hamiltonian_reference(spec)), (name, n)
+            # bytes, so that the sign of every zero is pinned too
+            assert h.tobytes() == mo.dense_hamiltonian_reference(spec).tobytes(), (name, n)
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_interval_is_bit_identical_to_the_frozen_builder(self, name, overridden):
+        params = CHAIN_MODELS[name] if overridden else {}
+        for n in range(1, 11):
+            spec = dict(params, model=name, n=n)
+            _, _, interval = hb.sparse_hamiltonian(spec)
+            assert interval == mo.window_interval_reference(*hb.model_terms(spec)), (name, n)
 
     def test_mfim_table_order(self):
         n, terms = hb.model_terms({"model": "mfim", "n": 2, "hx": 0.5, "hy": 0.25, "j": 2.0})
@@ -218,6 +234,13 @@ class TestModelTerms:
         assert h.nnz * (2 if h.dtype == np.float64 else 1) == entries
         with pytest.raises(CapacityError, match="max_state_dim"):
             hb.sparse_hamiltonian(spec, Caps(max_state_dim=entries - 1))
+
+    def test_dense_row_table_is_capped(self):
+        # mfim in the computational basis: diagonal + 6 one-site + 5 bond masks, complex
+        spec, entries = {"model": "mfim", "n": 6}, 2**6 * 12
+        hb.build_hamiltonian(spec, Caps(max_state_dim=entries))
+        with pytest.raises(CapacityError, match="max_state_dim"):
+            hb.build_hamiltonian(spec, Caps(max_state_dim=entries - 1))
 
 
 class TestNonFiniteEntries:
@@ -432,6 +455,15 @@ class TestBases:
         q, _ = np.linalg.qr(g)
         basis = hb.explicit_basis((0, 1), q)
         assert mo.basis_gram_defect(basis) <= 1e-12
+
+    def test_explicit_basis_must_be_unitary(self):
+        # diag(1, 2, 1, 1) would give conditional-state weights summing to 1.43
+        with pytest.raises(InvalidMatrixError, match="unitary"):
+            hb.explicit_basis((0, 1), np.diag([1.0, 2.0, 1.0, 1.0]))
+        nan = np.eye(4)
+        nan[2, 1] = math.nan
+        with pytest.raises(InvalidMatrixError, match="unitary"):
+            hb.explicit_basis((0, 1), nan)
 
     def test_a_basis_is_its_sites_and_local_factors(self, rng):
         assert [f.name for f in dataclasses.fields(hb.MeasurementBasis)] == ["sites", "factors"]
