@@ -55,8 +55,7 @@ class Caps:
     `moment_k` and `weighted_projected_moment` and the scalar form of
     `haar_moment`, on the first read of `.matrix`); r^2 for the Gram matrix of
     r ensemble members that `trace_distance` diagonalizes in place of the moment;
-    (d^k)^2 for a full-space operator (`MomentOperator.dense()`);
-    and the pairwise tables of `rmt.gap_histograms` (d^2 gaps, d^4 sum-gaps);
+    and (d^k)^2 for a full-space operator (`MomentOperator.dense()`);
     `max_state_dim` bounds state vectors and the row table of every chain
     Hamiltonian build (dense, sparse or window), d per flip mask, doubled for
     the realified form of a real one; `max_multiset_terms` bounds exact multiset

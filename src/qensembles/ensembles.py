@@ -390,8 +390,10 @@ def finite_time_temporal_moment(
 
 
 def _check_frobenius_caps(d: int, k: int, caps: Caps) -> None:
-    """The caps of `finite_time_frobenius_distances` on d levels: C(d+k-1, k)
-    multiset sums and their square of pairs."""
+    """The input checks of `finite_time_frobenius_distances` on d levels: k >= 1,
+    and the caps on C(d+k-1, k) multiset sums and their square of pairs."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     dim = comb(d + k - 1, k)
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_sinc_terms", dim**2)

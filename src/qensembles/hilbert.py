@@ -91,8 +91,8 @@ def qubit_or_flat_dims(d: int) -> tuple[int, ...]:
 
 def qubit_state(amplitudes: Iterable[complex], convention: str = "normalized") -> PureState:
     amps = np.asarray(list(amplitudes), dtype=complex)
-    n = int(round(math.log2(amps.size)))
-    if 2**n != amps.size:
+    n = amps.size.bit_length() - 1
+    if 2**n != amps.size:  # an empty list gives n = -1
         raise ValueError("amplitude length is not a power of 2")
     return PureState(amps, n_qubit_dims(n), convention)
 

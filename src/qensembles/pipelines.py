@@ -158,10 +158,13 @@ def projected_moment_comparison(
     basis_letter: str,
     k: int,
     include_generalized: bool = False,
-    caps: Caps = DEFAULT_CAPS,
 ) -> ProjectedComparison:
     """Distance of the projected moment to Scrooge[rho_A], Haar and optionally
-    the outcome-conditioned (generalized) prediction, at one (N, k, t)."""
+    the outcome-conditioned (generalized) prediction, at one (N, k, t).
+
+    Every moment is built under `cache.caps`.
+    """
+    caps = cache.caps
     n = int(model["n"])
     part = hb.Bipartition(n, hb.central_sites(n, subsystem_width))
     basis = hb.pauli_basis(part.sites_B, basis_letter)

@@ -1,4 +1,4 @@
-"""Random-matrix laboratory: GUE sampling, finite-interval convergence, gap statistics."""
+"""Random-matrix laboratory: GUE sampling and finite-interval convergence."""
 
 from __future__ import annotations
 
@@ -147,65 +147,6 @@ def convergence_experiment(
     return ConvergenceCurve(
         k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), "ensemble-mean", n_samples
     )
-
-
-@dataclass(frozen=True)
-class GapHistogram:
-    order: str
-    edges: np.ndarray
-    density: np.ndarray  # normalized so the integral is 1
-
-    def density_at_zero(self) -> float:
-        mid = np.searchsorted(self.edges, 0.0) - 1
-        return float(self.density[mid])
-
-    def peak_density(self) -> float:
-        return float(self.density.max())
-
-
-def gap_histograms(
-    spectra: Sequence[np.ndarray],
-    order: str = "gaps",
-    bins: int = 201,
-    half_range: float | None = None,
-) -> GapHistogram:
-    """Histogram of eigenvalue gaps E_i - E_j, or of sum-gaps E_i + E_j - E_k - E_l.
-
-    For "gaps" the i = j diagonal is excluded; for "gap-of-gaps" the trivially
-    vanishing pair combinations ((i,j) equal to (k,l) or to (l,k)) are
-    excluded. The histogram is accumulated per spectrum over a fixed symmetric
-    range and normalized to unit area.
-    """
-    if order not in ("gaps", "gap-of-gaps"):
-        raise ValueError("order must be 'gaps' or 'gap-of-gaps'")
-    spectra = [np.asarray(s, dtype=float) for s in spectra]
-    d_max = max(s.size for s in spectra)
-    check_cap(DEFAULT_CAPS, "max_moment_entries", d_max**2 if order == "gaps" else d_max**4)
-    if half_range is None:
-        w = max(float(s.max() - s.min()) for s in spectra)
-        half_range = w if order == "gaps" else 2.0 * w
-    edges = np.linspace(-half_range, half_range, bins + 1)
-    counts = np.zeros(bins)
-    total = 0
-    for s in spectra:
-        d = s.size
-        if order == "gaps":
-            diff = s[:, None] - s[None, :]
-            vals = diff[~np.eye(d, dtype=bool)]
-        else:
-            sums = (s[:, None] + s[None, :]).ravel()
-            pair = np.arange(d * d)
-            swap = (pair % d) * d + (pair // d)
-            diff = sums[:, None] - sums[None, :]
-            mask = np.ones((d * d, d * d), dtype=bool)
-            mask[pair, pair] = False
-            mask[pair, swap] = False
-            vals = diff[mask]
-        c, _ = np.histogram(vals, bins=edges)
-        counts += c
-        total += vals.size
-    density = counts / (total * (edges[1] - edges[0]))
-    return GapHistogram(order, edges, density)
 
 
 class PowerLawFit(NamedTuple):

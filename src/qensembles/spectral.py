@@ -1,5 +1,5 @@
-"""Eigen-engine: diagonalization, evolution, diagonal ensemble, effective dimension,
-and Chebyshev propagation of one state without a spectrum.
+"""Eigen-engine: diagonalization, evolution, diagonal ensemble, and Chebyshev
+propagation of one state without a spectrum.
 
 `_eigh` is the one call of the dense eigensolver. `model_spectrum` runs it in
 the Hamiltonian it has just built, `diagonalize` on a copy of the caller's.
@@ -26,10 +26,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from ._util import Caps, DEFAULT_CAPS, NumericalFailureError, check_cap
 from .hilbert import (
     HermitianOperator,
-    MeasurementBasis,
     PureState,
-    _require_sites,
-    apply_local_rotations,
     build_hamiltonian,
     model_terms,
     qubit_or_flat_dims,
@@ -330,33 +327,3 @@ def diagonal_ensemble(
     rho = (sd.eigenvectors * p) @ sd.eigenvectors.conj().T
     rho = (rho + rho.conj().T) / 2
     return HermitianOperator(rho, qubit_or_flat_dims(sd.dim)), float(np.sum(p**2))
-
-
-def basis_overlap_matrix(sd: SpectralData, basis: MeasurementBasis) -> np.ndarray:
-    """<z|E> for a complete basis on sites 0, ..., n-1 of the full space."""
-    _require_sites(basis, range(sd.dim.bit_length() - 1))
-    return apply_local_rotations(sd.eigenvectors.T, basis.factors, conjugate=True).T
-
-
-@dataclass(frozen=True)
-class EffectiveDimensionReport:
-    inverse: float
-    skipped_outcomes: int
-
-    def __float__(self) -> float:
-        return self.inverse
-
-
-def effective_dimension(sd: SpectralData, basis: MeasurementBasis) -> EffectiveDimensionReport:
-    """Inverse effective dimension sum_{z,E} |<z|E>|^4 |c_E|^4 / p_avg(z).
-
-    p_avg(z) = <z|rho_d|z>. Outcomes with p_avg below 1e-300 are skipped and
-    counted.
-    """
-    p = sd.populations
-    w = np.abs(basis_overlap_matrix(sd, basis)) ** 2
-    p_avg = w @ p
-    num = (w * w) @ (p * p)
-    keep = p_avg >= 1e-300
-    val = float(np.sum(num[keep] / p_avg[keep]))
-    return EffectiveDimensionReport(val, int(np.sum(~keep)))

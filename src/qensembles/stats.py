@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 import scipy.special
 
-from ._util import FitError, check_cap
+from ._util import check_cap
 from .ensembles import MomentOperator
 from .hilbert import (
     Bipartition,
@@ -22,10 +22,8 @@ from .hilbert import (
     projection_table,
 )
 from .scrooge import ConditionalStateTable, subentropy
-from .spectral import SpectralData, evolve_grid
 
 LN2 = math.log(2.0)
-EULER_GAMMA = float(np.euler_gamma)
 
 
 def shannon_entropy_bits(p: np.ndarray) -> float:
@@ -168,65 +166,12 @@ def pt_test(
 
 @dataclass(frozen=True)
 class InfoReport:
-    """A mutual-information-like quantity in bits, plus grid/prediction metadata."""
+    """A mutual-information-like quantity in bits, plus prediction metadata."""
 
     kind: str
     bits: float
     prediction_bits: float | None = None
     metadata: dict = field(default_factory=dict)
-
-
-def mutual_information_time(
-    sd: SpectralData,
-    basis: MeasurementBasis,
-    tau: float,
-    grid_points: int | None = None,
-    t_start: float | None = None,
-) -> InfoReport:
-    """Information between measurement outcomes and the (uniform) evolution time
-    of the state sd is bound to.
-
-    Estimated on a uniform grid over [t_start, t_start + tau]: the entropy of
-    the grid-averaged outcome distribution minus the mean per-time entropy.
-    The report carries the late-time prediction
-    (1 - gamma - sqrt(pi)/(2 sigma_H tau)) / ln 2.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    _require_sites(basis, range(sd.dim.bit_length() - 1))
-    p_pop = sd.populations
-    e_mean = float(np.dot(p_pop, sd.eigenvalues))
-    sigma_h = math.sqrt(max(float(np.dot(p_pop, sd.eigenvalues**2)) - e_mean**2, 0.0))
-    if t_start is None:
-        t_start = 20.0 / sigma_h if sigma_h > 0 else 0.0
-    if grid_points is None:
-        grid_points = max(int(math.ceil(5.0 * sigma_h * tau)) + 1, 64)
-    times = t_start + np.linspace(0.0, tau, grid_points)
-    if times.size < 2:
-        raise ValueError("degenerate time grid")
-    states = evolve_grid(sd, times)
-    amps = apply_local_rotations(states.T, basis.factors, conjugate=True).T
-    probs = np.abs(amps) ** 2  # (outcomes, times)
-    h_mean = float(np.mean([shannon_entropy_bits(probs[:, i]) for i in range(times.size)]))
-    p_bar = probs.mean(axis=1)
-    value = shannon_entropy_bits(p_bar) - h_mean
-    if sigma_h > 0:
-        prediction = (1.0 - EULER_GAMMA - math.sqrt(math.pi) / (2.0 * sigma_h * tau)) / LN2
-    else:
-        prediction = None  # stationary state: no trajectory to resolve
-    return InfoReport(
-        kind="I(Z;T)",
-        bits=value,
-        prediction_bits=prediction,
-        metadata={
-            "tau": float(tau),
-            "sigma_h": sigma_h,
-            "sigma_h_tau": sigma_h * tau,
-            "grid_points": int(grid_points),
-            "t_start": float(t_start),
-            "asymptote_bits": (1.0 - EULER_GAMMA) / LN2,
-        },
-    )
 
 
 def joint_outcome_distribution(
@@ -326,106 +271,3 @@ def holevo_sandwich(rho_a) -> tuple[float, float]:
     """(subentropy, von Neumann entropy) of a reduced state, in bits."""
     m = rho_a.entries if isinstance(rho_a, HermitianOperator) else np.asarray(rho_a)
     return subentropy(m.astype(complex)), von_neumann_entropy_bits(m)
-
-
-# ---------------------------------------------------------------------------
-# ensemble entropies
-# ---------------------------------------------------------------------------
-
-
-def ensemble_entropy(kind: str, arg) -> float:
-    """Entropy of a maximally-entropic ensemble relative to its reference measure.
-
-    kind "scrooge": arg is a density matrix; value sum_j log2(D lambda_j)
-    (zero modes give -inf). kind "temporal-finite-part": arg is the vector of
-    energy populations; value sum_E log2(D |c_E|^2), the finite part of the
-    fixed-magnitude ensemble entropy.
-    """
-    if kind == "scrooge":
-        m = arg.entries if isinstance(arg, HermitianOperator) else np.asarray(arg)
-        lam = np.linalg.eigvalsh(m).real
-        d = lam.size
-        if np.any(lam < 1e-15):
-            return float("-inf")
-        return float(np.sum(np.log2(d * lam)))
-    if kind == "temporal-finite-part":
-        p = np.asarray(arg, dtype=float)
-        d = p.size
-        if np.any(p < 1e-300):
-            return float("-inf")
-        return float(np.sum(np.log2(d * p)))
-    raise ValueError(f"unknown ensemble entropy kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# eigenstate-overlap analysis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OverlapAnalysis:
-    """Smooth-envelope fit and fluctuation statistics of initial-state overlaps."""
-
-    beta_fit: float
-    log_prefactor: float
-    pt_report: PTReport
-    participation_ratio_times_dim: float  # D * sum |c_E|^4
-    window: tuple[float, float]
-    n_fit_bins: int
-
-    @property
-    def ratio(self) -> float:
-        return self.participation_ratio_times_dim
-
-
-def eigenstate_overlap_analysis(
-    sd: SpectralData, n_bins: int = 50, weight_fraction: float = 0.98
-) -> OverlapAnalysis:
-    """Fit ln|c_E|^2 against E on energy-binned means and test the residuals.
-
-    The fit window covers the central `weight_fraction` of the spectral
-    weight; binned means are fit by weighted least squares to
-    f(E) = exp(a + b E), and |c_E|^2 / f(E) inside the window is tested
-    against the unit exponential law. Also reports D * sum |c_E|^4.
-    """
-    p = sd.populations
-    e = sd.eigenvalues
-    d = e.size
-    ratio = float(d * np.sum(p**2))
-    cum = np.cumsum(p)
-    tail = (1.0 - weight_fraction) / 2.0
-    lo_i = int(np.searchsorted(cum, tail))
-    hi_i = int(np.searchsorted(cum, 1.0 - tail))
-    hi_i = min(max(hi_i, lo_i + 2), d - 1)
-    e_lo, e_hi = float(e[lo_i]), float(e[hi_i])
-    mask = (e >= e_lo) & (e <= e_hi)
-    if mask.sum() < 4:
-        raise FitError("too few eigenstates in the fit window")
-    edges = np.linspace(e_lo, e_hi, n_bins + 1)
-    which = np.clip(np.digitize(e[mask], edges) - 1, 0, n_bins - 1)
-    counts = np.bincount(which, minlength=n_bins).astype(float)
-    sums = np.bincount(which, weights=p[mask], minlength=n_bins)
-    good = (counts > 0) & (sums > 0)
-    if good.sum() < 2:
-        raise FitError(f"only {int(good.sum())} populated bins; cannot fit a slope")
-    centers = 0.5 * (edges[:-1] + edges[1:])[good]
-    y = np.log(sums[good] / counts[good])
-    wts = counts[good]
-    design = np.stack([np.ones_like(centers), centers], axis=1)
-    sw = np.sqrt(wts)
-    sol, residuals, rank, _ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    if rank < 2:
-        raise FitError(f"degenerate envelope fit (rank {rank}); residuals {residuals}")
-    a_fit, b_fit = float(sol[0]), float(sol[1])
-    f = np.exp(a_fit + b_fit * e[mask])
-    rescaled = p[mask] / f
-    rescaled = rescaled / rescaled.mean()
-    report = pt_test(rescaled, target="exponential")
-    return OverlapAnalysis(
-        beta_fit=b_fit,
-        log_prefactor=a_fit,
-        pt_report=report,
-        participation_ratio_times_dim=ratio,
-        window=(e_lo, e_hi),
-        n_fit_bins=int(good.sum()),
-    )

@@ -284,6 +284,11 @@ class TestFiniteTimeMoment:
         with pytest.raises(CapacityError):
             en.finite_time_frobenius_distances(bound, 2, [1.0], caps)
 
+    def test_frobenius_rejects_k_below_one(self, rng):
+        bound = self._bound_gue(4, rng)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            en.finite_time_frobenius_distances(bound, 0, [1.0])
+
     def test_frobenius_requires_populations(self, rng):
         unbound = sp.diagonalize(rmt.sample_gue(8, rng))
         with pytest.raises(ValueError):

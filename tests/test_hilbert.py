@@ -290,6 +290,13 @@ class TestHermiticityDefect:
         assert math.isnan(hermiticity_defect(stack))
 
 
+class TestQubitState:
+    @pytest.mark.parametrize("amplitudes", [[], [1, 0, 0]])
+    def test_length_not_a_power_of_two_is_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="amplitude length is not a power of 2"):
+            hb.qubit_state(amplitudes)
+
+
 class TestProductState:
     def test_theta_zero_is_all_zeros(self):
         s = hb.product_state(0.0, 3)

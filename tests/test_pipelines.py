@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qensembles import CapacityError, Caps
 from qensembles import hilbert as hb
 from qensembles import pipelines as pl
 from qensembles import scrooge as sc
@@ -327,6 +328,12 @@ class TestProjectedMomentComparison:
         cond = sc.conditional_states(cache.bound(MFIM6, theta), part, basis)
         gen = sc.generalized_scrooge_moment(cond, k).dense()
         assert abs(out.dist_generalized - dense_trace_distance(proj, gen)) <= 1e-12
+
+    def test_moments_are_built_under_the_cache_caps(self):
+        # width 3, k = 3: the Scrooge moment has D^2 = C(10, 3)^2 = 14,400 entries
+        cache = pl.SpectrumCache(Caps(max_moment_entries=10_000))
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            pl.projected_moment_comparison(cache, MFIM6, 0.0, 3.0, 3, "Z", 3)
 
 
 class TestEigenstateComparisons:

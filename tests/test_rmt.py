@@ -103,6 +103,7 @@ class TestConvergenceExperiment:
             {"tau_grid": [1.0, np.nan, 3.0]},
             {"tau_grid": [1.0, 3.0, np.inf]},
             {"tau_grid": [-np.inf, 1.0]},
+            {"k": 0},
         ],
     )
     def test_rejects_bad_input_before_the_first_draw(self, monkeypatch, kwargs):
@@ -111,7 +112,7 @@ class TestConvergenceExperiment:
 
         monkeypatch.setattr(rmt, "sample_gue", draw)
         with pytest.raises(ValueError):
-            rmt.convergence_experiment(8, 1, **kwargs)
+            rmt.convergence_experiment(**{"d": 8, "k": 1, **kwargs})
 
     @pytest.mark.parametrize(
         "cap, value", [("max_spectrum_dim", 8), ("max_multiset_terms", 15), ("max_sinc_terms", 255)]
@@ -191,36 +192,6 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * d * d * 16
-
-
-class TestGapHistograms:
-    def test_equally_spaced_spectrum_point_masses(self):
-        s = np.arange(8, dtype=float)
-        hist = rmt.gap_histograms([s], order="gaps", bins=57, half_range=8.0)
-        centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-        occupied = centers[hist.density > 0]
-        # gaps are the integers 1..7 and their negatives
-        assert np.all(np.abs(np.abs(occupied) - np.round(np.abs(occupied))) < 0.15)
-        assert hist.density_at_zero() == 0.0
-
-    def test_gue_level_repulsion(self):
-        rng = task_rng(103)
-        spectra = [np.linalg.eigvalsh(rmt.sample_gue(16, rng).entries) for _ in range(3000)]
-        hist = rmt.gap_histograms(spectra, order="gaps", bins=101, half_range=4.0)
-        assert hist.density_at_zero() < 0.1 * hist.peak_density()
-
-    def test_gap_of_gaps_weak_repulsion(self):
-        rng = task_rng(104)
-        spectra = [np.linalg.eigvalsh(rmt.sample_gue(16, rng).entries) for _ in range(1500)]
-        hist = rmt.gap_histograms(spectra, order="gap-of-gaps", bins=101, half_range=8.0)
-        ratio = hist.density_at_zero() / hist.peak_density()
-        assert 0.02 < ratio < 0.9
-        assert hist.density_at_zero() > 0.0
-
-    @pytest.mark.parametrize("order, d", [("gap-of-gaps", 91), ("gaps", 8193)])
-    def test_capacity_guard(self, order, d):
-        with pytest.raises(CapacityError):
-            rmt.gap_histograms([np.arange(d, dtype=float)], order=order)
 
 
 class TestPowerLawFit:

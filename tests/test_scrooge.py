@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.stats import unitary_group
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
@@ -627,26 +626,3 @@ class TestRealScrooge:
             rho = rho + 1j * np.array([[0, 1e-3], [-1e-3, 0]])
         with pytest.raises(ValueError):
             sc.real_scrooge_moment2(rho)
-
-
-class TestEnsembleEntropies:
-    def test_scrooge_entropy_formula_vs_kl_quadrature(self):
-        # 1-D quadrature oracle at D=2: KL of the per-component weight densities
-        lam = np.array([0.7, 0.3])
-        d = 2
-        expected = float(np.sum(np.log2(d * lam)))
-
-        def kl_component(l):
-            # |amplitude|^2 is exponential with mean l under the distorted
-            # measure and mean 1/d under the reference
-            p = lambda y: np.exp(-y / l) / l
-            q = lambda y: d * np.exp(-d * y)
-            f = lambda y: p(y) * np.log2(p(y) / q(y))
-            val, _ = scipy.integrate.quad(f, 0, 50)
-            return val
-
-        kl = sum(kl_component(l) for l in lam)
-        assert -kl == pytest.approx(expected, abs=1e-8)
-        assert st.ensemble_entropy("scrooge", np.diag(lam).astype(complex)) == pytest.approx(
-            expected, abs=1e-12
-        )

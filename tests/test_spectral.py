@@ -501,68 +501,6 @@ class TestEnergyMoments:
         assert e / 12 == pytest.approx(0.51, abs=0.02)
 
 
-class TestEffectiveDimension:
-    def test_eigenstate_in_its_eigenbasis(self):
-        h = hb.HermitianOperator(np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex), (2, 2))
-        sd = sp.diagonalize(h)
-        psi = hb.qubit_state([0, 1, 0, 0])
-        bound = sp.bind_state(sd, psi)
-        basis = hb.pauli_basis((0, 1), "ZZ")  # the eigenbasis of a diagonal matrix
-        rep = sp.effective_dimension(bound, basis)
-        assert rep.inverse == pytest.approx(1.0, abs=1e-10)
-
-    def test_unbiased_basis_closed_form(self):
-        d, n = 16, 4
-        h = hb.HermitianOperator(np.diag(np.arange(d, dtype=float)).astype(complex), (2,) * n)
-        sd = sp.diagonalize(h)
-        psi = hb.PureState(np.ones(d) / np.sqrt(d), (2,) * n)
-        bound = sp.bind_state(sd, psi)
-        basis = hb.pauli_basis(tuple(range(n)), "X")  # mutually unbiased with Z
-        rep = sp.effective_dimension(bound, basis)
-        assert rep.inverse == pytest.approx(1.0 / d, rel=1e-10)
-
-    def test_explicit_basis_matches_dense_basis_matrix(self, spectrum_factory, rng):
-        n = 6
-        bound = spectrum_factory("mfim", n, 0.6)
-        basis = hb.explicit_basis(range(n), unitary_group.rvs(2**n, random_state=rng))
-        overlaps = hb.basis_matrix(basis).conj().T @ bound.eigenvectors
-        assert np.abs(sp.basis_overlap_matrix(bound, basis) - overlaps).max() <= 1e-12
-        w, p = np.abs(overlaps) ** 2, bound.populations
-        expected = float(np.sum(((w * w) @ (p * p)) / (w @ p)))
-        assert sp.effective_dimension(bound, basis).inverse == pytest.approx(expected, abs=1e-12)
-
-    def test_overlap_matrix_peak_memory_is_below_two_matrices(self, spectrum_factory):
-        n = 9
-        bound = spectrum_factory("mfim", n, 0.6)
-        basis = hb.pauli_basis(range(n), "X")
-        tracemalloc.start()
-        try:
-            sp.basis_overlap_matrix(bound, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a contiguous copy of V^T and one copy per factor rotation took 3.0 D x D matrices
-        assert peak <= 2 * 16 * bound.dim**2
-
-    def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
-        n = 6
-        bound = spectrum_factory("mfim", n, 0.6)
-        basis = hb.pauli_basis((1, 0, 2, 3, 4, 5), "XZZZZZ")
-        with pytest.raises(ValueError):
-            sp.basis_overlap_matrix(bound, basis)
-        with pytest.raises(ValueError):
-            sp.effective_dimension(bound, basis)
-
-    @pytest.mark.slow
-    def test_monotone_decrease_with_system_size(self, spectrum_factory):
-        values = []
-        for n in (8, 10, 12):
-            bound = spectrum_factory("mfim", n, 0.6)
-            basis = hb.pauli_basis(tuple(range(n)), "Z")
-            values.append(sp.effective_dimension(bound, basis).inverse)
-        assert values[0] > values[1] > values[2]
-
-
 class TestNoResonance:
     def test_generic_four_level_pass(self):
         rep = en.check_no_resonance([0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qensembles import CapacityError, Caps, FitError
+from qensembles import CapacityError, Caps
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
 from qensembles import pipelines as pl
-from qensembles import rmt
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
 from qensembles import stats as st
@@ -209,42 +208,6 @@ class TestPTTest:
             st.pt_test([1.0, 2.0, 0.5], weights=[0.5, 0.5])
 
 
-class TestMutualInformationTime:
-    def test_stationary_state_has_zero_information(self):
-        h = hb.build_hamiltonian({"model": "mfim", "n": 4})
-        sd = sp.diagonalize(h)
-        eig = hb.PureState(sd.eigenvectors[:, 3], (2,) * 4)
-        bound = sp.bind_state(sd, eig)
-        basis = hb.pauli_basis(range(4), "Z")
-        rep = st.mutual_information_time(bound, basis, tau=50.0, grid_points=200)
-        assert abs(rep.bits) <= 1e-10
-
-    def test_small_chain_approaches_universal_value(self, spectrum_factory):
-        # at n = 10 the asymptote is already close; full-tolerance check is in acceptance
-        bound = spectrum_factory("mfim", 10, 0.6)
-        basis = hb.pauli_basis(range(10), "Z")
-        rep = st.mutual_information_time(bound, basis, tau=300.0 / 4.7)
-        assert rep.metadata["sigma_h_tau"] >= 200
-        assert rep.bits == pytest.approx((1 - np.euler_gamma) / math.log(2), abs=0.05)
-
-
-    def test_explicit_basis_matches_dense_basis_matrix(self, spectrum_factory, rng):
-        n = 6
-        bound = spectrum_factory("mfim", n, 0.4)
-        basis = hb.explicit_basis(range(n), random_unitary(2**n, rng))
-        rep = st.mutual_information_time(bound, basis, tau=20.0, grid_points=80, t_start=5.0)
-        times = 5.0 + np.linspace(0.0, 20.0, 80)
-        probs = np.abs(hb.basis_matrix(basis).conj().T @ sp.evolve_grid(bound, times)) ** 2
-        h_mean = np.mean([st.shannon_entropy_bits(probs[:, i]) for i in range(times.size)])
-        assert rep.bits == pytest.approx(st.shannon_entropy_bits(probs.mean(axis=1)) - h_mean, abs=1e-12)
-
-    def test_basis_on_permuted_sites_is_rejected(self, spectrum_factory):
-        bound = spectrum_factory("mfim", 6, 0.4)
-        basis = hb.pauli_basis((1, 0, 2, 3, 4, 5), "XZZZZZ")
-        with pytest.raises(ValueError):
-            st.mutual_information_time(bound, basis, tau=20.0)
-
-
 class TestConditionalMI:
     def test_product_state_factorizes(self):
         s = hb.product_state(0.9, 4)
@@ -434,75 +397,3 @@ class TestBasisSites:
         table = sc.conditional_states(bound, self.PART, self.GOOD_B)
         with pytest.raises(ValueError):
             st.interaction_information(sp.evolve(bound, 3.0), table, self.PART, ba, bb)
-
-
-class TestEnsembleEntropy:
-    def test_maximally_mixed_is_zero(self):
-        assert st.ensemble_entropy("scrooge", np.eye(8, dtype=complex) / 8) == 0.0
-
-    def test_two_level_detuned(self):
-        val = st.ensemble_entropy("scrooge", np.diag([0.6, 0.4]).astype(complex))
-        assert val == pytest.approx(math.log2(1.2) + math.log2(0.8), abs=1e-12)
-
-    def test_temporal_finite_part_definition(self, spectrum_factory):
-        bound = spectrum_factory("mfim", 6, 0.3)
-        p = bound.populations
-        val = st.ensemble_entropy("temporal-finite-part", p)
-        assert val == pytest.approx(float(np.sum(np.log2(p.size * p))), rel=1e-12)
-
-    def test_zero_modes_reported_as_minus_inf(self):
-        assert st.ensemble_entropy("scrooge", np.diag([1.0, 0.0]).astype(complex)) == -np.inf
-
-
-class TestOverlapAnalysis:
-    def test_flat_deterministic_overlaps(self, rng):
-        d = 1024
-        energies = np.sort(rng.standard_normal(d)) * 3
-        phases = np.exp(2j * np.pi * rng.random(d))
-        sd = sp.SpectralData(energies, np.eye(d, dtype=complex), phases / math.sqrt(d))
-        out = st.eigenstate_overlap_analysis(sd)
-        assert abs(out.beta_fit) <= 0.05
-        assert out.ratio == pytest.approx(1.0, abs=1e-9)
-
-    def test_gue_ratio_two(self):
-        rng = np.random.Generator(np.random.Philox(11))
-        d = 512
-        vals = []
-        for i in range(8):
-            h = rmt.sample_gue(d, rng)
-            sd = sp.diagonalize(h)
-            psi = hb.PureState(np.eye(d, dtype=complex)[:, 0], (2,) * 9)
-            vals.append(st.eigenstate_overlap_analysis(sp.bind_state(sd, psi)).ratio)
-        assert np.mean(vals) == pytest.approx(2.0, abs=0.2)
-
-    def test_real_symmetric_ratio_three(self):
-        rng = np.random.Generator(np.random.Philox(12))
-        d = 512
-        vals = []
-        for i in range(8):
-            h = rmt.sample_real_symmetric(d, rng)
-            sd = sp.diagonalize(h)
-            psi = hb.PureState(np.eye(d, dtype=complex)[:, 0], (2,) * 9)
-            vals.append(st.eigenstate_overlap_analysis(sp.bind_state(sd, psi)).ratio)
-        assert np.mean(vals) == pytest.approx(3.0, abs=0.3)
-
-    def test_boltzmann_envelope_recovered(self, rng):
-        # synthetic: overlaps are exponential with mean proportional to exp(beta E)
-        d = 2048
-        energies = np.sort(rng.standard_normal(d) * 2.0)
-        beta = 0.8
-        f = np.exp(beta * energies)
-        p = rng.exponential(scale=f)
-        p /= p.sum()
-        sd = sp.SpectralData(energies, np.eye(d, dtype=complex), np.sqrt(p).astype(complex))
-        out = st.eigenstate_overlap_analysis(sd)
-        assert out.beta_fit == pytest.approx(beta, abs=0.1)
-        assert out.pt_report.ks_statistic <= 0.05
-
-    def test_fit_error_on_pathological_spectrum(self):
-        d = 64
-        sd = sp.SpectralData(
-            np.zeros(d), np.eye(d, dtype=complex), np.full(d, 1 / math.sqrt(d), dtype=complex)
-        )
-        with pytest.raises(FitError):
-            st.eigenstate_overlap_analysis(sd)
