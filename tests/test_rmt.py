@@ -71,6 +71,78 @@ class TestSampling:
         h = rmt.sample_real_symmetric(16, rng)
         assert np.abs(h.entries.imag).max() == 0.0
 
+    def test_real_symmetric_is_symmetric(self, rng):
+        h = rmt.sample_real_symmetric(16, rng).entries
+        assert np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("sample", [rmt.sample_gue, rmt.sample_real_symmetric])
+    def test_dimension_below_two_is_rejected(self, rng, sample):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            sample(1, rng)
+
+    def test_real_symmetric_two_level_gap_mean(self):
+        # oracle: h11 - h22 and 2 h12 are independent N(0, 2), so the gap is
+        # Rayleigh with scale sqrt(2) and mean sqrt(pi)
+        rng = task_rng(105)
+        n = 10_000
+        gaps = np.empty(n)
+        for i in range(n):
+            w = np.linalg.eigvalsh(rmt.sample_real_symmetric(2, rng).entries)
+            gaps[i] = w[1] - w[0]
+        se = gaps.std() / math.sqrt(n)
+        assert abs(gaps.mean() - math.sqrt(math.pi)) <= 3 * se
+
+    def test_real_symmetric_semicircle_distribution(self):
+        rng = task_rng(106)
+        d = 512
+        vals = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(rmt.sample_real_symmetric(d, rng).entries) for _ in range(4)]
+        ))
+        ecdf = (np.arange(vals.size) + 1) / vals.size
+        ks = np.abs(ecdf - rmt.semicircle_cdf(vals)).max()
+        assert ks <= 0.02
+
+    # d sum_E |<E|0>|^4 has mean 2d/(d+1) for Haar-unitary eigenvectors (GUE)
+    # and 3d/(d+2) for Haar-orthogonal ones (real symmetric)
+    @pytest.mark.parametrize(
+        "sample, seed, ratio, tol",
+        [(rmt.sample_gue, 11, lambda d: 2 * d / (d + 1), 0.2),
+         (rmt.sample_real_symmetric, 12, lambda d: 3 * d / (d + 2), 0.3)],
+        ids=["gue", "real_symmetric"],
+    )
+    def test_basis_state_participation_ratio(self, sample, seed, ratio, tol):
+        rng = np.random.Generator(np.random.Philox(seed))
+        d = 512
+        vals = [d * np.sum(sp.basis_state_measure(sample(d, rng)).populations ** 2) for _ in range(8)]
+        assert np.mean(vals) == pytest.approx(ratio(d), abs=tol)
+
+
+class TestSemicircleCdf:
+    def test_endpoints_median_and_clipping(self):
+        f = rmt.semicircle_cdf(np.array([-5.0, -2.0, 0.0, 2.0, 5.0]))
+        assert f == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0], abs=1e-15)
+
+    def test_symmetric_about_zero(self):
+        x = np.linspace(0.0, 2.0, 41)
+        assert rmt.semicircle_cdf(x) + rmt.semicircle_cdf(-x) == pytest.approx(1.0, abs=1e-14)
+
+    def test_increments_integrate_the_semicircle_density(self):
+        density = lambda x: math.sqrt(4.0 - x * x) / (2.0 * math.pi)
+        edges = np.array([-2.0, -1.3, -0.2, 0.7, 1.9, 2.0])
+        f = rmt.semicircle_cdf(edges)
+        for a, b, fa, fb in zip(edges[:-1], edges[1:], f[:-1], f[1:]):
+            mass, _ = scipy.integrate.quad(density, a, b, epsabs=1e-13)
+            assert fb - fa == pytest.approx(mass, abs=1e-10)
+
+
+class TestDefaultTauGrid:
+    @pytest.mark.parametrize("d", [16, 1024])
+    def test_log_spaced_in_inverse_level_spacings(self, d):
+        taus = rmt.default_tau_grid(d, points=7, decades=(0.0, 6.0))
+        # mean level spacing of the radius-2 semicircle is 4/d
+        assert taus == pytest.approx(np.logspace(0.0, 6.0, 7) * d / 4.0, rel=1e-14)
+        assert taus[0] == pytest.approx(d / 4.0, rel=1e-15)
+
 
 class TestConvergenceExperiment:
     def test_k1_single_instance_late_slope(self):
@@ -145,6 +217,18 @@ class TestConvergenceExperiment:
                 1, np.array([1.0, 2.0]), np.array([0.5, np.nan]), None, "single-instance", 1
             )
 
+    def test_curve_rejects_a_tau_grid_that_is_not_increasing(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rmt.ConvergenceCurve(
+                1, np.array([2.0, 1.0]), np.array([0.5, 0.4]), None, "single-instance", 1
+            )
+
+    def test_single_instance_curve_has_no_squared_slope(self):
+        curve = rmt.convergence_experiment(8, 1, seed=4)
+        assert curve.squared_frobenius_mean is None
+        with pytest.raises(ValueError, match="no squared-mean data"):
+            rmt.fit_curve_slope(curve, (curve.tau_grid[0], curve.tau_grid[-1]), squared=True)
+
     @staticmethod
     def _dense_route(d, k, n_samples, seed):
         """The oracle: full eigendecomposition, bound to |0>, then the distance kernel."""
@@ -215,3 +299,12 @@ class TestPowerLawFit:
     def test_insufficient_points(self):
         with pytest.raises(FitError):
             rmt.fit_power_law([1, 2, 3], [1, 0.5, 0.3], (1, 3))
+
+    def test_points_outside_the_window_and_nonpositive_values_are_ignored(self):
+        x = np.logspace(0, 3, 20)
+        y = 1.0 / x
+        y[[0, 19]] = 50.0  # outside the window
+        y[10] = 0.0        # nonpositive: no logarithm
+        fit = rmt.fit_power_law(x, y, (x[1], x[18]))
+        assert fit.n_points == 17
+        assert fit.slope == pytest.approx(-1.0, abs=1e-12)

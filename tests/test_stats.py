@@ -207,6 +207,57 @@ class TestPTTest:
         with pytest.raises(ValueError, match="one entry per value"):
             st.pt_test([1.0, 2.0, 0.5], weights=[0.5, 0.5])
 
+    def test_unknown_target_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown target"):
+            st.pt_test([1.0, 2.0], target="gaussian")
+
+
+class TestEntropies:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_uniform_distribution_has_log2_support_bits(self, m):
+        p = np.zeros(2 ** (m + 1))
+        p[: 2**m] = 2.0**-m  # the zero outcomes contribute nothing
+        assert st.shannon_entropy_bits(p) == pytest.approx(m, abs=1e-14)
+
+    def test_shannon_entropy_is_bit_exact_under_relabeling(self, rng):
+        p = rng.random(257)
+        p /= p.sum()
+        assert st.shannon_entropy_bits(rng.permutation(p)) == st.shannon_entropy_bits(p)
+
+    def test_von_neumann_entropy_of_pure_and_maximally_mixed_states(self, rng):
+        psi = random_unitary(8, rng)[:, 0]
+        assert st.von_neumann_entropy_bits(np.outer(psi, psi.conj())) == pytest.approx(0.0, abs=1e-12)
+        mixed = hb.HermitianOperator(np.eye(8, dtype=complex) / 8, (2, 2, 2))
+        assert st.von_neumann_entropy_bits(mixed) == pytest.approx(3.0, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_holevo_sandwich_of_the_maximally_mixed_state(self, d):
+        # Q(I/d) = log2 d - (sum_{j=2}^d 1/j) / ln 2
+        q, s_vn = st.holevo_sandwich(np.eye(d, dtype=complex) / d)
+        assert q == pytest.approx(math.log2(d) - sum(1 / j for j in range(2, d + 1)) / math.log(2), abs=1e-12)
+        assert s_vn == pytest.approx(math.log2(d), abs=1e-14)
+
+    def test_subentropy_is_below_von_neumann_entropy(self, rng):
+        for _ in range(5):
+            g = random_unitary(4, rng)[:, :3] @ np.diag(rng.random(3))
+            rho = g @ g.conj().T
+            q, s_vn = st.holevo_sandwich(rho / np.trace(rho).real)
+            assert 0.0 < q < s_vn
+
+
+class TestMutualInformationOfJoint:
+    def test_product_distribution_has_none(self, rng):
+        a, b = rng.random(4), rng.random(6)
+        assert st.mutual_information_of_joint(np.outer(a / a.sum(), b / b.sum())) == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_perfect_correlation_has_log2_d_bits(self, d):
+        assert st.mutual_information_of_joint(np.eye(d) / d) == pytest.approx(math.log2(d), abs=1e-14)
+
+    def test_unnormalized_joint_is_rejected(self):
+        with pytest.raises(ValueError, match="sums to"):
+            st.mutual_information_of_joint(np.full((2, 2), 0.3))
+
 
 class TestConditionalMI:
     def test_product_state_factorizes(self):
