@@ -4,10 +4,12 @@ States, Hermitian operators, bipartitions, product measurement bases, and the
 model Hamiltonians used throughout (mixed-field Ising chain and variants,
 chaotic XXZ, transverse-field Ising), each defined once as a table of
 Pauli-string terms (`model_terms`), which one flip-mask row table
-(`_flip_rows`) turns into the dense, sparse and spectral-window matrices. Site
-ordering is little-endian: site 0 is the least significant bit of a basis
-index, so basis index i = sum_j bit_j * 2^j. All values are immutable after
-construction and all operations are pure functions.
+(`_flip_rows`) turns into the dense, sparse and spectral-window matrices, and
+the orbits of the site reversal (`reflection_orbits`), whose even sector holds
+every uniform chain quench (`reflection_even`). Site ordering is
+little-endian: site 0 is the least significant bit of a basis index, so basis
+index i = sum_j bit_j * 2^j. All values are immutable after construction and
+all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -228,6 +230,26 @@ def _subsystem_indices(n: int, sites: tuple[int, ...]) -> np.ndarray:
         sub |= ((full >> s) & 1) << k
     sub.flags.writeable = False  # shared by every caller through the cache
     return sub
+
+
+@lru_cache(maxsize=64)
+def reflection_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the n-site basis under the site reversal R (bit reversal).
+
+    Returns (reps, orbit, sizes): the representatives i <= R(i) in ascending
+    order, the orbit index of every basis state, and the orbit sizes (1 for
+    a palindrome, 2 otherwise). There are m = (2^n + 2^ceil(n/2)) / 2 orbits,
+    and the columns P_o = sum_{i in o} |i> / sqrt(sizes[o]) span the
+    R-even sector isometrically.
+    """
+    mirror = _subsystem_indices(n, tuple(range(n - 1, -1, -1)))
+    reps = np.flatnonzero(np.arange(2**n) <= mirror)
+    orbit = np.empty(2**n, dtype=np.int64)
+    orbit[reps] = orbit[mirror[reps]] = np.arange(reps.size)
+    sizes = np.where(mirror[reps] == reps, 1, 2)
+    for a in (reps, orbit, sizes):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return reps, orbit, sizes
 
 
 def split_bipartite(state: PureState, part: Bipartition) -> np.ndarray:
@@ -479,6 +501,30 @@ def sparse_hamiltonian(
     return h, CHAIN_FRAME, _window_interval(n, terms)
 
 
+def reflection_even(h: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """P^T h P on the R-even sector of `reflection_orbits`, for a CSR h on
+    n qubits that commutes with the site reversal R.
+
+    Row o is the row of its representative, with column c moved to orbit(c)
+    and scaled by sqrt(|o| / |orbit(c)|): for R-even psi = P psi_s,
+    (P^T h psi)[o] = sqrt(|o|) (h psi)[rep(o)], and psi[c] =
+    psi_s[orbit(c)] / sqrt(|orbit(c)|). The two columns of a row that share
+    an orbit stay separate entries, which a CSR product sums. A vector
+    enters the sector as psi_s[o] = sqrt(|o|) psi[rep(o)] and leaves it as
+    psi[x] = psi_s[orbit(x)] / sqrt(|orbit(x)|).
+    """
+    reps, orbit, sizes = reflection_orbits(h.shape[0].bit_length() - 1)
+    counts = np.diff(h.indptr)[reps]
+    indptr = np.zeros(reps.size + 1, dtype=h.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    take = np.repeat(h.indptr[reps] - indptr[:-1], counts) + np.arange(indptr[-1])
+    cols = orbit[h.indices[take]]
+    scale = np.sqrt(np.repeat(sizes, counts) / sizes[cols])
+    return scipy.sparse.csr_matrix(
+        (h.data[take] * scale, cols.astype(h.indices.dtype), indptr), shape=(reps.size, reps.size)
+    )
+
+
 def _window_interval(n: int, terms) -> tuple[float, float]:
     """Sums of lambda_min and lambda_max over the w-site windows of a chain (see `sparse_hamiltonian`)."""
     if not terms:
@@ -490,11 +536,17 @@ def _window_interval(n: int, terms) -> tuple[float, float]:
         for s in range(first, last + 1):
             local = {site - s: letter for site, letter in ops.items()}
             local_terms[s].append((coeff / (last - first + 1), local))
-    windows = np.zeros((n - w + 1, 2**w, 2**w), dtype=complex)
-    for window, window_terms in zip(windows, local_terms):
+    # a uniform chain repeats its bulk window: diagonalize each distinct one once
+    # (repr of a float round-trips, so equal keys mean equal terms)
+    keys = [repr(window_terms) for window_terms in local_terms]
+    distinct = dict(zip(keys, local_terms))
+    windows = np.zeros((len(distinct), 2**w, 2**w), dtype=complex)
+    for window, window_terms in zip(windows, distinct.values()):
         cols, vals = _flip_rows(w, window_terms, _COMPUTATIONAL_LETTERS)
         window[np.arange(2**w)[:, None], cols] = vals
-    levels = np.linalg.eigvalsh(windows)
+    # one row per window again, so the sums run in window order
+    row = {key: i for i, key in enumerate(distinct)}
+    levels = np.linalg.eigvalsh(windows)[[row[key] for key in keys]]
     return float(levels[:, 0].sum()), float(levels[:, -1].sum())
 
 

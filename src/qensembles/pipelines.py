@@ -7,8 +7,14 @@ sparse chain Hamiltonian lives in a site-local frame where mfim, tfim and
 xxz are real (`hilbert.sparse_hamiltonian`): the product state enters it
 site by site, and the propagated state leaves it through
 `hilbert.apply_local_rotations`. `basis_information_scan` reads its
-quench energy in the same frame. The dense Hamiltonian and every spectrum
-stay in the computational basis. Full
+quench energy in the same frame. A chain quench also runs in the sector
+even under the site reversal R, about half of Hilbert space
+(`hilbert.reflection_orbits`, `hilbert.reflection_even`). This is exact:
+every chain model is uniform with open ends, so R commutes with H and with
+the uniform frame, the uniform product state is R-even, exp(-iHt) keeps it
+in the sector, and the sector's spectrum lies in the full one's interval.
+"gue" and "explicit" models propagate in the full space. The dense
+Hamiltonian and every spectrum stay in the computational basis. Full
 spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix
 the Hamiltonian was built in) are built only for the paths that read
 eigenpairs: bound states, conditional-state tables and the eigenstate
@@ -119,8 +125,12 @@ def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> h
     (`spectral.propagate`), never read off a spectrum, so the result does
     not depend on what the cache holds: the product state enters the frame
     site by site, and the propagated state leaves it with one pass of u^dag
-    per site (`hilbert.apply_local_rotations`). The amplitudes are
-    read-only: every caller shares them.
+    per site (`hilbert.apply_local_rotations`). Chain models propagate in
+    the reflection-even sector (`hilbert.reflection_even`), which holds the
+    whole trajectory because H commutes with the site reversal and the
+    uniform product state is even under it; the state enters and leaves
+    the sector as `hilbert.reflection_even` describes, inside the frame. The
+    amplitudes are read-only: every caller shares them.
     """
     states = cache._states.setdefault(cache._key(model), {})
     key = (float(theta), float(t))
@@ -128,7 +138,13 @@ def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> h
         h, frame, interval = hb.sparse_hamiltonian(model, cache.caps)
         n = _n_sites(h.shape[0])
         psi0 = hb.product_state(theta, n, frame)
-        amps = sp.propagate(h, interval, psi0.amplitudes, t)
+        if model.get("model") in ("gue", "explicit"):
+            amps = sp.propagate(h, interval, psi0.amplitudes, t)
+        else:
+            reps, orbit, sizes = hb.reflection_orbits(n)
+            root = np.sqrt(sizes)
+            amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
+            amps = (amps / root)[orbit]
         amps = hb.apply_local_rotations(amps[None, :], [frame] * n, conjugate=True)[0]
         amps /= np.linalg.norm(amps)
         amps.flags.writeable = False

@@ -16,7 +16,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.special
 
 # y += A x for a CSR matrix A, into the caller's y. The products of `propagate` call
 # it directly: at d = 1024, scipy's `@` spends longer on dispatch and on a new
@@ -217,16 +216,45 @@ def evolve(sd: SpectralData, t: float) -> PureState:
 CHEBYSHEV_TAIL = 2.0**-53
 
 
+def _bessel_j(orders: int, x: float) -> np.ndarray:
+    """J_k(x) for k < orders by Miller's backward recurrence
+    J_{k-1} = (2k / x) J_k - J_{k+1}, started from J_orders = 0 and
+    J_{orders-1} = 1 and normalized by J_0 + 2 sum_k J_2k = 1.
+
+    The recurrence runs down from where the J_k are negligible, the direction
+    in which J is the dominant solution, so the start's error dies out. Values
+    that would overflow are scaled down by 1e-250 with everything above them.
+    J_k(-x) = (-1)^k J_k(x). Below |x| = 1e-30, where the factors 2k / |x|
+    could overflow, J_k(x) is its leading term (x/2)^k / k! to double
+    precision, and exactly delta_k0 at x = 0.
+    """
+    if abs(x) < 1e-30:
+        return np.cumprod(np.concatenate(([1.0], x / (2.0 * np.arange(1, orders)))))
+    j = np.zeros(orders)
+    ax, after, cur = abs(x), 0.0, 1.0
+    for k in range(orders - 1, 0, -1):
+        j[k] = cur
+        after, cur = cur, (2.0 * k / ax) * cur - after
+        if abs(cur) > 1e250:
+            j[k:] *= 1e-250
+            after, cur = after * 1e-250, cur * 1e-250
+    j[0] = cur
+    j /= j[0] + 2.0 * j[2::2].sum()
+    if x < 0:
+        j[1::2] *= -1.0
+    return j
+
+
 def _chebyshev_coefficients(x: float) -> np.ndarray:
     """c_k = (2 - delta_k0) (-i)^k J_k(x) for k < K, the first order whose tail
     2 sum_{k>=K} |J_k(x)| is below CHEBYSHEV_TAIL.
 
-    J_k is evaluated up to order |x| + 20 |x|^(1/3) + 40. Past the turning
-    point k = |x| the Bessel values fall off like an Airy function of
-    (k - |x|) / |x|^(1/3), so the orders left out lie below 1e-30.
+    J_k is evaluated up to order |x| + 20 |x|^(1/3) + 40 (`_bessel_j`). Past
+    the turning point k = |x| the Bessel values fall off like an Airy
+    function of (k - |x|) / |x|^(1/3), so the orders left out lie below 1e-30.
     """
     orders = np.arange(int(abs(x) + 20.0 * np.cbrt(abs(x) + 1.0) + 40.0))
-    j = scipy.special.jv(orders, x)
+    j = _bessel_j(orders.size, x)
     tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]  # tail[k] = 2 sum_{i>=k} |J_i(x)|
     below = np.flatnonzero(tail < CHEBYSHEV_TAIL)
     if below.size == 0:
@@ -272,7 +300,7 @@ def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: n
     Error: ||T_k(S)|| <= 1, so the left-out terms move the result by at most
     the Bessel tail 2 sum_{k>=K} |J_k(r t)| ||psi0||, and K is the first order
     that makes this tail smaller than 2^-53 ||psi0||. Rounding in the
-    recurrence and in `scipy.special.jv` adds about 2^-53 per term; any
+    recurrence and in the Bessel values adds about 2^-53 per term; any
     double-precision method errs at this level, since rounding H by a relative
     eps moves the state by up to eps ||H|| |t|. Altogether the result lies
     within 2 K 2^-53 ||psi0|| of exp(-iHt) psi0: against exact and 40-digit
@@ -280,14 +308,16 @@ def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: n
     K 2^-53, and no entry was off by more than K 2^-53.
 
     Cost: K is about r |t| + 11 (r |t|)^(1/3) sparse products, so the cost
-    grows linearly in |t|. On a 2-core host, mfim at t = 20 in the frame of
-    `hilbert.sparse_hamiltonian` takes K = 399 terms and about 17 ms at
-    n = 10, 471 terms and 71 ms at n = 12, and 542 terms and 0.36 s at
-    n = 14, against 1.0 s for a dense diagonalization at n = 10. For long
-    times diagonalizing is cheaper: at n = 8 and t = 1e3 the sum takes
-    13,000 terms and 0.26 s, the diagonalization 0.024 s; the package's
-    pipelines and benchmark quench to t <= 20. Raises ValueError for a
-    non-finite t.
+    grows linearly in |t|. On a 2-core host, mfim at t = 20 takes K = 399
+    terms at n = 10, 471 at n = 12 and 542 at n = 14. With the full matrix
+    of `hilbert.sparse_hamiltonian` the sum takes about 12 ms, 43 ms and
+    0.32 s; with its reflection-even sector (`hilbert.reflection_even`, as
+    `pipelines.quench_state` runs it), whose 528, 2,080 and 8,256 rows are
+    about half as many, 5.7 ms, 23 ms and 0.14 s. A dense diagonalization
+    takes 1.0 s at n = 10. For long times diagonalizing is cheaper: at n = 8
+    and t = 1e3 the sum takes 13,000 terms and 0.12 s, the diagonalization
+    0.024 s; the package's pipelines and benchmark quench to t <= 20. Raises
+    ValueError for a non-finite t.
     """
     _require_finite_times(np.asarray(t, dtype=float))
     psi = np.ascontiguousarray(psi0, dtype=complex)

@@ -408,6 +408,45 @@ class TestSubsystemIndices:
         assert np.array_equal(again, [0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3])
 
 
+def sector_isometry(n):
+    """The dense 2^n x m isometry P of `reflection_orbits`, column o = sum_{i in o} |i> / sqrt(|o|)."""
+    reps, orbit, sizes = hb.reflection_orbits(n)
+    p = np.zeros((2**n, reps.size))
+    p[np.arange(2**n), orbit] = 1.0 / np.sqrt(sizes[orbit])
+    return p
+
+
+class TestReflectionSector:
+    def test_orbit_table(self):
+        for n in range(1, 13):
+            reps, orbit, sizes = hb.reflection_orbits(n)
+            mirror = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(2**n)])
+            assert reps.size == (2**n + 2 ** math.ceil(n / 2)) // 2, n
+            assert np.array_equal(reps, np.flatnonzero(np.arange(2**n) <= mirror)), n
+            assert np.array_equal(orbit[reps], np.arange(reps.size)) and np.array_equal(orbit[mirror], orbit), n
+            assert np.array_equal(sizes, np.where(mirror[reps] == reps, 1, 2)), n
+            assert np.array_equal(np.bincount(orbit), sizes), n
+            assert all(not a.flags.writeable for a in (reps, orbit, sizes))
+            if n <= 10:
+                p = sector_isometry(n)
+                assert np.abs(p.T @ p - np.eye(reps.size)).max() <= 1e-15, n
+                assert np.array_equal(p[mirror], p), n  # R P = P: every column is R-even
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_sector_matrix_is_the_projected_hamiltonian(self, name, overridden):
+        params = CHAIN_MODELS[name] if overridden else {}
+        for n in range(1, 9):
+            spec = dict(params, model=name, n=n)
+            h, _, _ = hb.sparse_hamiltonian(spec)
+            even = hb.reflection_even(h)
+            p = sector_isometry(n)
+            assert even.dtype == h.dtype and even.shape == (p.shape[1],) * 2, n
+            framed = in_frame(hb.build_hamiltonian(spec).entries, n)
+            assert np.abs(even.toarray() - p.T @ framed @ p).max() <= 1e-14, n
+            assert np.abs(h @ p - p @ even.toarray()).max() <= 1e-14, n
+
+
 class TestPartialTrace:
     def test_bell_state_is_maximally_mixed(self):
         bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))

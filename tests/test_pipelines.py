@@ -207,11 +207,18 @@ def no_diagonalize(monkeypatch):
 
 @pytest.fixture()
 def propagations(monkeypatch):
-    """Times of every `spectral.propagate` call, in order."""
-    calls, propagate = [], sp.propagate
+    """Times of every `spectral.propagate` call, in order; `.sizes` holds the
+    length of each propagated vector."""
+
+    class Calls(list):
+        sizes: list
+
+    calls, propagate = Calls(), sp.propagate
+    calls.sizes = []
 
     def spy(h, interval, psi0, t):
         calls.append(t)
+        calls.sizes.append(psi0.size)
         return propagate(h, interval, psi0, t)
 
     monkeypatch.setattr(sp, "propagate", spy)
@@ -250,6 +257,18 @@ class TestQuenchStateCache:
         cache.release()
         assert pl.quench_state(cache, other, 0.3, 2.5) is not kept
         assert len(propagations) == 4
+
+    def test_chains_propagate_in_the_reflection_even_sector(self, propagations):
+        cache = pl.SpectrumCache()
+        for name in ("mfim", "tfim", "xxz", "mfim_broken_trs"):
+            for n in (1, 2, 5, 6):
+                chain = pl.quench_state(cache, {"model": name, "n": n}, 0.3, 2.5)
+                assert propagations.sizes[-1] == (2**n + 2 ** ((n + 1) // 2)) // 2, (name, n)
+                # the same matrix as an explicit model propagates in the full space
+                h = hb.build_hamiltonian({"model": name, "n": n}).entries
+                full = pl.quench_state(cache, explicit(h), 0.3, 2.5)
+                assert propagations.sizes[-1] == 2**n, (name, n)
+                assert np.abs(chain.amplitudes - full.amplitudes).max() <= 1e-13, (name, n)
 
     def test_large_chain_state_without_a_spectrum(self, no_diagonalize):
         cache = pl.SpectrumCache()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,50 @@ class TestPropagate:
             assert 2 * np.abs(scipy.special.jv(orders[0] - 1, x)) + tail >= 2.0**-53
             # the series sums to exp(-ix) at H = 1, where every T_k is 1
             assert abs(c.sum() - np.exp(-1j * x)) <= 1e-12
+
+    # J_k(x) to 40 digits, computed with mpmath 1.3.0 (mp.dps = 45) at the
+    # doubles 322.3 and 1000.0; orders 92-218 are where scipy.special.jv errs most
+    BESSEL_REFERENCE = {
+        322.3: (
+            (0, "2.126969119373036889126133325055957365028e-2"),
+            (1, "3.905659563143419517746933712384030751343e-2"),
+            (92, "-7.078679203423263425397279077397164023839e-3"),
+            (102, "-3.287240289603742150187692072031289419777e-3"),
+            (145, "1.308278712143510360781298996017844255701e-2"),
+            (250, "5.019038017528089385900099539630668125435e-2"),
+            (322, "6.786904223510857519529715804971401788626e-2"),
+            (360, "1.765100512568998337528372651653940583196e-7"),
+            (398, "3.665882379538860899587754132133085472879e-17"),
+        ),
+        1000.0: (
+            (0, "2.478668615242017456133073111569370878617e-2"),
+            (1, "4.728311907089523917576071901216916285418e-3"),
+            (111, "-1.812468065247174682919421780978330297525e-3"),
+            (193, "5.454510302244698632137622296482055861069e-4"),
+            (218, "-1.187390423702704857809849926402943193647e-2"),
+            (600, "-1.67618744308700328112341387350918126537e-2"),
+            (999, "4.883022877022178131882249909385918388947e-2"),
+            (1000, "4.473067294796404088059758056821565457325e-2"),
+            (1080, "1.163790853732394957829756375386870509073e-11"),
+            (1110, "2.518858656616893165018048162798055344811e-17"),
+        ),
+    }
+
+    @pytest.mark.parametrize("x", sorted(BESSEL_REFERENCE))
+    def test_coefficients_match_forty_digit_bessel_values(self, x):
+        c = sp._chebyshev_coefficients(x)
+        for k, value in self.BESSEL_REFERENCE[x]:
+            expected = (1 if k == 0 else 2) * (1, -1j, -1, 1j)[k % 4] * float(value)
+            assert abs(c[k] - expected) <= 2e-15, k
+        # J_k(-x) = (-1)^k J_k(x), so the series at -x is the conjugate one
+        assert np.array_equal(sp._chebyshev_coefficients(-x), np.conj(c))
+
+    def test_tiny_arguments_keep_the_leading_bessel_term(self):
+        # below |x| = 1e-30 the recurrence's factors 2k / |x| could overflow
+        for x in (1e-300, -1e-40, 1e-29, -1e-20):
+            expected = [(x / 2) ** k / math.factorial(k) for k in range(6)]
+            assert sp._bessel_j(6, x) == pytest.approx(expected, rel=1e-14, abs=0), x
+            assert np.array_equal(sp._chebyshev_coefficients(x), [1.0]), x
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_is_rejected(self, t):
