@@ -74,12 +74,6 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "PureState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return PureState(self.amplitudes / n, self.dims, "normalized")
-
 
 def n_qubit_dims(n: int) -> tuple[int, ...]:
     return (2,) * n
@@ -387,7 +381,7 @@ def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]]
 
 
 def _checked_matrix(model: Mapping) -> HermitianOperator:
-    """The caller-provided matrix of a "gue" or "explicit" model, on qubit dims."""
+    """The caller-provided matrix of an "explicit" model, on qubit dims."""
     m = np.asarray(model["matrix"], dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrixError("explicit Hamiltonian must be square")
@@ -402,10 +396,10 @@ def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOpe
 
     Chain models write the `_flip_rows` table of their `model_terms`, in the
     computational basis, into a new Fortran-ordered matrix, the layout LAPACK
-    works in (see `spectral.model_spectrum`); "gue" and "explicit" models
-    carry their own Hermitian matrix.
+    works in (see `spectral.model_spectrum`); "explicit" models carry their
+    own Hermitian matrix.
     """
-    if model.get("model") in ("gue", "explicit"):
+    if model.get("model") == "explicit":
         return _checked_matrix(model)
     n, terms = model_terms(model)
     check_cap(caps, "max_moment_entries", (2**n) ** 2)
@@ -484,10 +478,10 @@ def sparse_hamiltonian(
     The windows are built in the computational basis; in the frame their
     eigenvalues, and so every quench, would move in the last bits.
 
-    "gue" and "explicit" models keep the identity frame and convert their
-    checked matrix; their interval is the union of the Gershgorin discs.
+    "explicit" models keep the identity frame and convert their checked
+    matrix; their interval is the union of the Gershgorin discs.
     """
-    if model.get("model") in ("gue", "explicit"):
+    if model.get("model") == "explicit":
         m = _checked_matrix(model).entries
         centre = m.diagonal().real
         radius = np.abs(m).sum(axis=1) - np.abs(m.diagonal())

@@ -13,7 +13,7 @@ even under the site reversal R, about half of Hilbert space
 every chain model is uniform with open ends, so R commutes with H and with
 the uniform frame, the uniform product state is R-even, exp(-iHt) keeps it
 in the sector, and the sector's spectrum lies in the full one's interval.
-"gue" and "explicit" models propagate in the full space. The dense
+"explicit" models propagate in the full space. The dense
 Hamiltonian and every spectrum stay in the computational basis. Full
 spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix
 the Hamiltonian was built in) are built only for the paths that read
@@ -21,17 +21,19 @@ eigenpairs: bound states, conditional-state tables and the eigenstate
 pipelines. Chain models stop at D = 2^13, where the dense build's D^2
 entries reach `Caps.max_moment_entries` (2^26); `max_spectrum_dim` (2^14)
 is checked first and binds only when it is set lower. The process cache
-keys spectra by the model specification, bound spectra by the model and
-the initial-state angle, quenched states by the model, the angle and the
-time, and conditional-state tables by the model, the angle, the
-bipartition and the measurement basis (its sites and the bytes of each
-factor).
+holds one memo per model specification, and each entry is keyed within it
+by what else it depends on: the spectrum by nothing, a bound spectrum by
+the initial-state angle, a quenched state by the angle and the time, and a
+conditional-state table by the angle, the bipartition and the measurement
+basis (its sites and the bytes of each factor).
 
-A table does not depend on time, so every time average is read off the
-cached table of its B basis: the generalized Scrooge reference, the
-rescaled joint probabilities and the interaction information.
-`interaction_information_scan` reads its fixed-time state off the bound
-spectrum its table needs (`spectral.evolve`), once per scan.
+Every model pipeline takes the chain length from the state it holds, so an
+"explicit" model (a caller's 2^n x 2^n matrix) runs each of them as its
+chain would. A table does not depend on time, so every time average is
+read off the cached table of its B basis: the generalized Scrooge
+reference, the rescaled joint probabilities and the interaction
+information. `interaction_information_scan` reads its fixed-time state off
+the bound spectrum its table needs (`spectral.evolve`), once per scan.
 The cache can be released explicitly, per model or whole; large-chain
 workflows should group their uses and then drop it.
 """
@@ -53,25 +55,20 @@ from ._util import Caps, DEFAULT_CAPS
 
 
 class SpectrumCache:
-    """Process-level cache of quenched states, diagonalized model Hamiltonians
+    """Process-level memo of quenched states, diagonalized model Hamiltonians
     and their conditional-state tables.
 
-    States are keyed by the model specification, theta and t, and are built by
-    propagation, never from a spectrum. Spectra are keyed by the model
-    specification and built only when a caller reads eigenpairs; `bound`
-    binds the cached spectrum to the product state at theta, once per
-    (model, theta). Tables are keyed by the model, theta, the chain length and
-    A sites of the bipartition, and the basis (`MeasurementBasis.key`); they
+    One dict per model specification holds every entry of that model, keyed
+    ("spectrum",), ("bound", theta), ("state", theta, t) or ("table", theta,
+    n, sites_A, basis.key()). States are built by propagation, never from a
+    spectrum; the spectrum is built only when a caller reads eigenpairs, and
+    `bound` binds it to the product state at theta once per angle. Tables
     are the one source of every time average the pipelines report.
-    `release(model)` drops a model's states, spectrum, bound spectra and
-    tables together.
+    `release(model)` drops all of a model's entries together.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
-        self._store: dict[str, sp.SpectralData] = {}
-        self._bound: dict[str, dict[float, sp.SpectralData]] = {}
-        self._states: dict[str, dict[tuple, hb.PureState]] = {}
-        self._tables: dict[str, dict[tuple, sc.ConditionalStateTable]] = {}
+        self._memo: dict[str, dict[tuple, object]] = {}
         self.caps = caps
 
     @staticmethod
@@ -82,40 +79,36 @@ class SpectrumCache:
             spec["matrix"] = [m.shape, hashlib.sha256(m.tobytes()).hexdigest()]
         return json.dumps(spec, sort_keys=True, default=str)
 
+    def _cached(self, model: dict, key: tuple, build):
+        entries = self._memo.setdefault(self._key(model), {})
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
+
     def spectrum(self, model: dict) -> sp.SpectralData:
-        key = self._key(model)
-        if key not in self._store:
-            self._store[key] = sp.model_spectrum(model, self.caps)
-        return self._store[key]
+        return self._cached(model, ("spectrum",), lambda: sp.model_spectrum(model, self.caps))
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
         sd = self.spectrum(model)
-        bound = self._bound.setdefault(self._key(model), {})
-        if float(theta) not in bound:
-            bound[float(theta)] = sp.bind_state(sd, hb.product_state(theta, _n_sites(sd.dim)))
-        return bound[float(theta)]
+        n = sd.dim.bit_length() - 1  # explicit models carry no "n"
+        return self._cached(
+            model, ("bound", float(theta)), lambda: sp.bind_state(sd, hb.product_state(theta, n))
+        )
 
     def conditional_states(
         self, model: dict, theta: float, part: hb.Bipartition, basis: hb.MeasurementBasis
     ) -> sc.ConditionalStateTable:
         """`scrooge.conditional_states` of the model quenched from angle theta, built once."""
-        tables = self._tables.setdefault(self._key(model), {})
-        key = (float(theta), part.n_sites, part.sites_A, basis.key())
-        if key not in tables:
-            tables[key] = sc.conditional_states(self.bound(model, theta), part, basis)
-        return tables[key]
+        key = ("table", float(theta), part.n_sites, part.sites_A, basis.key())
+        return self._cached(
+            model, key, lambda: sc.conditional_states(self.bound(model, theta), part, basis)
+        )
 
     def release(self, model: dict | None = None) -> None:
-        for store in (self._store, self._bound, self._states, self._tables):
-            if model is None:
-                store.clear()
-            else:
-                store.pop(self._key(model), None)
-
-
-def _n_sites(dim: int) -> int:
-    """Chain length of a qubit-chain space (explicit models carry no "n")."""
-    return dim.bit_length() - 1
+        if model is None:
+            self._memo.clear()
+        else:
+            self._memo.pop(self._key(model), None)
 
 
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:
@@ -132,24 +125,42 @@ def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> h
     the sector as `hilbert.reflection_even` describes, inside the frame. The
     amplitudes are read-only: every caller shares them.
     """
-    states = cache._states.setdefault(cache._key(model), {})
-    key = (float(theta), float(t))
-    if key not in states:
-        h, frame, interval = hb.sparse_hamiltonian(model, cache.caps)
-        n = _n_sites(h.shape[0])
-        psi0 = hb.product_state(theta, n, frame)
-        if model.get("model") in ("gue", "explicit"):
-            amps = sp.propagate(h, interval, psi0.amplitudes, t)
-        else:
-            reps, orbit, sizes = hb.reflection_orbits(n)
-            root = np.sqrt(sizes)
-            amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
-            amps = (amps / root)[orbit]
-        amps = hb.apply_local_rotations(amps[None, :], [frame] * n, conjugate=True)[0]
-        amps /= np.linalg.norm(amps)
-        amps.flags.writeable = False
-        states[key] = hb.PureState(amps, psi0.dims)
-    return states[key]
+    return cache._cached(
+        model, ("state", float(theta), float(t)), lambda: _propagated(model, theta, t, cache.caps)
+    )
+
+
+def _propagated(model: dict, theta: float, t: float, caps: Caps) -> hb.PureState:
+    h, frame, interval = hb.sparse_hamiltonian(model, caps)
+    n = h.shape[0].bit_length() - 1
+    psi0 = hb.product_state(theta, n, frame)
+    if model.get("model") == "explicit":
+        amps = sp.propagate(h, interval, psi0.amplitudes, t)
+    else:
+        reps, orbit, sizes = hb.reflection_orbits(n)
+        root = np.sqrt(sizes)
+        amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
+        amps = (amps / root)[orbit]
+    amps = hb.apply_local_rotations(amps[None, :], [frame] * n, conjugate=True)[0]
+    amps /= np.linalg.norm(amps)
+    amps.flags.writeable = False
+    return hb.PureState(amps, psi0.dims)
+
+
+def _central(state: hb.PureState, width: int) -> hb.Bipartition:
+    """The `width` central sites of the state's chain against the rest."""
+    return hb.Bipartition(state.n_sites, hb.central_sites(state.n_sites, width))
+
+
+def _projected_distances(
+    state: hb.PureState, part: hb.Bipartition, basis: hb.MeasurementBasis, k: int, caps: Caps
+) -> tuple[en.MomentOperator, float, float]:
+    """The projected k-th moment and its distances to Scrooge[rho_A] and Haar."""
+    proj = en.moment_k(en.projected_ensemble(state, part, basis), k, caps)
+    rho_a = hb.partial_trace(state, part, "A").entries
+    d_scr = st.trace_distance(proj, sc.scrooge_moment(rho_a, k, caps))
+    d_haar = st.trace_distance(proj, en.haar_moment(part.d_a, k, caps))
+    return proj, d_scr, d_haar
 
 
 @dataclass(frozen=True)
@@ -180,22 +191,15 @@ def projected_moment_comparison(
 
     Every moment is built under `cache.caps`.
     """
-    caps = cache.caps
-    n = int(model["n"])
-    part = hb.Bipartition(n, hb.central_sites(n, subsystem_width))
-    basis = hb.pauli_basis(part.sites_B, basis_letter)
     state = quench_state(cache, model, theta, t)
-    ens = en.projected_ensemble(state, part, basis)
-    proj = en.moment_k(ens, k, caps)
-    rho_a = hb.partial_trace(state, part, "A").entries
-    d_scr = st.trace_distance(proj, sc.scrooge_moment(rho_a, k, caps))
-    d_haar = st.trace_distance(proj, en.haar_moment(part.d_a, k, caps))
+    part = _central(state, subsystem_width)
+    basis = hb.pauli_basis(part.sites_B, basis_letter)
+    proj, d_scr, d_haar = _projected_distances(state, part, basis, k, cache.caps)
     d_gen = None
     if include_generalized:
         table = cache.conditional_states(model, theta, part, basis)
-        gen = sc.generalized_scrooge_moment(table, k, caps)
-        d_gen = st.trace_distance(proj, gen)
-    return ProjectedComparison(n, k, t, basis_letter, d_scr, d_haar, d_gen)
+        d_gen = st.trace_distance(proj, sc.generalized_scrooge_moment(table, k, cache.caps))
+    return ProjectedComparison(state.n_sites, k, t, basis_letter, d_scr, d_haar, d_gen)
 
 
 def basis_information_scan(
@@ -211,22 +215,19 @@ def basis_information_scan(
 
     Returns (rows, q_bits, s_bits, energy_density) with one row per A basis.
     """
-    n = int(model["n"])
-    part = hb.Bipartition(n, hb.central_sites(n, subsystem_width))
     state = quench_state(cache, model, theta, t)
-    rho_a = hb.partial_trace(state, part, "A")
-    q_bits, s_bits = st.holevo_sandwich(rho_a)
+    part = _central(state, subsystem_width)
+    q_bits, s_bits = st.holevo_sandwich(hb.partial_trace(state, part, "A"))
     h, frame, _ = hb.sparse_hamiltonian(model, cache.caps)
-    psi0 = hb.product_state(theta, n, frame).amplitudes
+    psi0 = hb.product_state(theta, state.n_sites, frame).amplitudes
     energy = float(np.vdot(psi0, h @ psi0).real)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     rows = []
     for letter in letters:
-        rep = st.conditional_mutual_information(
-            state, part, hb.pauli_basis(part.sites_A, letter), basis_b
-        )
-        rows.append((letter, rep.bits))
-    return rows, q_bits, s_bits, energy / n
+        basis_a = hb.pauli_basis(part.sites_A, letter)
+        joint = st.joint_outcome_distribution(state, part, basis_a, basis_b)
+        rows.append((letter, st.mutual_information_of_joint(joint)))
+    return rows, q_bits, s_bits, energy / state.n_sites
 
 
 def interaction_information_scan(
@@ -243,27 +244,15 @@ def interaction_information_scan(
     The state at time t is read off the bound spectrum once per scan, and the
     time-averaged part of every letter comes from one cached table.
     """
-    n = int(model["n"])
-    part = hb.Bipartition(n, hb.central_sites(n, subsystem_width))
     state = sp.evolve(cache.bound(model, theta), t)
+    part = _central(state, subsystem_width)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     table = cache.conditional_states(model, theta, part, basis_b)
-    rows = []
-    for letter in letters:
-        rep = st.interaction_information(
-            state, table, part, hb.pauli_basis(part.sites_A, letter), basis_b
-        )
-        rows.append(
-            {
-                "basis": letter,
-                "interaction_bits": rep.bits,
-                "weighted_subentropy_bits": rep.prediction_bits,
-                "fixed_time_bits": rep.metadata["fixed_time_bits"],
-                "time_averaged_bits": rep.metadata["time_averaged_bits"],
-                "subentropy_bound_bits": rep.metadata["subentropy_bound_bits"],
-            }
-        )
-    return rows
+    bases_a = [hb.pauli_basis(part.sites_A, letter) for letter in letters]
+    return [
+        {"basis": letter, **st.interaction_information(state, table, part, basis_a, basis_b)}
+        for letter, basis_a in zip(letters, bases_a)
+    ]
 
 
 def rescaled_joint_probability_ks(
@@ -279,11 +268,10 @@ def rescaled_joint_probability_ks(
     Raw probabilities are scaled by the full dimension D (unit mean); the
     rescaled ones divide by the dephased time average per (o_A, x_B) pair.
     """
-    n = int(model["n"])
-    part = hb.Bipartition(n, hb.central_sites(n, subsystem_width))
+    state = quench_state(cache, model, theta, t)
+    part = _central(state, subsystem_width)
     basis_a = hb.pauli_basis(part.sites_A, basis_letter)
     basis_b = hb.pauli_basis(part.sites_B, basis_letter)
-    state = quench_state(cache, model, theta, t)
     joint = st.joint_outcome_distribution(state, part, basis_a, basis_b)
     table = cache.conditional_states(model, theta, part, basis_b)
     avg = st.time_averaged_joint_distribution(table, part, basis_a)
@@ -311,14 +299,12 @@ def eigenstate_projected_comparison(
     """Projected-moment distances for one energy eigenstate (complex references)."""
     n = part.n_sites
     eig = hb.PureState(sd.eigenvectors[:, index], (2,) * n)
-    ens = en.projected_ensemble(eig, part, basis)
-    proj = en.moment_k(ens, k, caps)
-    rho_a = hb.partial_trace(eig, part, "A").entries
+    _, d_scr, d_haar = _projected_distances(eig, part, basis, k, caps)
     return {
         "index": index,
         "energy_density": float(sd.eigenvalues[index]) / n,
-        "dist_scrooge": st.trace_distance(proj, sc.scrooge_moment(rho_a, k, caps)),
-        "dist_haar": st.trace_distance(proj, en.haar_moment(part.d_a, k, caps)),
+        "dist_scrooge": d_scr,
+        "dist_haar": d_haar,
     }
 
 
@@ -367,10 +353,7 @@ def eigenstate_real_projected_comparison(
     """
     n = part.n_sites
     table, imag_leak = real_projected_table(sd, index, part)
-    probs = np.sum(table**2, axis=0)
-    keep = probs > en.ZERO_OUTCOME_CUTOFF
-    cols = table[:, keep] / np.sqrt(probs[keep])
-    proj = en.moment_k(en.WeightedEnsemble(cols, probs[keep]), 2, caps)
+    proj = en.moment_k(en._table_ensemble(table), 2, caps)
     rho_a = (table @ table.T).astype(complex)
     d_scr = st.trace_distance(proj, sc.real_scrooge_moment2(rho_a, caps))
     d_haar = st.trace_distance(proj, sc.real_haar_moment2(part.d_a))

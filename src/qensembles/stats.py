@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.special
@@ -83,26 +82,16 @@ def _gram_distance(ens: MomentOperator, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PTReport:
-    """Weighted moments and KS distance of nonnegative samples to a target law."""
+class PTReport(NamedTuple):
+    """Weighted moments E[x], E[x^2], E[x^3] and KS distance of nonnegative
+    samples to a target law."""
 
     sample_count: int
-    moments: tuple[float, float, float]  # weighted E[x], E[x^2], E[x^3]
+    m1: float
+    m2: float
+    m3: float
     ks_statistic: float
     target: str
-
-    @property
-    def m1(self) -> float:
-        return self.moments[0]
-
-    @property
-    def m2(self) -> float:
-        return self.moments[1]
-
-    @property
-    def m3(self) -> float:
-        return self.moments[2]
 
 
 def _target_cdf(target):
@@ -155,23 +144,13 @@ def pt_test(
     # right-continuous ECDF: at each sample, the total weight of values <= it
     last = np.searchsorted(xs, xs, side="right") - 1
     ks = float(np.abs(cum[last] - cdf(xs)).max())
-    moments = tuple(float(np.sum(w * x**r)) for r in (1, 2, 3))
-    return PTReport(x.size, moments, ks, label)
+    moments = (float(np.sum(w * x**r)) for r in (1, 2, 3))
+    return PTReport(x.size, *moments, ks, label)
 
 
 # ---------------------------------------------------------------------------
 # mutual information
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InfoReport:
-    """A mutual-information-like quantity in bits, plus prediction metadata."""
-
-    kind: str
-    bits: float
-    prediction_bits: float | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 def joint_outcome_distribution(
@@ -199,18 +178,6 @@ def mutual_information_of_joint(p: np.ndarray) -> float:
     )
 
 
-def conditional_mutual_information(
-    state: PureState,
-    part: Bipartition,
-    basis_a: MeasurementBasis,
-    basis_b: MeasurementBasis,
-) -> InfoReport:
-    """I(O_A; Z_B) of the outcome distribution of a single fixed-time state."""
-    joint = joint_outcome_distribution(state, part, basis_a, basis_b)
-    value = mutual_information_of_joint(joint)
-    return InfoReport(kind="I(O_A;Z_B|T)", bits=value)
-
-
 def time_averaged_joint_distribution(
     table: ConditionalStateTable, part: Bipartition, basis_a: MeasurementBasis
 ) -> np.ndarray:
@@ -235,36 +202,34 @@ def interaction_information(
     part: Bipartition,
     basis_a: MeasurementBasis,
     basis_b: MeasurementBasis,
-) -> InfoReport:
-    """I(O_A;X_B;T): fixed-time mutual information minus its time-averaged part.
+) -> dict[str, float]:
+    """I(O_A;X_B;T), its parts and its subentropy values, in bits, as one row.
 
     state is the quenched state at the fixed time; table is
     `scrooge.conditional_states` of the same quench, bipartition and basis_b,
-    and gives the time-averaged part. The report carries the
-    weighted-subentropy prediction sum_x p_d(x) Q(rho_bar(x)) and the
-    concavity bound Q(rho_A); the fixed-time and time-averaged mutual
-    informations ride along in the metadata. Raises ValueError unless the
-    table records basis_b as the basis it was built for.
+    and gives the time-averaged part. The row holds "interaction_bits", the
+    fixed-time mutual information I(O_A;X_B) ("fixed_time_bits") minus that
+    of the time-averaged joint distribution ("time_averaged_bits"); the
+    weighted-subentropy prediction sum_x p_d(x) Q(rho_bar(x))
+    ("weighted_subentropy_bits"); and its concavity bound Q(rho_A)
+    ("subentropy_bound_bits"). Raises ValueError unless the table records
+    basis_b as the basis it was built for.
     """
     if table.basis is None or table.basis.key() != basis_b.key():
         raise ValueError("the conditional-state table was not built for basis_b")
-    i_fixed = conditional_mutual_information(state, part, basis_a, basis_b).bits
+    i_fixed = mutual_information_of_joint(joint_outcome_distribution(state, part, basis_a, basis_b))
     i_avg = mutual_information_of_joint(time_averaged_joint_distribution(table, part, basis_a))
     weighted_q = float(
         np.sum(table.probabilities * np.array([subentropy(s) for s in table.states]))
     )
-    rho_a = table.mixture()
-    return InfoReport(
-        kind="I(O_A;X_B;T)",
-        bits=i_fixed - i_avg,
-        prediction_bits=weighted_q,
-        metadata={
-            "fixed_time_bits": i_fixed,
-            "time_averaged_bits": i_avg,
-            "subentropy_bound_bits": subentropy(rho_a.astype(complex)),
-            "weighted_subentropy_bits": weighted_q,
-        },
-    )
+    bound_q = subentropy(table.mixture().astype(complex))
+    return {
+        "interaction_bits": i_fixed - i_avg,
+        "weighted_subentropy_bits": weighted_q,
+        "fixed_time_bits": i_fixed,
+        "time_averaged_bits": i_avg,
+        "subentropy_bound_bits": bound_q,
+    }
 
 
 def holevo_sandwich(rho_a) -> tuple[float, float]:

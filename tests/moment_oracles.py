@@ -312,16 +312,16 @@ def complex_chebyshev_propagate(model, psi0, t):
 
     Chain models add the COO entries of every term of `model_terms`; a is
     sum |coeff| over the multi-site terms plus, per site, the norm of its
-    one-site field. "gue" and "explicit" models take their largest absolute
-    row sum. The result is sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi0
-    from the three-term recurrence in complex arithmetic.
+    one-site field. "explicit" models take their largest absolute row sum.
+    The result is sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi0 from
+    the three-term recurrence in complex arithmetic.
     """
     import scipy.sparse
 
     from qensembles import hilbert as hb
     from qensembles import spectral as sp
 
-    if model["model"] in ("gue", "explicit"):
+    if model["model"] == "explicit":
         h = scipy.sparse.csr_matrix(np.asarray(model["matrix"], dtype=complex))
         a = float(abs(h).sum(axis=1).max())
     else:

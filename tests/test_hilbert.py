@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps, InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
+from qensembles import spectral as sp
 from qensembles._util import HERMITICITY_BLOCK, hermiticity_defect
 
 import moment_oracles as mo
@@ -88,6 +89,13 @@ class TestBuildHamiltonian:
         h = hb.build_hamiltonian({"model": "mfim", "n": 4, "hy": 0.0}).entries
         parity = kron_chain(X, X, X, X)
         assert np.linalg.norm(h @ parity - parity @ h) <= 1e-10
+
+    def test_gue_is_not_a_model_name(self):
+        # random matrices enter as "explicit" models
+        model = {"model": "gue", "n": 2, "matrix": np.eye(4)}
+        for build in (hb.build_hamiltonian, hb.sparse_hamiltonian, sp.model_spectrum):
+            with pytest.raises(InvalidModelError, match="unknown model 'gue'"):
+                build(model)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidModelError):

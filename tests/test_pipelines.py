@@ -446,17 +446,18 @@ class TestInteractionInformationScan:
         basis_b = hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, basis_b)  # built here, not read from the cache
         for row, letter in zip(rows, letters):
-            rep = st.interaction_information(
+            direct = st.interaction_information(
                 state, table, part, hb.pauli_basis(part.sites_A, letter), basis_b
             )
-            assert row == {
-                "basis": letter,
-                "interaction_bits": rep.bits,
-                "weighted_subentropy_bits": rep.prediction_bits,
-                "fixed_time_bits": rep.metadata["fixed_time_bits"],
-                "time_averaged_bits": rep.metadata["time_averaged_bits"],
-                "subentropy_bound_bits": rep.metadata["subentropy_bound_bits"],
-            }
+            assert row == {"basis": letter, **direct}
+            assert list(row) == [
+                "basis",
+                "interaction_bits",
+                "weighted_subentropy_bits",
+                "fixed_time_bits",
+                "time_averaged_bits",
+                "subentropy_bound_bits",
+            ]
             # concavity of the subentropy: the weighted value sits below Q(rho_A)
             assert row["weighted_subentropy_bits"] <= row["subentropy_bound_bits"] + 1e-9
 
@@ -490,6 +491,35 @@ class TestRescaledJointProbabilityKS:
         assert out["ks_raw"] == pytest.approx(
             pt_test((joint * joint.size).ravel()).ks_statistic, abs=1e-12
         )
+
+
+class TestExplicitModels:
+    """The matrix of a chain, given as an explicit model, runs every model
+    pipeline to the chain's results: each takes n from its state."""
+
+    def test_every_model_pipeline_matches_its_chain(self):
+        cache = pl.SpectrumCache()
+        model = explicit(hb.build_hamiltonian(MFIM6).entries)
+        theta, t, width = 0.4, 7.0, 2
+
+        def both(pipeline, *args, **kwargs):
+            return [pipeline(cache, m, theta, t, width, *args, **kwargs) for m in (MFIM6, model)]
+
+        chain, out = both(pl.projected_moment_comparison, "Z", 2, include_generalized=True)
+        assert (out.n, out.k, out.t, out.basis_letter) == (6, 2, t, "Z")
+        for name in ("dist_scrooge", "dist_haar", "dist_generalized"):
+            assert abs(getattr(out, name) - getattr(chain, name)) <= 1e-12, name
+        chain, out = both(pl.interaction_information_scan)
+        assert [row["basis"] for row in out] == ["X", "Y", "Z"]
+        for row, ref in zip(out, chain):
+            assert max(abs(row[key] - ref[key]) for key in list(row)[1:]) <= 1e-12
+        chain, out = both(pl.rescaled_joint_probability_ks)
+        assert out["sample_count"] == chain["sample_count"]
+        assert max(abs(out[key] - chain[key]) for key in out) <= 1e-12
+        (chain_rows, *chain_values), (rows, *values) = both(pl.basis_information_scan)
+        assert [letter for letter, _ in rows] == ["X", "Y", "Z"]
+        assert max(abs(a[1] - b[1]) for a, b in zip(rows, chain_rows)) <= 1e-12
+        assert np.abs(np.subtract(values, chain_values)).max() <= 1e-12
 
 
 class TestEigenstateWindowRescaledProbabilities:

@@ -263,18 +263,18 @@ class TestConditionalMI:
     def test_product_state_factorizes(self):
         s = hb.product_state(0.9, 4)
         part = hb.Bipartition(4, (0, 1))
-        rep = st.conditional_mutual_information(
+        joint = st.joint_outcome_distribution(
             s, part, hb.pauli_basis(part.sites_A, "XY"), hb.pauli_basis(part.sites_B, "ZX")
         )
-        assert abs(rep.bits) <= 1e-10
+        assert abs(st.mutual_information_of_joint(joint)) <= 1e-10
 
     def test_bell_pair_one_bit(self):
         bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))
         part = hb.Bipartition(2, (0,))
-        rep = st.conditional_mutual_information(
+        joint = st.joint_outcome_distribution(
             bell, part, hb.pauli_basis(part.sites_A, "Z"), hb.pauli_basis(part.sites_B, "Z")
         )
-        assert rep.bits == pytest.approx(1.0, abs=1e-10)
+        assert st.mutual_information_of_joint(joint) == pytest.approx(1.0, abs=1e-10)
 
     def test_invariant_under_outcome_relabeling(self, rng):
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -307,12 +307,12 @@ class TestConditionalMI:
         n = 8
         state = sp.evolve(spectrum_factory("mfim", n, 0.6), 60.0)
         part = hb.Bipartition(n, hb.central_sites(n, 2))
-        rep = st.conditional_mutual_information(
+        joint = st.joint_outcome_distribution(
             state, part, hb.pauli_basis(part.sites_A, "Z"), hb.pauli_basis(part.sites_B, "Z")
         )
         rho_a = hb.partial_trace(state, part, "A")
         q, s_vn = st.holevo_sandwich(rho_a)
-        assert q - 0.05 <= rep.bits <= s_vn + 0.05
+        assert q - 0.05 <= st.mutual_information_of_joint(joint) <= s_vn + 0.05
 
 
 class TestInteractionInformation:
@@ -324,8 +324,8 @@ class TestInteractionInformation:
         part = hb.Bipartition(4, (1, 2))
         ba, bb = hb.pauli_basis(part.sites_A, "X"), hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, bb)
-        rep = st.interaction_information(sp.evolve(bound, 37.0), table, part, ba, bb)
-        assert abs(rep.bits) <= 1e-9
+        row = st.interaction_information(sp.evolve(bound, 37.0), table, part, ba, bb)
+        assert abs(row["interaction_bits"]) <= 1e-9
 
     def test_decomposition_closure(self, spectrum_factory):
         n = 6
@@ -334,14 +334,14 @@ class TestInteractionInformation:
         ba = hb.pauli_basis(part.sites_A, "X")
         bb = hb.pauli_basis(part.sites_B, "X")
         state = sp.evolve(bound, 45.0)
-        rep = st.interaction_information(state, sc.conditional_states(bound, part, bb), part, ba, bb)
+        row = st.interaction_information(state, sc.conditional_states(bound, part, bb), part, ba, bb)
         # recompute the decomposition from scratch: the time average from the dense dephased state
         i_fixed = st.mutual_information_of_joint(
             st.joint_outcome_distribution(state, part, ba, bb)
         )
         i_avg = st.mutual_information_of_joint(dense_time_averaged_joint(bound, part, ba, bb))
-        assert rep.bits == pytest.approx(i_fixed - i_avg, abs=1e-10)
-        assert rep.metadata["fixed_time_bits"] == pytest.approx(i_fixed, abs=1e-12)
+        assert row["interaction_bits"] == pytest.approx(i_fixed - i_avg, abs=1e-10)
+        assert row["fixed_time_bits"] == pytest.approx(i_fixed, abs=1e-12)
 
     def test_table_of_another_b_basis_is_rejected(self, spectrum_factory):
         n = 6
@@ -352,8 +352,8 @@ class TestInteractionInformation:
         state = sp.evolve(bound, 12.0)
         x_table = sc.conditional_states(bound, part, bx)
         assert x_table.basis is bx
-        rep = st.interaction_information(state, x_table, part, ba, hb.pauli_basis(part.sites_B, "X"))
-        assert rep.bits == pytest.approx(0.1526, abs=1e-4)
+        row = st.interaction_information(state, x_table, part, ba, hb.pauli_basis(part.sites_B, "X"))
+        assert row["interaction_bits"] == pytest.approx(0.1526, abs=1e-4)
         z_table = sc.conditional_states(bound, part, bz)
         with pytest.raises(ValueError, match="basis_b"):  # read as X it would give 0.2430 bits
             st.interaction_information(state, z_table, part, ba, bx)
