@@ -10,7 +10,6 @@ from ._util import (
     CapacityError,
     Caps,
     DEFAULT_CAPS,
-    DegenerateWeightError,
     FitError,
     InvalidMatrixError,
     InvalidModelError,
@@ -23,7 +22,6 @@ __all__ = [
     "CapacityError",
     "Caps",
     "DEFAULT_CAPS",
-    "DegenerateWeightError",
     "FitError",
     "InvalidMatrixError",
     "InvalidModelError",

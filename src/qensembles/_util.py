@@ -36,10 +36,6 @@ class NumericalFailureError(QEnsemblesError):
     """A numerical routine failed to converge; details carried in the message."""
 
 
-class DegenerateWeightError(QEnsemblesError):
-    """A weight required to be positive vanished."""
-
-
 class FitError(QEnsemblesError):
     """A least-squares fit failed; residual diagnostics in the message."""
 
@@ -51,11 +47,11 @@ class Caps:
     All ops check the relevant cap before allocating and raise CapacityError
     when exceeded. `max_moment_entries` bounds k-copy operators: D^2 entries
     for a moment, stored on the symmetric subspace with D = C(d+k-1, k),
-    checked when its D x D `matrix` is built (for the ensemble forms of
-    `moment_k` and `weighted_projected_moment` and the scalar form of
-    `haar_moment`, on the first read of `.matrix`); r^2 for the Gram matrix of
-    r ensemble members that `trace_distance` diagonalizes in place of the moment;
-    and (d^k)^2 for a full-space operator (`MomentOperator.dense()`);
+    checked when its D x D `matrix` is built (for the ensemble form of
+    `moment_k` and the scalar form of `haar_moment`, on the first read of
+    `.matrix`); r^2 for the Gram matrix of r ensemble members that
+    `trace_distance` diagonalizes in place of the moment; and (d^k)^2 for a
+    full-space operator (`MomentOperator.dense()`);
     `max_state_dim` bounds state vectors and the row table of every chain
     Hamiltonian build (dense, sparse or window), d per flip mask, doubled for
     the realified form of a real one; `max_multiset_terms` bounds exact multiset

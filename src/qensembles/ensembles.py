@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import Caps, DEFAULT_CAPS, DegenerateWeightError, check_cap, hermiticity_defect
+from ._util import Caps, DEFAULT_CAPS, check_cap, hermiticity_defect
 from .hilbert import (
     Bipartition,
     HermitianOperator,
@@ -55,16 +55,12 @@ NEAR_PHASE = 0.1
 
 @dataclass(frozen=True)
 class WeightedEnsemble:
-    """Pure states as the d x r columns of `states`, with their r `weights`.
-
-    normalized convention: columns are unit vectors and weights sum to one.
-    unnormalized convention: weights are uniform 1/r; the measure is carried
-    by the column norms. Both arrays are stored as read-only views.
+    """Pure states as the d x r unit columns of `states`, with their r `weights`
+    summing to one. Both arrays are stored as read-only views.
     """
 
     states: np.ndarray
     weights: np.ndarray
-    convention: str = "normalized"
     dropped_members: int = 0
 
     def __post_init__(self):
@@ -77,17 +73,11 @@ class WeightedEnsemble:
         # each test is written so that a NaN fails it
         if not np.all(np.isfinite(ws) & (ws >= 0)):
             raise ValueError("weights must be finite and nonnegative")
-        if self.convention == "normalized":
-            total = float(ws.sum())
-            if not abs(total - 1.0) <= 1e-10:
-                raise ValueError(f"normalized ensemble weights sum to {total}")
-            if not np.all(np.abs(np.linalg.norm(states, axis=0) - 1.0) <= 1e-10):
-                raise ValueError("normalized ensemble contains a non-unit state")
-        elif self.convention == "unnormalized":
-            if not np.abs(ws - 1.0 / ws.size).max() <= 1e-12:
-                raise ValueError("unnormalized ensemble weights must be uniform")
-        else:
-            raise ValueError(f"unknown convention {self.convention!r}")
+        total = float(ws.sum())
+        if not abs(total - 1.0) <= 1e-10:
+            raise ValueError(f"normalized ensemble weights sum to {total}")
+        if not np.all(np.abs(np.linalg.norm(states, axis=0) - 1.0) <= 1e-10):
+            raise ValueError("normalized ensemble contains a non-unit state")
         states.flags.writeable = ws.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", ws)
@@ -113,25 +103,25 @@ class MomentOperator:
     A moment has one of three forms:
       * dense: `MomentOperator(k, d, matrix, convention)` checks the shape and
         Hermiticity of `matrix` and keeps it;
-      * ensemble (`moment_k`, `weighted_projected_moment`): `columns` holds
-        the d x r member vectors c_j and `weights` their w_j, both read-only,
-        for sum_j w_j |c_j><c_j|^(x)k;
+      * ensemble (`moment_k`): `columns` holds the d x r member vectors c_j
+        and `weights` their w_j, both read-only, for sum_j w_j |c_j><c_j|^(x)k;
       * scalar (`haar_moment`): `scalar` holds c, for c * I.
-    The unused attributes are None. A structured form builds its dense
-    `matrix` on the first read, once, after checking D^2 against the
-    `max_moment_entries` of the caps it was made with; `stats.trace_distance`
-    reads the structure and may never build it.
+    Every form needs k >= 1, and its unused attributes are None. A
+    structured form builds its dense `matrix` on the first read, once, after
+    checking D^2 against the `max_moment_entries` of the caps it was made
+    with; `stats.trace_distance` reads the structure and may never build it.
     """
 
     k: int
     space_dim: int
-    convention: str  # "normalized" | "unnormalized" | "weighted-projected"
+    convention: str  # "normalized" | "unnormalized" (trace k!: `product_form_moment`)
     columns: np.ndarray | None = None
     weights: np.ndarray | None = None
     scalar: float | None = None
     caps: Caps  # structured forms only
 
     def __init__(self, k: int, space_dim: int, matrix, convention: str):
+        _check_order(k)
         self.k, self.space_dim, self.convention = k, space_dim, convention
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
@@ -146,6 +136,7 @@ class MomentOperator:
         cls, k, space_dim, convention, caps, columns=None, weights=None, scalar=None
     ) -> "MomentOperator":
         """An ensemble (`columns`, `weights`) or scalar (`scalar`) moment."""
+        _check_order(k)
         self = cls.__new__(cls)
         self.k, self.space_dim, self.convention, self.caps = k, space_dim, convention, caps
         self.columns, self.weights, self.scalar = columns, weights, scalar
@@ -177,6 +168,12 @@ class MomentOperator:
         for sigma in permutations(range(k)):
             v[_flat_index(idx[:, list(sigma)], d), np.arange(counts.size)] = counts**-0.5
         return v @ self.matrix @ v.T
+
+
+def _check_order(k: int) -> None:
+    """The one rule on the order of every moment and distance kernel."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +293,7 @@ def moment_k(ens: WeightedEnsemble, k: int, caps: Caps = DEFAULT_CAPS) -> Moment
     `stats.trace_distance` too.
     """
     return MomentOperator._structured(
-        k, ens.dim, ens.convention, caps, columns=ens.states, weights=ens.weights
+        k, ens.dim, "normalized", caps, columns=ens.states, weights=ens.weights
     )
 
 
@@ -392,8 +389,7 @@ def finite_time_temporal_moment(
 def _check_frobenius_caps(d: int, k: int, caps: Caps) -> None:
     """The input checks of `finite_time_frobenius_distances` on d levels: k >= 1,
     and the caps on C(d+k-1, k) multiset sums and their square of pairs."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_order(k)
     dim = comb(d + k - 1, k)
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_sinc_terms", dim**2)
@@ -555,6 +551,8 @@ def check_no_resonance(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
+    if not ev.size or not np.all(np.isfinite(ev)):
+        raise ValueError("eigenvalues must be nonempty and finite")
     width = float(ev[-1] - ev[0]) if ev.size > 1 else 1.0
     tol = 1e-8 * width if tolerance is None else float(tolerance)
     levels = ev[np.insert(np.diff(ev) > tol, 0, True)]
@@ -598,40 +596,3 @@ def _table_ensemble(table: np.ndarray) -> WeightedEnsemble:
     keep = probs >= ZERO_OUTCOME_CUTOFF
     cols = table[:, keep] / np.sqrt(probs[keep])
     return WeightedEnsemble(cols, probs[keep], dropped_members=int(np.sum(~keep)))
-
-
-def weighted_projected_moment(
-    state: PureState,
-    part: Bipartition,
-    basis: MeasurementBasis,
-    p_d: Sequence[float],
-    k: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> MomentOperator:
-    """Projected k-th moment with outcome weights 1 / p_d(x)^(k-1), in ensemble form.
-
-    p_d holds the per-outcome time-averaged probabilities; outcomes whose
-    instantaneous weight is nonzero but whose p_d vanishes are an error. The
-    moment keeps the unnormalized table columns of the outcomes with p_d > 0
-    and their weights p_d^(1-k), under the convention "weighted-projected";
-    its D x D matrix is built under `caps` when `.matrix` is first read.
-    """
-    table = projection_table(state, part, basis)
-    p_d = np.asarray(p_d, dtype=float)
-    if p_d.shape != (table.shape[1],):
-        raise ValueError("p_d must have one entry per outcome")
-    if not np.all(np.isfinite(p_d)):
-        raise ValueError("p_d must be finite")
-    inst = np.sum(np.abs(table) ** 2, axis=0)
-    bad = (p_d <= 0) & (inst > ZERO_OUTCOME_CUTOFF)
-    if np.any(bad):
-        raise DegenerateWeightError(
-            f"{int(bad.sum())} outcomes have zero time-averaged probability but "
-            "nonzero instantaneous amplitude"
-        )
-    keep = p_d > 0
-    cols, weights = table[:, keep], p_d[keep] ** (1 - k)
-    cols.flags.writeable = weights.flags.writeable = False
-    return MomentOperator._structured(
-        k, table.shape[0], "weighted-projected", caps, columns=cols, weights=weights
-    )

@@ -44,11 +44,10 @@ _SINGLE_QUBIT_BASIS = {
 
 @dataclass(frozen=True)
 class PureState:
-    """Complex amplitude vector over a labeled tensor-product basis."""
+    """Unit complex amplitude vector over a labeled tensor-product basis."""
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
-    norm_convention: str = "normalized"  # "normalized" | "unnormalized"
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -56,12 +55,9 @@ class PureState:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if amps.ndim != 1 or amps.size != int(np.prod(self.dims)):
             raise ValueError("amplitude length must equal product of dims")
-        if self.norm_convention == "normalized":
-            n2 = float(np.vdot(amps, amps).real)
-            if not abs(n2 - 1.0) <= 1e-12:  # NaN fails this test
-                raise ValueError(f"normalized state has |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
-        elif self.norm_convention != "unnormalized":
-            raise ValueError(f"unknown norm convention {self.norm_convention!r}")
+        n2 = float(np.vdot(amps, amps).real)
+        if not abs(n2 - 1.0) <= 1e-12:  # NaN fails this test
+            raise ValueError(f"normalized state has |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
 
     @property
     def dim(self) -> int:
@@ -85,12 +81,12 @@ def qubit_or_flat_dims(d: int) -> tuple[int, ...]:
     return n_qubit_dims(n) if d == 2**n else (int(d),)
 
 
-def qubit_state(amplitudes: Iterable[complex], convention: str = "normalized") -> PureState:
+def qubit_state(amplitudes: Iterable[complex]) -> PureState:
     amps = np.asarray(list(amplitudes), dtype=complex)
     n = amps.size.bit_length() - 1
     if 2**n != amps.size:  # an empty list gives n = -1
         raise ValueError("amplitude length is not a power of 2")
-    return PureState(amps, n_qubit_dims(n), convention)
+    return PureState(amps, n_qubit_dims(n))
 
 
 @dataclass(frozen=True)
@@ -257,22 +253,23 @@ def split_bipartite(state: PureState, part: Bipartition) -> np.ndarray:
     return m
 
 
-def merge_bipartite(m: np.ndarray, part: Bipartition, convention: str = "normalized") -> PureState:
+def merge_bipartite(m: np.ndarray, part: Bipartition) -> PureState:
     """Inverse of split_bipartite."""
     a_idx = _subsystem_indices(part.n_sites, part.sites_A)
     b_idx = _subsystem_indices(part.n_sites, part.sites_B)
     amps = np.asarray(m, dtype=complex)[a_idx, b_idx]
-    return PureState(amps, n_qubit_dims(part.n_sites), convention)
+    return PureState(amps, n_qubit_dims(part.n_sites))
 
 
-def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray], conjugate: bool = False) -> np.ndarray:
-    """Contract consecutive little-endian blocks of the column index of m with square matrices.
+def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract consecutive little-endian blocks of the column index of m with
+    the complex conjugates of square matrices.
 
-    m has shape (rows, prod b_j), where unitaries[j] is b_j x b_j and acts on
-    the block of the column index above the bits of the earlier blocks. With
-    conjugate=True the complex conjugate of each unitary is applied, which
-    turns amplitudes over the computational basis into overlap tables
-    <basis vector | state>. A block equal to the identity (the Pauli Z
+    m has shape (rows, prod b_j), where conj(unitaries[j]) is b_j x b_j and
+    acts on the block of the column index above the bits of the earlier
+    blocks. Applying the conjugate turns amplitudes over the computational
+    basis into overlap tables <basis vector | state>; a caller that wants u
+    itself passes conj(u). A block equal to the identity (the Pauli Z
     factor) is skipped: contracting with it returns its input exactly, up to
     the sign of zero. The result is always a new array.
 
@@ -291,7 +288,7 @@ def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray], conjug
     for u in unitaries:
         b = u.shape[0]
         if not np.array_equal(u, np.eye(b)):
-            steps.append((lo, b, np.conj(u) if conjugate else u))
+            steps.append((lo, b, np.conj(u)))
         lo *= b
     out = np.empty((rows, d), dtype=np.result_type(m, *unitaries))
     step = max(1, ROTATION_BLOCK_ENTRIES // d)
@@ -551,7 +548,7 @@ def projection_table(state: PureState, part: Bipartition, basis: MeasurementBasi
     probabilities.
     """
     _require_sites(basis, part.sites_B)
-    return apply_local_rotations(split_bipartite(state, part), basis.factors, conjugate=True)
+    return apply_local_rotations(split_bipartite(state, part), basis.factors)
 
 
 def partial_trace(obj, part: Bipartition, keep: str = "A") -> HermitianOperator:

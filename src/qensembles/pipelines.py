@@ -141,7 +141,7 @@ def _propagated(model: dict, theta: float, t: float, caps: Caps) -> hb.PureState
         root = np.sqrt(sizes)
         amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
         amps = (amps / root)[orbit]
-    amps = hb.apply_local_rotations(amps[None, :], [frame] * n, conjugate=True)[0]
+    amps = hb.apply_local_rotations(amps[None, :], [frame] * n)[0]
     amps /= np.linalg.norm(amps)
     amps.flags.writeable = False
     return hb.PureState(amps, psi0.dims)
@@ -250,7 +250,7 @@ def interaction_information_scan(
     table = cache.conditional_states(model, theta, part, basis_b)
     bases_a = [hb.pauli_basis(part.sites_A, letter) for letter in letters]
     return [
-        {"basis": letter, **st.interaction_information(state, table, part, basis_a, basis_b)}
+        {"basis": letter, **st.interaction_information(state, table, part, basis_a)}
         for letter, basis_a in zip(letters, bases_a)
     ]
 
@@ -328,7 +328,7 @@ def real_projected_table(
     basis = hb.pauli_basis(part.sites_B, "X")
     table = hb.projection_table(eig, part, basis)
     us_a = [TAKAGI_X_FRAME] * len(part.sites_A)
-    rotated = hb.apply_local_rotations(table.T, us_a, conjugate=True).T
+    rotated = hb.apply_local_rotations(table.T, us_a).T
     norms = np.linalg.norm(rotated, axis=0)
     kept = norms >= 1e-12
     cols = rotated[:, kept]

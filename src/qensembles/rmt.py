@@ -82,9 +82,8 @@ class ConvergenceCurve:
 
     k: int
     tau_grid: np.ndarray
-    frobenius: np.ndarray                    # aggregated distance per tau
-    squared_frobenius_mean: np.ndarray | None  # mean of d^2 (ensemble mean only)
-    aggregation: str                         # single-instance | ensemble-mean
+    frobenius: np.ndarray                    # one instance's distance, or the mean, per tau
+    squared_frobenius_mean: np.ndarray | None  # mean of d^2 (sample_count > 1 only)
     sample_count: int
 
     def __post_init__(self):
@@ -117,8 +116,8 @@ def convergence_experiment(
     keyed by (seed, sample), so any execution order reproduces the data. The
     initial state is the basis state |0>, whose `SpectralMeasure` (eigenvalues
     and populations, no eigenvectors) is all the distance kernel reads. One
-    sample gives a single-instance curve; more give the ensemble mean of the
-    distance and of its square.
+    sample gives its own curve; more give the mean of the distance and of its
+    square. The curve's `sample_count` tells which.
 
     Each matrix is tridiagonalized in the array it was drawn in (as
     `spectral.basis_state_measure` does on a copy), so one sample holds one
@@ -143,10 +142,8 @@ def convergence_experiment(
         sm = _tridiagonal_measure(diag, off)
         all_d[i] = finite_time_frobenius_distances(sm, k, taus, caps)
     if n_samples == 1:
-        return ConvergenceCurve(k, taus, all_d[0], None, "single-instance", 1)
-    return ConvergenceCurve(
-        k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), "ensemble-mean", n_samples
-    )
+        return ConvergenceCurve(k, taus, all_d[0], None, 1)
+    return ConvergenceCurve(k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), n_samples)
 
 
 class PowerLawFit(NamedTuple):

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.special
 
 from ._util import Caps, DEFAULT_CAPS, InvalidMatrixError, check_cap, hermiticity_defect
-from .ensembles import ZERO_OUTCOME_CUTOFF, MomentOperator, _occupation_basis, _symmetric_power
+from .ensembles import ZERO_OUTCOME_CUTOFF, MomentOperator, _check_order, _occupation_basis, _symmetric_power
 from .hilbert import (
     HERMITICITY_TOL,
     Bipartition,
@@ -236,6 +236,7 @@ def _scrooge_mixture(states: np.ndarray, weights: np.ndarray, k: int, caps: Caps
     outcomes, one Sym^k of its stacked eigenvectors and one matrix product
     into the sum.
     """
+    _check_order(k)
     n_states, d, _ = states.shape
     dim = math.comb(d + k - 1, k)
     check_cap(caps, "max_moment_entries", dim**2)
@@ -271,8 +272,6 @@ def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     spectra need no special case. This is the one-state case of
     `_scrooge_mixture`.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     m = _as_density(rho)
     return MomentOperator(k, m.shape[0], _scrooge_mixture(m[None], np.ones(1), k, caps), "normalized")
 
@@ -325,7 +324,7 @@ def conditional_states(
         hi = min(lo + EIGENVECTOR_CHUNK, sd.dim)
         t = np.zeros((d_a, hi - lo, d_b), dtype=complex)
         t[a_idx, :, b_idx] = v[:, lo:hi] * weights[lo:hi]
-        flat = apply_local_rotations(t.reshape(d_a * (hi - lo), d_b), basis.factors, conjugate=True)
+        flat = apply_local_rotations(t.reshape(d_a * (hi - lo), d_b), basis.factors)
         t = np.moveaxis(flat.reshape(d_a, hi - lo, d_b), 2, 1)
         raw += np.einsum("axe,cxe->xac", t, t.conj(), optimize=True)
     p_d = np.einsum("xaa->x", raw).real

@@ -209,7 +209,7 @@ def evolve_grid(sd: SpectralData, times: Sequence[float]) -> np.ndarray:
 def evolve(sd: SpectralData, t: float) -> PureState:
     amps = evolve_grid(sd, [float(t)])[:, 0]
     amps = amps / np.linalg.norm(amps)
-    return PureState(amps, qubit_or_flat_dims(sd.dim), "normalized")
+    return PureState(amps, qubit_or_flat_dims(sd.dim))
 
 
 # Truncation target of `propagate`: the Bessel tail left out of the Chebyshev sum.

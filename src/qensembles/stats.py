@@ -6,7 +6,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.special
 
 from ._util import check_cap
 from .ensembles import MomentOperator
@@ -46,10 +45,9 @@ def trace_distance(m1: MomentOperator, m2: MomentOperator) -> float:
     """Half the trace norm of the difference of two moments of one k, d and convention.
 
     When one side is c * I (`haar_moment`) and the other an ensemble moment of
-    r < D members (`moment_k`; `weighted_projected_moment` against a c * I of
-    its own "weighted-projected" convention), the distance comes from the
-    r x r Gram matrix G_zw = sqrt(w_z w_w) <c_z|c_w>^k: the moment's spectrum
-    on Sym^k is that of G padded with D - r zeros, so the distance is
+    r < D members (`moment_k`), the distance comes from the r x r Gram matrix
+    G_zw = sqrt(w_z w_w) <c_z|c_w>^k: the moment's spectrum on Sym^k is that
+    of G padded with D - r zeros, so the distance is
     (sum_i |g_i - c| + (D - r) |c|) / 2 over the eigenvalues g_i of G. That
     path checks r^2 against the ensemble's `max_moment_entries` and builds no
     D x D matrix. Every other pair diagonalizes the D x D difference, so the
@@ -83,69 +81,36 @@ def _gram_distance(ens: MomentOperator, c: float) -> float:
 
 
 class PTReport(NamedTuple):
-    """Weighted moments E[x], E[x^2], E[x^3] and KS distance of nonnegative
-    samples to a target law."""
+    """Moments E[x], E[x^2], E[x^3] and KS distance to the unit exponential
+    (the Porter-Thomas law of rescaled probabilities) of nonnegative samples."""
 
     sample_count: int
     m1: float
     m2: float
     m3: float
     ks_statistic: float
-    target: str
 
 
-def _target_cdf(target):
-    """CDF callable and a label for a PT-style target distribution."""
-    if isinstance(target, str):
-        name, param = target, None
-    else:
-        name, param = target
-    if name == "exponential":
-        mu = 1.0 if param is None else float(param)
-        return (lambda x: 1.0 - np.exp(-x / mu)), f"exponential(mean={mu:g})"
-    if name == "real-pt":
-        return (lambda x: scipy.special.erf(np.sqrt(np.clip(x, 0, None) / 2.0))), "real-pt"
-    if name == "erlang":
-        n = int(param)
-        return (lambda x: scipy.special.gammainc(n, n * np.clip(x, 0, None))), f"erlang({n})"
-    raise ValueError(f"unknown target {target!r}")
-
-
-def pt_test(
-    values: Sequence[float],
-    weights: Sequence[float] | None = None,
-    target="exponential",
-) -> PTReport:
-    """Weighted moments m^(r) and KS statistic of `values` against a target CDF.
+def pt_test(values: Sequence[float]) -> PTReport:
+    """Moments m^(r) and KS statistic of `values` against the unit exponential.
 
     The KS statistic is the maximum over sample points of the absolute
-    difference between the right-continuous weighted empirical CDF and the
-    target CDF (a point mass at 1 scores 1/e against the unit exponential).
+    difference between the right-continuous empirical CDF and the CDF
+    1 - exp(-x) (a point mass at 1 scores 1/e).
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
     if not np.all((x >= 0) & np.isfinite(x)):  # NaN fails both tests
         raise ValueError("values must be finite and nonnegative")
-    if weights is None:
-        w = np.full(x.size, 1.0 / x.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape:
-            raise ValueError("weights must have one entry per value")
-        if not np.all((w >= 0) & np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise ValueError("weights must sum to 1")
-    cdf, label = _target_cdf(target)
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], w[order]
-    cum = np.cumsum(ws)
+    w = np.full(x.size, 1.0 / x.size)
+    xs = np.sort(x)
+    cum = np.cumsum(w)
     # right-continuous ECDF: at each sample, the total weight of values <= it
     last = np.searchsorted(xs, xs, side="right") - 1
-    ks = float(np.abs(cum[last] - cdf(xs)).max())
+    ks = float(np.abs(cum[last] - (1.0 - np.exp(-xs))).max())
     moments = (float(np.sum(w * x**r)) for r in (1, 2, 3))
-    return PTReport(x.size, *moments, ks, label)
+    return PTReport(x.size, *moments, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +127,7 @@ def joint_outcome_distribution(
     """p(o_A, z_B) for measurements in basis_a on A and basis_b on B; shape (D_A, D_B)."""
     _require_sites(basis_a, part.sites_A)
     m = projection_table(state, part, basis_b)
-    return np.abs(apply_local_rotations(m.T, basis_a.factors, conjugate=True).T) ** 2
+    return np.abs(apply_local_rotations(m.T, basis_a.factors).T) ** 2
 
 
 def mutual_information_of_joint(p: np.ndarray) -> float:
@@ -201,23 +166,23 @@ def interaction_information(
     table: ConditionalStateTable,
     part: Bipartition,
     basis_a: MeasurementBasis,
-    basis_b: MeasurementBasis,
 ) -> dict[str, float]:
     """I(O_A;X_B;T), its parts and its subentropy values, in bits, as one row.
 
     state is the quenched state at the fixed time; table is
-    `scrooge.conditional_states` of the same quench, bipartition and basis_b,
-    and gives the time-averaged part. The row holds "interaction_bits", the
-    fixed-time mutual information I(O_A;X_B) ("fixed_time_bits") minus that
-    of the time-averaged joint distribution ("time_averaged_bits"); the
+    `scrooge.conditional_states` of the same quench and bipartition, and
+    gives the time-averaged part and the B basis of both (`table.basis`).
+    The row holds "interaction_bits", the fixed-time mutual information
+    I(O_A;X_B) ("fixed_time_bits") minus that of the time-averaged joint
+    distribution ("time_averaged_bits"); the
     weighted-subentropy prediction sum_x p_d(x) Q(rho_bar(x))
     ("weighted_subentropy_bits"); and its concavity bound Q(rho_A)
-    ("subentropy_bound_bits"). Raises ValueError unless the table records
-    basis_b as the basis it was built for.
+    ("subentropy_bound_bits"). Raises ValueError when the table records no
+    basis.
     """
-    if table.basis is None or table.basis.key() != basis_b.key():
-        raise ValueError("the conditional-state table was not built for basis_b")
-    i_fixed = mutual_information_of_joint(joint_outcome_distribution(state, part, basis_a, basis_b))
+    if table.basis is None:
+        raise ValueError("the conditional-state table records no basis")
+    i_fixed = mutual_information_of_joint(joint_outcome_distribution(state, part, basis_a, table.basis))
     i_avg = mutual_information_of_joint(time_averaged_joint_distribution(table, part, basis_a))
     weighted_q = float(
         np.sum(table.probabilities * np.array([subentropy(s) for s in table.states]))

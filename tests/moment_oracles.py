@@ -556,7 +556,7 @@ def product_vs_random_phase_distance_k2(populations):
 
 
 def project_outcome(state, part, basis, outcome_index):
-    """The unnormalized A-side state of one B outcome and its probability."""
+    """The unnormalized A-side amplitudes of one B outcome and its probability."""
     from qensembles import hilbert as hb
 
     table = hb.projection_table(state, part, basis)
@@ -564,7 +564,7 @@ def project_outcome(state, part, basis, outcome_index):
         raise IndexError("outcome index out of range")
     amp = table[:, outcome_index]
     p = float(np.vdot(amp, amp).real)
-    return hb.PureState(amp, hb.n_qubit_dims(len(part.sites_A)), "unnormalized"), p
+    return amp, p
 
 
 def basis_gram_defect(basis):

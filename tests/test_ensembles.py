@@ -9,6 +9,7 @@ from qensembles import CapacityError, Caps
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
 from qensembles import rmt
+from qensembles import scrooge as sc
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
@@ -106,14 +107,42 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="Hermitian"):
             en.MomentOperator(1, 2, [[np.nan, 0], [0, 1]], "normalized")
 
-    @pytest.mark.parametrize("convention", ["normalized", "unnormalized"])
-    def test_ensemble_rejects_nan_weight(self, convention):
+    def test_ensemble_rejects_nan_weight(self):
         with pytest.raises(ValueError, match="finite"):
-            en.WeightedEnsemble(np.array([[1.0], [0.0]]), [np.nan], convention)
+            en.WeightedEnsemble(np.array([[1.0], [0.0]]), [np.nan])
 
     def test_normalized_ensemble_rejects_nan_state(self):
         with pytest.raises(ValueError, match="non-unit"):
-            en.WeightedEnsemble(np.array([[np.nan], [0.0]]), [1.0], "normalized")
+            en.WeightedEnsemble(np.array([[np.nan], [0.0]]), [1.0])
+
+
+# Every moment builder at order k, on one small input each.
+MOMENT_BUILDERS = {
+    "moment_k": lambda k: en.moment_k(en.WeightedEnsemble(np.eye(2), [0.5, 0.5]), k),
+    "haar_moment": lambda k: en.haar_moment(2, k),
+    "random_phase_moment_exact": lambda k: en.random_phase_moment_exact([0.5, 0.5], k),
+    "finite_time_temporal_moment": lambda k: en.finite_time_temporal_moment(
+        sp.SpectralData(np.array([0.0, 1.0]), np.eye(2), np.full(2, 0.5**0.5)), k, 1.0
+    ),
+    "product_form_moment": lambda k: en.product_form_moment(np.eye(2) / 2, k).moment,
+    "generalized_scrooge_moment": lambda k: sc.generalized_scrooge_moment(
+        sc.ConditionalStateTable(np.arange(1), np.ones(1), np.eye(2)[None] / 2), k
+    ),
+}
+
+
+class TestOrderRule:
+    """One rule for every moment: k >= 1, with one message."""
+
+    @pytest.mark.parametrize("build", list(MOMENT_BUILDERS.values()), ids=list(MOMENT_BUILDERS))
+    def test_order_zero_is_rejected(self, build):
+        assert build(1).k == 1
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            build(0)
+
+    def test_negative_order_is_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            MOMENT_BUILDERS["moment_k"](-1)
 
 
 class TestHaarMoment:
@@ -501,6 +530,14 @@ class TestNoResonanceEngine:
         assert rep.verdict == "pass-modulo-degeneracies"
         assert rep.degenerate_clusters == 2
 
+    @pytest.mark.parametrize(
+        "eigenvalues", [[], [np.nan, 1.0, 2.0], [0.0, np.inf, 2.0]], ids=["empty", "nan", "inf"]
+    )
+    def test_empty_or_non_finite_levels_are_rejected(self, eigenvalues):
+        # checked before the caps: a cap of no sums would raise CapacityError first
+        with pytest.raises(ValueError, match="finite"):
+            en.check_no_resonance(eigenvalues, 2, caps=Caps(max_multiset_terms=0))
+
     def test_kernel_and_scan_share_the_sorted_sums(self, rng):
         levels = np.sort(rng.standard_normal(9))
         idx, counts, s = en._sorted_sums(levels, 3)
@@ -561,86 +598,6 @@ class TestProjectedEnsemble:
         part = hb.Bipartition(6, (0, 3))
         ens = en.projected_ensemble(s, part, hb.pauli_basis(part.sites_B, "XXXX"))
         assert sum(ens.weights) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestWeightedProjectedMoment:
-    def test_k1_independent_of_pd(self, rng):
-        s = random_state(16, rng)
-        part = hb.Bipartition(4, (0, 1))
-        basis = hb.pauli_basis(part.sites_B, "ZZ")
-        pd1 = np.full(4, 0.25)
-        pd2 = np.array([0.1, 0.2, 0.3, 0.4])
-        m1 = en.weighted_projected_moment(s, part, basis, pd1, 1).matrix
-        m2 = en.weighted_projected_moment(s, part, basis, pd2, 1).matrix
-        assert np.abs(m1 - m2).max() <= 1e-12
-        rho = hb.partial_trace(s, part, "A").entries
-        assert np.abs(m1 - rho).max() <= 1e-12
-
-    def test_stationary_state_equals_time_average(self):
-        # an eigenstate's weighted moment has no time fluctuation at all
-        h = hb.build_hamiltonian({"model": "mfim", "n": 4})
-        sd = sp.diagonalize(h)
-        eig = hb.PureState(sd.eigenvectors[:, 5], (2,) * 4)
-        part = hb.Bipartition(4, (0, 1))
-        basis = hb.pauli_basis(part.sites_B, "ZZ")
-        table = hb.projection_table(eig, part, basis)
-        pd = np.sum(np.abs(table) ** 2, axis=0)
-        m = en.weighted_projected_moment(eig, part, basis, pd, 2).dense()
-        bound = sp.bind_state(sd, eig)
-        from qensembles import scrooge as sc
-
-        tab = sc.conditional_states(bound, part, basis)
-        direct = np.zeros_like(m)
-        for i, x in enumerate(tab.outcomes):
-            col = table[:, x] / np.sqrt(pd[x])
-            c2 = np.kron(col, col)
-            direct += pd[x] * np.outer(c2, c2.conj())
-        assert np.abs(m - direct).max() <= 1e-10
-
-    def test_matrix_is_built_once_bit_for_bit(self, rng, monkeypatch):
-        part = hb.Bipartition(4, (0, 2))
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m[:, 1] = 0.0
-        state = hb.merge_bipartite(m / np.linalg.norm(m), part)
-        basis = hb.pauli_basis(part.sites_B, "ZZ")
-        p_d = np.array([0.3, 0.0, 0.5, 0.2])  # zero where the outcome never occurs
-        table = hb.projection_table(state, part, basis)
-        keep = p_d > 0
-        expected = en._moment_from_columns(table[:, keep], p_d[keep] ** -2, 3, Caps())
-        calls = []
-        build = en._moment_from_columns
-        monkeypatch.setattr(en, "_moment_from_columns", lambda *a: calls.append(a) or build(*a))
-        moment = en.weighted_projected_moment(state, part, basis, p_d, 3)
-        assert not calls and moment.convention == "weighted-projected"
-        assert not moment.columns.flags.writeable and not moment.weights.flags.writeable
-        assert np.array_equal(moment.matrix, expected)
-        assert moment.matrix is moment.matrix
-        assert len(calls) == 1
-
-    def test_cap_is_checked_when_the_matrix_is_read(self, rng):
-        s = random_state(16, rng)
-        part = hb.Bipartition(4, (0, 1))
-        basis = hb.pauli_basis(part.sites_B, "ZZ")
-        moment = en.weighted_projected_moment(s, part, basis, np.full(4, 0.25), 2, Caps(max_moment_entries=99))
-        with pytest.raises(CapacityError, match="max_moment_entries"):
-            moment.matrix
-
-    def test_zero_pd_with_amplitude_raises(self, rng):
-        from qensembles import DegenerateWeightError
-
-        s = random_state(16, rng)
-        part = hb.Bipartition(4, (0, 1))
-        basis = hb.pauli_basis(part.sites_B, "ZZ")
-        with pytest.raises(DegenerateWeightError):
-            en.weighted_projected_moment(s, part, basis, np.array([0.0, 0.3, 0.3, 0.4]), 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_pd_raises(self, rng, bad):
-        s = random_state(16, rng)
-        part = hb.Bipartition(4, (0, 1))
-        basis = hb.pauli_basis(part.sites_B, "ZZ")
-        with pytest.raises(ValueError, match="finite"):
-            en.weighted_projected_moment(s, part, basis, np.array([0.2, bad, 0.3, 0.5]), 2)
 
 
 class TestParseval:

@@ -134,8 +134,9 @@ def in_frame(m, n):
     site on each side, in extended precision so that its own rounding stays
     far below that of a float64 matrix."""
     u = np.array([[1, 1], [1j, -1j]], dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
-    right = hb.apply_local_rotations(m.astype(np.clongdouble), [u.conj().T] * n)  # m U^dag
-    return hb.apply_local_rotations(right.T, [u.T] * n).T  # U (m U^dag)
+    # each site contracts with the conjugate of the factor passed
+    right = hb.apply_local_rotations(m.astype(np.clongdouble), [u.T] * n)  # m U^dag
+    return hb.apply_local_rotations(right.T, [u.conj().T] * n).T  # U (m U^dag)
 
 
 class TestModelTerms:
@@ -329,9 +330,9 @@ class TestProjection:
         bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))
         part = hb.Bipartition(2, (0,))
         basis = hb.pauli_basis(part.sites_B, "Z")
-        st, p = mo.project_outcome(bell, part, basis, 0)
+        amp, p = mo.project_outcome(bell, part, basis, 0)
         assert abs(p - 0.5) < 1e-12
-        assert np.allclose(st.amplitudes, [1 / np.sqrt(2), 0])
+        assert np.allclose(amp, [1 / np.sqrt(2), 0])
 
     def test_product_state_projection_is_outcome_independent(self):
         s = hb.product_state(0.7, 3)
@@ -339,9 +340,9 @@ class TestProjection:
         basis = hb.pauli_basis(part.sites_B, "XY")
         states = []
         for z in range(4):
-            st, p = mo.project_outcome(s, part, basis, z)
+            amp, p = mo.project_outcome(s, part, basis, z)
             if p > 1e-12:
-                states.append(st.amplitudes / np.linalg.norm(st.amplitudes))
+                states.append(amp / np.linalg.norm(amp))
         ref = states[0] / states[0][np.abs(states[0]).argmax()]
         for st in states[1:]:
             st = st / st[np.abs(st).argmax()]
@@ -351,9 +352,9 @@ class TestProjection:
         ghz = hb.qubit_state([1, 0, 0, 0, 0, 0, 0, 1] / np.sqrt(2))
         part = hb.Bipartition(3, (0,))
         basis = hb.pauli_basis(part.sites_B, "XX")
-        st, p = mo.project_outcome(ghz, part, basis, 0)
+        amp, p = mo.project_outcome(ghz, part, basis, 0)
         assert abs(p - 0.25) < 1e-12
-        normed = st.amplitudes / np.linalg.norm(st.amplitudes)
+        normed = amp / np.linalg.norm(amp)
         target = np.array([1, 1]) / np.sqrt(2)
         overlap = abs(np.vdot(target, normed))
         assert abs(overlap - 1.0) < 1e-12
@@ -385,7 +386,7 @@ class TestProjection:
         assert np.abs(table - expected).max() <= 1e-12
         for z in (0, 5, part.d_b - 1):
             projected, p = mo.project_outcome(state, part, basis, z)
-            assert np.abs(projected.amplitudes - expected[:, z]).max() <= 1e-12
+            assert np.abs(projected - expected[:, z]).max() <= 1e-12
             assert p == pytest.approx(np.sum(np.abs(expected[:, z]) ** 2), abs=1e-12)
 
     def test_basis_on_other_sites_is_rejected(self):
@@ -555,7 +556,8 @@ class TestBipartitionProperties:
     def test_split_then_merge_round_trips(self, part, seed):
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(2**part.n_sites) + 1j * rng.standard_normal(2**part.n_sites)
-        state = hb.PureState(amps, (2,) * part.n_sites, "unnormalized")
+        amps /= np.linalg.norm(amps)
+        state = hb.PureState(amps, (2,) * part.n_sites)
         m = hb.split_bipartite(state, part)
         # entry (a, b) sits at the full index with bit i of a on sites_A[i], bit j of b on sites_B[j]
         for a in range(part.d_a):
@@ -563,8 +565,13 @@ class TestBipartitionProperties:
                 full = sum(((a >> i) & 1) << s for i, s in enumerate(part.sites_A))
                 full += sum(((b >> j) & 1) << s for j, s in enumerate(part.sites_B))
                 assert m[a, b] == amps[full]
-        rebuilt = hb.merge_bipartite(m, part, "unnormalized")
+        rebuilt = hb.merge_bipartite(m, part)
         assert np.array_equal(rebuilt.amplitudes, amps)
+
+
+def rotate(m, us, conjugate):
+    """Contract with each conj(u) (conjugate=True) or, by passing conj(u), with each u itself."""
+    return hb.apply_local_rotations(m, us if conjugate else [np.conj(u) for u in us])
 
 
 @settings(max_examples=40, deadline=None)
@@ -582,7 +589,7 @@ def test_apply_local_rotations_matches_kron(blocks, rows, conjugate, seed):
     d = int(np.prod(blocks))
     m = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
     us = [rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b)) for b in blocks]
-    out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+    out = rotate(m, us, conjugate)
     # unitaries[j] acts on the j-th block of the column index: factor j of kron_chain
     full = kron_chain(*[np.conj(u) if conjugate else u for u in us])
     assert np.abs(out - m @ full).max() <= 1e-12 * max(1.0, np.abs(m @ full).max())
@@ -604,7 +611,7 @@ def test_identity_blocks_are_skipped_bit_for_bit(rng, factors, conjugate):
     us = factors(rng)
     d = math.prod(u.shape[0] for u in us)
     m = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
-    out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+    out = rotate(m, us, conjugate)
     assert np.array_equal(out, mo.rotations_single_pass(m, us, conjugate))
     assert out.dtype == complex
     assert not np.shares_memory(out, m)
@@ -643,11 +650,11 @@ def test_row_blocks_match_the_single_pass_bit_for_bit(monkeypatch, rng, blocks, 
     expected = mo.rotations_single_pass(m, us, conjugate, skip_identity=True)
     for block_rows in (1, 2, 4, rows):  # 23 rows are no multiple of 2 or 4
         monkeypatch.setattr(hb, "ROTATION_BLOCK_ENTRIES", block_rows * d)
-        out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+        out = rotate(m, us, conjugate)
         assert out.dtype == expected.dtype == complex
         assert np.array_equal(out, expected)
     monkeypatch.setattr(hb, "ROTATION_BLOCK_ENTRIES", d // 2)  # smaller than a row: one row per block
-    assert np.array_equal(hb.apply_local_rotations(m, us, conjugate=conjugate), expected)
+    assert np.array_equal(rotate(m, us, conjugate), expected)
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
@@ -655,7 +662,7 @@ def test_row_blocks_at_the_default_size(rng, conjugate):
     # 5,000 rows of 16 entries span two blocks of 2^16 entries, the second one partial
     m = rng.standard_normal((5000, 16)) + 1j * rng.standard_normal((5000, 16))
     us = [unitary_group.rvs(2, random_state=rng) for _ in range(4)]
-    out = hb.apply_local_rotations(m, us, conjugate=conjugate)
+    out = rotate(m, us, conjugate)
     assert m.size > hb.ROTATION_BLOCK_ENTRIES and m.size % hb.ROTATION_BLOCK_ENTRIES != 0
     assert np.array_equal(out, mo.rotations_single_pass(m, us, conjugate, skip_identity=True))
 

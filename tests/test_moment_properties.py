@@ -116,20 +116,6 @@ def test_finite_time_temporal_moment(d, k, seed, tau):
 
 
 @SETTINGS
-@given(width=st_h.integers(1, 2), k=orders, seed=seeds)
-def test_weighted_projected_moment(width, k, seed):
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = hb.PureState(psi / np.linalg.norm(psi), (2,) * 4)
-    part = hb.Bipartition(4, tuple(range(width)))
-    basis = hb.pauli_basis(part.sites_B, "XZY"[: len(part.sites_B)])
-    table = hb.projection_table(state, part, basis)
-    p_d = rng.random(table.shape[1]) + 0.05
-    oracle = mo.tensor_power_gram(table, p_d ** (1 - k), k)
-    mo.assert_lift_matches(en.weighted_projected_moment(state, part, basis, p_d, k), oracle)
-
-
-@SETTINGS
 @given(d=dims, k=orders, outcomes=st_h.sampled_from([1, 2, 4, 70]), seed=seeds)
 def test_generalized_scrooge_moment(d, k, outcomes, seed):
     rng = np.random.default_rng(seed)

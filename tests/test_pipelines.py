@@ -394,7 +394,7 @@ class TestEigenstateComparisons:
         eig = hb.PureState(sd.eigenvectors[:, index], (2,) * part.n_sites)
         table = hb.projection_table(eig, part, hb.pauli_basis(part.sites_B, "X"))
         frames = [pl.TAKAGI_X_FRAME] * len(part.sites_A)
-        rotated = hb.apply_local_rotations(table.T, frames, conjugate=True).T
+        rotated = hb.apply_local_rotations(table.T, frames).T
         expected, expected_leak = mo.real_columns_per_outcome(rotated)
         out, leak = pl.real_projected_table(sd, index, part)
         assert np.abs(out - expected).max() <= 1e-15
@@ -446,9 +446,7 @@ class TestInteractionInformationScan:
         basis_b = hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, basis_b)  # built here, not read from the cache
         for row, letter in zip(rows, letters):
-            direct = st.interaction_information(
-                state, table, part, hb.pauli_basis(part.sites_A, letter), basis_b
-            )
+            direct = st.interaction_information(state, table, part, hb.pauli_basis(part.sites_A, letter))
             assert row == {"basis": letter, **direct}
             assert list(row) == [
                 "basis",

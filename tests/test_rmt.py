@@ -214,13 +214,13 @@ class TestConvergenceExperiment:
     def test_curve_rejects_non_finite_distances(self):
         with pytest.raises(ValueError):
             rmt.ConvergenceCurve(
-                1, np.array([1.0, 2.0]), np.array([0.5, np.nan]), None, "single-instance", 1
+                1, np.array([1.0, 2.0]), np.array([0.5, np.nan]), None, 1
             )
 
     def test_curve_rejects_a_tau_grid_that_is_not_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             rmt.ConvergenceCurve(
-                1, np.array([2.0, 1.0]), np.array([0.5, 0.4]), None, "single-instance", 1
+                1, np.array([2.0, 1.0]), np.array([0.5, 0.4]), None, 1
             )
 
     def test_single_instance_curve_has_no_squared_slope(self):

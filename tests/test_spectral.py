@@ -338,13 +338,13 @@ PROPAGATION_MODELS = [
 def to_frame(psi, u):
     """u^(x n) psi for a state on n qubits, one 2 x 2 contraction per site."""
     n = psi.size.bit_length() - 1
-    return hb.apply_local_rotations(psi[None, :], [u.T] * n)[0]
+    return hb.apply_local_rotations(psi[None, :], [u.conj().T] * n)[0]
 
 
 def from_frame(psi, u):
     """u^dag(x n) psi: the inverse of `to_frame`."""
     n = psi.size.bit_length() - 1
-    return hb.apply_local_rotations(psi[None, :], [u] * n, conjugate=True)[0]
+    return hb.apply_local_rotations(psi[None, :], [u] * n)[0]
 
 
 class TestPropagate:
