@@ -114,7 +114,7 @@ class MomentOperator:
 
     k: int
     space_dim: int
-    convention: str  # "normalized" | "unnormalized" (trace k!: `product_form_moment`)
+    convention: str  # "normalized" | "unnormalized" (`product_form_moment`)
     columns: np.ndarray | None = None
     weights: np.ndarray | None = None
     scalar: float | None = None
