@@ -20,19 +20,12 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._util import Caps, DEFAULT_CAPS, check_cap, hermiticity_defect
-from .hilbert import (
-    Bipartition,
-    HermitianOperator,
-    MeasurementBasis,
-    PureState,
-    projection_table,
-)
+from .hilbert import Bipartition, MeasurementBasis, PureState, _as_density, projection_table
 from .spectral import SpectralData, SpectralMeasure
 
 # Outcomes of smaller probability are dropped from projected ensembles and tables.
@@ -101,12 +94,14 @@ class MomentOperator:
     are those of the full operator V matrix V^dagger that `dense()` returns.
 
     A moment has one of three forms:
-      * dense: `MomentOperator(k, d, matrix, convention)` checks the shape and
+      * dense: `MomentOperator(k, d, matrix)` checks the shape and
         Hermiticity of `matrix` and keeps it;
       * ensemble (`moment_k`): `columns` holds the d x r member vectors c_j
         and `weights` their w_j, both read-only, for sum_j w_j |c_j><c_j|^(x)k;
       * scalar (`haar_moment`): `scalar` holds c, for c * I.
-    Every form needs k >= 1, and its unused attributes are None. A
+    Every form checks k >= 1 and stores `dim` = D (`_sym_dim`), and its unused
+    attributes are None. No label tells a normalized moment (trace 1) from the
+    product form k! Sym^k(rho) (`product_form_moment`): its trace does. A
     structured form builds its dense `matrix` on the first read, once, after
     checking D^2 against the `max_moment_entries` of the caps it was made
     with; `stats.trace_distance` reads the structure and may never build it.
@@ -114,15 +109,14 @@ class MomentOperator:
 
     k: int
     space_dim: int
-    convention: str  # "normalized" | "unnormalized" (`product_form_moment`)
+    dim: int
     columns: np.ndarray | None = None
     weights: np.ndarray | None = None
     scalar: float | None = None
     caps: Caps  # structured forms only
 
-    def __init__(self, k: int, space_dim: int, matrix, convention: str):
-        _check_order(k)
-        self.k, self.space_dim, self.convention = k, space_dim, convention
+    def __init__(self, k: int, space_dim: int, matrix):
+        self.k, self.space_dim, self.dim = k, space_dim, _sym_dim(space_dim, k)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError("moment matrix has the wrong shape")
@@ -132,20 +126,12 @@ class MomentOperator:
         self.matrix = m
 
     @classmethod
-    def _structured(
-        cls, k, space_dim, convention, caps, columns=None, weights=None, scalar=None
-    ) -> "MomentOperator":
+    def _structured(cls, k, space_dim, caps, columns=None, weights=None, scalar=None) -> "MomentOperator":
         """An ensemble (`columns`, `weights`) or scalar (`scalar`) moment."""
-        _check_order(k)
         self = cls.__new__(cls)
-        self.k, self.space_dim, self.convention, self.caps = k, space_dim, convention, caps
+        self.k, self.space_dim, self.dim, self.caps = k, space_dim, _sym_dim(space_dim, k), caps
         self.columns, self.weights, self.scalar = columns, weights, scalar
         return self
-
-    @property
-    def dim(self) -> int:
-        """D = C(d+k-1, k), the dimension of Sym^k(C^d)."""
-        return comb(self.space_dim + self.k - 1, self.k)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -170,10 +156,12 @@ class MomentOperator:
         return v @ self.matrix @ v.T
 
 
-def _check_order(k: int) -> None:
-    """The one rule on the order of every moment and distance kernel."""
+def _sym_dim(d: int, k: int) -> int:
+    """D = C(d+k-1, k), the dimension of Sym^k(C^d), after the one rule on the
+    order of every moment, distance kernel and multiset scan: k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    return math.comb(d + k - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,7 @@ def _moment_from_columns(
     each panel of columns gets all its coordinates from one gather and product.
     """
     d, n = columns.shape
-    check_cap(caps, "max_moment_entries", comb(d + k - 1, k) ** 2)
+    check_cap(caps, "max_moment_entries", _sym_dim(d, k) ** 2)
     idx, counts = _occupation_basis(d, k)
     scale = np.sqrt(counts)[:, None]
     sqrt_w = np.sqrt(weights)
@@ -292,9 +280,7 @@ def moment_k(ens: WeightedEnsemble, k: int, caps: Caps = DEFAULT_CAPS) -> Moment
     `.matrix` is first read, and `caps` bounds the Gram matrix of
     `stats.trace_distance` too.
     """
-    return MomentOperator._structured(
-        k, ens.dim, "normalized", caps, columns=ens.states, weights=ens.weights
-    )
+    return MomentOperator._structured(k, ens.dim, caps, columns=ens.states, weights=ens.weights)
 
 
 def haar_moment(d: int, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
@@ -303,7 +289,7 @@ def haar_moment(d: int, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     Keeps c = 1/D; the D x D matrix is built under `caps` when `.matrix` is
     first read.
     """
-    return MomentOperator._structured(k, d, "normalized", caps, scalar=1.0 / comb(d + k - 1, k))
+    return MomentOperator._structured(k, d, caps, scalar=1.0 / _sym_dim(d, k))
 
 
 def random_phase_moment_exact(
@@ -318,11 +304,11 @@ def random_phase_moment_exact(
     """
     p = np.asarray(populations, dtype=float)
     d = p.size
-    dim = comb(d + k - 1, k)
+    dim = _sym_dim(d, k)
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_moment_entries", dim**2)
     idx, counts = _occupation_basis(d, k)
-    return MomentOperator(k, d, np.diag(counts * np.prod(p[idx], axis=1)), "normalized")
+    return MomentOperator(k, d, np.diag(counts * np.prod(p[idx], axis=1)))
 
 
 class ProductFormMoment(NamedTuple):
@@ -336,20 +322,22 @@ class ProductFormMoment(NamedTuple):
 
 
 def product_form_moment(rho_d, k: int, caps: Caps = DEFAULT_CAPS) -> ProductFormMoment:
-    """Product approximation k! Sym^k(rho_d), with its trace-norm error bound.
+    """Product approximation k! Sym^k(rho_d) of a density matrix rho_d, with its
+    trace-norm error bound.
 
-    The bound on the distance to the exact random-phase moment is
-    k! * exp(pi sqrt(2k/3)) * tr(rho_d^2); it is vacuous for nearly pure
-    rho_d (flagged via .vacuous).
+    The moment is not normalized (its trace is 1 + tr(rho_d^2) at k = 2) and
+    compares with the exact random-phase moment of the diagonal of rho_d. The
+    bound on that distance is k! * exp(pi sqrt(2k/3)) * tr(rho_d^2); it is
+    vacuous for nearly pure rho_d (flagged via .vacuous).
     """
-    rho = rho_d.entries if isinstance(rho_d, HermitianOperator) else np.asarray(rho_d, dtype=complex)
+    rho = _as_density(rho_d)
     d = rho.shape[0]
-    check_cap(caps, "max_moment_entries", comb(d + k - 1, k) ** 2)
+    check_cap(caps, "max_moment_entries", _sym_dim(d, k) ** 2)
     m = math.factorial(k) * _symmetric_power(rho, k)
     m = (m + m.conj().T) / 2
     purity = float(np.trace(rho @ rho).real)
     bound = math.factorial(k) * math.exp(math.pi * math.sqrt(2 * k / 3)) * purity
-    return ProductFormMoment(MomentOperator(k, d, m, "unnormalized"), bound)
+    return ProductFormMoment(MomentOperator(k, d, m), bound)
 
 
 def stable_sinc(x: np.ndarray) -> np.ndarray:
@@ -377,20 +365,21 @@ def finite_time_temporal_moment(
     if sd.overlaps is None:
         raise ValueError("spectral data must be bound to an initial state")
     d = sd.dim
-    check_cap(caps, "max_sinc_terms", comb(d + k - 1, k) ** 2)
+    dim = _sym_dim(d, k)
+    check_cap(caps, "max_sinc_terms", dim**2)
+    check_cap(caps, "max_moment_entries", dim**2)
     idx, counts = _occupation_basis(d, k)
     w = np.sqrt(counts) * np.prod(sd.overlaps[idx], axis=1)
     s = sd.eigenvalues[idx].sum(axis=1)
     kernel = stable_sinc((s[:, None] - s[None, :]) * (_finite_taus(tau) / 2.0))
     m = (w[:, None] * w[None, :].conj()) * kernel
-    return MomentOperator(k, d, m, "normalized")
+    return MomentOperator(k, d, m)
 
 
 def _check_frobenius_caps(d: int, k: int, caps: Caps) -> None:
     """The input checks of `finite_time_frobenius_distances` on d levels: k >= 1,
     and the caps on C(d+k-1, k) multiset sums and their square of pairs."""
-    _check_order(k)
-    dim = comb(d + k - 1, k)
+    dim = _sym_dim(d, k)
     check_cap(caps, "max_multiset_terms", dim)
     check_cap(caps, "max_sinc_terms", dim**2)
 
@@ -548,15 +537,13 @@ def check_no_resonance(
     the first 1000 are listed as (multiset, multiset, gap).
     The sums are bounded by `max_multiset_terms`.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
     if not ev.size or not np.all(np.isfinite(ev)):
         raise ValueError("eigenvalues must be nonempty and finite")
     width = float(ev[-1] - ev[0]) if ev.size > 1 else 1.0
     tol = 1e-8 * width if tolerance is None else float(tolerance)
     levels = ev[np.insert(np.diff(ev) > tol, 0, True)]
-    check_cap(caps, "max_multiset_terms", comb(levels.size + k - 1, k))
+    check_cap(caps, "max_multiset_terms", _sym_dim(levels.size, k))
     idx, _, s = _sorted_sums(levels, k)
     first = np.searchsorted(s, s + tol, side="right")
     rows, cols = next(_close_pairs(first, 1000), ((), ()))

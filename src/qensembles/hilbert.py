@@ -112,6 +112,22 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
+def _as_density(rho) -> np.ndarray:
+    """Entries of a density matrix (a `HermitianOperator` or an array) or of a
+    stack of them, checked for unit trace and Hermiticity; a NaN fails a check.
+
+    The one density-matrix check of every input that must be a state.
+    """
+    m = rho.entries if isinstance(rho, HermitianOperator) else np.asarray(rho, dtype=complex)
+    tr = np.einsum("...aa->...", m).real
+    if not np.all(np.abs(tr - 1.0) <= 1e-8):
+        raise ValueError(f"density matrix trace is {tr}")
+    defect = hermiticity_defect(m)
+    if not defect <= HERMITICITY_TOL:
+        raise InvalidMatrixError(f"density matrix deviates from Hermitian by {defect:.3e}")
+    return m
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Split of the chain into subsystem A and complement B.
@@ -551,15 +567,11 @@ def projection_table(state: PureState, part: Bipartition, basis: MeasurementBasi
     return apply_local_rotations(split_bipartite(state, part), basis.factors)
 
 
-def partial_trace(obj, part: Bipartition, keep: str = "A") -> HermitianOperator:
-    """Reduced density matrix of a pure state or of a full-space operator."""
-    if keep not in ("A", "B"):
-        raise ValueError("keep must be 'A' or 'B'")
+def partial_trace(obj, part: Bipartition) -> HermitianOperator:
+    """Reduced density matrix on A of a pure state or of a full-space operator."""
     if isinstance(obj, PureState):
         m = split_bipartite(obj, part)
-        rho = m @ m.conj().T if keep == "A" else m.T @ m.conj()
-        sites = part.sites_A if keep == "A" else part.sites_B
-        return HermitianOperator(_hermitize(rho), n_qubit_dims(len(sites)))
+        return HermitianOperator(_hermitize(m @ m.conj().T), n_qubit_dims(len(part.sites_A)))
     if isinstance(obj, HermitianOperator):
         if len(obj.dims) != part.n_sites:
             raise ValueError("operator and bipartition disagree on the number of sites")
@@ -568,13 +580,7 @@ def partial_trace(obj, part: Bipartition, keep: str = "A") -> HermitianOperator:
         perm = np.empty(2**part.n_sites, dtype=np.int64)
         perm[a_idx * part.d_b + b_idx] = np.arange(2**part.n_sites)
         r = obj.entries[np.ix_(perm, perm)].reshape(part.d_a, part.d_b, part.d_a, part.d_b)
-        if keep == "A":
-            rho = np.einsum("abcb->ac", r)
-            sites = part.sites_A
-        else:
-            rho = np.einsum("abad->bd", r)
-            sites = part.sites_B
-        return HermitianOperator(_hermitize(rho), n_qubit_dims(len(sites)))
+        return HermitianOperator(_hermitize(np.einsum("abcb->ac", r)), n_qubit_dims(len(part.sites_A)))
     raise TypeError("expected a PureState or HermitianOperator")
 
 

@@ -157,7 +157,7 @@ def _projected_distances(
 ) -> tuple[en.MomentOperator, float, float]:
     """The projected k-th moment and its distances to Scrooge[rho_A] and Haar."""
     proj = en.moment_k(en.projected_ensemble(state, part, basis), k, caps)
-    rho_a = hb.partial_trace(state, part, "A").entries
+    rho_a = hb.partial_trace(state, part).entries
     d_scr = st.trace_distance(proj, sc.scrooge_moment(rho_a, k, caps))
     d_haar = st.trace_distance(proj, en.haar_moment(part.d_a, k, caps))
     return proj, d_scr, d_haar
@@ -217,7 +217,7 @@ def basis_information_scan(
     """
     state = quench_state(cache, model, theta, t)
     part = _central(state, subsystem_width)
-    q_bits, s_bits = st.holevo_sandwich(hb.partial_trace(state, part, "A"))
+    q_bits, s_bits = st.holevo_sandwich(hb.partial_trace(state, part))
     h, frame, _ = hb.sparse_hamiltonian(model, cache.caps)
     psi0 = hb.product_state(theta, state.n_sites, frame).amplitudes
     energy = float(np.vdot(psi0, h @ psi0).real)

@@ -93,13 +93,12 @@ class ConvergenceCurve:
             raise ValueError("distances must be finite and nonnegative")
 
 
-def default_tau_grid(d: int, points: int = 30, decades: tuple[float, float] = (0.0, 6.0)) -> np.ndarray:
-    """Log-spaced interval widths in units of the inverse mean level spacing.
+def default_tau_grid(d: int) -> np.ndarray:
+    """30 log-spaced interval widths from 1 to 1e6 inverse mean level spacings.
 
     The mean level spacing of the radius-2 semicircle at dimension d is 4/d.
     """
-    spacing = 4.0 / d
-    return np.logspace(decades[0], decades[1], points) / spacing
+    return np.logspace(0.0, 6.0, 30) / (4.0 / d)
 
 
 def convergence_experiment(

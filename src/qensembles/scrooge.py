@@ -15,9 +15,12 @@ outcome. It is evaluated as one batch over the stack of outcome states: one
 stacked eigendecomposition, one quadrature over every (outcome, multiset)
 row on a grid that spans every outcome's support, with zero modes masked
 instead of dropped, one Sym^k of the stacked eigenvectors and one matrix
-product per block of outcomes. `scrooge_moment` is the one-state case. Every
-density matrix is checked for unit trace and Hermiticity, so a NaN or a
-non-Hermitian input raises instead of being read off one triangle.
+product per block of outcomes. `scrooge_moment` is the one-state case.
+
+Every input is a density matrix, checked by `hilbert._as_density` for unit
+trace and Hermiticity, so a NaN or a non-Hermitian input raises instead of
+being read off one triangle. Its support is one rule (`_in_support`): the
+eigenvalues above SUPPORT_CUTOFF times the largest.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from ._util import Caps, DEFAULT_CAPS, InvalidMatrixError, check_cap, hermiticity_defect
-from .ensembles import ZERO_OUTCOME_CUTOFF, MomentOperator, _check_order, _occupation_basis, _symmetric_power
+from ._util import Caps, DEFAULT_CAPS, check_cap
+from .ensembles import ZERO_OUTCOME_CUTOFF, MomentOperator, _occupation_basis, _sym_dim, _symmetric_power
 from .hilbert import (
-    HERMITICITY_TOL,
     Bipartition,
-    HermitianOperator,
     MeasurementBasis,
+    _as_density,
     _require_sites,
     _subsystem_indices,
     apply_local_rotations,
@@ -53,59 +55,14 @@ EIGENVECTOR_CHUNK = 2048
 OUTCOME_BLOCK_ENTRIES = 2**20  # entries per outcome-block array in _scrooge_mixture; bounds its memory
 
 
-# ---------------------------------------------------------------------------
-# eigenvalue bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Descending support eigenvalues of a density matrix and their eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.eigenvalues.size
-
-
-def _as_density(rho) -> np.ndarray:
-    """Entries of a density matrix or a stack of them, checked for unit trace and Hermiticity."""
-    m = rho.entries if isinstance(rho, HermitianOperator) else np.asarray(rho, dtype=complex)
-    tr = np.einsum("...aa->...", m).real
-    if not np.all(np.abs(tr - 1.0) <= 1e-8):
-        raise ValueError(f"density matrix trace is {tr}")
-    defect = hermiticity_defect(m)
-    if not defect <= HERMITICITY_TOL:
-        raise InvalidMatrixError(f"density matrix deviates from Hermitian by {defect:.3e}")
-    return m
-
-
-def eigen_spectrum(rho) -> EigenSpectrum:
-    """Eigen-decomposition restricted to the support, eigenvalues descending."""
-    w, v = np.linalg.eigh(_as_density(rho))
-    w, v = w[::-1], v[:, ::-1]
-    keep = w > SUPPORT_CUTOFF * max(w[0], 1e-300)
-    return EigenSpectrum(w[keep], v[:, keep])
+def _in_support(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues w above SUPPORT_CUTOFF times the largest on the last axis."""
+    return w > SUPPORT_CUTOFF * w.max(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # subentropy
 # ---------------------------------------------------------------------------
-
-
-def _support_eigenvalues(rho_or_eigs) -> np.ndarray:
-    if isinstance(rho_or_eigs, HermitianOperator) or (
-        isinstance(rho_or_eigs, np.ndarray) and rho_or_eigs.ndim == 2
-    ):
-        lam = np.linalg.eigvalsh(_as_density(rho_or_eigs))
-    else:
-        lam = np.asarray(rho_or_eigs, dtype=float)
-        if not abs(lam.sum() - 1.0) <= 1e-8:  # NaN fails this test
-            raise ValueError("eigenvalues must sum to 1")
-    lam = np.sort(lam)[::-1]
-    return lam[lam > SUPPORT_CUTOFF]
 
 
 def _harmonics(n: int) -> np.ndarray:
@@ -144,14 +101,16 @@ def _confluent_divided_difference(nodes: np.ndarray, r: int) -> float:
     return float(table[0, n - 1])
 
 
-def subentropy(rho_or_eigs) -> float:
-    """Subentropy in bits: the measurement-basis-averaged mutual information of rho.
+def subentropy(rho) -> float:
+    """Subentropy in bits of a density matrix rho: the measurement-basis-averaged
+    mutual information of rho.
 
-    Zero eigenvalues contribute nothing (the value restricts to the support).
+    Eigenvalues outside the support (`_in_support`) contribute nothing.
     Evaluates the divided difference of t^r ln t with exact confluent limits
     for degenerate eigenvalues.
     """
-    lam = _support_eigenvalues(rho_or_eigs)
+    lam = np.sort(np.linalg.eigvalsh(_as_density(rho)))[::-1]
+    lam = lam[_in_support(lam)]
     r = lam.size
     if r == 1:
         return 0.0
@@ -227,8 +186,8 @@ def _log_grid(lam: np.ndarray) -> np.ndarray:
 def _scrooge_mixture(states: np.ndarray, weights: np.ndarray, k: int, caps: Caps) -> np.ndarray:
     """sum_x w_x Scrooge_k[states[x]] / sum_x w_x on Sym^k for a stack of density matrices.
 
-    One stacked eigh gives every spectrum. Eigenvalues below SUPPORT_CUTOFF
-    times an outcome's largest are set to 0, so the full eigenbasis serves
+    One stacked eigh gives every spectrum. Eigenvalues outside an outcome's
+    support (`_in_support`) are set to 0, so the full eigenbasis serves
     every outcome and multisets that occupy a zero mode get coefficient 0.
     The outcome axis is walked in blocks whose (outcome, multiset, grid node)
     and (outcome, multiset, multiset) arrays hold at most OUTCOME_BLOCK_ENTRIES
@@ -236,16 +195,15 @@ def _scrooge_mixture(states: np.ndarray, weights: np.ndarray, k: int, caps: Caps
     outcomes, one Sym^k of its stacked eigenvectors and one matrix product
     into the sum.
     """
-    _check_order(k)
     n_states, d, _ = states.shape
-    dim = math.comb(d + k - 1, k)
+    dim = _sym_dim(d, k)
     check_cap(caps, "max_moment_entries", dim**2)
     if k == 1:
         total = np.einsum("x,xab->ab", weights, states)
     else:
         check_cap(caps, "max_multiset_terms", dim)
         w, v = np.linalg.eigh(states)
-        lam = np.where(w > SUPPORT_CUTOFF * np.maximum(w[:, -1:], 1e-300), w, 0.0)
+        lam = np.where(_in_support(w), w, 0.0)
         grid = _log_grid(lam)
         idx, counts = _occupation_basis(d, k)
         occ = (idx[:, :, None] == np.arange(d)).sum(axis=1).astype(float)
@@ -262,7 +220,7 @@ def _scrooge_mixture(states: np.ndarray, weights: np.ndarray, k: int, caps: Caps
 
 
 def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """Exact k-th moment of the Scrooge ensemble of rho (normalized convention).
+    """Exact k-th moment of the Scrooge ensemble of the density matrix rho.
 
     In the eigenbasis W of rho the moment is diagonal in the occupation
     basis: it is S diag(N_n c(n)) S^dagger with S = Sym^k(W) and
@@ -273,7 +231,7 @@ def scrooge_moment(rho, k: int, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     `_scrooge_mixture`.
     """
     m = _as_density(rho)
-    return MomentOperator(k, m.shape[0], _scrooge_mixture(m[None], np.ones(1), k, caps), "normalized")
+    return MomentOperator(k, m.shape[0], _scrooge_mixture(m[None], np.ones(1), k, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +304,10 @@ def generalized_scrooge_moment(
     """Outcome-weighted mixture sum_x p_d(x) Scrooge_k[rho_bar(x)] / sum_x p_d(x).
 
     Every outcome is evaluated in one batch (`_scrooge_mixture`); the result
-    is a dense moment in the normalized convention.
+    is a dense moment.
     """
     total = _scrooge_mixture(_as_density(table.states), table.probabilities, k, caps)
-    return MomentOperator(k, table.d_a, total, "normalized")
+    return MomentOperator(k, table.d_a, total)
 
 
 # ---------------------------------------------------------------------------
@@ -366,33 +324,33 @@ def real_haar_moment2(d: int) -> MomentOperator:
     idx, counts = _occupation_basis(d, 2)
     phi = (idx[:, 0] == idx[:, 1]).astype(float)
     m = (2.0 * np.eye(counts.size) + np.outer(phi, phi)) / (d * (d + 2))
-    return MomentOperator(2, d, m, "normalized")
+    return MomentOperator(2, d, m)
 
 
 def real_scrooge_moment2(rho, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
     """Second moment of the real-vector Scrooge ensemble of a real density matrix.
 
     With v(n, m) = E[x_n^2 x_m^2 / |x|^2] for x ~ N(0, rho), the moment on
-    Sym^2 over the support eigenvectors W has entry v(n, m) between {n, n} and
+    Sym^2 over the eigenvectors W of rho has entry v(n, m) between {n, n} and
     {m, m}, 2 v(n, m) on the diagonal at {n, m} for n < m, and zeros elsewhere;
     the stored matrix is S M S^T with S = Sym^2(W). The values come from the
-    same log-grid quadrature as the complex moments, with real Gaussian factors.
+    same log-grid quadrature as the complex moments, with real Gaussian
+    factors; as in `_scrooge_mixture`, modes outside the support are masked
+    and the multisets that occupy one get v = 0.
     """
     m = _as_density(rho)
     if float(np.abs(m.imag).max()) > 1e-10:
         raise ValueError("real Scrooge moments need a real density matrix")
-    spec = eigen_spectrum(m.real.astype(complex))
     d = m.shape[0]
-    check_cap(caps, "max_moment_entries", math.comb(d + 1, 2) ** 2)
-    lam = spec.eigenvalues
-    r = lam.size
-    eye = np.eye(r)
-    occ = (eye[:, None, :] + eye[None, :, :]).reshape(r * r, r)  # row n*r + m: x_n^2 x_m^2
-    vals = _gaussian_quadrature(lam, occ, real=True).reshape(r, r)
-    idx, _ = _occupation_basis(r, 2)
+    check_cap(caps, "max_moment_entries", _sym_dim(d, 2) ** 2)
+    w, v = np.linalg.eigh(m.real)
+    eye = np.eye(d)
+    occ = (eye[:, None, :] + eye[None, :, :]).reshape(d * d, d)  # row n*d + m: x_n^2 x_m^2
+    vals = _gaussian_quadrature(np.where(_in_support(w), w, 0.0), occ, real=True).reshape(d, d)
+    idx, _ = _occupation_basis(d, 2)
     ms_mat = np.diag(2.0 * vals[idx[:, 0], idx[:, 1]])
     doubles = np.flatnonzero(idx[:, 0] == idx[:, 1])
     ms_mat[np.ix_(doubles, doubles)] = vals
-    s = _symmetric_power(spec.eigenvectors.real, 2)
+    s = _symmetric_power(v, 2)
     full = s @ ms_mat @ s.T
-    return MomentOperator(2, d, (full + full.T) / 2, "normalized")
+    return MomentOperator(2, d, (full + full.T) / 2)

@@ -11,9 +11,9 @@ from ._util import check_cap
 from .ensembles import MomentOperator
 from .hilbert import (
     Bipartition,
-    HermitianOperator,
     MeasurementBasis,
     PureState,
+    _as_density,
     _require_sites,
     apply_local_rotations,
     basis_matrix,
@@ -36,13 +36,17 @@ def shannon_entropy_bits(p: np.ndarray) -> float:
 
 
 def von_neumann_entropy_bits(rho) -> float:
-    m = rho.entries if isinstance(rho, HermitianOperator) else np.asarray(rho)
-    lam = np.linalg.eigvalsh(m)
-    return shannon_entropy_bits(np.clip(lam.real, 0.0, None))
+    """Von Neumann entropy of a density matrix, in bits."""
+    lam = np.linalg.eigvalsh(_as_density(rho))
+    return shannon_entropy_bits(np.clip(lam, 0.0, None))
 
 
 def trace_distance(m1: MomentOperator, m2: MomentOperator) -> float:
-    """Half the trace norm of the difference of two moments of one k, d and convention.
+    """Half the trace norm of the difference of two moments of one k and d.
+
+    Any two such moments compare, normalized or not: the product form
+    k! Sym^k(rho_d) of `ensembles.product_form_moment` against the exact
+    random-phase moment is the distance its error bound is about.
 
     When one side is c * I (`haar_moment`) and the other an ensemble moment of
     r < D members (`moment_k`), the distance comes from the r x r Gram matrix
@@ -53,11 +57,8 @@ def trace_distance(m1: MomentOperator, m2: MomentOperator) -> float:
     D x D matrix. Every other pair diagonalizes the D x D difference, so the
     cost is O(min(r, D)^3).
     """
-    if (m1.k, m1.space_dim, m1.convention) != (m2.k, m2.space_dim, m2.convention):
-        raise ValueError(
-            f"moment shapes differ: ({m1.k},{m1.space_dim},{m1.convention}) vs "
-            f"({m2.k},{m2.space_dim},{m2.convention})"
-        )
+    if (m1.k, m1.space_dim) != (m2.k, m2.space_dim):
+        raise ValueError(f"moment shapes differ: ({m1.k},{m1.space_dim}) vs ({m2.k},{m2.space_dim})")
     for ens, iso in ((m1, m2), (m2, m1)):
         if iso.scalar is not None and ens.columns is not None and ens.weights.size < ens.dim:
             return _gram_distance(ens, iso.scalar)
@@ -187,7 +188,7 @@ def interaction_information(
     weighted_q = float(
         np.sum(table.probabilities * np.array([subentropy(s) for s in table.states]))
     )
-    bound_q = subentropy(table.mixture().astype(complex))
+    bound_q = subentropy(table.mixture())
     return {
         "interaction_bits": i_fixed - i_avg,
         "weighted_subentropy_bits": weighted_q,
@@ -198,6 +199,5 @@ def interaction_information(
 
 
 def holevo_sandwich(rho_a) -> tuple[float, float]:
-    """(subentropy, von Neumann entropy) of a reduced state, in bits."""
-    m = rho_a.entries if isinstance(rho_a, HermitianOperator) else np.asarray(rho_a)
-    return subentropy(m.astype(complex)), von_neumann_entropy_bits(m)
+    """(subentropy, von Neumann entropy) of a reduced density matrix, in bits."""
+    return subentropy(rho_a), von_neumann_entropy_bits(rho_a)

@@ -163,6 +163,14 @@ def assert_lift_matches(moment, oracle, tol=1e-12):
     assert np.abs(np.linalg.eigvalsh(full) - padded).max() <= tol * scale
 
 
+def support_spectrum(rho):
+    """Eigenvalues of rho above 1e-13 times the largest, descending, and their eigenvectors."""
+    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    w, v = w[::-1], v[:, ::-1]
+    keep = w > 1e-13 * w[0]
+    return w[keep], v[:, keep]
+
+
 def scrooge_moment_per_outcome(rho, k):
     """Scrooge k-th moment on Sym^k from the support of rho alone (k >= 2).
 
@@ -172,11 +180,11 @@ def scrooge_moment_per_outcome(rho, k):
     from qensembles import ensembles as en
     from qensembles import scrooge as sc
 
-    spec = sc.eigen_spectrum(rho)
-    idx, counts = en._occupation_basis(spec.rank, k)
-    occ = (idx[:, :, None] == np.arange(spec.rank)).sum(axis=1).astype(float)
-    coeffs = sc._gaussian_quadrature(spec.eigenvalues, occ)
-    s = en._symmetric_power(spec.eigenvectors, k)
+    lam, vectors = support_spectrum(rho)
+    idx, counts = en._occupation_basis(lam.size, k)
+    occ = (idx[:, :, None] == np.arange(lam.size)).sum(axis=1).astype(float)
+    coeffs = sc._gaussian_quadrature(lam, occ)
+    s = en._symmetric_power(vectors, k)
     full = (s * (counts * coeffs)) @ s.conj().T
     return (full + full.conj().T) / 2
 
@@ -519,12 +527,10 @@ def scrooge_sample_batch(rho, n, rng):
     along each eigenvector of rho (support only). The squared norm of an
     unnormalized draw is the ensemble weight of its normalized state.
     """
-    from qensembles import scrooge as sc
-
-    spec = sc.eigen_spectrum(rho)
-    scale = np.sqrt(spec.eigenvalues / 2.0)
-    g = scale[:, None] * (rng.standard_normal((spec.rank, n)) + 1j * rng.standard_normal((spec.rank, n)))
-    raw = spec.eigenvectors @ g
+    lam, vectors = support_spectrum(rho)
+    scale = np.sqrt(lam / 2.0)
+    g = scale[:, None] * (rng.standard_normal((lam.size, n)) + 1j * rng.standard_normal((lam.size, n)))
+    raw = vectors @ g
     return raw / np.linalg.norm(raw, axis=0), raw
 
 

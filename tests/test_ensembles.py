@@ -11,6 +11,7 @@ from qensembles import hilbert as hb
 from qensembles import rmt
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
+from qensembles import stats as st
 from qensembles._util import task_rng
 
 import moment_oracles as mo
@@ -105,7 +106,7 @@ class TestWeightedEnsemble:
 class TestNonFiniteInputs:
     def test_moment_rejects_nan_entry(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            en.MomentOperator(1, 2, [[np.nan, 0], [0, 1]], "normalized")
+            en.MomentOperator(1, 2, [[np.nan, 0], [0, 1]])
 
     def test_ensemble_rejects_nan_weight(self):
         with pytest.raises(ValueError, match="finite"):
@@ -140,9 +141,14 @@ class TestOrderRule:
         with pytest.raises(ValueError, match="k must be >= 1"):
             build(0)
 
-    def test_negative_order_is_rejected(self):
+    @pytest.mark.parametrize(
+        "build",
+        [*MOMENT_BUILDERS.values(), lambda k: en.check_no_resonance([0.0, 1.0], k)],
+        ids=[*MOMENT_BUILDERS, "check_no_resonance"],
+    )
+    def test_negative_order_is_rejected(self, build):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            MOMENT_BUILDERS["moment_k"](-1)
+            build(-1)
 
 
 class TestHaarMoment:
@@ -233,6 +239,9 @@ class TestProductForm:
         dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
         factored = mo.product_vs_random_phase_distance_k2(p)
         assert dense == pytest.approx(factored, abs=1e-12)
+        # the product form and the normalized moment compare directly
+        assert st.trace_distance(pf, exact) == pytest.approx(dense, abs=1e-12)
+        assert st.trace_distance(pf, exact) == pytest.approx(factored, abs=1e-12)
 
     def test_distance_below_bound_at_n10(self, spectrum_factory):
         bound_sd = spectrum_factory("mfim", 10, 0.6)
@@ -350,6 +359,15 @@ class TestFiniteTimeMoment:
         with pytest.raises(CapacityError):
             en.finite_time_temporal_moment(bound, 2, 1.0, caps)
 
+    def test_moment_entries_checked_before_the_build(self, rng):
+        # d = 4, k = 2: the 10 x 10 moment has 100 entries, like the random-phase one
+        bound = self._bound_gue(4, rng)
+        caps = Caps(max_moment_entries=50)
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            en.random_phase_moment_exact(bound.populations, 2, caps)
+        with pytest.raises(CapacityError, match="max_moment_entries"):
+            en.finite_time_temporal_moment(bound, 2, 1.0, caps)
+
 
 def _fixed_point(x, bits):
     """x rounded to a multiple of 2^-bits."""
@@ -432,7 +450,7 @@ class TestFrobeniusPairSum:
 
     def test_peak_memory_is_flat_in_the_tau_grid(self, rng):
         sm = self._measure(self._gue_levels(32, rng), rng)
-        taus = rmt.default_tau_grid(32, points=4096)
+        taus = np.logspace(0.0, 6.0, 4096) / (4.0 / 32)
         tracemalloc.start()
         try:
             en.finite_time_frobenius_distances(sm, 2, taus)
@@ -573,7 +591,7 @@ class TestProjectedEnsemble:
         basis = hb.pauli_basis(part.sites_B, "ZXZYZX")
         ens = en.projected_ensemble(s, part, basis)
         m1 = en.moment_k(ens, 1).matrix
-        rho = hb.partial_trace(s, part, "A").entries
+        rho = hb.partial_trace(s, part).entries
         assert np.abs(m1 - rho).max() <= 1e-10
 
     @pytest.mark.parametrize("letters", ["ZZZ", "XYZ"])

@@ -460,13 +460,13 @@ class TestPartialTrace:
     def test_bell_state_is_maximally_mixed(self):
         bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))
         part = hb.Bipartition(2, (0,))
-        rho = hb.partial_trace(bell, part, "A")
+        rho = hb.partial_trace(bell, part)
         assert np.allclose(rho.entries, np.eye(2) / 2)
 
     def test_product_state_gives_rank_one_projector(self):
         s = hb.product_state(0.9, 3)
         part = hb.Bipartition(3, (1,))
-        rho = hb.partial_trace(s, part, "A").entries
+        rho = hb.partial_trace(s, part).entries
         local = np.array([np.cos(0.45), 1j * np.sin(0.45)])
         assert np.allclose(rho, np.outer(local, local.conj()))
 
@@ -474,18 +474,17 @@ class TestPartialTrace:
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         s = hb.PureState(amps / np.linalg.norm(amps), (2,) * 3)
         part = hb.Bipartition(3, (0, 2))
-        for keep in ("A", "B"):
-            rho = hb.partial_trace(s, part, keep)
-            assert abs(np.trace(rho.entries).real - 1.0) <= 1e-12
-            assert np.linalg.eigvalsh(rho.entries).min() >= -1e-12
+        rho = hb.partial_trace(s, part)
+        assert abs(np.trace(rho.entries).real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-12
 
     def test_operator_and_state_paths_agree(self, rng):
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         s = hb.PureState(amps / np.linalg.norm(amps), (2,) * 4)
         part = hb.Bipartition(4, (0, 3))
         dm = hb.HermitianOperator(np.outer(s.amplitudes, s.amplitudes.conj()), (2,) * 4)
-        a1 = hb.partial_trace(s, part, "A").entries
-        a2 = hb.partial_trace(dm, part, "A").entries
+        a1 = hb.partial_trace(s, part).entries
+        a2 = hb.partial_trace(dm, part).entries
         assert np.abs(a1 - a2).max() <= 1e-12
 
     def test_projection_resolves_partial_trace(self, rng):
@@ -496,7 +495,7 @@ class TestPartialTrace:
         basis = hb.pauli_basis(part.sites_B, "YXZ")
         table = hb.projection_table(s, part, basis)
         mix = table @ table.conj().T
-        rho = hb.partial_trace(s, part, "A").entries
+        rho = hb.partial_trace(s, part).entries
         assert np.abs(mix - rho).max() <= 1e-10
 
 

@@ -341,7 +341,7 @@ class TestProjectedMomentComparison:
         # path; the dense lift checks it by a second method
         haar = dense_haar_moment(part.d_a, k)
         assert abs(out.dist_haar - dense_trace_distance(proj, haar)) <= 1e-12
-        rho_a = hb.partial_trace(state, part, "A").entries
+        rho_a = hb.partial_trace(state, part).entries
         scr = sc.scrooge_moment(rho_a, k).dense()
         assert abs(out.dist_scrooge - dense_trace_distance(proj, scr)) <= 1e-12
         cond = sc.conditional_states(cache.bound(MFIM6, theta), part, basis)
@@ -368,7 +368,7 @@ class TestEigenstateComparisons:
         eig = hb.PureState(sd.eigenvectors[:, 21], (2,) * 6)
         table = hb.projection_table(eig, part, basis)
         assert abs(out["dist_haar"] - gram_haar_distance(table, 2)) <= 1e-12
-        rho_a = hb.partial_trace(eig, part, "A").entries
+        rho_a = hb.partial_trace(eig, part).entries
         proj = dense_projected_moment(table, 2)
         scr = sc.scrooge_moment(rho_a, 2).dense()
         assert abs(out["dist_scrooge"] - dense_trace_distance(proj, scr)) <= 1e-12

@@ -138,9 +138,9 @@ class TestSemicircleCdf:
 class TestDefaultTauGrid:
     @pytest.mark.parametrize("d", [16, 1024])
     def test_log_spaced_in_inverse_level_spacings(self, d):
-        taus = rmt.default_tau_grid(d, points=7, decades=(0.0, 6.0))
+        taus = rmt.default_tau_grid(d)
         # mean level spacing of the radius-2 semicircle is 4/d
-        assert taus == pytest.approx(np.logspace(0.0, 6.0, 7) * d / 4.0, rel=1e-14)
+        assert taus == pytest.approx(np.logspace(0.0, 6.0, 30) * d / 4.0, rel=1e-14)
         assert taus[0] == pytest.approx(d / 4.0, rel=1e-15)
 
 
@@ -155,7 +155,7 @@ class TestConvergenceExperiment:
         assert curve.frobenius[-1] <= curve.frobenius[0]
 
     def test_ensemble_mean_squared_k1_slope(self):
-        taus = rmt.default_tau_grid(16, points=12, decades=(1.0, 4.0))
+        taus = np.logspace(1.0, 4.0, 12) / (4.0 / 16)
         curve = rmt.convergence_experiment(16, 1, tau_grid=taus, n_samples=150, seed=11)
         fit = rmt.fit_curve_slope(curve, (taus[2], taus[-1]), squared=True)
         assert fit.slope == pytest.approx(-2.0, abs=0.4)

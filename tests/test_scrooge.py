@@ -93,12 +93,12 @@ class TestSubentropy:
         for _ in range(5):
             lam = rng.random(5)
             lam /= lam.sum()
-            a = sc.subentropy(lam)
+            a = sc.subentropy(np.diag(lam))
             b = mo.subentropy_split_extrapolate(lam)
             assert a == pytest.approx(b, abs=1e-8)
 
     def test_maximally_mixed_monotone_and_bounded(self):
-        values = [sc.subentropy(np.ones(d) / d) for d in (2, 4, 8, 16, 64, 256, 1024)]
+        values = [sc.subentropy(np.diag(np.ones(d) / d)) for d in (2, 4, 8, 16, 64, 256, 1024)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] <= sc.SUBENTROPY_LIMIT_BITS
         # closed form for the maximally mixed state: log2(d) - (H_d - 1)/ln 2
@@ -129,7 +129,7 @@ class TestSubentropy:
         h_d = float(np.sum(1.0 / np.arange(1, d + 1)))
         mc = (-d * np.mean(x * np.log(x)) - (h_d - 1)) / math.log(2)
         se = d * np.std(x * np.log(x)) / math.sqrt(n) / math.log(2)
-        assert sc.subentropy(lam) == pytest.approx(mc, abs=5 * se)
+        assert sc.subentropy(np.diag(lam)) == pytest.approx(mc, abs=5 * se)
 
 
 class TestScroogeMoment:
@@ -366,7 +366,7 @@ class TestConditionalStates:
         basis = hb.pauli_basis(part.sites_B, "ZZ")
         table = sc.conditional_states(bound, part, basis)
         rho_d, _ = sp.diagonal_ensemble(bound)
-        expected = hb.partial_trace(rho_d, part, "A").entries
+        expected = hb.partial_trace(rho_d, part).entries
         assert np.abs(table.mixture() - expected).max() <= 1e-10
         assert table.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -584,8 +584,17 @@ class TestDensityMatrixChecks:
             sc.scrooge_moment(rho, 2)
 
     def test_nan_eigenvalue_is_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            sc.subentropy(np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="trace"):
+            sc.subentropy(np.diag([np.nan, 0.5]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [st.von_neumann_entropy_bits, st.holevo_sandwich, lambda rho: en.product_form_moment(rho, 2)],
+        ids=["von_neumann_entropy_bits", "holevo_sandwich", "product_form_moment"],
+    )
+    def test_trace_two_is_rejected(self, call):
+        with pytest.raises(ValueError, match="trace"):
+            call(np.eye(2, dtype=complex))
 
 
 class TestRealScrooge:

@@ -20,7 +20,7 @@ def random_moment(d, k, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return en.MomentOperator(k, d, m, "normalized")
+    return en.MomentOperator(k, d, m)
 
 
 def random_unitary(d, rng):
@@ -51,8 +51,8 @@ class TestTraceDistance:
         b = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 1.0  # |00><00|
         b[2, 2] = 1.0  # |11><11|
-        m1 = en.MomentOperator(2, 2, a, "normalized")
-        m2 = en.MomentOperator(2, 2, b, "normalized")
+        m1 = en.MomentOperator(2, 2, a)
+        m2 = en.MomentOperator(2, 2, b)
         assert st.trace_distance(m1, m2) == pytest.approx(1.0)
 
     def test_haar_equals_scrooge_of_maximally_mixed(self):
@@ -103,7 +103,7 @@ class TestGramTraceDistance:
         if scalar == "haar":
             iso = en.haar_moment(d, k)
         else:  # c * I with c != 1/D
-            iso = en.MomentOperator._structured(k, d, "normalized", DEFAULT_CAPS, scalar=0.3 / m.dim)
+            iso = en.MomentOperator._structured(k, d, DEFAULT_CAPS, scalar=0.3 / m.dim)
         dense = dense_distance(m, iso)
         assert abs(st.trace_distance(m, iso) - dense) <= 1e-12
         assert abs(st.trace_distance(iso, m) - dense) <= 1e-12
@@ -283,7 +283,7 @@ class TestConditionalMI:
         joint = st.joint_outcome_distribution(
             state, part, hb.pauli_basis(part.sites_A, "Z"), hb.pauli_basis(part.sites_B, "Z")
         )
-        rho_a = hb.partial_trace(state, part, "A")
+        rho_a = hb.partial_trace(state, part)
         q, s_vn = st.holevo_sandwich(rho_a)
         assert q - 0.05 <= st.mutual_information_of_joint(joint) <= s_vn + 0.05
 
