@@ -60,7 +60,7 @@ class Caps:
     `max_sinc_terms` bounds the finite-interval double sums.
     """
 
-    max_spectrum_dim: int = 2**14          # eigensolves: full or basis-state measure
+    max_spectrum_dim: int = 2**14          # eigensolves: dense or tridiagonal
     max_state_dim: int = 2**22             # state vectors, chain row-table entries
     max_moment_entries: int = 2**26        # k-copy moment entries
     max_multiset_terms: int = 2_500_000    # multiset sums (moments, resonance scans)

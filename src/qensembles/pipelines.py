@@ -242,17 +242,16 @@ def interaction_information_scan(
     """Interaction information per A basis against the weighted-subentropy value.
 
     The state at time t is read off the bound spectrum once per scan, and the
-    time-averaged part of every letter comes from one cached table.
+    time-averaged part and the subentropy values of every letter come from
+    one cached table.
     """
     state = sp.evolve(cache.bound(model, theta), t)
     part = _central(state, subsystem_width)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     table = cache.conditional_states(model, theta, part, basis_b)
     bases_a = [hb.pauli_basis(part.sites_A, letter) for letter in letters]
-    return [
-        {"basis": letter, **st.interaction_information(state, table, part, basis_a)}
-        for letter, basis_a in zip(letters, bases_a)
-    ]
+    rows = st.interaction_information(state, table, part, bases_a)
+    return [{"basis": letter, **row} for letter, row in zip(letters, rows)]
 
 
 def rescaled_joint_probability_ks(

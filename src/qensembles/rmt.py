@@ -1,4 +1,11 @@
-"""Random-matrix laboratory: GUE sampling and finite-interval convergence."""
+"""Random-matrix laboratory: GUE sampling and finite-interval convergence.
+
+GUE matrices are drawn in the tridiagonal form of Dumitriu and Edelman: O(d)
+Gaussian and chi draws whose eigenvalues, and spectral measure of |0>, have
+the GUE law. `convergence_experiment` reads only that measure, so it solves
+the tridiagonal matrix directly; `sample_gue` gives the same draw as a dense
+matrix, for dense second methods.
+"""
 
 from __future__ import annotations
 
@@ -11,53 +18,39 @@ import numpy as np
 from ._util import Caps, DEFAULT_CAPS, FitError, check_cap, task_rng
 from .ensembles import _check_frobenius_caps, finite_time_frobenius_distances
 from .hilbert import HermitianOperator, qubit_or_flat_dims
-from .spectral import _tridiagonal_measure, _tridiagonalize
+from .spectral import _tridiagonal_measure
 
 
-# Rows per drawn block of `sample_gue`, and side of the square tiles it
-# symmetrizes: temporaries stay at GUE_BLOCK rows of h.
-GUE_BLOCK = 64
+def _gue_tridiagonal(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Dumitriu-Edelman beta = 2 matrix at dimension d.
 
-
-def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
-    """Gaussian unitary ensemble with off-diagonal variance 1/d.
-
-    The eigenvalue density converges to the semicircle on [-2, 2]. h is
-    (g + g^dagger)/2 for g = (a + i b)/sqrt(d) with a and b standard normal,
-    drawn in that order; its real and imaginary parts are formed separately,
-    each scaled by 1/sqrt(d) as numpy's complex-by-real division does.
-
-    h is drawn where it lies: the scaled a, then b, are written into its real
-    and imaginary parts GUE_BLOCK rows at a time, and each pair of tiles
-    (I, J), (J, I) with I <= J takes (a + a^T)/2 and (b - b^T)/2 once, written
-    to both triangles. The lower triangle's imaginary part is 0.0 - t, which
-    keeps the +0.0 of b_ij - b_ji when the two are equal. The peak is h plus
-    temporaries of GUE_BLOCK rows (the draw's buffer, `HermitianOperator`'s
-    Hermiticity check): 1.2 d x d complex matrices at d = 1024.
+    The diagonal is N(0, 1/d) and off-diagonal entry i (i = 1 ... d-1) is
+    chi_{2(d-i)} / sqrt(2d), drawn in that order: the real tridiagonal matrix
+    that Householder reduction of a `sample_gue`-normalized GUE matrix yields
+    (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)), drawn in O(d).
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    scale = 1.0 / math.sqrt(d)
-    h = np.empty((d, d), dtype=complex)
-    re, im = h.real, h.imag
-    buf = np.empty((min(GUE_BLOCK, d), d))
-    for part in (re, im):
-        for lo in range(0, d, GUE_BLOCK):
-            rows = buf[: min(GUE_BLOCK, d - lo)]
-            rng.standard_normal(out=rows)
-            np.multiply(rows, scale, out=part[lo : lo + GUE_BLOCK])
-    for lo in range(0, d, GUE_BLOCK):
-        ti = slice(lo, lo + GUE_BLOCK)
-        for jlo in range(lo, d, GUE_BLOCK):
-            tj = slice(jlo, jlo + GUE_BLOCK)
-            t = re[ti, tj] + re[tj, ti].T
-            t *= 0.5
-            re[ti, tj] = t
-            re[tj, ti] = t.T
-            t = im[ti, tj] - im[tj, ti].T
-            t *= 0.5
-            im[ti, tj] = t
-            np.subtract(0.0, t.T, out=im[tj, ti])
+    diag = rng.standard_normal(d) / math.sqrt(d)
+    off = np.sqrt(rng.chisquare(2.0 * np.arange(d - 1, 0, -1)) / (2.0 * d))
+    return diag, off
+
+
+def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
+    """GUE matrix in tridiagonal form, normalized as (g + g^dagger)/2 with
+    g = (a + i b)/sqrt(d) for a and b standard normal.
+
+    The dense Hermitian form of `_gue_tridiagonal`'s draw. Its eigenvalues,
+    and the spectral measure of basis state |0> (eigenvalues and populations
+    |<E|0>|^2), follow the GUE law exactly; the eigenvalue density converges
+    to the semicircle on [-2, 2]. Its entries do not: they are tridiagonal
+    and real, so only unitarily invariant quantities and those of |0> keep
+    their GUE law.
+    """
+    diag, off = _gue_tridiagonal(d, rng)
+    h = np.zeros((d, d), dtype=complex)
+    h.flat[:: d + 1] = diag
+    h.flat[1 :: d + 1] = h.flat[d :: d + 1] = off
     return HermitianOperator(h, qubit_or_flat_dims(d))
 
 
@@ -111,18 +104,19 @@ def convergence_experiment(
 ) -> ConvergenceCurve:
     """Distance of finite-interval k-th moments to their infinite-interval limit.
 
-    One matrix per sample is drawn from the GUE with a counter-based stream
-    keyed by (seed, sample), so any execution order reproduces the data. The
-    initial state is the basis state |0>, whose `SpectralMeasure` (eigenvalues
-    and populations, no eigenvectors) is all the distance kernel reads. One
+    One GUE spectrum per sample is drawn with a counter-based stream keyed by
+    (seed, sample), so any execution order reproduces the data. The initial
+    state is the basis state |0>, whose `SpectralMeasure` (eigenvalues and
+    populations, no eigenvectors) is all the distance kernel reads. One
     sample gives its own curve; more give the mean of the distance and of its
     square. The curve's `sample_count` tells which.
 
-    Each matrix is tridiagonalized in the array it was drawn in (as
-    `spectral.basis_state_measure` does on a copy), so one sample holds one
-    d x d complex matrix at a time, and 1.2 such matrices at its peak at
-    d = 1024, k = 1. `max_spectrum_dim` (d), `max_multiset_terms` (C(d+k-1, k))
-    and `max_sinc_terms` (its square) are checked before the first draw.
+    Each sample is the tridiagonal matrix of `_gue_tridiagonal`, whose
+    measure of |0> has the GUE law, so no d x d complex matrix is formed and
+    no Householder reduction runs: the peak is the tridiagonal solver's, two
+    d x d real matrices at d = 1024, k = 1. `max_spectrum_dim` (d),
+    `max_multiset_terms` (C(d+k-1, k)) and `max_sinc_terms` (its square) are
+    checked before the first draw.
     """
     taus = default_tau_grid(d) if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if n_samples < 1:
@@ -135,10 +129,7 @@ def convergence_experiment(
     _check_frobenius_caps(d, k, caps)
     all_d = np.empty((n_samples, taus.size))
     for i in range(n_samples):
-        h = sample_gue(d, task_rng(seed, i)).entries
-        diag, off = _tridiagonalize(h)
-        del h  # the draw is freed before T's eigenvectors are allocated
-        sm = _tridiagonal_measure(diag, off)
+        sm = _tridiagonal_measure(*_gue_tridiagonal(d, task_rng(seed, i)))
         all_d[i] = finite_time_frobenius_distances(sm, k, taus, caps)
     if n_samples == 1:
         return ConvergenceCurve(k, taus, all_d[0], None, 1)

@@ -3,9 +3,9 @@ propagation of one state without a spectrum.
 
 `_eigh` is the one call of the dense eigensolver. `model_spectrum` runs it in
 the Hamiltonian it has just built, `diagonalize` on a copy of the caller's.
-`_tridiagonalize` is the one call of the Householder reduction (?hetrd);
-`basis_state_measure` runs it on a copy of the caller's matrix, and
-`rmt.convergence_experiment` in each GUE matrix it has just drawn.
+`_tridiagonal_measure` solves a real tridiagonal matrix for the spectral
+measure of |0>; `rmt.convergence_experiment` gives it each GUE draw in the
+tridiagonal form of `rmt._gue_tridiagonal`.
 """
 
 from __future__ import annotations
@@ -142,47 +142,11 @@ class SpectralMeasure(NamedTuple):
         return self.eigenvalues.size
 
 
-def basis_state_measure(h: HermitianOperator, caps: Caps = DEFAULT_CAPS) -> SpectralMeasure:
-    """Spectral measure of basis state |0> from one tridiagonalization, without eigenvectors of h.
-
-    The Householder reduction T = Q^dag H Q (see `_tridiagonalize`) builds Q
-    from reflectors that all leave e_0 fixed, so Q e_0 = e_0 and |<E|0>|^2 is
-    the squared first component of the matching eigenvector of the real
-    tridiagonal T. No d x d eigenvector matrix of h is formed.
-
-    h is left unchanged: the reduction runs in a C-ordered copy of it, which
-    is freed before T's d x d real eigenvectors are allocated. Above h, the
-    peak is therefore one d x d complex matrix plus O(d) workspace.
-    `max_spectrum_dim` is checked before the copy is made.
-    """
-    check_cap(caps, "max_spectrum_dim", h.dim)
-    return _tridiagonal_measure(*_tridiagonalize(np.array(h.entries, order="C")))
-
-
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the real tridiagonal T = Q^dag H Q of the
-    C-ordered Hermitian H in a, whose entries are destroyed.
-
-    Read column-major, a is H^T = conj(H), which LAPACK ?hetrd (uplo="L")
-    reduces where it lies, with no copy. conj(H) = conj(Q) T conj(Q)^dag with
-    the same real T, and conj(Q) e_0 = e_0 as well.
-    """
-    d = a.shape[0]
-    lapack = scipy.linalg.lapack
-    work, info = lapack.zhetrd_lwork(d, lower=1)
-    if info == 0:
-        _, diag, off, _, info = lapack.zhetrd(a.T, lower=1, lwork=int(work.real), overwrite_a=1)
-    if info != 0:
-        raise NumericalFailureError(f"Householder tridiagonalization failed (dim={d}): info={info}")
-    return diag, off
-
-
 def _tridiagonal_measure(diag: np.ndarray, off: np.ndarray) -> SpectralMeasure:
     """Eigenvalues of the tridiagonal T and the squared first components of their eigenvectors."""
     try:
         w, y = scipy.linalg.eigh_tridiagonal(diag, off, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        # ||T||_F = ||H||_F, since T = Q^dag H Q
         norm = float(np.sqrt(np.sum(diag**2) + 2.0 * np.sum(off**2)))
         raise NumericalFailureError(
             f"tridiagonal eigensolver failed (dim={diag.size}, frobenius={norm:.3e}): {exc}"

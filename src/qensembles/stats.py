@@ -166,36 +166,40 @@ def interaction_information(
     state: PureState,
     table: ConditionalStateTable,
     part: Bipartition,
-    basis_a: MeasurementBasis,
-) -> dict[str, float]:
-    """I(O_A;X_B;T), its parts and its subentropy values, in bits, as one row.
+    bases_a: Sequence[MeasurementBasis],
+) -> list[dict[str, float]]:
+    """I(O_A;X_B;T), its parts and its subentropy values, in bits: one row per A basis.
 
     state is the quenched state at the fixed time; table is
     `scrooge.conditional_states` of the same quench and bipartition, and
     gives the time-averaged part and the B basis of both (`table.basis`).
-    The row holds "interaction_bits", the fixed-time mutual information
+    Each row holds "interaction_bits", the fixed-time mutual information
     I(O_A;X_B) ("fixed_time_bits") minus that of the time-averaged joint
     distribution ("time_averaged_bits"); the
     weighted-subentropy prediction sum_x p_d(x) Q(rho_bar(x))
     ("weighted_subentropy_bits"); and its concavity bound Q(rho_A)
-    ("subentropy_bound_bits"). Raises ValueError when the table records no
-    basis.
+    ("subentropy_bound_bits"). The two subentropy values depend on the table
+    alone, so they are evaluated once for all bases. Raises ValueError when
+    the table records no basis.
     """
     if table.basis is None:
         raise ValueError("the conditional-state table records no basis")
-    i_fixed = mutual_information_of_joint(joint_outcome_distribution(state, part, basis_a, table.basis))
-    i_avg = mutual_information_of_joint(time_averaged_joint_distribution(table, part, basis_a))
     weighted_q = float(
         np.sum(table.probabilities * np.array([subentropy(s) for s in table.states]))
     )
     bound_q = subentropy(table.mixture())
-    return {
-        "interaction_bits": i_fixed - i_avg,
-        "weighted_subentropy_bits": weighted_q,
-        "fixed_time_bits": i_fixed,
-        "time_averaged_bits": i_avg,
-        "subentropy_bound_bits": bound_q,
-    }
+    rows = []
+    for basis_a in bases_a:
+        i_fixed = mutual_information_of_joint(joint_outcome_distribution(state, part, basis_a, table.basis))
+        i_avg = mutual_information_of_joint(time_averaged_joint_distribution(table, part, basis_a))
+        rows.append({
+            "interaction_bits": i_fixed - i_avg,
+            "weighted_subentropy_bits": weighted_q,
+            "fixed_time_bits": i_fixed,
+            "time_averaged_bits": i_avg,
+            "subentropy_bound_bits": bound_q,
+        })
+    return rows
 
 
 def holevo_sandwich(rho_a) -> tuple[float, float]:

@@ -446,7 +446,7 @@ class TestInteractionInformationScan:
         basis_b = hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, basis_b)  # built here, not read from the cache
         for row, letter in zip(rows, letters):
-            direct = st.interaction_information(state, table, part, hb.pauli_basis(part.sites_A, letter))
+            direct, = st.interaction_information(state, table, part, [hb.pauli_basis(part.sites_A, letter)])
             assert row == {"basis": letter, **direct}
             assert list(row) == [
                 "basis",
@@ -458,6 +458,25 @@ class TestInteractionInformationScan:
             ]
             # concavity of the subentropy: the weighted value sits below Q(rho_A)
             assert row["weighted_subentropy_bits"] <= row["subentropy_bound_bits"] + 1e-9
+
+    def test_subentropies_are_evaluated_once_per_table(self, monkeypatch):
+        cache = pl.SpectrumCache()
+        pl.interaction_information_scan(cache, MFIM6, 0.6, 12.0, 2)  # fills the cache
+        calls = []
+
+        def spy(rho):
+            calls.append(rho)
+            return subentropy(rho)
+
+        subentropy = st.subentropy
+        monkeypatch.setattr(st, "subentropy", spy)
+        rows = pl.interaction_information_scan(cache, MFIM6, 0.6, 12.0, 2, ("X", "Y", "Z"))
+        table = cache.conditional_states(
+            MFIM6, 0.6, hb.Bipartition(6, hb.central_sites(6, 2)), hb.pauli_basis((0, 1, 4, 5), "X")
+        )
+        # one Q per conditional state and one of their mixture, for all three letters
+        assert len(calls) == len(table.states) + 1
+        assert len({row["weighted_subentropy_bits"] for row in rows}) == 1
 
 
 class TestRescaledJointProbabilityKS:

@@ -12,8 +12,6 @@ from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
-import moment_oracles as mo
-
 
 class TestSampling:
     def test_hermitian_by_construction(self, rng):
@@ -21,16 +19,27 @@ class TestSampling:
         assert np.abs(h.entries - h.entries.conj().T).max() == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 48, 1024])
-    @pytest.mark.parametrize("seed", [0, 1, 7, 20240901])
-    def test_real_arithmetic_draw_is_bit_identical_to_complex(self, d, seed):
-        h = rmt.sample_gue(d, task_rng(seed)).entries
-        ref = mo.sample_gue_complex(d, task_rng(seed))
-        assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+    def test_dense_form_is_the_tridiagonal_draw(self, d):
+        h = rmt.sample_gue(d, task_rng(3)).entries
+        diag, off = rmt._gue_tridiagonal(d, task_rng(3))
+        ref = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.array_equal(h.real, ref) and not h.imag.any()
+        assert np.all(off > 0)
 
-    @pytest.mark.parametrize("d", [65, 130])
-    def test_draw_with_a_partial_last_tile_is_bit_identical(self, d):
-        assert d % rmt.GUE_BLOCK
-        self.test_real_arithmetic_draw_is_bit_identical_to_complex(d, 3)
+    def test_fourth_moments_against_the_gue_closed_form(self):
+        # oracle: for Hermitian H with E|h_ij|^2 = 1/d and Gaussian entries,
+        # E tr H^4 = (2 d^3 + d) / d^2, and by unitary invariance the |0>
+        # diagonal has mean E (H^4)_00 = E tr H^4 / d
+        d, n = 6, 4000
+        rng = task_rng(103)
+        trace, corner = np.empty(n), np.empty(n)
+        for i in range(n):
+            h2 = np.linalg.matrix_power(rmt.sample_gue(d, rng).entries, 2)
+            h4 = h2 @ h2
+            trace[i], corner[i] = np.trace(h4).real, h4[0, 0].real
+        for values, expected in [(trace, 2 * d + 1 / d), (corner, 2 + 1 / d**2)]:
+            se = values.std() / math.sqrt(n)
+            assert abs(values.mean() - expected) <= 4 * se
 
     def test_two_level_gap_mean_against_density_quadrature(self):
         # oracle: the 2x2 gap follows a 3-dof chi law in this normalization
@@ -113,7 +122,8 @@ class TestSampling:
     def test_basis_state_participation_ratio(self, sample, seed, ratio, tol):
         rng = np.random.Generator(np.random.Philox(seed))
         d = 512
-        vals = [d * np.sum(sp.basis_state_measure(sample(d, rng)).populations ** 2) for _ in range(8)]
+        e0 = hb.PureState(np.eye(d, dtype=complex)[0], (d,))
+        vals = [d * np.sum(sp.bind_state(sp.diagonalize(sample(d, rng)), e0).populations ** 2) for _ in range(8)]
         assert np.mean(vals) == pytest.approx(ratio(d), abs=tol)
 
 
@@ -182,7 +192,7 @@ class TestConvergenceExperiment:
         def draw(*args):
             raise AssertionError("a matrix was drawn")
 
-        monkeypatch.setattr(rmt, "sample_gue", draw)
+        monkeypatch.setattr(rmt, "_gue_tridiagonal", draw)
         with pytest.raises(ValueError):
             rmt.convergence_experiment(**{"d": 8, "k": 1, **kwargs})
 
@@ -193,18 +203,18 @@ class TestConvergenceExperiment:
         def draw(*args):
             raise AssertionError("a matrix was drawn")
 
-        monkeypatch.setattr(rmt, "sample_gue", draw)
+        monkeypatch.setattr(rmt, "_gue_tridiagonal", draw)
         with pytest.raises(CapacityError) as err:
             rmt.convergence_experiment(16, 1, caps=Caps(**{cap: value}))
         assert err.value.cap_name == cap
 
     # (256, 2) is left out: its 32,896^2 sinc terms exceed the default max_sinc_terms
     @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (48, 1), (256, 1), (2, 2), (3, 2), (48, 2)])
-    def test_bit_identical_to_the_route_through_basis_state_measure(self, d, k):
+    def test_bit_identical_to_the_route_through_the_tridiagonal_measure(self, d, k):
         curve = rmt.convergence_experiment(d, k, n_samples=2, seed=9)
         rows = np.array([
             en.finite_time_frobenius_distances(
-                sp.basis_state_measure(rmt.sample_gue(d, task_rng(9, i))), k, curve.tau_grid
+                sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(9, i))), k, curve.tau_grid
             )
             for i in range(2)
         ])
@@ -249,6 +259,14 @@ class TestConvergenceExperiment:
         assert curve.frobenius == pytest.approx(mean, rel=1e-12)
         assert curve.squared_frobenius_mean == pytest.approx(squared, rel=1e-12)
 
+    def test_no_householder_reduction(self, monkeypatch):
+        def zhetrd(*args, **kwargs):
+            raise AssertionError("Householder reduction called")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", zhetrd)
+        curve = rmt.convergence_experiment(48, 1)
+        assert np.all(np.isfinite(curve.frobenius))
+
     def test_no_dense_eigendecomposition(self, monkeypatch):
         def eigh(*args, **kwargs):
             raise AssertionError("dense eigendecomposition called")
@@ -260,7 +278,7 @@ class TestConvergenceExperiment:
 
 
 class TestPeakMemory:
-    # one d x d complex matrix (d^2 16 B) at a time, plus temporaries of 64 rows
+    # at most one d x d complex matrix (d^2 16 B) at a time, plus row-block temporaries
     @pytest.mark.parametrize(
         "run",
         [lambda d: rmt.sample_gue(d, task_rng(0)), lambda d: rmt.convergence_experiment(d, 1)],

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps, NumericalFailureError
 from qensembles import hilbert as hb
@@ -156,100 +155,65 @@ def _dense_measure(h):
     return sp.bind_state(sp.diagonalize(h), e0)
 
 
-class TestBasisStateMeasure:
-    @pytest.mark.parametrize(
-        "sample, d",
-        [(rmt.sample_gue, 2), (rmt.sample_gue, 3), (rmt.sample_gue, 48), (rmt.sample_gue, 256),
-         (rmt.sample_real_symmetric, 16)],
-    )
-    def test_matches_full_eigendecomposition(self, sample, d):
-        h = sample(d, task_rng(31, d))
-        sm = sp.basis_state_measure(h)
-        ref = _dense_measure(h)
+def _tridiagonal(diag, off):
+    return hb.HermitianOperator(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), (len(diag),))
+
+
+class TestTridiagonalMeasure:
+    @pytest.mark.parametrize("d", [2, 3, 48, 256])
+    def test_matches_full_eigendecomposition(self, d):
+        diag, off = rmt._gue_tridiagonal(d, task_rng(31, d))
+        sm = sp._tridiagonal_measure(diag, off)
+        ref = _dense_measure(_tridiagonal(diag, off))
         assert sm.dim == d
         assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
         assert np.abs(sm.populations - ref.populations).max() <= 1e-14
 
     def test_block_diagonal_coupling(self):
-        # |0> couples to the 3-level block on basis states {0, 2, 5} only; the other
-        # block's eigenvalues are shifted off so each eigenvalue names its block
+        # a zero off-diagonal splits T: |0> couples to the leading 3-level block
+        # only, and the other block is shifted off so each eigenvalue names its block
         rng = task_rng(32)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a, b = (a + a.conj().T) / 2, (b + b.conj().T) / 2 + 20.0 * np.eye(4)
-        m = np.zeros((7, 7), dtype=complex)
-        on, off = [0, 2, 5], [1, 3, 4, 6]
-        m[np.ix_(on, on)] = a
-        m[np.ix_(off, off)] = b
-        sm = sp.basis_state_measure(hb.HermitianOperator(m, (7,)))
-        wa, va = np.linalg.eigh(a)
+        diag = np.concatenate([rng.standard_normal(3), 20.0 + rng.standard_normal(4)])
+        off = np.abs(rng.standard_normal(6)) + 0.1
+        off[2] = 0.0
+        sm = sp._tridiagonal_measure(diag, off)
+        wa, va = np.linalg.eigh(_tridiagonal(diag[:3], off[:2]).entries)
         assert np.abs(sm.eigenvalues[:3] - wa).max() <= 1e-12
         assert np.abs(sm.populations[:3] - np.abs(va[0]) ** 2).max() <= 1e-14
         assert sm.populations[3:].max() <= 1e-28  # zero up to squared rounding
         assert sm.populations.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_repeated_eigenvalue_cluster_weights(self):
-        # eigenvectors inside the triple cluster are gauge-dependent; the
-        # cluster's total weight sum_j |U_0j|^2 is not
-        levels = np.array([-1.0, 0.3, 0.3, 0.3, 1.2, 2.0])
-        u = unitary_group.rvs(6, random_state=33)
-        h = hb.HermitianOperator((u * levels) @ u.conj().T, (6,))
-        sm = sp.basis_state_measure(h)
-        ref = _dense_measure(h)
-        assert np.abs(sm.eigenvalues - levels).max() <= 1e-12
-        for level in np.unique(levels):
-            expected = float(np.sum(np.abs(u[0, levels == level]) ** 2))
+        # two copies of one 3 x 3 block: every level is doubly degenerate, and
+        # eigenvectors inside a pair are gauge-dependent; the pair's total
+        # weight on |0> is not, and it is the first block's
+        block_diag, block_off = np.array([-1.0, 0.3, 1.2]), np.array([0.7, 0.4])
+        diag = np.tile(block_diag, 2)
+        off = np.concatenate([block_off, [0.0], block_off])
+        sm = sp._tridiagonal_measure(diag, off)
+        ref = _dense_measure(_tridiagonal(diag, off))
+        levels, vecs = np.linalg.eigh(_tridiagonal(block_diag, block_off).entries)
+        assert np.abs(sm.eigenvalues - np.repeat(levels, 2)).max() <= 1e-12
+        for level, v0 in zip(levels, vecs[0]):
             got = sm.populations[np.abs(sm.eigenvalues - level) <= 1e-8].sum()
             dense = ref.populations[np.abs(ref.eigenvalues - level) <= 1e-8].sum()
-            assert got == pytest.approx(expected, abs=1e-14)
+            assert got == pytest.approx(abs(v0) ** 2, abs=1e-14)
             assert got == pytest.approx(dense, abs=1e-14)
 
-    def test_capacity_guard(self):
-        h = rmt.sample_gue(16, task_rng(34))
-        with pytest.raises(CapacityError):
-            sp.basis_state_measure(h, Caps(max_spectrum_dim=8))
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_input_is_left_unchanged(self, order):
-        entries = np.array(rmt.sample_gue(48, task_rng(36)).entries, order=order)
-        h = hb.HermitianOperator(entries, (48,))
-        before = h.entries.copy()
-        sp.basis_state_measure(h)
-        assert h.entries.tobytes() == before.tobytes()
-
-    @pytest.mark.parametrize("d", [2, 3, 48, 256])
-    def test_reduction_is_bit_identical_to_the_column_major_call(self, d):
-        # the C-ordered matrix as given, which f2py copies to column-major order
-        h = rmt.sample_gue(d, task_rng(37, d)).entries
-        work, _ = scipy.linalg.lapack.zhetrd_lwork(d, lower=1)
-        _, diag, off, _, info = scipy.linalg.lapack.zhetrd(h, lower=1, lwork=int(work.real))
-        assert info == 0
-        got = sp._tridiagonalize(h.copy())
-        assert np.array_equal(got[0], diag) and np.array_equal(got[1], off)
-
     @pytest.mark.parametrize(
-        "failure, call",
+        "call",
         [
-            pytest.param(failure, call, id=failure + suffix)
-            for suffix, call in [
-                ("", lambda: sp.basis_state_measure(rmt.sample_gue(8, task_rng(35)))),
-                ("-convergence_experiment", lambda: rmt.convergence_experiment(8, 1)),
-            ]
-            for failure in ("zhetrd", "eigh_tridiagonal")
+            lambda: sp._tridiagonal_measure(*rmt._gue_tridiagonal(8, task_rng(35))),
+            lambda: rmt.convergence_experiment(8, 1),
         ],
+        ids=["eigh_tridiagonal", "eigh_tridiagonal-convergence_experiment"],
     )
-    def test_solver_failure_is_named(self, monkeypatch, failure, call):
-        if failure == "zhetrd":
-            real = scipy.linalg.lapack.zhetrd
-            monkeypatch.setattr(
-                scipy.linalg.lapack, "zhetrd", lambda *a, **kw: (*real(*a, **kw)[:4], 3)
-            )
-        else:
-            def fail(*a, **kw):
-                raise scipy.linalg.LinAlgError("no convergence")
+    def test_solver_failure_is_named(self, monkeypatch, call):
+        def fail(*a, **kw):
+            raise scipy.linalg.LinAlgError("no convergence")
 
-            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        with pytest.raises(NumericalFailureError):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(NumericalFailureError, match="tridiagonal eigensolver failed"):
             call()
 
 

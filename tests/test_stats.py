@@ -297,7 +297,7 @@ class TestInteractionInformation:
         part = hb.Bipartition(4, (1, 2))
         ba, bb = hb.pauli_basis(part.sites_A, "X"), hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, bb)
-        row = st.interaction_information(sp.evolve(bound, 37.0), table, part, ba)
+        row, = st.interaction_information(sp.evolve(bound, 37.0), table, part, [ba])
         assert abs(row["interaction_bits"]) <= 1e-9
 
     def test_decomposition_closure(self, spectrum_factory):
@@ -307,7 +307,7 @@ class TestInteractionInformation:
         ba = hb.pauli_basis(part.sites_A, "X")
         bb = hb.pauli_basis(part.sites_B, "X")
         state = sp.evolve(bound, 45.0)
-        row = st.interaction_information(state, sc.conditional_states(bound, part, bb), part, ba)
+        row, = st.interaction_information(state, sc.conditional_states(bound, part, bb), part, [ba])
         # recompute the decomposition from scratch: the time average from the dense dephased state
         i_fixed = st.mutual_information_of_joint(
             st.joint_outcome_distribution(state, part, ba, bb)
@@ -325,17 +325,17 @@ class TestInteractionInformation:
         state = sp.evolve(bound, 12.0)
         x_table = sc.conditional_states(bound, part, bx)
         assert x_table.basis is bx
-        row = st.interaction_information(state, x_table, part, ba)
+        row, = st.interaction_information(state, x_table, part, [ba])
         assert row["interaction_bits"] == pytest.approx(0.1526, abs=1e-4)
         # a Z table measures B in Z at the fixed time too
-        row = st.interaction_information(state, sc.conditional_states(bound, part, bz), part, ba)
+        row, = st.interaction_information(state, sc.conditional_states(bound, part, bz), part, [ba])
         i_fixed = st.mutual_information_of_joint(st.joint_outcome_distribution(state, part, ba, bz))
         assert row["fixed_time_bits"] == i_fixed
         unrecorded = sc.ConditionalStateTable(
             x_table.outcomes, x_table.probabilities, x_table.states, x_table.dropped_outcomes
         )
         with pytest.raises(ValueError, match="records no basis"):
-            st.interaction_information(state, unrecorded, part, ba)
+            st.interaction_information(state, unrecorded, part, [ba])
 
     def test_time_averaged_joint_matches_dense_construction(self, spectrum_factory):
         n = 6
@@ -421,4 +421,4 @@ class TestBasisSites:
         bound = spectrum_factory("mfim", self.N, 0.4)
         with pytest.raises(ValueError):  # B sites are checked where the table is built
             table = sc.conditional_states(bound, self.PART, bb)
-            st.interaction_information(sp.evolve(bound, 3.0), table, self.PART, ba)
+            st.interaction_information(sp.evolve(bound, 3.0), table, self.PART, [ba])
