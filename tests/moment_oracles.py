@@ -217,6 +217,12 @@ def rotations_single_pass(m, unitaries, conjugate=False, skip_identity=False):
     return out.astype(np.result_type(m, *unitaries))
 
 
+def sample_gue_complex(d, rng):
+    """GUE draw in complex arithmetic: (g + g^dagger)/2, g = (a + i b)/sqrt(d)."""
+    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
+    return (g + g.conj().T) / 2
+
+
 def _pauli_string_reference(n, ops):
     d = 2**n
     cols = np.arange(d, dtype=np.int64)

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.stats
 
 from qensembles import CapacityError, Caps, FitError, rmt
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles._util import task_rng
+
+import moment_oracles as mo
 
 
 class TestSampling:
@@ -19,12 +22,57 @@ class TestSampling:
         assert np.abs(h.entries - h.entries.conj().T).max() == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 48, 1024])
-    def test_dense_form_is_the_tridiagonal_draw(self, d):
-        h = rmt.sample_gue(d, task_rng(3)).entries
-        diag, off = rmt._gue_tridiagonal(d, task_rng(3))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240901])
+    def test_dense_form_is_the_tridiagonal_draw(self, d, seed):
+        h = rmt.sample_gue(d, task_rng(seed)).entries
+        diag, off = rmt._gue_tridiagonal(d, task_rng(seed))
         ref = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.array_equal(h.real, ref) and not h.imag.any()
         assert np.all(off > 0)
+
+    @pytest.mark.parametrize("d", [4, 32])
+    def test_entry_laws(self, d):
+        # oracle: d diag_j^2 is chi^2_1 and 2d off_i^2 is chi^2_{2(d-i)}, i = 1 ... d-1
+        n = 4000
+        rng = task_rng(107, d)
+        draws = [rmt._gue_tridiagonal(d, rng) for _ in range(n)]
+        scaled = np.hstack([
+            d * np.array([diag for diag, _ in draws]) ** 2,
+            2 * d * np.array([off for _, off in draws]) ** 2,
+        ])
+        expected = np.concatenate([np.ones(d), 2.0 * np.arange(d - 1, 0, -1)])
+        se = scaled.std(axis=0) / math.sqrt(n)
+        assert np.all(np.abs(scaled.mean(axis=0) - expected) <= 4 * se)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_populations_are_uniform_on_the_simplex(self, d):
+        # oracle: for beta = 2 the weights |<E|0>|^2 are Dirichlet(1, ..., 1) and
+        # independent of the eigenvalues, so the weight on each sorted level is
+        # Beta(1, d - 1); a beta = 1 chi law would give Dirichlet(1/2, ..., 1/2)
+        n = 2000
+        q = np.array([
+            sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(108, d, i))).populations
+            for i in range(n)
+        ])
+        for j in (0, d - 1):
+            assert scipy.stats.ks_1samp(q[:, j], scipy.stats.beta(1, d - 1).cdf).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 24])
+    def test_spectrum_law_matches_the_dense_complex_draw(self, d):
+        # the dense complex draw, whose Householder reduction has the tridiagonal
+        # law, against the tridiagonal draw: pooled eigenvalues, the top level
+        # and the weight of |0> on it
+        n = 1500
+        tri, dense = [], []
+        for i in range(n):
+            sm = sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(109, d, i)))
+            w, v = np.linalg.eigh(mo.sample_gue_complex(d, task_rng(110, d, i)))
+            tri.append(np.concatenate([sm.eigenvalues, sm.populations[-1:]]))
+            dense.append(np.concatenate([w, np.abs(v[0, -1:]) ** 2]))
+        tri, dense = np.array(tri), np.array(dense)
+        for a, b in [(tri[:, :d].ravel(), dense[:, :d].ravel()), (tri[:, d - 1], dense[:, d - 1]),
+                     (tri[:, d], dense[:, d])]:
+            assert scipy.stats.ks_2samp(a, b).pvalue >= 1e-3
 
     def test_fourth_moments_against_the_gue_closed_form(self):
         # oracle: for Hermitian H with E|h_ij|^2 = 1/d and Gaussian entries,

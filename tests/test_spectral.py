@@ -169,6 +169,24 @@ class TestTridiagonalMeasure:
         assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
         assert np.abs(sm.populations - ref.populations).max() <= 1e-14
 
+    @pytest.mark.parametrize("d", [2, 3, 48])
+    def test_householder_reduction_keeps_the_measure_of_the_first_basis_state(self, d):
+        # zhetrd's Q fixes |0>, so the tridiagonal T of a dense draw has its measure
+        h = mo.sample_gue_complex(d, task_rng(37, d))
+        work, _ = scipy.linalg.lapack.zhetrd_lwork(d, lower=1)
+        _, diag, off, _, info = scipy.linalg.lapack.zhetrd(h, lower=1, lwork=int(work.real))
+        assert info == 0
+        sm = sp._tridiagonal_measure(diag, off)
+        ref = _dense_measure(hb.HermitianOperator(h, (d,)))
+        assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
+        assert np.abs(sm.populations - ref.populations).max() <= 1e-14
+
+    def test_input_is_left_unchanged(self):
+        diag, off = rmt._gue_tridiagonal(48, task_rng(36))
+        before = diag.tobytes(), off.tobytes()
+        sp._tridiagonal_measure(diag, off)
+        assert (diag.tobytes(), off.tobytes()) == before
+
     def test_block_diagonal_coupling(self):
         # a zero off-diagonal splits T: |0> couples to the leading 3-level block
         # only, and the other block is shifted off so each eigenvalue names its block
