@@ -25,9 +25,11 @@ def _gue_tridiagonal(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     """Diagonal and off-diagonal of the Dumitriu-Edelman beta = 2 matrix at dimension d.
 
     The diagonal is N(0, 1/d) and off-diagonal entry i (i = 1 ... d-1) is
-    chi_{2(d-i)} / sqrt(2d), drawn in that order: the real tridiagonal matrix
-    that Householder reduction of a `sample_gue`-normalized GUE matrix yields
-    (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)), drawn in O(d).
+    chi_{2(d-i)} / sqrt(2d), drawn in that order, in O(d). This is the law of
+    the real tridiagonal matrix that Householder reduction yields from the
+    dense GUE matrix (g + g^dagger)/2, g = (a + i b)/sqrt(d) with a and b
+    standard normal (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)).
+    The reflections fix |0>, so the reduction keeps its spectral measure.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -37,15 +39,13 @@ def _gue_tridiagonal(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
 
 
 def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
-    """GUE matrix in tridiagonal form, normalized as (g + g^dagger)/2 with
-    g = (a + i b)/sqrt(d) for a and b standard normal.
+    """Dense Hermitian form of one `_gue_tridiagonal` draw.
 
-    The dense Hermitian form of `_gue_tridiagonal`'s draw. Its eigenvalues,
-    and the spectral measure of basis state |0> (eigenvalues and populations
-    |<E|0>|^2), follow the GUE law exactly; the eigenvalue density converges
-    to the semicircle on [-2, 2]. Its entries do not: they are tridiagonal
-    and real, so only unitarily invariant quantities and those of |0> keep
-    their GUE law.
+    Its eigenvalues, and the spectral measure of basis state |0> (eigenvalues
+    and populations |<E|0>|^2), follow the GUE law exactly; the eigenvalue
+    density converges to the semicircle on [-2, 2]. Its entries do not: they
+    are tridiagonal and real, so only unitarily invariant quantities and those
+    of |0> keep their GUE law.
     """
     diag, off = _gue_tridiagonal(d, rng)
     h = np.zeros((d, d), dtype=complex)

@@ -113,7 +113,8 @@ class TestSampling:
         assert ks <= 0.02
 
     def test_eigenvector_isotropy(self):
-        # |<i|u>|^2 averages to 1/d across samples, as for Haar vectors
+        # |<0|u>|^2 averages to 1/d across samples, as for Haar vectors; the draw is
+        # tridiagonal, so this holds for |0> only, not for every basis state
         rng = task_rng(102)
         d = 64
         comps = []

@@ -169,18 +169,6 @@ class TestTridiagonalMeasure:
         assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
         assert np.abs(sm.populations - ref.populations).max() <= 1e-14
 
-    @pytest.mark.parametrize("d", [2, 3, 48])
-    def test_householder_reduction_keeps_the_measure_of_the_first_basis_state(self, d):
-        # zhetrd's Q fixes |0>, so the tridiagonal T of a dense draw has its measure
-        h = mo.sample_gue_complex(d, task_rng(37, d))
-        work, _ = scipy.linalg.lapack.zhetrd_lwork(d, lower=1)
-        _, diag, off, _, info = scipy.linalg.lapack.zhetrd(h, lower=1, lwork=int(work.real))
-        assert info == 0
-        sm = sp._tridiagonal_measure(diag, off)
-        ref = _dense_measure(hb.HermitianOperator(h, (d,)))
-        assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
-        assert np.abs(sm.populations - ref.populations).max() <= 1e-14
-
     def test_input_is_left_unchanged(self):
         diag, off = rmt._gue_tridiagonal(48, task_rng(36))
         before = diag.tobytes(), off.tobytes()
@@ -313,7 +301,7 @@ PROPAGATION_MODELS = [
     {"model": "tfim", "n": 7},
     {"model": "mfim_broken_trs", "n": 6},
     {"model": "xxz", "n": 8},
-    {"model": "explicit", "matrix": rmt.sample_gue(32, task_rng(11)).entries},
+    {"model": "explicit", "matrix": mo.sample_gue_complex(32, task_rng(11))},
 ]
 
 
@@ -496,7 +484,8 @@ class TestDiagonalEnsemble:
 
 
     def test_dimension_off_powers_of_two(self, rng):
-        bound = sp.bind_state(sp.diagonalize(rmt.sample_gue(48, rng)), random_state(48, rng))
+        h = hb.HermitianOperator(mo.sample_gue_complex(48, rng), (48,))
+        bound = sp.bind_state(sp.diagonalize(h), random_state(48, rng))
         rho, purity = sp.diagonal_ensemble(bound)
         p = bound.populations
         assert rho.dims == (48,)
