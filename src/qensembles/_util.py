@@ -55,15 +55,14 @@ class Caps:
     `max_state_dim` bounds state vectors and the row table of every chain
     Hamiltonian build (dense, sparse or window), d per flip mask, doubled for
     the realified form of a real one; `max_multiset_terms` bounds exact multiset
-    enumerations: the random-phase moment, the Frobenius kernel's sorted sums
-    and the no-resonance scan of `ensembles.check_no_resonance`;
-    `max_sinc_terms` bounds the finite-interval double sums.
+    enumerations: the random-phase moment and the Frobenius kernel's sorted
+    sums; `max_sinc_terms` bounds the finite-interval double sums.
     """
 
     max_spectrum_dim: int = 2**14          # eigensolves: dense or tridiagonal
     max_state_dim: int = 2**22             # state vectors, chain row-table entries
     max_moment_entries: int = 2**26        # k-copy moment entries
-    max_multiset_terms: int = 2_500_000    # multiset sums (moments, resonance scans)
+    max_multiset_terms: int = 2_500_000    # multiset sums (moments, Frobenius kernel)
     max_sinc_terms: int = 40_000_000       # finite-interval double multiset sums
 
 

@@ -9,9 +9,8 @@ products of monomial panels, the Haar moment is I/D, the exact random-phase
 product times the sinc kernel, and product forms are symmetric powers.
 
 Multisets of energy levels are enumerated, sorted by their sums and paired by
-gap in one place (`_sorted_sums`, `_close_pairs`), shared by the Frobenius
-kernel of the finite-interval moment and by `check_no_resonance`, the check of
-the k-th no-resonance condition.
+gap (`_sorted_sums`, `_close_pairs`) for the Frobenius kernel of the
+finite-interval moment alone.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class MomentOperator:
 
 def _sym_dim(d: int, k: int) -> int:
     """D = C(d+k-1, k), the dimension of Sym^k(C^d), after the one rule on the
-    order of every moment, distance kernel and multiset scan: k >= 1."""
+    order of every moment and distance kernel: k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return math.comb(d + k - 1, k)
@@ -498,65 +497,6 @@ def _split(a):
     c = 134217729.0 * a  # 2^27 + 1
     hi = c - (c - a)
     return hi, a - hi
-
-
-# ---------------------------------------------------------------------------
-# the k-th no-resonance condition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoResonanceReport:
-    """Result of scanning k-fold eigenvalue sums for coincidences."""
-
-    k: int
-    tolerance: float
-    violations: tuple
-    verdict: str  # "pass" | "fail" | "pass-modulo-degeneracies"
-    degenerate_clusters: int
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "pass-modulo-degeneracies")
-
-
-def check_no_resonance(
-    eigenvalues: Sequence[float],
-    k: int,
-    tolerance: float | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> NoResonanceReport:
-    """Scan all k-multiset eigenvalue sums for non-permutation coincidences.
-
-    Degeneracies are merged first: sorted levels form one run while each gap
-    to the next is within the tolerance (default 1e-8 times the spectral
-    width), and a run counts once, at its lowest level. A clean scan after
-    merging yields the verdict "pass-modulo-degeneracies". The sums of the
-    merged levels are sorted as in the Frobenius kernel, and every pair of
-    distinct multisets whose sums lie within the tolerance is a violation;
-    the first 1000 are listed as (multiset, multiset, gap).
-    The sums are bounded by `max_multiset_terms`.
-    """
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    if not ev.size or not np.all(np.isfinite(ev)):
-        raise ValueError("eigenvalues must be nonempty and finite")
-    width = float(ev[-1] - ev[0]) if ev.size > 1 else 1.0
-    tol = 1e-8 * width if tolerance is None else float(tolerance)
-    levels = ev[np.insert(np.diff(ev) > tol, 0, True)]
-    check_cap(caps, "max_multiset_terms", _sym_dim(levels.size, k))
-    idx, _, s = _sorted_sums(levels, k)
-    first = np.searchsorted(s, s + tol, side="right")
-    rows, cols = next(_close_pairs(first, 1000), ((), ()))
-    violations = tuple(
-        (tuple(idx[n].tolist()), tuple(idx[m].tolist()), float(s[m] - s[n]))
-        for n, m in zip(rows, cols)
-    )
-    n_deg = ev.size - levels.size
-    if violations:
-        verdict = "fail"
-    else:
-        verdict = "pass-modulo-degeneracies" if n_deg else "pass"
-    return NoResonanceReport(k, tol, violations, verdict, n_deg)
 
 
 # ---------------------------------------------------------------------------

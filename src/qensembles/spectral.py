@@ -38,7 +38,9 @@ class SpectralData:
 
     Eigenvalues ascend; eigenvectors are columns with a deterministic phase
     gauge (largest-magnitude component real positive). `overlaps` holds
-    c_E = <E|psi0> when bound.
+    c_E = <E|psi0> when bound; a bound spectrum's degenerate groups are
+    rotated, not phase-fixed, so that psi0 overlaps one vector of each
+    (`bind_state`).
     """
 
     eigenvalues: np.ndarray
@@ -123,12 +125,45 @@ def model_spectrum(model: Mapping, caps: Caps = DEFAULT_CAPS) -> SpectralData:
     return _eigh(build_hamiltonian(model, caps).entries)
 
 
+# Levels form one degenerate group in `bind_state` while each gap to the next is
+# within this fraction of the spectral width. xxz's exact degeneracies lie below
+# 1e-16 of the width; mfim's smallest gap is 1.9e-8 of it at n = 10, 1.1e-10 at n = 11.
+DEGENERACY_RTOL = 1e-12
+
+
 def bind_state(sd: SpectralData, psi0: PureState) -> SpectralData:
-    """Attach initial-state overlaps c_E = <E|psi0>."""
+    """Attach initial-state overlaps c_E = <E|psi0>, one nonzero per eigenspace.
+
+    Sorted levels form one group while each gap to the next is within
+    DEGENERACY_RTOL of the spectral width. The eigenvectors V_G of each group
+    are rotated by a unitary whose first column is c_G / |c_G|: the first
+    rotated vector is P_G psi0 / |P_G psi0| with overlap |c_G|, and the rest
+    have overlap 0. Every time average of the bound spectrum, which dephases
+    vector by vector, then dephases each eigenspace as a whole:
+    `diagonal_ensemble` is sum_E P_E rho0 P_E. Evolution is unchanged,
+    V_G c_G being kept. A spectrum with no group returns the parent's
+    eigenvalue and eigenvector arrays.
+    """
     if psi0.dim != sd.dim:
         raise ValueError("state dimension does not match the spectrum")
     c = sd.eigenvectors.conj().T @ psi0.amplitudes
-    return SpectralData(sd.eigenvalues, sd.eigenvectors, c)
+    joined = np.diff(sd.eigenvalues) <= DEGENERACY_RTOL * sd.spectral_width()
+    if not joined.any():
+        return SpectralData(sd.eigenvalues, sd.eigenvectors, c)
+    v = sd.eigenvectors.copy()
+    # each run of joined gaps, lo .. hi - 1, joins the levels lo .. hi
+    for lo, hi in np.flatnonzero(np.diff(np.r_[False, joined, False])).reshape(-1, 2):
+        g = slice(lo, hi + 1)
+        norm = np.linalg.norm(c[g])
+        if norm == 0:
+            continue
+        first = c[g] / norm
+        u, _ = np.linalg.qr(np.column_stack([first, np.eye(hi + 1 - lo)]))
+        u[:, 0] = first  # Householder QR gives it up to a phase
+        v[:, g] = v[:, g] @ u
+        c[g] = 0.0
+        c[lo] = norm
+    return SpectralData(sd.eigenvalues, v, c)
 
 
 class SpectralMeasure(NamedTuple):

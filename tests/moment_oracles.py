@@ -10,10 +10,11 @@ The reference forms at the end are second methods of another kind: earlier,
 slower ways to the same numbers (one Scrooge moment per outcome, a contraction
 with every local block, the complex-arithmetic GUE draw, the dense chain
 Hamiltonian builder, projected states and their phases one outcome at a time,
-the resonance scan over a tuple array, subentropy by splitting degenerate
-eigenvalues, Chebyshev propagation with a complex matrix and a symmetric
-norm bound), kept to check the faster paths that replaced them, and the
-exact infinite-time twirls of one and two copies in the energy basis.
+subentropy by splitting degenerate eigenvalues, Chebyshev propagation with a
+complex matrix and a symmetric norm bound), kept to check the faster paths
+that replaced them; the exact infinite-time twirls in the energy basis, of one
+copy per eigenvector or per eigenspace and of two copies; and the resonance
+scan over a tuple array, which tells when the two-copy twirl applies.
 
 The helpers at the very end have no caller in the package: the Scrooge
 sampler for Monte Carlo checks, the energy moments of a state, the moment
@@ -414,6 +415,19 @@ def dephase(sd, a):
     """Energy-basis dephasing of a single-copy operator (infinite-time twirl, k = 1)."""
     at = sd.eigenvectors.conj().T @ a @ sd.eigenvectors
     return (sd.eigenvectors * np.diag(at).real) @ sd.eigenvectors.conj().T
+
+
+def eigenspace_dephase(sd, a, rtol=1e-9):
+    """sum_E P_E a P_E over the eigenspaces of an unbound spectrum: levels split
+    where a gap exceeds rtol times the spectral width, and each P_E is built
+    from the eigenvectors of its levels, whatever their basis."""
+    ev, v = sd.eigenvalues, sd.eigenvectors
+    edges = np.flatnonzero(np.r_[True, np.diff(ev) > rtol * (ev[-1] - ev[0]), True])
+    out = np.zeros_like(a, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        p = v[:, lo:hi] @ v[:, lo:hi].conj().T
+        out += p @ a @ p
+    return out
 
 
 def twirl2(sd, a):

@@ -141,11 +141,7 @@ class TestOrderRule:
         with pytest.raises(ValueError, match="k must be >= 1"):
             build(0)
 
-    @pytest.mark.parametrize(
-        "build",
-        [*MOMENT_BUILDERS.values(), lambda k: en.check_no_resonance([0.0, 1.0], k)],
-        ids=[*MOMENT_BUILDERS, "check_no_resonance"],
-    )
+    @pytest.mark.parametrize("build", list(MOMENT_BUILDERS.values()), ids=list(MOMENT_BUILDERS))
     def test_negative_order_is_rejected(self, build):
         with pytest.raises(ValueError, match="k must be >= 1"):
             build(-1)
@@ -506,57 +502,7 @@ class TestClosePairs:
         every = self._walk(np.full(dim, dim), block)
         assert every == [(n, m) for n in range(dim) for m in range(n + 1, dim)]
 
-
-class TestNoResonanceEngine:
-    """`check_no_resonance` against the scan over a tuple array (`mo.resonance_tuple_scan`)."""
-
-    @staticmethod
-    def _spectra(rng, k):
-        size = {1: 30, 2: 20, 3: 12, 4: 9}[k]
-        for _ in range(6):
-            generic = rng.standard_normal(size)
-            yield generic
-            yield np.append(generic[1:], generic[1])  # one level doubled
-            yield rng.integers(-6, 7, size).astype(float)
-            yield np.round(rng.uniform(-1.0, 1.0, size), 1)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_verdicts_match_the_tuple_scan(self, k):
-        rng = task_rng(16, k)
-        for ev in self._spectra(rng, k):
-            for tol in (None, 1e-9, 1e-3):
-                rep = en.check_no_resonance(ev, k, tolerance=tol)
-                verdict, n_deg, pairs = mo.resonance_tuple_scan(ev, k, tolerance=tol)
-                assert (rep.verdict, rep.degenerate_clusters) == (verdict, n_deg)
-                assert bool(rep.violations) == bool(pairs)
-                for a, b, gap in rep.violations:
-                    assert len(a) == len(b) == k and a != b
-                    assert 0.0 <= gap <= rep.tolerance
-                if len(rep.violations) < 1000 and len(pairs) < 1000:
-                    found = {frozenset((a, b)) for a, b, _ in rep.violations}
-                    assert {frozenset((a, b)) for a, b, _ in pairs} <= found
-
-    def test_a_gap_equal_to_the_tolerance_is_a_violation(self):
-        # sums 0, 3, 6, 7, 10, 14: only 3 + 3 and 0 + 7 lie within 1
-        rep = en.check_no_resonance([0.0, 3.0, 7.0], 2, tolerance=1.0)
-        assert rep.violations == (((1, 1), (0, 2), 1.0),)
-        assert rep.verdict == "fail"
-
-    def test_a_chain_of_close_levels_is_one_run(self):
-        # each gap is within the tolerance but the chain spans 1.2 of it
-        rep = en.check_no_resonance([0.0, 0.6e-9, 1.2e-9, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
-        assert rep.verdict == "pass-modulo-degeneracies"
-        assert rep.degenerate_clusters == 2
-
-    @pytest.mark.parametrize(
-        "eigenvalues", [[], [np.nan, 1.0, 2.0], [0.0, np.inf, 2.0]], ids=["empty", "nan", "inf"]
-    )
-    def test_empty_or_non_finite_levels_are_rejected(self, eigenvalues):
-        # checked before the caps: a cap of no sums would raise CapacityError first
-        with pytest.raises(ValueError, match="finite"):
-            en.check_no_resonance(eigenvalues, 2, caps=Caps(max_multiset_terms=0))
-
-    def test_kernel_and_scan_share_the_sorted_sums(self, rng):
+    def test_sorted_sums_ascend_over_the_occupation_basis(self, rng):
         levels = np.sort(rng.standard_normal(9))
         idx, counts, s = en._sorted_sums(levels, 3)
         assert np.all(np.diff(s) >= 0)

@@ -494,6 +494,54 @@ class TestDiagonalEnsemble:
         assert np.sum(np.abs(rho.entries) ** 2) == pytest.approx(purity, abs=1e-12)  # tr rho^2
 
 
+class TestDegenerateBinding:
+    """`bind_state` dephases each degenerate eigenspace as a whole."""
+
+    def test_xxz_time_average_is_the_projector_sum(self, spectrum_factory):
+        # the open xxz chain is spin-flip symmetric: 22 degenerate groups at n = 6
+        sd, psi0 = spectrum_factory("xxz", 6), hb.product_state(0.6, 6)
+        rho, purity = sp.diagonal_ensemble(sp.bind_state(sd, psi0))
+        rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
+        expected = mo.eigenspace_dephase(sd, rho0)
+        assert np.abs(rho.entries - expected).max() <= 1e-14
+        assert purity == pytest.approx(np.sum(np.abs(expected) ** 2), abs=1e-14)
+
+    def test_planted_degeneracy(self, rng):
+        levels = np.array([-1.3, 0.2, 0.2, 0.2, 0.7, 1.1, 1.1, 2.0])
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        model = {"model": "explicit", "matrix": (q * levels) @ q.conj().T}
+        psi0 = random_state(8, rng)
+        bound = sp.bind_state(sp.model_spectrum(model), psi0)
+        rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
+        expected = np.zeros((8, 8), dtype=complex)
+        for group in ([0], [1, 2, 3], [4], [5, 6], [7]):
+            p = q[:, group] @ q[:, group].conj().T
+            expected += p @ rho0 @ p
+        rho, _ = sp.diagonal_ensemble(bound)
+        assert np.abs(rho.entries - expected).max() <= 1e-14
+        # one vector of each group carries its overlap, and evolution is unchanged
+        assert np.count_nonzero(bound.overlaps) == 5
+        for t in (0.0, 3.0, -40.0):
+            u = (q * np.exp(-1j * levels * t)) @ q.conj().T
+            assert np.abs(sp.evolve(bound, t).amplitudes - u @ psi0.amplitudes).max() <= 1e-12
+
+    def test_xxz_first_moment_reaches_the_random_phase_moment(self, spectrum_factory):
+        bound = spectrum_factory("xxz", 6, 0.6)
+        assert en.finite_time_frobenius_distances(bound, 1, [1e8])[0] < 1e-5
+
+    def test_spectrum_without_groups_keeps_its_arrays(self, spectrum_factory):
+        sd, psi0 = spectrum_factory("mfim", 6), hb.product_state(0.6, 6)
+        bound = sp.bind_state(sd, psi0)
+        assert bound.eigenvalues is sd.eigenvalues and bound.eigenvectors is sd.eigenvectors
+        assert np.array_equal(bound.overlaps, sd.eigenvectors.conj().T @ psi0.amplitudes)
+
+    def test_group_the_state_misses_is_left_as_it_is(self):
+        sd = sp.model_spectrum({"model": "explicit", "matrix": np.diag([0.0, 0.0, 1.0, 2.0])})
+        bound = sp.bind_state(sd, hb.PureState(np.eye(4)[2], (2, 2)))
+        assert np.array_equal(bound.populations, [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(bound.eigenvectors, sd.eigenvectors)
+
+
 class TestEnergyMoments:
     def test_eigenstate_has_zero_width(self):
         h = hb.build_hamiltonian({"model": "mfim", "n": 3})
@@ -517,44 +565,13 @@ class TestEnergyMoments:
         assert e / 12 == pytest.approx(0.51, abs=0.02)
 
 
-class TestNoResonance:
-    def test_generic_four_level_pass(self):
-        rep = en.check_no_resonance([0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
-        assert rep.verdict == "pass"
-        assert not rep.violations
-
-    def test_arithmetic_progression_fails(self):
-        rep = en.check_no_resonance([0.0, 1.0, 2.0, 3.0], 2, tolerance=1e-9)
-        assert rep.verdict == "fail"
-        assert any(abs(gap) <= 1e-9 for _, _, gap in rep.violations)
-
-    def test_tfim_free_fermion_resonances(self):
-        h = hb.build_hamiltonian({"model": "tfim", "n": 6})
-        sd = sp.diagonalize(h)
-        rep = en.check_no_resonance(sd.eigenvalues, 2)
-        assert rep.verdict == "fail"
-
-    def test_shift_invariance_and_scale_covariance(self, rng):
-        ev = np.sort(rng.standard_normal(12))
-        base = en.check_no_resonance(ev, 2, tolerance=1e-7)
-        shifted = en.check_no_resonance(ev + 5.0, 2, tolerance=1e-7)
-        scaled = en.check_no_resonance(3.0 * ev, 2, tolerance=3e-7)
-        assert base.verdict == shifted.verdict == scaled.verdict
-        assert len(base.violations) == len(shifted.violations) == len(scaled.violations)
-
-    def test_degeneracy_reported_modulo(self):
-        rep = en.check_no_resonance([0.0, 0.0, 1.0, 3.0, 7.0], 2, tolerance=1e-9)
-        assert rep.verdict == "pass-modulo-degeneracies"
-        assert rep.degenerate_clusters == 1
-
-
 class TestTwirl2:
     def test_identity_is_invariant(self, rng):
         h = (lambda g: hb.HermitianOperator((g + g.conj().T) / 2, (2,) * 2))(
             rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         )
         sd = sp.diagonalize(h)
-        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        assert mo.resonance_tuple_scan(sd.eigenvalues, 2)[0] != "fail"
         out = mo.twirl2(sd, np.eye(16, dtype=complex))
         assert np.abs(out - np.eye(16)).max() <= 1e-10
 
@@ -566,25 +583,19 @@ class TestTwirl2:
         bound = sp.bind_state(sd, psi)
         a = np.outer(psi.amplitudes, psi.amplitudes.conj())
         a2 = np.kron(a, a)
-        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        assert mo.resonance_tuple_scan(sd.eigenvalues, 2)[0] != "fail"
         out = mo.twirl2(sd, a2)
         v2 = np.kron(sd.eigenvectors, sd.eigenvectors)
         out_eig = v2.conj().T @ out @ v2
         expected = en.random_phase_moment_exact(bound.populations, 2).dense()
         assert np.abs(out_eig - expected).max() <= 1e-10
 
-    def test_resonance_check_uses_the_callers_caps(self):
-        # 10 two-multisets of 4 levels exceed a cap of 3 multiset sums
-        with pytest.raises(CapacityError) as info:
-            en.check_no_resonance([0.0, 1.0, 3.0, 7.0], 2, caps=Caps(max_multiset_terms=3))
-        assert info.value.cap_name == "max_multiset_terms"
-
     def test_commutes_with_two_copy_evolution(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = hb.HermitianOperator((g + g.conj().T) / 2, (2, 2))
         sd = sp.diagonalize(h)
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        assert mo.resonance_tuple_scan(sd.eigenvalues, 2)[0] != "fail"
         out = mo.twirl2(sd, a)
         for t in (0.37, 2.11):
             u = sd.eigenvectors @ np.diag(np.exp(-1j * sd.eigenvalues * t)) @ sd.eigenvectors.conj().T
@@ -604,7 +615,7 @@ class TestTwirl2:
         at = v2.conj().T @ a @ v2
         s = np.add.outer(sd.eigenvalues, sd.eigenvalues).ravel()
         de = s[:, None] - s[None, :]
-        assert en.check_no_resonance(sd.eigenvalues, 2).passed
+        assert mo.resonance_tuple_scan(sd.eigenvalues, 2)[0] != "fail"
         tw = v2.conj().T @ mo.twirl2(sd, a) @ v2
         spacing = sd.spectral_width() / (d - 1)
         ts = np.logspace(3, 6, 10) / spacing
