@@ -3,8 +3,9 @@
 GUE matrices are drawn in the tridiagonal form of Dumitriu and Edelman: O(d)
 Gaussian and chi draws whose eigenvalues, and spectral measure of |0>, have
 the GUE law. `convergence_experiment` reads only that measure, so it solves
-the tridiagonal matrix directly; `sample_gue` gives the same draw as a dense
-matrix, for dense second methods.
+the tridiagonal matrix directly, for its eigenvalues and the first components
+of its eigenvectors only; `sample_gue` gives the same draw as a dense matrix,
+for dense second methods.
 """
 
 from __future__ import annotations
@@ -112,9 +113,12 @@ def convergence_experiment(
     square. The curve's `sample_count` tells which.
 
     Each sample is the tridiagonal matrix of `_gue_tridiagonal`, whose
-    measure of |0> has the GUE law, so no d x d complex matrix is formed and
-    no Householder reduction runs: the peak is the tridiagonal solver's, two
-    d x d real matrices at d = 1024, k = 1. `max_spectrum_dim` (d),
+    measure of |0> has the GUE law, so no d x d matrix is formed and no
+    Householder reduction runs: `_tridiagonal_measure` needs O(d) memory, and
+    the peak is the distance kernel's row blocks, 2 MB at d = 1024, k = 1.
+    A draw outside the solver's certified domain raises NumericalFailureError,
+    with no fallback; none of about 2,000 draws at d = 2 to 4096 did.
+    `max_spectrum_dim` (d),
     `max_multiset_terms` (C(d+k-1, k)) and `max_sinc_terms` (its square) are
     checked before the first draw.
     """

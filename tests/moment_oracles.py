@@ -8,7 +8,8 @@ symmetric-subspace builders they check.
 
 The reference forms at the end are second methods of another kind: earlier,
 slower ways to the same numbers (one Scrooge moment per outcome, a contraction
-with every local block, the complex-arithmetic GUE draw, the dense chain
+with every local block, the complex-arithmetic GUE draw, the spectral measure
+of a tridiagonal matrix in mpmath arithmetic, the dense chain
 Hamiltonian builder, projected states and their phases one outcome at a time,
 subentropy by splitting degenerate eigenvalues, Chebyshev propagation with a
 complex matrix and a symmetric norm bound), kept to check the faster paths
@@ -222,6 +223,25 @@ def sample_gue_complex(d, rng):
     """GUE draw in complex arithmetic: (g + g^dagger)/2, g = (a + i b)/sqrt(d)."""
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
     return (g + g.conj().T) / 2
+
+
+def tridiagonal_measure_mp(diag, off, dps):
+    """Ascending eigenvalues of a real tridiagonal T and the populations of |0>, as mpf.
+
+    mpmath's dense `eigsy` at dps digits, on the entries of T taken exactly.
+    """
+    import mpmath
+
+    d = len(diag)
+    with mpmath.workdps(dps):
+        t = mpmath.matrix(d, d)
+        for i, x in enumerate(diag):
+            t[i, i] = x
+        for i, x in enumerate(off):
+            t[i, i + 1] = t[i + 1, i] = x
+        levels, vectors = mpmath.eigsy(t)
+        pairs = sorted((levels[j], vectors[0, j] ** 2) for j in range(d))
+    return [e for e, _ in pairs], [p for _, p in pairs]
 
 
 def _pauli_string_reference(n, ops):

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -14,6 +15,12 @@ from qensembles import spectral as sp
 from qensembles._util import task_rng
 
 import moment_oracles as mo
+
+
+@functools.cache
+def _reference_measure(d, seed, i):
+    """The 30-digit measure of |0> of GUE draw i at (d, seed), as mpf levels and populations."""
+    return mo.tridiagonal_measure_mp(*rmt._gue_tridiagonal(d, task_rng(seed, i)), 30)
 
 
 class TestSampling:
@@ -289,24 +296,43 @@ class TestConvergenceExperiment:
             rmt.fit_curve_slope(curve, (curve.tau_grid[0], curve.tau_grid[-1]), squared=True)
 
     @staticmethod
-    def _dense_route(d, k, n_samples, seed):
-        """The oracle: full eigendecomposition, bound to |0>, then the distance kernel."""
+    def _dense_route(d, k, n_samples, seed, precise=False):
+        """The oracle: full eigendecomposition, bound to |0>, then the distance kernel.
+
+        With `precise`, the eigendecomposition is mpmath's at 30 digits
+        (`_reference_measure`), rounded to doubles. LAPACK's dense solver returns eigenvalues
+        bit-identical to its tridiagonal one on the d = 32, seed 5 draws, so
+        at double precision this route would pin LAPACK's rounding there.
+        """
         taus = rmt.default_tau_grid(d)
         rows = []
         for i in range(n_samples):
-            h = rmt.sample_gue(d, task_rng(seed, i))
-            e0 = hb.PureState(np.eye(d, dtype=complex)[0], h.dims)
-            bound = sp.bind_state(sp.diagonalize(h), e0)
-            rows.append(en.finite_time_frobenius_distances(bound, k, taus))
+            if precise:
+                measure = sp.SpectralMeasure(*(np.array(v, dtype=float) for v in _reference_measure(d, seed, i)))
+            else:
+                h = rmt.sample_gue(d, task_rng(seed, i))
+                e0 = hb.PureState(np.eye(d, dtype=complex)[0], h.dims)
+                measure = sp.bind_state(sp.diagonalize(h), e0)
+            rows.append(en.finite_time_frobenius_distances(measure, k, taus))
         rows = np.array(rows)
         return rows.mean(axis=0), (rows**2).mean(axis=0)
 
-    @pytest.mark.parametrize("d, k", [(64, 1), (32, 2)])
-    def test_matches_dense_route(self, d, k):
+    @pytest.mark.parametrize("d, k, precise", [(64, 1, False), (32, 2, True)], ids=["64-1", "32-2"])
+    def test_matches_dense_route(self, d, k, precise):
         curve = rmt.convergence_experiment(d, k, n_samples=2, seed=5)
-        mean, squared = self._dense_route(d, k, 2, 5)
+        mean, squared = self._dense_route(d, k, 2, 5, precise)
         assert curve.frobenius == pytest.approx(mean, rel=1e-12)
         assert curve.squared_frobenius_mean == pytest.approx(squared, rel=1e-12)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_measure_matches_the_30_digit_one(self, i):
+        # the d = 32, seed 5 draws of test_matches_dense_route[32-2], against the
+        # unrounded 30-digit measure: a full eigenvector solve is 4.2e-16 and
+        # 1.07e-15 off in eigenvalues and 4.5e-16 and 1.0e-15 in populations
+        sm = sp._tridiagonal_measure(*rmt._gue_tridiagonal(32, task_rng(5, i)))
+        levels, populations = _reference_measure(32, 5, i)
+        assert max(abs(e - float(x)) for x, e in zip(sm.eigenvalues, levels)) <= 2.5e-16
+        assert max(abs(p - float(x)) for x, p in zip(sm.populations, populations)) <= 1e-16
 
     def test_no_householder_reduction(self, monkeypatch):
         def zhetrd(*args, **kwargs):
@@ -327,13 +353,14 @@ class TestConvergenceExperiment:
 
 
 class TestPeakMemory:
-    # at most one d x d complex matrix (d^2 16 B) at a time, plus row-block temporaries
+    # sample_gue holds one d x d complex matrix (d^2 16 B) plus row-block
+    # temporaries; convergence_experiment holds no d x d array at all
     @pytest.mark.parametrize(
-        "run",
-        [lambda d: rmt.sample_gue(d, task_rng(0)), lambda d: rmt.convergence_experiment(d, 1)],
+        "run, units",
+        [(lambda d: rmt.sample_gue(d, task_rng(0)), 1.3), (lambda d: rmt.convergence_experiment(d, 1), 0.25)],
         ids=["sample_gue", "convergence_experiment"],
     )
-    def test_peak_memory_in_matrices(self, run):
+    def test_peak_memory_in_matrices(self, run, units):
         d = 1024
         run(16)  # warm up lazily created module state
         tracemalloc.start()
@@ -342,7 +369,7 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * d * d * 16
+        assert peak <= units * d * d * 16
 
 
 class TestPowerLawFit:
