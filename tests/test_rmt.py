@@ -300,9 +300,10 @@ class TestConvergenceExperiment:
         """The oracle: full eigendecomposition, bound to |0>, then the distance kernel.
 
         With `precise`, the eigendecomposition is mpmath's at 30 digits
-        (`_reference_measure`), rounded to doubles. LAPACK's dense solver returns eigenvalues
-        bit-identical to its tridiagonal one on the d = 32, seed 5 draws, so
-        at double precision this route would pin LAPACK's rounding there.
+        (`_reference_measure`), rounded to doubles. LAPACK's dense solver
+        returns eigenvalues bit-identical to its tridiagonal one on the
+        d = 32, seed 5 draws, so at double precision this route would pin
+        LAPACK's rounding there.
         """
         taus = rmt.default_tau_grid(d)
         rows = []
@@ -354,11 +355,16 @@ class TestConvergenceExperiment:
 
 class TestPeakMemory:
     # sample_gue holds one d x d complex matrix (d^2 16 B) plus row-block
-    # temporaries; convergence_experiment holds no d x d array at all
+    # temporaries; convergence_experiment holds no d x d array at all, and its
+    # tridiagonal solver only O(d) ones
     @pytest.mark.parametrize(
         "run, units",
-        [(lambda d: rmt.sample_gue(d, task_rng(0)), 1.3), (lambda d: rmt.convergence_experiment(d, 1), 0.25)],
-        ids=["sample_gue", "convergence_experiment"],
+        [
+            (lambda d: rmt.sample_gue(d, task_rng(0)), 1.3),
+            (lambda d: rmt.convergence_experiment(d, 1), 0.25),
+            (lambda d: sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(0))), 0.02),
+        ],
+        ids=["sample_gue", "convergence_experiment", "tridiagonal_measure"],
     )
     def test_peak_memory_in_matrices(self, run, units):
         d = 1024
