@@ -507,18 +507,14 @@ def _split(a):
 def projected_ensemble(
     state: PureState, part: Bipartition, basis: MeasurementBasis
 ) -> WeightedEnsemble:
-    """Measure B in a complete basis; outcomes weight the normalized A states
-    (`_table_ensemble` of the projection table)."""
-    return _table_ensemble(projection_table(state, part, basis))
+    """Measure B in a complete basis; outcomes weight the normalized A states.
 
-
-def _table_ensemble(table: np.ndarray) -> WeightedEnsemble:
-    """The columns of a (d_A, d_B) projection table as a normalized ensemble.
-
-    Each kept column is divided by the square root of its probability, its
-    squared norm, which becomes its weight. Outcomes with probability below
-    ZERO_OUTCOME_CUTOFF are dropped and counted in dropped_members.
+    Each kept column of the (d_A, d_B) projection table is divided by the
+    square root of its probability, its squared norm, which becomes its
+    weight. Outcomes with probability below ZERO_OUTCOME_CUTOFF are dropped
+    and counted in dropped_members.
     """
+    table = projection_table(state, part, basis)
     probs = np.sum(np.abs(table) ** 2, axis=0)
     keep = probs >= ZERO_OUTCOME_CUTOFF
     cols = table[:, keep] / np.sqrt(probs[keep])

@@ -17,10 +17,10 @@ in the sector, and the sector's spectrum lies in the full one's interval.
 Hamiltonian and every spectrum stay in the computational basis. Full
 spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix
 the Hamiltonian was built in) are built only for the paths that read
-eigenpairs: bound states, conditional-state tables and the eigenstate
-pipelines. Chain models stop at D = 2^13, where the dense build's D^2
-entries reach `Caps.max_moment_entries` (2^26); `max_spectrum_dim` (2^14)
-is checked first and binds only when it is set lower. The process cache
+eigenpairs: bound states and conditional-state tables. Chain models stop
+at D = 2^13, where the dense build's D^2 entries reach
+`Caps.max_moment_entries` (2^26); `max_spectrum_dim` (2^14) is checked
+first and binds only when it is set lower. The process cache
 holds one memo per model specification, and each entry is keyed within it
 by what else it depends on: the spectrum by nothing, a bound spectrum by
 the initial-state angle, a quenched state by the angle and the time, and a
@@ -152,17 +152,6 @@ def _central(state: hb.PureState, width: int) -> hb.Bipartition:
     return hb.Bipartition(state.n_sites, hb.central_sites(state.n_sites, width))
 
 
-def _projected_distances(
-    state: hb.PureState, part: hb.Bipartition, basis: hb.MeasurementBasis, k: int, caps: Caps
-) -> tuple[en.MomentOperator, float, float]:
-    """The projected k-th moment and its distances to Scrooge[rho_A] and Haar."""
-    proj = en.moment_k(en.projected_ensemble(state, part, basis), k, caps)
-    rho_a = hb.partial_trace(state, part).entries
-    d_scr = st.trace_distance(proj, sc.scrooge_moment(rho_a, k, caps))
-    d_haar = st.trace_distance(proj, en.haar_moment(part.d_a, k, caps))
-    return proj, d_scr, d_haar
-
-
 @dataclass(frozen=True)
 class ProjectedComparison:
     """Trace distances of a projected k-th moment to its reference ensembles."""
@@ -194,7 +183,10 @@ def projected_moment_comparison(
     state = quench_state(cache, model, theta, t)
     part = _central(state, subsystem_width)
     basis = hb.pauli_basis(part.sites_B, basis_letter)
-    proj, d_scr, d_haar = _projected_distances(state, part, basis, k, cache.caps)
+    proj = en.moment_k(en.projected_ensemble(state, part, basis), k, cache.caps)
+    rho_a = hb.partial_trace(state, part).entries
+    d_scr = st.trace_distance(proj, sc.scrooge_moment(rho_a, k, cache.caps))
+    d_haar = st.trace_distance(proj, en.haar_moment(part.d_a, k, cache.caps))
     d_gen = None
     if include_generalized:
         table = cache.conditional_states(model, theta, part, basis)
@@ -284,84 +276,6 @@ def rescaled_joint_probability_ks(
         "ks_raw": rep_raw.ks_statistic,
         "m2_rescaled": rep_rescaled.m2,
         "sample_count": int(rescaled.size),
-    }
-
-
-def eigenstate_projected_comparison(
-    sd: sp.SpectralData,
-    index: int,
-    part: hb.Bipartition,
-    basis: hb.MeasurementBasis,
-    k: int = 2,
-    caps: Caps = DEFAULT_CAPS,
-) -> dict:
-    """Projected-moment distances for one energy eigenstate (complex references)."""
-    n = part.n_sites
-    eig = hb.PureState(sd.eigenvectors[:, index], (2,) * n)
-    _, d_scr, d_haar = _projected_distances(eig, part, basis, k, caps)
-    return {
-        "index": index,
-        "energy_density": float(sd.eigenvalues[index]) / n,
-        "dist_scrooge": d_scr,
-        "dist_haar": d_haar,
-    }
-
-
-# Takagi factor of the single-site X operator: W W^T = X. In a chain mapped to
-# its complex conjugate by prod_j X_j, projecting onto X-ray outcomes on B and
-# expressing A in the W frame leaves every projected state real up to a
-# per-outcome global phase.
-TAKAGI_X_FRAME = ((1.0 - 1.0j) / 2.0) * np.array([[1.0, 1.0j], [1.0j, 1.0]])
-
-
-def real_projected_table(
-    sd: sp.SpectralData, index: int, part: hb.Bipartition
-) -> tuple[np.ndarray, float]:
-    """Projected states of one eigenstate, as real columns in the A Takagi frame.
-
-    Measures B in the X basis; returns the (D_A, D_B) real table (per-outcome
-    phases fixed) and the worst relative imaginary leak before discarding it.
-    """
-    n = part.n_sites
-    eig = hb.PureState(sd.eigenvectors[:, index], (2,) * n)
-    basis = hb.pauli_basis(part.sites_B, "X")
-    table = hb.projection_table(eig, part, basis)
-    us_a = [TAKAGI_X_FRAME] * len(part.sites_A)
-    rotated = hb.apply_local_rotations(table.T, us_a).T
-    norms = np.linalg.norm(rotated, axis=0)
-    kept = norms >= 1e-12
-    cols = rotated[:, kept]
-    phases = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
-    cols = cols * (np.conj(phases) / np.abs(phases))
-    out = np.zeros(rotated.shape)
-    out[:, kept] = cols.real
-    return out, float(np.max(np.abs(cols.imag).max(axis=0) / norms[kept], initial=0.0))
-
-
-def eigenstate_real_projected_comparison(
-    sd: sp.SpectralData,
-    index: int,
-    part: hb.Bipartition,
-    caps: Caps = DEFAULT_CAPS,
-) -> dict:
-    """Real-ensemble distances for one eigenstate of a time-reversal-symmetric chain.
-
-    The projected second moment (built from the real projected states) is
-    compared against the real Scrooge ensemble of the reduced state and the
-    uniform real-vector reference.
-    """
-    n = part.n_sites
-    table, imag_leak = real_projected_table(sd, index, part)
-    proj = en.moment_k(en._table_ensemble(table), 2, caps)
-    rho_a = (table @ table.T).astype(complex)
-    d_scr = st.trace_distance(proj, sc.real_scrooge_moment2(rho_a, caps))
-    d_haar = st.trace_distance(proj, sc.real_haar_moment2(part.d_a))
-    return {
-        "index": index,
-        "energy_density": float(sd.eigenvalues[index]) / n,
-        "dist_real_scrooge": d_scr,
-        "dist_real_haar": d_haar,
-        "imag_leak": imag_leak,
     }
 
 

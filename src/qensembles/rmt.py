@@ -55,15 +55,6 @@ def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
     return HermitianOperator(h, qubit_or_flat_dims(d))
 
 
-def sample_real_symmetric(d: int, rng: np.random.Generator) -> HermitianOperator:
-    """Real-symmetric Gaussian matrix with the same semicircle normalization."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    g = rng.standard_normal((d, d)) * math.sqrt(2.0 / d)
-    h = (g + g.T) / 2
-    return HermitianOperator(h.astype(complex), qubit_or_flat_dims(d))
-
-
 def semicircle_cdf(x: np.ndarray) -> np.ndarray:
     """CDF of the radius-2 semicircle law."""
     x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)

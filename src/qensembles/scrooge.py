@@ -7,8 +7,7 @@ weight |g|^2, so its k-th moment is E[(g g^dagger)^(x)k / |g|^(2(k-1))].
 Writing |g|^(-2(k-1)) as a Laplace integral over s turns each eigenbasis
 coefficient into one smooth integral over s of Gaussian moments, which the
 trapezoid rule on a uniform grid in ln s evaluates to machine precision for
-any k and any spectrum, degenerate or not. The real-vector ensemble uses the
-same grid with real Gaussian moments.
+any k and any spectrum, degenerate or not.
 
 The generalized Scrooge reference mixes one such moment per measurement
 outcome. It is evaluated as one batch over the stack of outcome states: one
@@ -134,19 +133,16 @@ def _cluster_plain(lam: np.ndarray) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_quadrature(
-    lam: np.ndarray, occ: np.ndarray, real: bool = False, grid: np.ndarray | None = None
-) -> np.ndarray:
-    """E[prod_m x_m^(2 n_m) / |x|^(2(k-1))] for independent Gaussians x_m, one per row of occ.
+def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
+    """E[prod_m |x_m|^(2 n_m) / |x|^(2(k-1))] for independent complex Gaussians
+    x_m with E|x_m|^2 = lam_m, one value per row of occ.
 
-    x_m is complex with E|x_m|^2 = lam_m, or real with E x_m^2 = lam_m. With
-    |x|^(-2(k-1)) = (1/(k-2)!) int_0^inf s^(k-2) e^(-s|x|^2) ds each value is
-        (1/(k-2)!) int_0^inf s^(k-2) prod_m a(n_m) lam_m^n_m (1 + w s lam_m)^-(n_m + b) ds
-    with (a(n), w, b) = (n!, 1, 1) complex and ((2n-1)!!, 2, 1/2) real. In t = ln s
-    the integrand is analytic within |Im t| < pi of the real axis and decays
-    exponentially at both ends, so the trapezoid rule converges geometrically;
-    it is summed over all rows at once, each row scaled by its largest term.
-    Needs k = sum n_m >= 2.
+    With |x|^(-2(k-1)) = (1/(k-2)!) int_0^inf s^(k-2) e^(-s|x|^2) ds each value is
+        (1/(k-2)!) int_0^inf s^(k-2) prod_m n_m! lam_m^n_m (1 + s lam_m)^-(n_m + 1) ds.
+    In t = ln s the integrand is analytic within |Im t| < pi of the real axis
+    and decays exponentially at both ends, so the trapezoid rule converges
+    geometrically; it is summed over all rows at once, each row scaled by its
+    largest term. Needs k = sum n_m >= 2.
 
     lam may be a stack of spectra (..., r); the values then have shape
     (..., rows). A zero in lam marks a mode outside the support: it leaves the
@@ -154,18 +150,15 @@ def _gaussian_quadrature(
     `_log_grid(lam)`.
     """
     k = int(occ[0].sum())
-    width, shift = (2.0, 0.5) if real else (1.0, 1.0)
     t = _log_grid(lam) if grid is None else grid
     support = lam > 0.0
     # a zero mode stands in at the largest eigenvalue, so the rows that occupy it stay finite
     lam = np.where(support, lam, lam.max(axis=-1, keepdims=True))
-    log_factors = np.logaddexp(0.0, t + np.log(width * lam)[..., None])  # ln(1 + w s lam_m)
-    log_moments = scipy.special.gammaln(occ + 1.0)
-    if real:
-        log_moments = scipy.special.gammaln(2.0 * occ + 1.0) - occ * LN2 - log_moments
-    const = (log_moments + occ * np.log(lam)[..., None, :]).sum(axis=-1) - math.lgamma(k - 1)
-    # every support mode carries the power shift, occupied modes n_m more
-    base = (k - 1) * t - shift * np.where(support[..., None], log_factors, 0.0).sum(axis=-2)
+    log_factors = np.logaddexp(0.0, t + np.log(lam)[..., None])  # ln(1 + s lam_m)
+    const = (scipy.special.gammaln(occ + 1.0) + occ * np.log(lam)[..., None, :]).sum(axis=-1)
+    const -= math.lgamma(k - 1)
+    # every support mode carries one factor (1 + s lam_m)^-1, occupied modes n_m more
+    base = (k - 1) * t - np.where(support[..., None], log_factors, 0.0).sum(axis=-2)
     integrand = occ @ log_factors  # rows x nodes, turned in place into the integrand
     np.subtract(base[..., None, :], integrand, out=integrand)
     integrand += const[..., None]
@@ -308,49 +301,3 @@ def generalized_scrooge_moment(
     """
     total = _scrooge_mixture(_as_density(table.states), table.probabilities, k, caps)
     return MomentOperator(k, table.d_a, total)
-
-
-# ---------------------------------------------------------------------------
-# real Scrooge second moment
-# ---------------------------------------------------------------------------
-
-
-def real_haar_moment2(d: int) -> MomentOperator:
-    """Second moment of uniformly random real unit vectors.
-
-    (I + SWAP + |Phi><Phi|) / (d (d+2)) with Phi = sum_a |aa>; on Sym^2,
-    I + SWAP is 2 I and Phi is the indicator of the multisets {a, a}.
-    """
-    idx, counts = _occupation_basis(d, 2)
-    phi = (idx[:, 0] == idx[:, 1]).astype(float)
-    m = (2.0 * np.eye(counts.size) + np.outer(phi, phi)) / (d * (d + 2))
-    return MomentOperator(2, d, m)
-
-
-def real_scrooge_moment2(rho, caps: Caps = DEFAULT_CAPS) -> MomentOperator:
-    """Second moment of the real-vector Scrooge ensemble of a real density matrix.
-
-    With v(n, m) = E[x_n^2 x_m^2 / |x|^2] for x ~ N(0, rho), the moment on
-    Sym^2 over the eigenvectors W of rho has entry v(n, m) between {n, n} and
-    {m, m}, 2 v(n, m) on the diagonal at {n, m} for n < m, and zeros elsewhere;
-    the stored matrix is S M S^T with S = Sym^2(W). The values come from the
-    same log-grid quadrature as the complex moments, with real Gaussian
-    factors; as in `_scrooge_mixture`, modes outside the support are masked
-    and the multisets that occupy one get v = 0.
-    """
-    m = _as_density(rho)
-    if float(np.abs(m.imag).max()) > 1e-10:
-        raise ValueError("real Scrooge moments need a real density matrix")
-    d = m.shape[0]
-    check_cap(caps, "max_moment_entries", _sym_dim(d, 2) ** 2)
-    w, v = np.linalg.eigh(m.real)
-    eye = np.eye(d)
-    occ = (eye[:, None, :] + eye[None, :, :]).reshape(d * d, d)  # row n*d + m: x_n^2 x_m^2
-    vals = _gaussian_quadrature(np.where(_in_support(w), w, 0.0), occ, real=True).reshape(d, d)
-    idx, _ = _occupation_basis(d, 2)
-    ms_mat = np.diag(2.0 * vals[idx[:, 0], idx[:, 1]])
-    doubles = np.flatnonzero(idx[:, 0] == idx[:, 1])
-    ms_mat[np.ix_(doubles, doubles)] = vals
-    s = _symmetric_power(v, 2)
-    full = s @ ms_mat @ s.T
-    return MomentOperator(2, d, (full + full.T) / 2)

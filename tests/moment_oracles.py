@@ -130,26 +130,6 @@ def frobenius_pair_sum(eigenvalues, populations, k, taus):
     return np.sqrt(2.0 * sq)
 
 
-def real_haar2_dense(d):
-    eye = np.eye(d)
-    m = np.einsum("ab,cd->abcd", eye, eye)
-    m = m + np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ad,bc->abcd", eye, eye)
-    return m.reshape(d * d, d * d) / (d * (d + 2))
-
-
-def real_scrooge2_dense(vectors, vals):
-    """W(x)W M W^T(x)W^T with M[nm, nm] = M[nm, mn] = M[nn, mm] = vals[n, m]."""
-    r = vectors.shape[1]
-    m = np.zeros((r * r, r * r))
-    for n in range(r):
-        for mm in range(r):
-            m[n * r + mm, n * r + mm] = vals[n, mm]
-            m[n * r + mm, mm * r + n] = vals[n, mm]
-            m[n * r + n, mm * r + mm] = vals[n, mm]
-    w2 = np.kron(vectors, vectors)
-    return w2 @ m @ w2.T
-
-
 def assert_lift_matches(moment, oracle, tol=1e-12):
     """The lift equals the oracle, is copy-permutation invariant, and has the
     trace and spectrum (padded with zeros) of the stored matrix."""
@@ -413,22 +393,6 @@ def projected_ensemble_per_outcome(table, cutoff):
         cols.append(table[:, z] / math.sqrt(probs[z]))
         weights.append(float(probs[z]))
     return np.stack(cols, axis=1), np.array(weights), table.shape[1] - len(weights)
-
-
-def real_columns_per_outcome(rotated):
-    """Each column of a Takagi-frame table with its phase fixed, and the worst imaginary leak."""
-    leak = 0.0
-    out = np.zeros(rotated.shape)
-    for z in range(rotated.shape[1]):
-        col = rotated[:, z]
-        norm = np.linalg.norm(col)
-        if norm < 1e-12:
-            continue
-        phase = col[np.abs(col).argmax()]
-        col = col * (np.conj(phase) / abs(phase))
-        leak = max(leak, float(np.abs(col.imag).max() / norm))
-        out[:, z] = col.real
-    return out, leak
 
 
 def dephase(sd, a):

@@ -1,7 +1,8 @@
-"""Every name that an import binds in a package module is used in that module.
+"""Every name that an import binds in a package or test module is used in that module.
 
-No linter runs on the package, so code deleted from a module can leave its
-imports behind; this reads each module's syntax tree instead.
+No linter runs on the repository, so code deleted from a module can leave its
+imports behind; this reads each module's syntax tree instead. An import made
+for its side effect is marked `# noqa: F401` on its line.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qensembles"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -18,7 +20,7 @@ def unused_imports(source: str) -> list[str]:
 
     A name is read when it appears as an `ast.Name`; `import a.b` binds a.b,
     which must appear as the start of an attribute chain. `from __future__`
-    imports bind nothing.
+    imports and imports on a line marked `# noqa: F401` are not checked.
     """
     tree = ast.parse(source)
     used = set()
@@ -33,9 +35,12 @@ def unused_imports(source: str) -> list[str]:
             if isinstance(node, ast.Name):
                 parts = [node.id, *reversed(chain)]
                 used.update(".".join(parts[:i]) for i in range(2, len(parts) + 1))
+    lines = source.splitlines()
     bound = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.Import) or node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
     return [name for name in bound if name not in used]
 
@@ -49,6 +54,7 @@ def test_the_check_finds_unused_imports():
     source = (
         "from __future__ import annotations\n"
         "import math\n"
+        "import os  # noqa: F401\n"
         "import numpy as np\n"
         "import scipy.special\n"
         "import scipy.sparse\n"

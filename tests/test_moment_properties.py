@@ -22,11 +22,9 @@ seeds = st_h.integers(0, 2**16)
 SETTINGS = settings(max_examples=25, deadline=None)
 
 
-def random_density(d, rng, real=False):
+def random_density(d, rng):
     rank = int(rng.integers(1, d + 1))
-    g = rng.standard_normal((d, rank))
-    if not real:
-        g = g + 1j * rng.standard_normal((d, rank))
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -125,22 +123,3 @@ def test_generalized_scrooge_moment(d, k, outcomes, seed):
     table = sc.ConditionalStateTable(np.arange(outcomes), p, states)
     oracle = sum(pi * scrooge_oracle(s, k) for pi, s in zip(p, states))
     mo.assert_lift_matches(sc.generalized_scrooge_moment(table, k), oracle)
-
-
-@SETTINGS
-@given(d=dims, seed=seeds)
-def test_real_scrooge_moment2(d, seed):
-    rho = random_density(d, np.random.default_rng(seed), real=True)
-    lam, vectors = mo.support_spectrum(rho)
-    r = lam.size
-    eye = np.eye(r)
-    occ = (eye[:, None, :] + eye[None, :, :]).reshape(r * r, r)
-    vals = sc._gaussian_quadrature(lam, occ, real=True).reshape(r, r)
-    oracle = mo.real_scrooge2_dense(vectors.real, vals)
-    mo.assert_lift_matches(sc.real_scrooge_moment2(rho.astype(complex)), oracle)
-
-
-@SETTINGS
-@given(d=dims)
-def test_real_haar_moment2(d):
-    mo.assert_lift_matches(sc.real_haar_moment2(d), mo.real_haar2_dense(d))

@@ -355,66 +355,6 @@ class TestProjectedMomentComparison:
             pl.projected_moment_comparison(cache, MFIM6, 0.0, 3.0, 3, "Z", 3)
 
 
-class TestEigenstateComparisons:
-    def _setup(self):
-        sd = sp.diagonalize(hb.build_hamiltonian(MFIM6))
-        part = hb.Bipartition(6, hb.central_sites(6, 2))
-        return sd, part
-
-    def test_complex_distances(self):
-        sd, part = self._setup()
-        basis = hb.pauli_basis(part.sites_B, "X")
-        out = pl.eigenstate_projected_comparison(sd, 21, part, basis, k=2)
-        eig = hb.PureState(sd.eigenvectors[:, 21], (2,) * 6)
-        table = hb.projection_table(eig, part, basis)
-        assert abs(out["dist_haar"] - gram_haar_distance(table, 2)) <= 1e-12
-        rho_a = hb.partial_trace(eig, part).entries
-        proj = dense_projected_moment(table, 2)
-        scr = sc.scrooge_moment(rho_a, 2).dense()
-        assert abs(out["dist_scrooge"] - dense_trace_distance(proj, scr)) <= 1e-12
-
-    def test_real_distances(self):
-        sd, part = self._setup()
-        out = pl.eigenstate_real_projected_comparison(sd, 21, part)
-        table, leak = pl.real_projected_table(sd, 21, part)
-        assert out["imag_leak"] == leak
-        probs = np.sum(table**2, axis=0)
-        keep = probs > 1e-14
-        cols = table[:, keep] / np.sqrt(probs[keep])
-        c2 = np.einsum("az,bz->abz", cols, cols).reshape(part.d_a**2, -1)
-        proj = (c2 * probs[keep]) @ c2.T
-        rho_a = (table @ table.T).astype(complex)
-        scr = sc.real_scrooge_moment2(rho_a).dense()
-        assert abs(out["dist_real_scrooge"] - dense_trace_distance(proj, scr)) <= 1e-12
-        haar = mo.real_haar2_dense(part.d_a)
-        assert abs(out["dist_real_haar"] - dense_trace_distance(proj, haar)) <= 1e-12
-
-    @staticmethod
-    def _check_real_table(sd, index, part):
-        eig = hb.PureState(sd.eigenvectors[:, index], (2,) * part.n_sites)
-        table = hb.projection_table(eig, part, hb.pauli_basis(part.sites_B, "X"))
-        frames = [pl.TAKAGI_X_FRAME] * len(part.sites_A)
-        rotated = hb.apply_local_rotations(table.T, frames).T
-        expected, expected_leak = mo.real_columns_per_outcome(rotated)
-        out, leak = pl.real_projected_table(sd, index, part)
-        assert np.abs(out - expected).max() <= 1e-15
-        assert abs(leak - expected_leak) <= 1e-15
-        return out
-
-    def test_real_table_matches_the_per_outcome_phase_fix(self):
-        sd, part = self._setup()
-        for index in (0, 21, 63):
-            self._check_real_table(sd, index, part)
-
-    def test_real_table_leaves_empty_outcomes_zero(self, rng):
-        # A random, B in |+>^4: every X outcome on B but one has probability 0
-        part = hb.Bipartition(6, hb.central_sites(6, 2))
-        m = np.outer(rng.standard_normal(4) + 1j * rng.standard_normal(4), np.full(16, 0.25))
-        v = hb.merge_bipartite(m / np.linalg.norm(m), part).amplitudes
-        out = self._check_real_table(sp.SpectralData(np.zeros(1), v[:, None]), 0, part)
-        assert np.count_nonzero(np.abs(out).max(axis=0)) == 1
-
-
 class TestBasisInformationScan:
     def test_needs_no_spectrum(self, no_diagonalize):
         rows, _, _, _ = pl.basis_information_scan(pl.SpectrumCache(), MFIM6, 0.7, 3.0, 2)

@@ -132,48 +132,14 @@ class TestSampling:
         se = np.std(comps) / math.sqrt(len(comps))
         assert abs(mean - 1.0 / d) <= 4 * se
 
-    def test_real_symmetric_is_real(self, rng):
-        h = rmt.sample_real_symmetric(16, rng)
-        assert np.abs(h.entries.imag).max() == 0.0
-
-    def test_real_symmetric_is_symmetric(self, rng):
-        h = rmt.sample_real_symmetric(16, rng).entries
-        assert np.array_equal(h, h.T)
-
-    @pytest.mark.parametrize("sample", [rmt.sample_gue, rmt.sample_real_symmetric])
+    @pytest.mark.parametrize("sample", [rmt.sample_gue])
     def test_dimension_below_two_is_rejected(self, rng, sample):
         with pytest.raises(ValueError, match="d must be >= 2"):
             sample(1, rng)
 
-    def test_real_symmetric_two_level_gap_mean(self):
-        # oracle: h11 - h22 and 2 h12 are independent N(0, 2), so the gap is
-        # Rayleigh with scale sqrt(2) and mean sqrt(pi)
-        rng = task_rng(105)
-        n = 10_000
-        gaps = np.empty(n)
-        for i in range(n):
-            w = np.linalg.eigvalsh(rmt.sample_real_symmetric(2, rng).entries)
-            gaps[i] = w[1] - w[0]
-        se = gaps.std() / math.sqrt(n)
-        assert abs(gaps.mean() - math.sqrt(math.pi)) <= 3 * se
-
-    def test_real_symmetric_semicircle_distribution(self):
-        rng = task_rng(106)
-        d = 512
-        vals = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(rmt.sample_real_symmetric(d, rng).entries) for _ in range(4)]
-        ))
-        ecdf = (np.arange(vals.size) + 1) / vals.size
-        ks = np.abs(ecdf - rmt.semicircle_cdf(vals)).max()
-        assert ks <= 0.02
-
     # d sum_E |<E|0>|^4 has mean 2d/(d+1) for Haar-unitary eigenvectors (GUE)
-    # and 3d/(d+2) for Haar-orthogonal ones (real symmetric)
     @pytest.mark.parametrize(
-        "sample, seed, ratio, tol",
-        [(rmt.sample_gue, 11, lambda d: 2 * d / (d + 1), 0.2),
-         (rmt.sample_real_symmetric, 12, lambda d: 3 * d / (d + 2), 0.3)],
-        ids=["gue", "real_symmetric"],
+        "sample, seed, ratio, tol", [(rmt.sample_gue, 11, lambda d: 2 * d / (d + 1), 0.2)], ids=["gue"]
     )
     def test_basis_state_participation_ratio(self, sample, seed, ratio, tol):
         rng = np.random.Generator(np.random.Philox(seed))

@@ -12,7 +12,7 @@ from qensembles import hilbert as hb
 from qensembles import scrooge as sc
 from qensembles import spectral as sp
 from qensembles import stats as st
-from qensembles._util import CapacityError, Caps, InvalidMatrixError, task_rng
+from qensembles._util import CapacityError, Caps, InvalidMatrixError
 
 import moment_oracles as mo
 
@@ -244,9 +244,6 @@ PINNED_K3_DIAG_532 = {
     (1, 2, 2): 0.015810379626113633,
     (2, 2, 2): 0.03602518365292209,
 }
-# Real second moment of diag(0.6, 0.4) from the adaptive-quadrature engine
-# (relative tolerance 1e-10): entries <nn|M|nn>, <nm|M|nm> and <mm|M|mm>.
-PINNED_REAL_DIAG_64 = (0.4787753826796275, 0.12122461732037254, 0.2787753826796275)
 
 
 class TestQuadratureEngine:
@@ -279,23 +276,6 @@ class TestQuadratureEngine:
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):
             sc.scrooge_moment(np.eye(2, dtype=complex) / 2, 0)
-
-    def test_real_moment_with_tiny_eigenvalue(self):
-        m = sc.real_scrooge_moment2(np.diag([0.6, 0.4 - 1e-9, 1e-9]).astype(complex)).dense()
-        nn, nm, mm = PINNED_REAL_DIAG_64
-        expected = np.zeros((9, 9))
-        expected[0, 0], expected[4, 4] = nn, mm
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = nm
-        expected[0, 4] = expected[4, 0] = nm
-        assert np.abs(m - expected).max() <= 1e-8
-        assert np.linalg.eigvalsh(m).min() >= -1e-12
-
-    def test_real_moment_pinned_rank_two(self):
-        m = sc.real_scrooge_moment2(np.diag([0.6, 0.4]).astype(complex)).dense().real
-        nn, nm, mm = PINNED_REAL_DIAG_64
-        assert abs(m[0, 0] - nn) <= 1e-10
-        assert abs(m[1, 1] - nm) <= 1e-10 and abs(m[0, 3] - nm) <= 1e-10
-        assert abs(m[3, 3] - mm) <= 1e-10
 
 
 @st_h.composite
@@ -562,8 +542,6 @@ class TestDensityMatrixChecks:
             sc.scrooge_moment(NON_HERMITIAN, 2)
         with pytest.raises(InvalidMatrixError, match="Hermitian"):
             sc.subentropy(NON_HERMITIAN)
-        with pytest.raises(InvalidMatrixError, match="Hermitian"):
-            sc.real_scrooge_moment2(NON_HERMITIAN.real.astype(complex))
 
     def test_non_hermitian_state_in_a_table_is_rejected(self):
         states = np.stack([np.eye(2, dtype=complex) / 2, NON_HERMITIAN])
@@ -595,43 +573,3 @@ class TestDensityMatrixChecks:
     def test_trace_two_is_rejected(self, call):
         with pytest.raises(ValueError, match="trace"):
             call(np.eye(2, dtype=complex))
-
-
-class TestRealScrooge:
-    def test_maximally_mixed_is_real_haar(self):
-        for d in (2, 4):
-            m = sc.real_scrooge_moment2(np.eye(d, dtype=complex) / d).matrix
-            h = sc.real_haar_moment2(d).matrix
-            assert np.abs(m - h).max() <= 1e-9
-
-    def test_pure_state_projector(self):
-        rho = np.zeros((3, 3), dtype=complex)
-        rho[1, 1] = 1.0
-        m = sc.real_scrooge_moment2(rho).dense()
-        expected = np.zeros((9, 9))
-        expected[4, 4] = 1.0
-        assert np.abs(m - expected).max() <= 1e-10
-
-    def test_monte_carlo_oracle(self, rng):
-        g = rng.standard_normal((3, 3))
-        rho = g @ g.T
-        rho /= np.trace(rho)
-        exact = sc.real_scrooge_moment2(rho.astype(complex)).dense()
-        lam, u = np.linalg.eigh(rho)
-        n = 200_000
-        x = u @ (np.sqrt(np.clip(lam, 0, None))[:, None] * rng.standard_normal((3, n)))
-        w = np.sum(x * x, axis=0)
-        phi = x / np.sqrt(w)
-        cols = np.einsum("in,jn->ijn", phi, phi).reshape(9, n)
-        mc = (cols * w) @ cols.T / w.sum()
-        scaled = cols * np.sqrt(w * n / w.sum())
-        mags2 = scaled**2
-        se = np.sqrt(np.clip(mags2 @ mags2.T / n - mc**2, 0, None) / n)
-        assert np.all(np.abs(mc - exact.real) <= 5 * se + 1e-5)
-
-    def test_complex_input_rejected(self, rng):
-        rho = random_density(2, rng)
-        if np.abs(rho.imag).max() < 1e-9:
-            rho = rho + 1j * np.array([[0, 1e-3], [-1e-3, 0]])
-        with pytest.raises(ValueError):
-            sc.real_scrooge_moment2(rho)
