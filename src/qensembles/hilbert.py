@@ -15,6 +15,7 @@ all operations are pure functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -158,7 +159,9 @@ class Bipartition:
 
 
 def central_sites(n: int, width: int) -> tuple[int, ...]:
-    """`width` contiguous sites nearest the middle of an n-site chain."""
+    """`width` contiguous sites nearest the middle of an n-site chain, 1 <= width <= n."""
+    if not 1 <= width <= n:
+        raise ValueError(f"subsystem width must be between 1 and n = {n}, not {width}")
     start = (n - width) // 2
     return tuple(range(start, start + width))
 
@@ -348,11 +351,18 @@ def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]]
     (chaotic next-nearest-neighbor ZZ variant) and "tfim" (mfim with h_x = 0).
     Open boundary conditions only; chains are little-endian. Terms with a zero
     coefficient are left out. Raises InvalidModelError for an unknown model, a
-    chain without sites, a non-finite coefficient or an unused parameter.
+    chain length that is not an integer n >= 1, a non-finite coefficient or
+    an unused parameter; the name is checked first.
     """
     spec = dict(model)
     name = spec.pop("model", None)
-    n = int(spec.pop("n", 0))
+    if name not in ("mfim", "tfim", "mfim_broken_trs", "xxz"):
+        raise InvalidModelError(f"unknown model {name!r}")
+    n = spec.pop("n", None)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidModelError(f"model {name!r} needs an integer n, not {n!r}") from None
     if n < 1:
         raise InvalidModelError(f"model {name!r} needs n >= 1 sites")
     if spec.pop("boundary", "open") != "open":
@@ -371,7 +381,7 @@ def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]]
             terms += [(hx, {s: "X"}), (hy, {s: "Y"}), (hz, {s: "Z"})]
         for s in range(n - 1):
             terms += [(j, {s: "X", s + 1: "X"}), (jp, {s: "Y", s + 1: "Y"})]
-    elif name == "xxz":
+    else:  # xxz
         j = float(spec.pop("j", math.sqrt(2.0)))
         delta = float(spec.pop("delta", (math.sqrt(5.0) + 1.0) / 4.0))
         delta2 = float(spec.pop("delta2", 1.0))
@@ -383,8 +393,6 @@ def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]]
             ]
         for s in range(n - 2):
             terms.append((delta2 / 4.0, {s: "Z", s + 2: "Z"}))
-    else:
-        raise InvalidModelError(f"unknown model {name!r}")
 
     if spec:
         raise InvalidModelError(f"unused model parameters: {sorted(spec)}")
@@ -393,27 +401,13 @@ def model_terms(model: Mapping) -> tuple[int, tuple[tuple[float, dict[int, str]]
     return n, tuple((c, ops) for c, ops in terms if c != 0.0)
 
 
-def _checked_matrix(model: Mapping) -> HermitianOperator:
-    """The caller-provided matrix of an "explicit" model, on qubit dims."""
-    m = np.asarray(model["matrix"], dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidMatrixError("explicit Hamiltonian must be square")
-    n = m.shape[0].bit_length() - 1
-    if m.shape[0] != 2**n:  # an empty matrix gives n = -1
-        raise InvalidMatrixError("explicit Hamiltonian dimension must be a power of 2")
-    return HermitianOperator(m, n_qubit_dims(n))
-
-
 def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOperator:
-    """Assemble a dense model Hamiltonian from its specification.
+    """Assemble a dense chain Hamiltonian from its specification.
 
-    Chain models write the `_flip_rows` table of their `model_terms`, in the
-    computational basis, into a new Fortran-ordered matrix, the layout LAPACK
-    works in (see `spectral.model_spectrum`); "explicit" models carry their
-    own Hermitian matrix.
+    The `_flip_rows` table of the chain's `model_terms`, in the computational
+    basis, is written into a new Fortran-ordered matrix, the layout LAPACK
+    works in (see `spectral.model_spectrum`).
     """
-    if model.get("model") == "explicit":
-        return _checked_matrix(model)
     n, terms = model_terms(model)
     check_cap(caps, "max_moment_entries", (2**n) ** 2)
     cols, vals = _flip_rows(n, terms, _COMPUTATIONAL_LETTERS, caps)
@@ -471,16 +465,16 @@ def _flip_rows(n: int, terms, letters: Mapping[str, str], caps: Caps = DEFAULT_C
 def sparse_hamiltonian(
     model: Mapping, caps: Caps = DEFAULT_CAPS
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray, tuple[float, float]]:
-    """A model Hamiltonian as a CSR matrix in a site-local frame, the frame
+    """A chain Hamiltonian as a CSR matrix in a site-local frame, the frame
     and an interval [lo, hi] that holds its spectrum.
 
     Returns (h, u, (lo, hi)) with h = u^(x n) H u^dag(x n) for the 2 x 2
-    unitary u. Chain models take u = CHAIN_FRAME, in which X, Y and Z become
-    Z, X and Y, and store the `_flip_rows` table of their terms in that frame
-    row by row. A mapped Pauli string is real when it holds an even number
-    of Y, so mfim, tfim and xxz give a float64 h; mfim_broken_trs, whose Z
-    field becomes Y, gives a complex one. Each row of h holds its diagonal
-    and one entry per flip mask of the other terms, zeros included.
+    unitary u = CHAIN_FRAME, in which X, Y and Z become Z, X and Y: h stores
+    the `_flip_rows` table of the chain's terms in that frame row by row. A
+    mapped Pauli string is real when it holds an even number of Y, so mfim,
+    tfim and xxz give a float64 h; mfim_broken_trs, whose Z field becomes Y,
+    gives a complex one. Each row of h holds its diagonal and one entry per
+    flip mask of the other terms, zeros included.
 
     The interval is that of Anderson, Phys. Rev. 83, 1260 (1951): with w the
     widest span of a term, H is the sum of one window term H_W per run of w
@@ -490,16 +484,7 @@ def sparse_hamiltonian(
     their norms; for mfim at n = 10 it is 3.5 % wider than the spectrum.
     The windows are built in the computational basis; in the frame their
     eigenvalues, and so every quench, would move in the last bits.
-
-    "explicit" models keep the identity frame and convert their checked
-    matrix; their interval is the union of the Gershgorin discs.
     """
-    if model.get("model") == "explicit":
-        m = _checked_matrix(model).entries
-        centre = m.diagonal().real
-        radius = np.abs(m).sum(axis=1) - np.abs(m.diagonal())
-        interval = (float((centre - radius).min()), float((centre + radius).max()))
-        return scipy.sparse.csr_matrix(m), np.eye(2, dtype=complex), interval
     n, terms = model_terms(model)
     cols, vals = _flip_rows(n, terms, _FRAME_LETTERS, caps)
     d, width = cols.shape

@@ -1,47 +1,46 @@
 """Shared, cached computation pipelines used by experiments and acceptance checks.
 
-A quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
+Every pipeline, and the cache, takes a chain model, which
+`hilbert.model_terms` reads as a table of Pauli-string terms; any other
+Hermitian matrix goes through the layers (`spectral.diagonalize`,
+`bind_state`, `evolve`, `propagate`, `scrooge.conditional_states`). A
+quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
 propagates the product state with the sparse Hamiltonian
 (`spectral.propagate`), so fixed-time pipelines never diagonalize. The
 sparse chain Hamiltonian lives in a site-local frame where mfim, tfim and
 xxz are real (`hilbert.sparse_hamiltonian`): the product state enters it
 site by site, and the propagated state leaves it through
-`hilbert.apply_local_rotations`. `basis_information_scan` reads its
-quench energy in the same frame. A chain quench also runs in the sector
-even under the site reversal R, about half of Hilbert space
-(`hilbert.reflection_orbits`, `hilbert.reflection_even`). This is exact:
-every chain model is uniform with open ends, so R commutes with H and with
-the uniform frame, the uniform product state is R-even, exp(-iHt) keeps it
-in the sector, and the sector's spectrum lies in the full one's interval.
-"explicit" models propagate in the full space. The dense
-Hamiltonian and every spectrum stay in the computational basis. Full
-spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix
-the Hamiltonian was built in) are built only for the paths that read
-eigenpairs: bound states and conditional-state tables. Chain models stop
-at D = 2^13, where the dense build's D^2 entries reach
-`Caps.max_moment_entries` (2^26); `max_spectrum_dim` (2^14) is checked
-first and binds only when it is set lower. The process cache
-holds one memo per model specification, and each entry is keyed within it
-by what else it depends on: the spectrum by nothing, a bound spectrum by
-the initial-state angle, a quenched state by the angle and the time, and a
-conditional-state table by the angle, the bipartition and the measurement
-basis (its sites and the bytes of each factor).
+`hilbert.apply_local_rotations`. `basis_information_scan` reads its quench
+energy in the same frame. The quench runs in the sector even under the site
+reversal R, about half of Hilbert space (`hilbert.reflection_orbits`,
+`hilbert.reflection_even`). This is exact: every chain model is uniform with
+open ends, so R commutes with H and with the uniform frame, the uniform
+product state is R-even, exp(-iHt) keeps it in the sector, and the sector's
+spectrum lies in the full one's interval. The dense Hamiltonian and every
+spectrum stay in the computational basis. Full spectra
+(`spectral.model_spectrum`, a dense diagonalization in the matrix the
+Hamiltonian was built in) are built only for the paths that read eigenpairs:
+bound states and conditional-state tables. Chains stop at D = 2^13, where
+the dense build's D^2 entries reach `Caps.max_moment_entries` (2^26);
+`max_spectrum_dim` (2^14) is checked first and binds only when it is set
+lower. The process cache holds one memo per term table, so two
+specifications of the same Hamiltonian share it, and each entry is keyed
+within it by what else it depends on: the spectrum by nothing, a bound
+spectrum by the initial-state angle, a quenched state by the angle and the
+time, and a conditional-state table by the angle, the bipartition and the
+measurement basis (its sites and the bytes of each factor).
 
-Every model pipeline takes the chain length from the state it holds, so an
-"explicit" model (a caller's 2^n x 2^n matrix) runs each of them as its
-chain would. A table does not depend on time, so every time average is
-read off the cached table of its B basis: the generalized Scrooge
-reference, the rescaled joint probabilities and the interaction
-information. `interaction_information_scan` reads its fixed-time state off
-the bound spectrum its table needs (`spectral.evolve`), once per scan.
-The cache can be released explicitly, per model or whole; large-chain
-workflows should group their uses and then drop it.
+A table does not depend on time, so every time average is read off the
+cached table of its B basis: the generalized Scrooge reference, the
+rescaled joint probabilities and the interaction information.
+`interaction_information_scan` reads its fixed-time state off the bound
+spectrum its table needs (`spectral.evolve`), once per scan. The cache can
+be released explicitly, per model or whole; large-chain workflows should
+group their uses and then drop it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +54,17 @@ from ._util import Caps, DEFAULT_CAPS
 
 
 class SpectrumCache:
-    """Process-level memo of quenched states, diagonalized model Hamiltonians
+    """Process-level memo of quenched states, diagonalized chain Hamiltonians
     and their conditional-state tables.
 
-    One dict per model specification holds every entry of that model, keyed
+    One dict per term table (`hilbert.model_terms`) holds every entry of that
+    Hamiltonian, whichever specification spelled it, keyed
     ("spectrum",), ("bound", theta), ("state", theta, t) or ("table", theta,
     n, sites_A, basis.key()). States are built by propagation, never from a
     spectrum; the spectrum is built only when a caller reads eigenpairs, and
     `bound` binds it to the product state at theta once per angle. Tables
     are the one source of every time average the pipelines report.
-    `release(model)` drops all of a model's entries together.
+    `release(model)` drops all of a Hamiltonian's entries together.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
@@ -73,11 +73,7 @@ class SpectrumCache:
 
     @staticmethod
     def _key(model: dict) -> str:
-        spec = dict(model)
-        if "matrix" in spec:
-            m = np.ascontiguousarray(spec["matrix"], dtype=complex)
-            spec["matrix"] = [m.shape, hashlib.sha256(m.tobytes()).hexdigest()]
-        return json.dumps(spec, sort_keys=True, default=str)
+        return repr(hb.model_terms(model))  # the repr of a float round-trips
 
     def _cached(self, model: dict, key: tuple, build):
         entries = self._memo.setdefault(self._key(model), {})
@@ -90,7 +86,7 @@ class SpectrumCache:
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
         sd = self.spectrum(model)
-        n = sd.dim.bit_length() - 1  # explicit models carry no "n"
+        n = sd.dim.bit_length() - 1
         return self._cached(
             model, ("bound", float(theta)), lambda: sp.bind_state(sd, hb.product_state(theta, n))
         )
@@ -118,7 +114,7 @@ def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> h
     (`spectral.propagate`), never read off a spectrum, so the result does
     not depend on what the cache holds: the product state enters the frame
     site by site, and the propagated state leaves it with one pass of u^dag
-    per site (`hilbert.apply_local_rotations`). Chain models propagate in
+    per site (`hilbert.apply_local_rotations`). The state propagates in
     the reflection-even sector (`hilbert.reflection_even`), which holds the
     whole trajectory because H commutes with the site reversal and the
     uniform product state is even under it; the state enters and leaves
@@ -134,13 +130,10 @@ def _propagated(model: dict, theta: float, t: float, caps: Caps) -> hb.PureState
     h, frame, interval = hb.sparse_hamiltonian(model, caps)
     n = h.shape[0].bit_length() - 1
     psi0 = hb.product_state(theta, n, frame)
-    if model.get("model") == "explicit":
-        amps = sp.propagate(h, interval, psi0.amplitudes, t)
-    else:
-        reps, orbit, sizes = hb.reflection_orbits(n)
-        root = np.sqrt(sizes)
-        amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
-        amps = (amps / root)[orbit]
+    reps, orbit, sizes = hb.reflection_orbits(n)
+    root = np.sqrt(sizes)
+    amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
+    amps = (amps / root)[orbit]
     amps = hb.apply_local_rotations(amps[None, :], [frame] * n)[0]
     amps /= np.linalg.norm(amps)
     amps.flags.writeable = False
@@ -278,32 +271,3 @@ def rescaled_joint_probability_ks(
         "sample_count": int(rescaled.size),
     }
 
-
-def eigenstate_window_rescaled_probabilities(
-    sd: sp.SpectralData,
-    part: hb.Bipartition,
-    center_energy: float,
-    window_eigenstates: int = 100,
-    basis_letter: str = "X",
-) -> np.ndarray:
-    """Joint outcome probabilities of windowed eigenstates, rescaled by the window mean.
-
-    For each eigenstate in the window, p_E(o_A, x_B) is divided by the
-    eigenstate-averaged probability of the same outcome pair; the pooled
-    values have unit mean and are PT-distributed when the window states form
-    outcome-conditioned maximum-entropy ensembles.
-    """
-    n = part.n_sites
-    order = np.argsort(np.abs(sd.eigenvalues - center_energy), kind="stable")
-    sel = np.sort(order[:window_eigenstates])
-    basis_a = hb.pauli_basis(part.sites_A, basis_letter)
-    basis_b = hb.pauli_basis(part.sites_B, basis_letter)
-    joints = []
-    for idx in sel:
-        eig = hb.PureState(sd.eigenvectors[:, idx], (2,) * n)
-        joints.append(st.joint_outcome_distribution(eig, part, basis_a, basis_b))
-    joints = np.stack(joints)
-    mean = joints.mean(axis=0)
-    keep = mean > en.ZERO_OUTCOME_CUTOFF
-    vals = (joints[:, keep] / mean[keep]).ravel()
-    return vals / vals.mean()

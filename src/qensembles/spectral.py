@@ -113,15 +113,11 @@ def diagonalize(h: HermitianOperator, caps: Caps = DEFAULT_CAPS) -> SpectralData
 def model_spectrum(model: Mapping, caps: Caps = DEFAULT_CAPS) -> SpectralData:
     """`diagonalize(build_hamiltonian(model))`, bit for bit, without a copy of H.
 
-    A chain model's dimension is checked against `max_spectrum_dim` before its
+    The chain's dimension is checked against `max_spectrum_dim` before its
     Hamiltonian is built, and the solver then runs in the Fortran-ordered
-    matrix that `build_hamiltonian` allocated: only a matrix built here is
-    overwritten, and the peak is that of `_eigh` alone. "explicit" models
-    hold the caller's own matrix and go through `diagonalize`, which leaves
-    it unchanged.
+    matrix that `build_hamiltonian` allocated, so the peak is that of `_eigh`
+    alone.
     """
-    if model.get("model") == "explicit":
-        return diagonalize(build_hamiltonian(model, caps), caps)
     check_cap(caps, "max_spectrum_dim", 2 ** model_terms(model)[0])
     return _eigh(build_hamiltonian(model, caps).entries)
 

@@ -319,38 +319,34 @@ def complex_chebyshev_propagate(model, psi0, t):
     """exp(-iHt) psi0 by the earlier propagation route: a complex CSR matrix in
     the computational basis and a symmetric bound a >= ||H||.
 
-    Chain models add the COO entries of every term of `model_terms`; a is
+    The chain adds the COO entries of every term of `model_terms`; a is
     sum |coeff| over the multi-site terms plus, per site, the norm of its
-    one-site field. "explicit" models take their largest absolute row sum.
-    The result is sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi0 from
-    the three-term recurrence in complex arithmetic.
+    one-site field. The result is
+    sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi0 from the three-term
+    recurrence in complex arithmetic.
     """
     import scipy.sparse
 
     from qensembles import hilbert as hb
     from qensembles import spectral as sp
 
-    if model["model"] == "explicit":
-        h = scipy.sparse.csr_matrix(np.asarray(model["matrix"], dtype=complex))
-        a = float(abs(h).sum(axis=1).max())
-    else:
-        n, terms = hb.model_terms(model)
-        rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
-        fields = np.zeros((n, 3))
-        a = 0.0
-        for coeff, ops in terms:
-            r, c, v = _pauli_string_reference(n, ops)
-            rows.append(r)
-            cols.append(c)
-            vals.append(coeff * v)
-            if len(ops) == 1:
-                ((site, letter),) = ops.items()
-                fields[site, "XYZ".index(letter)] += coeff
-            else:
-                a += abs(coeff)
-        a += float(np.sqrt((fields * fields).sum(axis=1)).sum())
-        coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        h = scipy.sparse.csr_matrix(coo, shape=(2**n, 2**n))
+    n, terms = hb.model_terms(model)
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, complex)]
+    fields = np.zeros((n, 3))
+    a = 0.0
+    for coeff, ops in terms:
+        r, c, v = _pauli_string_reference(n, ops)
+        rows.append(r)
+        cols.append(c)
+        vals.append(coeff * v)
+        if len(ops) == 1:
+            ((site, letter),) = ops.items()
+            fields[site, "XYZ".index(letter)] += coeff
+        else:
+            a += abs(coeff)
+    a += float(np.sqrt((fields * fields).sum(axis=1)).sum())
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    h = scipy.sparse.csr_matrix(coo, shape=(2**n, 2**n))
     psi = np.asarray(psi0, dtype=complex)
     c = sp._chebyshev_coefficients(a * t)
     out = c[0] * psi

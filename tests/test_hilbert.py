@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 
 from qensembles import CapacityError, Caps, InvalidMatrixError, InvalidModelError
 from qensembles import hilbert as hb
+from qensembles import pipelines as pl
 from qensembles import spectral as sp
 from qensembles._util import HERMITICITY_BLOCK, hermiticity_defect
 
@@ -91,11 +92,23 @@ class TestBuildHamiltonian:
         assert np.linalg.norm(h @ parity - parity @ h) <= 1e-10
 
     def test_gue_is_not_a_model_name(self):
-        # random matrices enter as "explicit" models
-        model = {"model": "gue", "n": 2, "matrix": np.eye(4)}
-        for build in (hb.build_hamiltonian, hb.sparse_hamiltonian, sp.model_spectrum):
-            with pytest.raises(InvalidModelError, match="unknown model 'gue'"):
-                build(model)
+        # models are chains; a random matrix goes through the spectral layers
+        # (`spectral.diagonalize`, `spectral.propagate`), never through a model
+        builds = (
+            hb.build_hamiltonian,
+            hb.sparse_hamiltonian,
+            sp.model_spectrum,
+            lambda model: pl.quench_state(pl.SpectrumCache(), model, 0.3, 1.0),
+        )
+        cases = [
+            ({"model": "gue", "n": 2, "matrix": np.eye(4)}, "unknown model 'gue'"),
+            ({"model": "explicit", "matrix": np.eye(4)}, "unknown model 'explicit'"),
+            ({"model": "mfim", "n": 6.7}, "needs an integer n, not 6.7"),
+        ]
+        for model, message in cases:
+            for build in builds:
+                with pytest.raises(InvalidModelError, match=message):
+                    build(model)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidModelError):
@@ -107,18 +120,7 @@ class TestBuildHamiltonian:
         with pytest.raises(InvalidModelError):
             hb.build_hamiltonian({"model": "tfim", "n": 4, "hx": 0.5})
         with pytest.raises(InvalidMatrixError):
-            hb.build_hamiltonian({"model": "explicit", "matrix": np.array([[0, 1], [0, 0]])})
-
-    def test_empty_explicit_matrix_is_an_invalid_matrix(self):
-        spec = {"model": "explicit", "matrix": np.zeros((0, 0))}
-        for build in (hb.build_hamiltonian, hb.sparse_hamiltonian):
-            with pytest.raises(InvalidMatrixError, match="power of 2"):
-                build(spec)
-
-    def test_explicit_matrix_roundtrip(self):
-        m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-        h = hb.build_hamiltonian({"model": "explicit", "matrix": m})
-        assert np.allclose(h.entries, m)
+            hb.HermitianOperator(np.array([[0, 1], [0, 0]]), (2,))
 
 
 CHAIN_MODELS = {
@@ -203,17 +205,6 @@ class TestModelTerms:
         h, _, interval = hb.sparse_hamiltonian(spec)
         assert interval == pytest.approx((-1.3, 1.3), rel=1e-15)
         assert np.linalg.eigvalsh(h.toarray()) == pytest.approx([-1.3, 1.3], rel=1e-15)
-
-    def test_sparse_explicit_matrix_uses_the_gershgorin_interval(self):
-        m = np.array([[1.0, 2.0j], [-2.0j, -0.5]])
-        h, u, interval = hb.sparse_hamiltonian({"model": "explicit", "matrix": m})
-        assert np.array_equal(h.toarray(), m)
-        assert np.array_equal(u, np.eye(2))
-        assert interval == (-2.5, 3.0)
-        _, _, interval = hb.sparse_hamiltonian({"model": "explicit", "matrix": 2.5 * np.eye(8)})
-        assert interval == (2.5, 2.5)
-        with pytest.raises(InvalidMatrixError):
-            hb.sparse_hamiltonian({"model": "explicit", "matrix": np.array([[0, 1], [0, 0]])})
 
     def test_zero_chain_has_no_terms(self):
         spec = {"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0}
@@ -539,6 +530,12 @@ class TestBases:
     def test_central_sites(self):
         assert hb.central_sites(8, 4) == (2, 3, 4, 5)
         assert hb.central_sites(14, 4) == (5, 6, 7, 8)
+        assert hb.central_sites(6, 6) == (0, 1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("width", [-1, 0, 7])
+    def test_central_sites_reject_a_width_outside_the_chain(self, width):
+        with pytest.raises(ValueError, match="width must be between 1 and n = 6"):
+            hb.central_sites(6, width)
 
 
 @st_h.composite

@@ -1,4 +1,4 @@
-"""Every name that an import binds in a package or test module is used in that module.
+"""Every name that an import binds in a package, test or tool module is used in that module.
 
 No linter runs on the repository, so code deleted from a module can leave its
 imports behind; this reads each module's syntax tree instead. An import made
@@ -10,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qensembles"
-TESTS = Path(__file__).resolve().parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qensembles"
+MODULES = (
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "tools").glob("*.py"))
+)
 
 
 def unused_imports(source: str) -> list[str]:

@@ -14,41 +14,32 @@ from qensembles import stats as st
 import moment_oracles as mo
 
 
-def explicit(matrix):
-    return {"model": "explicit", "matrix": np.asarray(matrix, dtype=complex)}
-
-
 class TestSpectrumCache:
-    def test_explicit_models_with_different_matrices_get_their_own_entries(self):
+    def test_models_with_different_matrices_get_their_own_entries(self):
         cache = pl.SpectrumCache()
-        first = cache.spectrum(explicit(np.diag([0.0, 1.0, 2.0, 3.0])))
-        second = cache.spectrum(explicit(np.diag([0.0, 10.0, 20.0, 30.0])))
-        assert np.allclose(first.eigenvalues, [0, 1, 2, 3])
-        assert np.allclose(second.eigenvalues, [0, 10, 20, 30])
+        models = [{"model": "mfim", "n": 2, "hx": hx} for hx in (0.3, 0.9)] + [{"model": "xxz", "n": 2}]
+        spectra = [cache.spectrum(model) for model in models]
+        assert len({id(sd) for sd in spectra}) == len(models)
+        for model, sd in zip(models, spectra):
+            levels = np.linalg.eigvalsh(hb.build_hamiltonian(model).entries)
+            assert np.abs(sd.eigenvalues - levels).max() <= 1e-12
 
     def test_equal_matrices_share_one_entry_until_released(self):
         cache = pl.SpectrumCache()
-        model = explicit(np.diag([0.0, 1.0, 2.0, 3.0]))
-        first = cache.spectrum(model)
-        assert cache.spectrum(explicit(np.diag([0, 1, 2, 3]))) is first
-        cache.release(model)
-        assert cache.spectrum(model) is not first
+        first = cache.spectrum(MFIM6)
+        # the same chain with its default parameters left out
+        assert cache.spectrum({"model": "mfim", "n": 6}) is first
+        cache.release({"model": "mfim", "n": 6})
+        assert cache.spectrum(MFIM6) is not first
 
-    def test_explicit_fortran_matrix_is_left_unchanged_and_cached(self, monkeypatch):
-        solves, eigh = [], sp._eigh
-
-        def spy(a):
-            solves.append(a.shape)
-            return eigh(a)
-
-        monkeypatch.setattr(sp, "_eigh", spy)
-        m = np.asfortranarray(hb.build_hamiltonian({"model": "mfim", "n": 4}).entries)
-        before = m.copy()
+    def test_specs_of_one_term_table_share_every_entry(self):
         cache = pl.SpectrumCache()
-        first = cache.spectrum(explicit(m))
-        assert np.array_equal(m, before) and m.flags.f_contiguous
-        assert cache.spectrum(explicit(m)) is first
-        assert solves == [(16, 16)]
+        tfim = {"model": "tfim", "n": 5}
+        sd = cache.spectrum(tfim)
+        assert cache.spectrum({"model": "mfim", "n": 5, "hx": 0.0}) is sd
+        assert cache.spectrum({"model": "mfim", "n": 5, "hx": 0.1}) is not sd
+        state = pl.quench_state(cache, tfim, 0.3, 2.5)
+        assert pl.quench_state(cache, {"model": "mfim", "n": 5, "hx": 0}, 0.3, 2.5) is state
 
     def test_chain_spectra_come_from_model_spectrum(self, monkeypatch):
         calls, model_spectrum = [], sp.model_spectrum
@@ -78,19 +69,6 @@ class TestSpectrumCache:
         assert np.array_equal(rebound.overlaps, first.overlaps)
         cache.release()
         assert cache.bound(MFIM6, 0.3) is not rebound
-
-    def test_bound_and_quench_state_accept_explicit_models(self):
-        h = hb.build_hamiltonian({"model": "mfim", "n": 3}).entries
-        model = explicit(h)
-        cache = pl.SpectrumCache()
-        theta, t = 0.4, 1.7
-        psi0 = hb.product_state(theta, 3).amplitudes
-        bound = cache.bound(model, theta)
-        assert np.abs(bound.eigenvectors @ bound.overlaps - psi0).max() <= 1e-12
-        state = pl.quench_state(cache, model, theta, t)
-        assert state.dims == (2, 2, 2)
-        expected = scipy.linalg.expm(-1j * h * t) @ psi0
-        assert np.abs(state.amplitudes - expected).max() <= 1e-10
 
 
 MFIM6 = {"model": "mfim", "n": 6, "hx": 0.8090, "hy": 0.9045, "j": 1.0}
@@ -264,11 +242,12 @@ class TestQuenchStateCache:
             for n in (1, 2, 5, 6):
                 chain = pl.quench_state(cache, {"model": name, "n": n}, 0.3, 2.5)
                 assert propagations.sizes[-1] == (2**n + 2 ** ((n + 1) // 2)) // 2, (name, n)
-                # the same matrix as an explicit model propagates in the full space
-                h = hb.build_hamiltonian({"model": name, "n": n}).entries
-                full = pl.quench_state(cache, explicit(h), 0.3, 2.5)
+                # the same quench in the full space, leaving the frame as quench_state does
+                h, u, interval = hb.sparse_hamiltonian({"model": name, "n": n})
+                full = sp.propagate(h, interval, hb.product_state(0.3, n, u).amplitudes, 2.5)
+                full = hb.apply_local_rotations(full[None, :], [u] * n)[0]
                 assert propagations.sizes[-1] == 2**n, (name, n)
-                assert np.abs(chain.amplitudes - full.amplitudes).max() <= 1e-13, (name, n)
+                assert np.abs(chain.amplitudes - full).max() <= 1e-13, (name, n)
 
     def test_large_chain_state_without_a_spectrum(self, no_diagonalize):
         cache = pl.SpectrumCache()
@@ -347,6 +326,14 @@ class TestProjectedMomentComparison:
         cond = sc.conditional_states(cache.bound(MFIM6, theta), part, basis)
         gen = sc.generalized_scrooge_moment(cond, k).dense()
         assert abs(out.dist_generalized - dense_trace_distance(proj, gen)) <= 1e-12
+
+    @pytest.mark.parametrize("width", [-1, 0, 7])
+    def test_width_outside_the_chain_is_rejected(self, width):
+        cache = pl.SpectrumCache()
+        with pytest.raises(ValueError, match="width must be between 1 and n = 6"):
+            pl.projected_moment_comparison(cache, MFIM6, 0.0, 3.0, width, "Z", 2)
+        with pytest.raises(ValueError, match="width must be between 1 and n = 6"):
+            pl.interaction_information_scan(cache, MFIM6, 0.0, 3.0, width)
 
     def test_moments_are_built_under_the_cache_caps(self):
         # width 3, k = 3: the Scrooge moment has D^2 = C(10, 3)^2 = 14,400 entries
@@ -448,49 +435,3 @@ class TestRescaledJointProbabilityKS:
         assert out["ks_raw"] == pytest.approx(
             pt_test((joint * joint.size).ravel()).ks_statistic, abs=1e-12
         )
-
-
-class TestExplicitModels:
-    """The matrix of a chain, given as an explicit model, runs every model
-    pipeline to the chain's results: each takes n from its state."""
-
-    def test_every_model_pipeline_matches_its_chain(self):
-        cache = pl.SpectrumCache()
-        model = explicit(hb.build_hamiltonian(MFIM6).entries)
-        theta, t, width = 0.4, 7.0, 2
-
-        def both(pipeline, *args, **kwargs):
-            return [pipeline(cache, m, theta, t, width, *args, **kwargs) for m in (MFIM6, model)]
-
-        chain, out = both(pl.projected_moment_comparison, "Z", 2, include_generalized=True)
-        assert (out.n, out.k, out.t, out.basis_letter) == (6, 2, t, "Z")
-        for name in ("dist_scrooge", "dist_haar", "dist_generalized"):
-            assert abs(getattr(out, name) - getattr(chain, name)) <= 1e-12, name
-        chain, out = both(pl.interaction_information_scan)
-        assert [row["basis"] for row in out] == ["X", "Y", "Z"]
-        for row, ref in zip(out, chain):
-            assert max(abs(row[key] - ref[key]) for key in list(row)[1:]) <= 1e-12
-        chain, out = both(pl.rescaled_joint_probability_ks)
-        assert out["sample_count"] == chain["sample_count"]
-        assert max(abs(out[key] - chain[key]) for key in out) <= 1e-12
-        (chain_rows, *chain_values), (rows, *values) = both(pl.basis_information_scan)
-        assert [letter for letter, _ in rows] == ["X", "Y", "Z"]
-        assert max(abs(a[1] - b[1]) for a, b in zip(rows, chain_rows)) <= 1e-12
-        assert np.abs(np.subtract(values, chain_values)).max() <= 1e-12
-
-
-class TestEigenstateWindowRescaledProbabilities:
-    def _setup(self):
-        sd = sp.diagonalize(hb.build_hamiltonian(MFIM6))
-        return sd, hb.Bipartition(6, hb.central_sites(6, 2))
-
-    def test_pooled_values_have_unit_mean(self):
-        sd, part = self._setup()
-        vals = pl.eigenstate_window_rescaled_probabilities(sd, part, 0.0, window_eigenstates=10)
-        assert vals.mean() == pytest.approx(1.0, abs=1e-12)
-        assert vals.size % 10 == 0
-
-    def test_single_eigenstate_window_is_all_ones(self):
-        sd, part = self._setup()
-        vals = pl.eigenstate_window_rescaled_probabilities(sd, part, 0.0, window_eigenstates=1)
-        assert np.abs(vals - 1.0).max() <= 1e-12

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 
 from qensembles import CapacityError, Caps, NumericalFailureError
@@ -109,15 +110,6 @@ class TestModelSpectrum:
             for w, v in ((ref.eigenvalues, ref.eigenvectors), (old_w, old_v)):
                 assert np.array_equal(sd.eigenvalues, w)
                 assert np.array_equal(sd.eigenvectors, v)
-
-    def test_explicit_models_are_diagonalized_on_a_copy(self, rng):
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        m = np.asfortranarray((g + g.conj().T) / 2)
-        before = m.copy()
-        sd = sp.model_spectrum({"model": "explicit", "matrix": m})
-        assert np.array_equal(m, before)
-        ref = sp.diagonalize(hb.HermitianOperator(before, (2,) * 3))
-        assert np.array_equal(sd.eigenvectors, ref.eigenvectors)
 
     # evd: H, overwritten by V, plus about two matrices of workspace (4.01 when
     # H was copied first); evr: H plus Z, with no d x d |V| while phases are fixed
@@ -347,7 +339,6 @@ PROPAGATION_MODELS = [
     {"model": "tfim", "n": 7},
     {"model": "mfim_broken_trs", "n": 6},
     {"model": "xxz", "n": 8},
-    {"model": "explicit", "matrix": mo.sample_gue_complex(32, task_rng(11))},
 ]
 
 
@@ -371,6 +362,16 @@ class TestPropagate:
         sd = sp.bind_state(sp.diagonalize(hb.build_hamiltonian(model)), psi)
         for t in (0.0, 1e-3, 3.0, 20.0, 100.0, -7.0):
             out = from_frame(sp.propagate(h, interval, to_frame(psi.amplitudes, u), t), u)
+            assert np.abs(out - sp.evolve(sd, t).amplitudes).max() <= 1e-12, t
+
+    def test_dense_complex_matrix_matches_spectral_evolution(self, rng):
+        m = mo.sample_gue_complex(32, task_rng(11))
+        levels = np.linalg.eigvalsh(m)
+        psi = random_state(32, rng)
+        sd = sp.bind_state(sp.diagonalize(hb.HermitianOperator(m, (2,) * 5)), psi)
+        h = scipy.sparse.csr_matrix(m)
+        for t in (0.0, 1e-3, 3.0, 20.0, 100.0, -7.0):
+            out = sp.propagate(h, (levels[0], levels[-1]), psi.amplitudes, t)
             assert np.abs(out - sp.evolve(sd, t).amplitudes).max() <= 1e-12, t
 
     @pytest.mark.parametrize("model", PROPAGATION_MODELS, ids=lambda m: m["model"])
@@ -417,10 +418,9 @@ class TestPropagate:
         h, _, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0})
         assert interval == (0.0, 0.0)
         assert np.array_equal(sp.propagate(h, interval, psi, t), psi)
-        h, _, interval = hb.sparse_hamiltonian({"model": "explicit", "matrix": 1.5 * np.eye(8)})
-        assert interval == (1.5, 1.5)
         # one term: the phase times psi0, with no division by the zero half-width
-        assert np.array_equal(sp.propagate(h, interval, psi, t), np.exp(-1.5j * t) * psi)
+        h = scipy.sparse.csr_matrix(1.5 * np.eye(8, dtype=complex))
+        assert np.array_equal(sp.propagate(h, (1.5, 1.5), psi, t), np.exp(-1.5j * t) * psi)
 
     def test_input_is_left_unchanged(self, rng):
         for model in ({"model": "mfim", "n": 5}, {"model": "mfim_broken_trs", "n": 5}):
@@ -555,9 +555,9 @@ class TestDegenerateBinding:
     def test_planted_degeneracy(self, rng):
         levels = np.array([-1.3, 0.2, 0.2, 0.2, 0.7, 1.1, 1.1, 2.0])
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        model = {"model": "explicit", "matrix": (q * levels) @ q.conj().T}
+        h = hb.HermitianOperator((q * levels) @ q.conj().T, (2,) * 3)
         psi0 = random_state(8, rng)
-        bound = sp.bind_state(sp.model_spectrum(model), psi0)
+        bound = sp.bind_state(sp.diagonalize(h), psi0)
         rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
         expected = np.zeros((8, 8), dtype=complex)
         for group in ([0], [1, 2, 3], [4], [5, 6], [7]):
@@ -582,7 +582,7 @@ class TestDegenerateBinding:
         assert np.array_equal(bound.overlaps, sd.eigenvectors.conj().T @ psi0.amplitudes)
 
     def test_group_the_state_misses_is_left_as_it_is(self):
-        sd = sp.model_spectrum({"model": "explicit", "matrix": np.diag([0.0, 0.0, 1.0, 2.0])})
+        sd = sp.diagonalize(hb.HermitianOperator(np.diag([0.0, 0.0, 1.0, 2.0]), (2, 2)))
         bound = sp.bind_state(sd, hb.PureState(np.eye(4)[2], (2, 2)))
         assert np.array_equal(bound.populations, [0.0, 0.0, 1.0, 0.0])
         assert np.array_equal(bound.eigenvectors, sd.eigenvectors)

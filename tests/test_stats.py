@@ -369,7 +369,7 @@ class TestInteractionInformation:
         # a computational-basis state of a diagonal H with distinct entries is
         # stationary: one B outcome survives and A sits in one basis state
         n = 4
-        h = hb.build_hamiltonian({"model": "explicit", "matrix": np.diag(np.arange(16.0) ** 1.5)})
+        h = hb.HermitianOperator(np.diag(np.arange(16.0) ** 1.5), (2,) * n)
         z0 = 11
         psi0 = hb.PureState(np.eye(16, dtype=complex)[:, z0], (2,) * n)
         bound = sp.bind_state(sp.diagonalize(h), psi0)

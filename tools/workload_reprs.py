@@ -4,32 +4,27 @@ Usage: python tools/workload_reprs.py CHECKOUT > reprs.txt
 
 Imports CHECKOUT/perfbench/workloads.py with CHECKOUT/src first on the path,
 runs each operation of every workload at seed 1 and prints its workload, its
-label, the repr of its result (for a convergence curve, the SHA-256 of its
-tau_grid, frobenius and squared_frobenius_mean arrays) and its check errors.
-Two checkouts whose results are bit-identical print byte-identical output,
-so `cmp` of the two files is the check. A full run takes about 20 s.
+label, the repr of its result (for a convergence curve, the values of its
+tau_grid, frobenius and squared_frobenius_mean arrays, whose float reprs
+round-trip) and its check errors. Two checkouts whose results are
+bit-identical print byte-identical output, so `cmp` of the two files is the
+check. A full run takes about 50 s on a 2-core host.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import sys
 from pathlib import Path
-
-import numpy as np
 
 SEED = 1
 CURVE_ARRAYS = ("tau_grid", "frobenius", "squared_frobenius_mean")
 
 
-def _digest(a) -> str:
-    return "None" if a is None else hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-
 def _describe(result) -> str:
     if hasattr(result, "frobenius"):  # an rmt.ConvergenceCurve
-        return " ".join(f"{name}={_digest(getattr(result, name))}" for name in CURVE_ARRAYS)
+        values = {name: getattr(result, name) for name in CURVE_ARRAYS}
+        return " ".join(f"{name}={None if a is None else a.tolist()!r}" for name, a in values.items())
     return repr(result)
 
 
