@@ -53,10 +53,13 @@ class Caps:
     `trace_distance` diagonalizes in place of the moment; and (d^k)^2 for a
     full-space operator (`MomentOperator.dense()`);
     `max_state_dim` bounds state vectors and the row table of every chain
-    Hamiltonian build (dense, sparse or window), d per flip mask, doubled for
-    the realified form of a real one; `max_multiset_terms` bounds exact multiset
-    enumerations: the random-phase moment and the Frobenius kernel's sorted
-    sums; `max_sinc_terms` bounds the finite-interval double sums.
+    Hamiltonian build, one entry per row built and flip mask (2^n rows for
+    the dense matrix, 2^w for a window, the m reflection-even rows for the
+    sparse matrix), doubled for the realified form of a real one; for mfim
+    the default admits the sparse matrix up to n = 17.
+    `max_multiset_terms` bounds exact multiset enumerations: the random-phase
+    moment and the Frobenius kernel's sorted sums; `max_sinc_terms` bounds
+    the finite-interval double sums.
     """
 
     max_spectrum_dim: int = 2**14          # eigensolves: dense or tridiagonal

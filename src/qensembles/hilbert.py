@@ -4,9 +4,9 @@ States, Hermitian operators, bipartitions, product measurement bases, and the
 model Hamiltonians used throughout (mixed-field Ising chain and variants,
 chaotic XXZ, transverse-field Ising), each defined once as a table of
 Pauli-string terms (`model_terms`), which one flip-mask row table
-(`_flip_rows`) turns into the dense, sparse and spectral-window matrices, and
-the orbits of the site reversal (`reflection_orbits`), whose even sector holds
-every uniform chain quench (`reflection_even`). Site ordering is
+(`_flip_rows`) turns into the dense matrix, the spectral-window matrices and
+the sparse matrix on the even sector of the site reversal
+(`reflection_orbits`), which holds every uniform chain quench. Site ordering is
 little-endian: site 0 is the least significant bit of a basis index, so basis
 index i = sum_j bit_j * 2^j. All values are immutable after construction and
 all operations are pure functions.
@@ -410,7 +410,7 @@ def build_hamiltonian(model: Mapping, caps: Caps = DEFAULT_CAPS) -> HermitianOpe
     """
     n, terms = model_terms(model)
     check_cap(caps, "max_moment_entries", (2**n) ** 2)
-    cols, vals = _flip_rows(n, terms, _COMPUTATIONAL_LETTERS, caps)
+    cols, vals = _flip_rows(n, terms, _COMPUTATIONAL_LETTERS, np.arange(2**n), caps)
     h = np.zeros((2**n, 2**n), dtype=complex, order="F")
     h[np.arange(2**n)[:, None], cols] = vals
     return HermitianOperator(h, n_qubit_dims(n))
@@ -424,17 +424,19 @@ _FRAME_LETTERS = {"X": "Z", "Y": "X", "Z": "Y"}
 _COMPUTATIONAL_LETTERS = {"X": "X", "Y": "Y", "Z": "Z"}
 
 
-def _flip_rows(n: int, terms, letters: Mapping[str, str], caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:
-    """Row table (cols, vals) of a sum of Pauli-string terms on n sites, each
-    term's letters first mapped through `letters`: for every basis row i,
-    cols[i, j] = i ^ f_j and vals[i, j] = <i|H|i ^ f_j>, one slot per flip mask
-    f_j, the diagonal (every Z-only term) first; a slot sums its terms in table
-    order. vals is float64 when every mapped string is real (holds an even
-    number of Y), else complex. Its d (1 + masks) entries, doubled when real
-    for the realified form of `spectral.propagate`, are checked against
-    `max_state_dim` before anything is allocated.
+def _flip_rows(
+    n: int, terms, letters: Mapping[str, str], rows: np.ndarray, caps: Caps = DEFAULT_CAPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Table (cols, vals) of the basis rows `rows` of a sum of Pauli-string
+    terms on n sites, each term's letters first mapped through `letters`: for
+    row i = rows[r], cols[r, j] = i ^ f_j and vals[r, j] = <i|H|i ^ f_j>, one
+    slot per flip mask f_j, the diagonal (every Z-only term) first; a slot
+    sums its terms in table order. vals is float64 when every mapped string
+    is real (holds an even number of Y), else complex. Its len(rows)
+    (1 + masks) entries, doubled when real for the realified form of
+    `spectral.propagate`, are checked against `max_state_dim` before its
+    arrays are allocated.
     """
-    d = 2**n
     # <i|P|i ^ flip> of a Pauli string P is (-i)^(number of Y) times -1 per Y or Z
     # site where bit i is set
     strings = []  # (that value at i = 0, flip mask, Y and Z sites) per term, mapped
@@ -446,10 +448,10 @@ def _flip_rows(n: int, terms, letters: Mapping[str, str], caps: Caps = DEFAULT_C
         strings.append((coeff * (-1j) ** list(mapped.values()).count("Y"), flip, signed))
         slots.setdefault(flip, len(slots))
     real = all(value.imag == 0 for value, _, _ in strings)
-    width = len(slots)
+    d, width = rows.size, len(slots)
     check_cap(caps, "max_state_dim", d * width * (2 if real else 1))
-    index = np.int32 if d * width < 2**31 else np.int64
-    rows = np.arange(d, dtype=index)
+    index = np.int32 if 2**n * width < 2**31 else np.int64
+    rows = rows.astype(index)
     cols = np.empty((d, width), dtype=index)
     for flip, slot in slots.items():
         cols[:, slot] = rows ^ flip
@@ -464,57 +466,46 @@ def _flip_rows(n: int, terms, letters: Mapping[str, str], caps: Caps = DEFAULT_C
 
 def sparse_hamiltonian(
     model: Mapping, caps: Caps = DEFAULT_CAPS
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray, tuple[float, float]]:
-    """A chain Hamiltonian as a CSR matrix in a site-local frame, the frame
-    and an interval [lo, hi] that holds its spectrum.
+) -> tuple[scipy.sparse.csr_matrix, tuple[float, float]]:
+    """A chain Hamiltonian on its R-even sector as a CSR matrix in a
+    site-local frame, and an interval [lo, hi] that holds its spectrum.
 
-    Returns (h, u, (lo, hi)) with h = u^(x n) H u^dag(x n) for the 2 x 2
-    unitary u = CHAIN_FRAME, in which X, Y and Z become Z, X and Y: h stores
-    the `_flip_rows` table of the chain's terms in that frame row by row. A
+    Returns (h, (lo, hi)) with h = P^T u^(x n) H u^dag(x n) P. In the 2 x 2
+    unitary frame u = CHAIN_FRAME, X, Y and Z become Z, X and Y. Column o of
+    P is sum_{i in o} |i> / sqrt(|o|) over an orbit of the site reversal R
+    (`reflection_orbits`), m = (2^n + 2^ceil(n/2)) / 2 of them. Every chain is
+    uniform with open ends, so R commutes with H and with u^(x n), and the
+    sector is invariant. A vector enters it as psi_s[o] = sqrt(|o|) psi[rep(o)]
+    and leaves it as psi[x] = psi_s[orbit(x)] / sqrt(|orbit(x)|).
+
+    Only the m representative rows of the frame's `_flip_rows` table are
+    built: row o is that of rep(o), with column c moved to orbit(c) and
+    scaled by sqrt(|o| / |orbit(c)|), since (P^T h psi)[o] = sqrt(|o|)
+    (h psi)[rep(o)] for an R-even psi. Two columns of a row that share an
+    orbit stay separate entries, which a CSR product sums; zeros are kept. A
     mapped Pauli string is real when it holds an even number of Y, so mfim,
-    tfim and xxz give a float64 h; mfim_broken_trs, whose Z field becomes Y,
-    gives a complex one. Each row of h holds its diagonal and one entry per
-    flip mask of the other terms, zeros included.
+    tfim and xxz give a float64 h and mfim_broken_trs, whose Z field becomes
+    Y, a complex one.
 
     The interval is that of Anderson, Phys. Rev. 83, 1260 (1951): with w the
     widest span of a term, H is the sum of one window term H_W per run of w
     sites, each term split equally among the windows that hold it, and
     lo = sum lambda_min(H_W), hi = sum lambda_max(H_W). Its half-width is at
     most the sum |coeff| of the terms, with the one-site fields taken by
-    their norms; for mfim at n = 10 it is 3.5 % wider than the spectrum.
-    The windows are built in the computational basis; in the frame their
-    eigenvalues, and so every quench, would move in the last bits.
+    their norms; for mfim at n = 10 it is 3.5 % wider than the spectrum, which
+    holds the sector's. The windows are built in the computational basis; in
+    the frame their eigenvalues, and so every quench, would move in the last
+    bits.
     """
     n, terms = model_terms(model)
-    cols, vals = _flip_rows(n, terms, _FRAME_LETTERS, caps)
-    d, width = cols.shape
-    indptr = np.arange(0, d * width + 1, width, dtype=cols.dtype)
-    h = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(d, d))
-    return h, CHAIN_FRAME, _window_interval(n, terms)
-
-
-def reflection_even(h: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """P^T h P on the R-even sector of `reflection_orbits`, for a CSR h on
-    n qubits that commutes with the site reversal R.
-
-    Row o is the row of its representative, with column c moved to orbit(c)
-    and scaled by sqrt(|o| / |orbit(c)|): for R-even psi = P psi_s,
-    (P^T h psi)[o] = sqrt(|o|) (h psi)[rep(o)], and psi[c] =
-    psi_s[orbit(c)] / sqrt(|orbit(c)|). The two columns of a row that share
-    an orbit stay separate entries, which a CSR product sums. A vector
-    enters the sector as psi_s[o] = sqrt(|o|) psi[rep(o)] and leaves it as
-    psi[x] = psi_s[orbit(x)] / sqrt(|orbit(x)|).
-    """
-    reps, orbit, sizes = reflection_orbits(h.shape[0].bit_length() - 1)
-    counts = np.diff(h.indptr)[reps]
-    indptr = np.zeros(reps.size + 1, dtype=h.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    take = np.repeat(h.indptr[reps] - indptr[:-1], counts) + np.arange(indptr[-1])
-    cols = orbit[h.indices[take]]
-    scale = np.sqrt(np.repeat(sizes, counts) / sizes[cols])
-    return scipy.sparse.csr_matrix(
-        (h.data[take] * scale, cols.astype(h.indices.dtype), indptr), shape=(reps.size, reps.size)
-    )
+    check_cap(caps, "max_state_dim", 2**n)  # the orbit tables are state-sized
+    reps, orbit, sizes = reflection_orbits(n)
+    cols, vals = _flip_rows(n, terms, _FRAME_LETTERS, reps, caps)
+    cols = orbit[cols]
+    vals *= np.sqrt(sizes[:, None] / sizes[cols])
+    indptr = np.arange(0, cols.size + 1, cols.shape[1])
+    h = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(reps.size, reps.size))
+    return h, _window_interval(n, terms)
 
 
 def _window_interval(n: int, terms) -> tuple[float, float]:
@@ -534,7 +525,7 @@ def _window_interval(n: int, terms) -> tuple[float, float]:
     distinct = dict(zip(keys, local_terms))
     windows = np.zeros((len(distinct), 2**w, 2**w), dtype=complex)
     for window, window_terms in zip(windows, distinct.values()):
-        cols, vals = _flip_rows(w, window_terms, _COMPUTATIONAL_LETTERS)
+        cols, vals = _flip_rows(w, window_terms, _COMPUTATIONAL_LETTERS, np.arange(2**w))
         window[np.arange(2**w)[:, None], cols] = vals
     # one row per window again, so the sums run in window order
     row = {key: i for i, key in enumerate(distinct)}

@@ -7,18 +7,17 @@ Hermitian matrix goes through the layers (`spectral.diagonalize`,
 quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
 propagates the product state with the sparse Hamiltonian
 (`spectral.propagate`), so fixed-time pipelines never diagonalize. The
-sparse chain Hamiltonian lives in a site-local frame where mfim, tfim and
-xxz are real (`hilbert.sparse_hamiltonian`): the product state enters it
-site by site, and the propagated state leaves it through
-`hilbert.apply_local_rotations`. `basis_information_scan` reads its quench
-energy in the same frame. The quench runs in the sector even under the site
-reversal R, about half of Hilbert space (`hilbert.reflection_orbits`,
-`hilbert.reflection_even`). This is exact: every chain model is uniform with
-open ends, so R commutes with H and with the uniform frame, the uniform
-product state is R-even, exp(-iHt) keeps it in the sector, and the sector's
-spectrum lies in the full one's interval. The dense Hamiltonian and every
-spectrum stay in the computational basis. Full spectra
-(`spectral.model_spectrum`, a dense diagonalization in the matrix the
+sparse chain Hamiltonian is built only on the sector even under the site
+reversal R, about half of Hilbert space, and in a site-local frame where
+mfim, tfim and xxz are real (`hilbert.sparse_hamiltonian`): the product
+state enters the frame site by site and then the sector, and the propagated
+state leaves the sector and then the frame through
+`hilbert.apply_local_rotations`. This is exact: every chain model is uniform
+with open ends, so R commutes with H and with the uniform frame, the uniform
+product state is R-even, and exp(-iHt) keeps it in the sector.
+`basis_information_scan` reads its quench energy off the term table. The
+dense Hamiltonian and every spectrum stay in the computational basis. Full
+spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix the
 Hamiltonian was built in) are built only for the paths that read eigenpairs:
 bound states and conditional-state tables. Chains stop at D = 2^13, where
 the dense build's D^2 entries reach `Caps.max_moment_entries` (2^26);
@@ -41,6 +40,7 @@ group their uses and then drop it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,16 +110,16 @@ class SpectrumCache:
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:
     """exp(-iHt) of the product state at angle theta, memoized in the cache.
 
-    Propagated with the sparse Hamiltonian in its site-local frame u
-    (`spectral.propagate`), never read off a spectrum, so the result does
-    not depend on what the cache holds: the product state enters the frame
-    site by site, and the propagated state leaves it with one pass of u^dag
-    per site (`hilbert.apply_local_rotations`). The state propagates in
-    the reflection-even sector (`hilbert.reflection_even`), which holds the
-    whole trajectory because H commutes with the site reversal and the
-    uniform product state is even under it; the state enters and leaves
-    the sector as `hilbert.reflection_even` describes, inside the frame. The
-    amplitudes are read-only: every caller shares them.
+    Propagated with the sparse Hamiltonian on its reflection-even sector, in
+    its site-local frame u (`hilbert.sparse_hamiltonian`,
+    `spectral.propagate`), never read off a spectrum, so the result does not
+    depend on what the cache holds. The sector holds the whole trajectory,
+    because H commutes with the site reversal and the uniform product state
+    is even under it. The product state enters the frame site by site and
+    then the sector; the propagated state leaves the sector and then the
+    frame, with one pass of u^dag per site (`hilbert.apply_local_rotations`),
+    both as `hilbert.sparse_hamiltonian` describes. The amplitudes are
+    read-only: every caller shares them.
     """
     return cache._cached(
         model, ("state", float(theta), float(t)), lambda: _propagated(model, theta, t, cache.caps)
@@ -127,14 +127,14 @@ def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> h
 
 
 def _propagated(model: dict, theta: float, t: float, caps: Caps) -> hb.PureState:
-    h, frame, interval = hb.sparse_hamiltonian(model, caps)
-    n = h.shape[0].bit_length() - 1
-    psi0 = hb.product_state(theta, n, frame)
+    h, interval = hb.sparse_hamiltonian(model, caps)
+    n = hb.model_terms(model)[0]
+    psi0 = hb.product_state(theta, n, hb.CHAIN_FRAME)
     reps, orbit, sizes = hb.reflection_orbits(n)
     root = np.sqrt(sizes)
-    amps = sp.propagate(hb.reflection_even(h), interval, root * psi0.amplitudes[reps], t)
+    amps = sp.propagate(h, interval, root * psi0.amplitudes[reps], t)
     amps = (amps / root)[orbit]
-    amps = hb.apply_local_rotations(amps[None, :], [frame] * n)[0]
+    amps = hb.apply_local_rotations(amps[None, :], [hb.CHAIN_FRAME] * n)[0]
     amps /= np.linalg.norm(amps)
     amps.flags.writeable = False
     return hb.PureState(amps, psi0.dims)
@@ -203,9 +203,10 @@ def basis_information_scan(
     state = quench_state(cache, model, theta, t)
     part = _central(state, subsystem_width)
     q_bits, s_bits = st.holevo_sandwich(hb.partial_trace(state, part))
-    h, frame, _ = hb.sparse_hamiltonian(model, cache.caps)
-    psi0 = hb.product_state(theta, state.n_sites, frame).amplitudes
-    energy = float(np.vdot(psi0, h @ psi0).real)
+    # <psi0|H|psi0> term by term, from <X>, <Y>, <Z> in the site vector of `hilbert.product_state`
+    site = {"X": 0.0, "Y": math.sin(theta), "Z": math.cos(theta)}
+    _, terms = hb.model_terms(model)
+    energy = sum(c * math.prod(site[letter] for letter in ops.values()) for c, ops in terms)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     rows = []
     for letter in letters:

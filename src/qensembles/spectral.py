@@ -344,9 +344,9 @@ def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: n
     J. Chem. Phys. 81, 3967 (1984).
 
     h is a real or complex CSR matrix (from `hilbert.sparse_hamiltonian`, say)
-    whose spectrum lies in interval = [lo, hi]. With centre c = (lo + hi) / 2
-    and half-width r = (hi - lo) / 2 the spectrum of S = (H - c) / r lies in
-    [-1, 1], and the result is
+    whose spectrum lies in interval = [lo, hi], and psi0 a vector of its
+    size. With centre c = (lo + hi) / 2 and half-width r = (hi - lo) / 2 the
+    spectrum of S = (H - c) / r lies in [-1, 1], and the result is
     exp(-i c t) sum_{k<K} (2 - delta_k0) (-i)^k J_k(r t) T_k(S) psi0, with
     T_k(S) psi0 from the three-term recurrence, one sparse product per term:
     (2/r) H v is added into a vector that already holds -(2c/r) v minus the
@@ -368,18 +368,20 @@ def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: n
 
     Cost: K is about r |t| + 11 (r |t|)^(1/3) sparse products, so the cost
     grows linearly in |t|. On a 2-core host, mfim at t = 20 takes K = 399
-    terms at n = 10, 471 at n = 12 and 542 at n = 14. With the full matrix
-    of `hilbert.sparse_hamiltonian` the sum takes about 12 ms, 43 ms and
-    0.32 s; with its reflection-even sector (`hilbert.reflection_even`, as
-    `pipelines.quench_state` runs it), whose 528, 2,080 and 8,256 rows are
-    about half as many, 5.7 ms, 23 ms and 0.14 s. A dense diagonalization
-    takes 1.0 s at n = 10. For long times diagonalizing is cheaper: at n = 8
-    and t = 1e3 the sum takes 13,000 terms and 0.12 s, the diagonalization
-    0.024 s; the package's pipelines and benchmark quench to t <= 20. Raises
-    ValueError for a non-finite t.
+    terms at n = 10, 471 at n = 12 and 542 at n = 14. With a full-space
+    matrix of 2^n rows the sum takes about 12 ms, 43 ms and 0.32 s; with the
+    reflection-even sector of `hilbert.sparse_hamiltonian`, whose 528, 2,080
+    and 8,256 rows are about half as many, 5.7 ms, 23 ms and 0.14 s. A dense
+    diagonalization takes 1.0 s at n = 10. For long times diagonalizing is
+    cheaper: at n = 8 and t = 1e3 the sum takes 13,000 terms and 0.12 s, the
+    diagonalization 0.024 s; the package's pipelines and benchmark quench to
+    t <= 20. Raises ValueError for a non-finite t, or for a psi0 whose shape
+    is not (h.shape[1],), since the sparse products check no bounds.
     """
     _require_finite_times(np.asarray(t, dtype=float))
     psi = np.ascontiguousarray(psi0, dtype=complex)
+    if psi.shape != (h.shape[1],):
+        raise ValueError(f"state of shape {psi.shape} does not fit a matrix of shape {h.shape}")
     lo, hi = interval
     centre, r = (lo + hi) / 2.0, (hi - lo) / 2.0
     c = _chebyshev_coefficients(r * t)

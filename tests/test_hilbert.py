@@ -141,6 +141,14 @@ def in_frame(m, n):
     return hb.apply_local_rotations(right.T, [u.conj().T] * n).T  # U (m U^dag)
 
 
+def sector_isometry(n):
+    """The dense 2^n x m isometry P of `reflection_orbits`, column o = sum_{i in o} |i> / sqrt(|o|)."""
+    reps, orbit, sizes = hb.reflection_orbits(n)
+    p = np.zeros((2**n, reps.size))
+    p[np.arange(2**n), orbit] = 1.0 / np.sqrt(sizes[orbit])
+    return p
+
+
 class TestModelTerms:
     @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
     @pytest.mark.parametrize("overridden", [False, True])
@@ -158,7 +166,7 @@ class TestModelTerms:
         params = CHAIN_MODELS[name] if overridden else {}
         for n in range(1, 11):
             spec = dict(params, model=name, n=n)
-            _, _, interval = hb.sparse_hamiltonian(spec)
+            _, interval = hb.sparse_hamiltonian(spec)
             assert interval == mo.window_interval_reference(*hb.model_terms(spec)), (name, n)
 
     def test_mfim_table_order(self):
@@ -175,13 +183,17 @@ class TestModelTerms:
         params = CHAIN_MODELS[name] if overridden else {}
         for n in range(1, 9):
             spec = dict(params, model=name, n=n)
-            h, u, (lo, hi) = hb.sparse_hamiltonian(spec)
+            h, (lo, hi) = hb.sparse_hamiltonian(spec)
             dense = hb.build_hamiltonian(spec).entries
-            assert np.array_equal(u, hb.CHAIN_FRAME)
-            assert np.abs(h.toarray() - in_frame(dense, n)).max() <= 1e-14, n
+            # the framed H projected onto the R-even sector, which it leaves invariant
+            p = sector_isometry(n)
+            framed = in_frame(dense, n)
+            assert h.shape == (p.shape[1],) * 2, n
+            assert np.abs(h.toarray() - p.T @ framed @ p).max() <= 1e-14, n
+            assert np.abs(framed @ p - p @ h.toarray()).max() <= 1e-14, n
             # a mapped string is real when it holds an even number of Y
             assert h.dtype == (complex if name == "mfim_broken_trs" else np.float64)
-            levels = np.linalg.eigvalsh(dense)
+            levels = np.linalg.eigvalsh(dense)  # the full spectrum holds the sector's
             # where one window is the whole chain, or every window a lone site
             # field, both sides are the same number up to rounding
             slack = 4 * 2.0**-53 * (hi - lo)
@@ -196,21 +208,21 @@ class TestModelTerms:
             assert (hi - lo) / 2 <= couplings + sum(math.sqrt(f) for f in fields.values()) + slack, n
 
     def test_mfim_interval_is_within_four_percent_of_the_spectrum(self):
-        _, _, (lo, hi) = hb.sparse_hamiltonian({"model": "mfim", "n": 10})
+        _, (lo, hi) = hb.sparse_hamiltonian({"model": "mfim", "n": 10})
         assert lo == pytest.approx(-13.48, abs=1e-2)
         assert hi == pytest.approx(18.74, abs=1e-2)
 
     def test_one_site_interval_is_its_spectrum(self):
         spec = {"model": "mfim_broken_trs", "n": 1, "hx": 0.3, "hy": -0.4, "hz": 1.2}
-        h, _, interval = hb.sparse_hamiltonian(spec)
+        h, interval = hb.sparse_hamiltonian(spec)  # one site: the sector is the whole space
         assert interval == pytest.approx((-1.3, 1.3), rel=1e-15)
         assert np.linalg.eigvalsh(h.toarray()) == pytest.approx([-1.3, 1.3], rel=1e-15)
 
     def test_zero_chain_has_no_terms(self):
         spec = {"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0}
         assert hb.model_terms(spec) == (3, ())
-        h, _, interval = hb.sparse_hamiltonian(spec)
-        assert h.shape == (8, 8) and h.count_nonzero() == 0 and interval == (0.0, 0.0)
+        h, interval = hb.sparse_hamiltonian(spec)
+        assert h.shape == (6, 6) and h.count_nonzero() == 0 and interval == (0.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
@@ -224,16 +236,19 @@ class TestModelTerms:
     @pytest.mark.parametrize(
         "name, entries",
         [
-            ("mfim", 2**6 * 7 * 2),  # diagonal + 6 masks per row, realified
-            ("mfim_broken_trs", 2**6 * 12),  # diagonal + 11 masks per row, complex
+            ("mfim", 36 * 7 * 2),  # 36 sector rows, diagonal + 6 masks per row, realified
+            ("mfim_broken_trs", 36 * 12),  # 36 sector rows, diagonal + 11 masks per row, complex
         ],
     )
     def test_sparse_assembly_is_capped(self, name, entries):
         spec = {"model": name, "n": 6}
-        h, _, _ = hb.sparse_hamiltonian(spec, Caps(max_state_dim=entries))
+        h, _ = hb.sparse_hamiltonian(spec, Caps(max_state_dim=entries))
         assert h.nnz * (2 if h.dtype == np.float64 else 1) == entries
         with pytest.raises(CapacityError, match="max_state_dim"):
             hb.sparse_hamiltonian(spec, Caps(max_state_dim=entries - 1))
+        # refused before the 2^n-entry orbit tables of the sector are built
+        with pytest.raises(CapacityError, match="max_state_dim"):
+            hb.sparse_hamiltonian({"model": name, "n": 40})
 
     def test_dense_row_table_is_capped(self):
         # mfim in the computational basis: diagonal + 6 one-site + 5 bond masks, complex
@@ -408,14 +423,6 @@ class TestSubsystemIndices:
         assert np.array_equal(again, [0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3])
 
 
-def sector_isometry(n):
-    """The dense 2^n x m isometry P of `reflection_orbits`, column o = sum_{i in o} |i> / sqrt(|o|)."""
-    reps, orbit, sizes = hb.reflection_orbits(n)
-    p = np.zeros((2**n, reps.size))
-    p[np.arange(2**n), orbit] = 1.0 / np.sqrt(sizes[orbit])
-    return p
-
-
 class TestReflectionSector:
     def test_orbit_table(self):
         for n in range(1, 13):
@@ -431,20 +438,6 @@ class TestReflectionSector:
                 p = sector_isometry(n)
                 assert np.abs(p.T @ p - np.eye(reps.size)).max() <= 1e-15, n
                 assert np.array_equal(p[mirror], p), n  # R P = P: every column is R-even
-
-    @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
-    @pytest.mark.parametrize("overridden", [False, True])
-    def test_sector_matrix_is_the_projected_hamiltonian(self, name, overridden):
-        params = CHAIN_MODELS[name] if overridden else {}
-        for n in range(1, 9):
-            spec = dict(params, model=name, n=n)
-            h, _, _ = hb.sparse_hamiltonian(spec)
-            even = hb.reflection_even(h)
-            p = sector_isometry(n)
-            assert even.dtype == h.dtype and even.shape == (p.shape[1],) * 2, n
-            framed = in_frame(hb.build_hamiltonian(spec).entries, n)
-            assert np.abs(even.toarray() - p.T @ framed @ p).max() <= 1e-14, n
-            assert np.abs(h @ p - p @ even.toarray()).max() <= 1e-14, n
 
 
 class TestPartialTrace:

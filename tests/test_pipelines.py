@@ -236,18 +236,23 @@ class TestQuenchStateCache:
         assert pl.quench_state(cache, other, 0.3, 2.5) is not kept
         assert len(propagations) == 4
 
-    def test_chains_propagate_in_the_reflection_even_sector(self, propagations):
+    def test_chains_propagate_in_the_reflection_even_sector(self, propagations, monkeypatch):
+        built, flip_rows = [], hb._flip_rows  # the number of rows of each row-table build
+
+        def spy(n, terms, letters, rows, *rest):
+            built.append(rows.size)
+            return flip_rows(n, terms, letters, rows, *rest)
+
+        monkeypatch.setattr(hb, "_flip_rows", spy)
         cache = pl.SpectrumCache()
         for name in ("mfim", "tfim", "xxz", "mfim_broken_trs"):
             for n in (1, 2, 5, 6):
-                chain = pl.quench_state(cache, {"model": name, "n": n}, 0.3, 2.5)
-                assert propagations.sizes[-1] == (2**n + 2 ** ((n + 1) // 2)) // 2, (name, n)
-                # the same quench in the full space, leaving the frame as quench_state does
-                h, u, interval = hb.sparse_hamiltonian({"model": name, "n": n})
-                full = sp.propagate(h, interval, hb.product_state(0.3, n, u).amplitudes, 2.5)
-                full = hb.apply_local_rotations(full[None, :], [u] * n)[0]
-                assert propagations.sizes[-1] == 2**n, (name, n)
-                assert np.abs(chain.amplitudes - full).max() <= 1e-13, (name, n)
+                built.clear()
+                pl.quench_state(cache, {"model": name, "n": n}, 0.3, 2.5)
+                m = (2**n + 2 ** ((n + 1) // 2)) // 2
+                assert propagations.sizes[-1] == m, (name, n)
+                # the chain's m rows, then its windows' 2^w <= 8 each: never 2^n rows from n = 4 on
+                assert built[0] == m and all(size <= 8 for size in built[1:]), (name, n)
 
     def test_large_chain_state_without_a_spectrum(self, no_diagonalize):
         cache = pl.SpectrumCache()
@@ -348,17 +353,19 @@ class TestBasisInformationScan:
         assert len(rows) == 3
 
     def test_energy_density_and_one_row_per_letter(self):
-        theta, letters = 0.7, ("X", "Y", "Z")
-        rows, q_bits, s_bits, density = pl.basis_information_scan(
-            pl.SpectrumCache(), MFIM6, theta, 3.0, 2, letters
-        )
-        h = hb.build_hamiltonian(MFIM6)
-        energy, _ = mo.energy_moments(hb.product_state(theta, 6), h)
-        assert density == pytest.approx(energy / 6, abs=1e-12)
-        assert [letter for letter, _ in rows] == list(letters)
-        # Holevo: no basis on A learns more than S(rho_A) from the B outcomes
-        assert all(0.0 <= bits <= s_bits + 1e-12 for _, bits in rows)
-        assert q_bits <= s_bits
+        letters = ("X", "Y", "Z")
+        for model in (MFIM6, {"model": "xxz", "n": 6}, {"model": "mfim_broken_trs", "n": 6}):
+            h = hb.build_hamiltonian(model)
+            for theta in (0.7, 2.1):
+                rows, q_bits, s_bits, density = pl.basis_information_scan(
+                    pl.SpectrumCache(), model, theta, 3.0, 2, letters
+                )
+                energy, _ = mo.energy_moments(hb.product_state(theta, 6), h)
+                assert density == pytest.approx(energy / 6, abs=1e-12), (model["model"], theta)
+                assert [letter for letter, _ in rows] == list(letters)
+                # Holevo: no basis on A learns more than S(rho_A) from the B outcomes
+                assert all(0.0 <= bits <= s_bits + 1e-12 for _, bits in rows)
+                assert q_bits <= s_bits
 
 
 class TestInteractionInformationScan:

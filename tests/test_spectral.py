@@ -342,26 +342,32 @@ PROPAGATION_MODELS = [
 ]
 
 
-def to_frame(psi, u):
-    """u^(x n) psi for a state on n qubits, one 2 x 2 contraction per site."""
+def into_sector(psi):
+    """The R-even state psi on n qubits, taken from the computational basis into
+    the frame of `hilbert.sparse_hamiltonian` and then into its sector."""
     n = psi.size.bit_length() - 1
-    return hb.apply_local_rotations(psi[None, :], [u.conj().T] * n)[0]
+    framed = hb.apply_local_rotations(psi[None, :], [hb.CHAIN_FRAME.conj().T] * n)[0]
+    reps, _, sizes = hb.reflection_orbits(n)
+    return np.sqrt(sizes) * framed[reps]
 
 
-def from_frame(psi, u):
-    """u^dag(x n) psi: the inverse of `to_frame`."""
-    n = psi.size.bit_length() - 1
-    return hb.apply_local_rotations(psi[None, :], [u] * n)[0]
+def out_of_sector(psi_s, n):
+    """The inverse of `into_sector`: out of the sector, then out of the frame."""
+    _, orbit, sizes = hb.reflection_orbits(n)
+    framed = (psi_s / np.sqrt(sizes))[orbit]
+    return hb.apply_local_rotations(framed[None, :], [hb.CHAIN_FRAME] * n)[0]
 
 
 class TestPropagate:
     @pytest.mark.parametrize("model", PROPAGATION_MODELS, ids=lambda m: m["model"])
     def test_matches_spectral_evolution(self, model, rng):
-        h, u, interval = hb.sparse_hamiltonian(model)
-        psi = random_state(h.shape[0], rng)
+        h, interval = hb.sparse_hamiltonian(model)
+        n = model["n"]
+        psi_s = random_state(h.shape[0], rng).amplitudes  # a random R-even state, in the sector
+        psi = hb.PureState(out_of_sector(psi_s, n), (2,) * n)
         sd = sp.bind_state(sp.diagonalize(hb.build_hamiltonian(model)), psi)
         for t in (0.0, 1e-3, 3.0, 20.0, 100.0, -7.0):
-            out = from_frame(sp.propagate(h, interval, to_frame(psi.amplitudes, u), t), u)
+            out = out_of_sector(sp.propagate(h, interval, psi_s, t), n)
             assert np.abs(out - sp.evolve(sd, t).amplitudes).max() <= 1e-12, t
 
     def test_dense_complex_matrix_matches_spectral_evolution(self, rng):
@@ -389,43 +395,43 @@ class TestPropagate:
         n, t = 8, 1e3
         psi0 = hb.product_state(0.3, n).amplitudes
         # field-only chain: exp(-iHt) is a product of exact single-site rotations
-        h, u, interval = hb.sparse_hamiltonian({"model": "mfim", "n": n, "hx": 1.0, "hy": 0.0, "j": 0.0})
+        h, interval = hb.sparse_hamiltonian({"model": "mfim", "n": n, "hx": 1.0, "hy": 0.0, "j": 0.0})
         site = np.cos(t) * np.eye(2) - 1j * np.sin(t) * np.array([[0.0, 1.0], [1.0, 0.0]])
         exact = np.array([[1.0]])
         for _ in range(n):
             exact = np.kron(site, exact)
         terms = sp._chebyshev_coefficients((interval[1] - interval[0]) / 2 * t).size
-        out = from_frame(sp.propagate(h, interval, to_frame(psi0, u), t), u)
+        out = out_of_sector(sp.propagate(h, interval, into_sector(psi0), t), n)
         assert np.linalg.norm(out - exact @ psi0) <= 2 * terms * 2.0**-53
         # the interacting chain, against the eigendecomposition
         model = {"model": "mfim", "n": n}
-        h, u, interval = hb.sparse_hamiltonian(model)
+        h, interval = hb.sparse_hamiltonian(model)
         terms = sp._chebyshev_coefficients((interval[1] - interval[0]) / 2 * t).size
-        out = from_frame(sp.propagate(h, interval, to_frame(psi0, u), t), u)
+        out = out_of_sector(sp.propagate(h, interval, into_sector(psi0), t), n)
         sd = sp.diagonalize(hb.build_hamiltonian(model))
         sd = sp.bind_state(sd, hb.PureState(psi0, (2,) * n))
         expected = sp.evolve_grid(sd, [t])[:, 0]
         assert np.abs(out - expected).max() <= terms * 2.0**-53
 
     def test_time_zero_returns_the_input(self, rng):
-        h, _, interval = hb.sparse_hamiltonian({"model": "xxz", "n": 5})
-        psi = random_state(32, rng).amplitudes
+        h, interval = hb.sparse_hamiltonian({"model": "xxz", "n": 5})
+        psi = random_state(20, rng).amplitudes  # the sector of 5 sites has 20 states
         assert np.array_equal(sp.propagate(h, interval, psi, 0.0), psi)
 
     @pytest.mark.parametrize("t", [0.0, 2.5, -40.0])
     def test_zero_width_interval_is_a_phase(self, t, rng):
-        psi = random_state(8, rng).amplitudes
-        h, _, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0})
+        psi = random_state(6, rng).amplitudes  # the sector of 3 sites has 6 states
+        h, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3, "hx": 0, "hy": 0, "j": 0})
         assert interval == (0.0, 0.0)
         assert np.array_equal(sp.propagate(h, interval, psi, t), psi)
         # one term: the phase times psi0, with no division by the zero half-width
-        h = scipy.sparse.csr_matrix(1.5 * np.eye(8, dtype=complex))
+        h = scipy.sparse.csr_matrix(1.5 * np.eye(6, dtype=complex))
         assert np.array_equal(sp.propagate(h, (1.5, 1.5), psi, t), np.exp(-1.5j * t) * psi)
 
     def test_input_is_left_unchanged(self, rng):
         for model in ({"model": "mfim", "n": 5}, {"model": "mfim_broken_trs", "n": 5}):
-            h, _, interval = hb.sparse_hamiltonian(model)
-            psi = random_state(32, rng).amplitudes
+            h, interval = hb.sparse_hamiltonian(model)
+            psi = random_state(20, rng).amplitudes
             kept = psi.copy()
             sp.propagate(h, interval, psi, 3.0)
             assert np.array_equal(psi, kept)
@@ -486,9 +492,21 @@ class TestPropagate:
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_is_rejected(self, t):
-        h, _, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3})
+        h, interval = hb.sparse_hamiltonian({"model": "mfim", "n": 3})
         with pytest.raises(ValueError, match="finite"):
-            sp.propagate(h, interval, hb.product_state(0.2, 3).amplitudes, t)
+            sp.propagate(h, interval, into_sector(hb.product_state(0.2, 3).amplitudes), t)
+
+    @pytest.mark.parametrize("model", [{"model": "mfim", "n": 5}, {"model": "mfim_broken_trs", "n": 5}])
+    @pytest.mark.parametrize("size", [40, 12])
+    def test_state_of_the_wrong_length_is_rejected(self, model, size, rng):
+        # the sparse products check no bounds: a longer state would be read in
+        # part, a shorter one past its end
+        h, interval = hb.sparse_hamiltonian(model)
+        assert h.shape == (20, 20) and h.dtype == (np.float64 if model["model"] == "mfim" else complex)
+        with pytest.raises(ValueError, match="does not fit"):
+            sp.propagate(h, interval, random_state(size, rng).amplitudes, 3.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            sp.propagate(h, interval, random_state(20, rng).amplitudes[None, :], 3.0)
 
 
 class TestDiagonalEnsemble:
@@ -605,8 +623,8 @@ class TestEnergyMoments:
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_density_of_standard_quench(self):
-        h, u, _ = hb.sparse_hamiltonian({"model": "mfim", "n": 12})
-        psi = hb.product_state(0.6, 12, u).amplitudes  # the product state in h's frame
+        h, _ = hb.sparse_hamiltonian({"model": "mfim", "n": 12})
+        psi = into_sector(hb.product_state(0.6, 12).amplitudes)  # the product state in h's sector
         e = float(np.vdot(psi, h @ psi).real)
         assert e / 12 == pytest.approx(0.51, abs=0.02)
 
