@@ -75,29 +75,41 @@ class SpectrumCache:
     def _key(model: dict) -> str:
         return repr(hb.model_terms(model))  # the repr of a float round-trips
 
-    def _cached(self, model: dict, key: tuple, build):
-        entries = self._memo.setdefault(self._key(model), {})
+    def _entries(self, model: dict) -> dict[tuple, object]:
+        """The memo of the model's Hamiltonian. Each public call reads it once and
+        passes it down, since building the key rebuilds the term table."""
+        return self._memo.setdefault(self._key(model), {})
+
+    @staticmethod
+    def _cached(entries: dict, key: tuple, build):
         if key not in entries:
             entries[key] = build()
         return entries[key]
 
+    def _spectrum(self, entries: dict, model: dict) -> sp.SpectralData:
+        return self._cached(entries, ("spectrum",), lambda: sp.model_spectrum(model, self.caps))
+
+    def _bound(self, entries: dict, model: dict, theta: float) -> sp.SpectralData:
+        def build():
+            sd = self._spectrum(entries, model)
+            return sp.bind_state(sd, hb.product_state(theta, sd.dim.bit_length() - 1))
+
+        return self._cached(entries, ("bound", float(theta)), build)
+
     def spectrum(self, model: dict) -> sp.SpectralData:
-        return self._cached(model, ("spectrum",), lambda: sp.model_spectrum(model, self.caps))
+        return self._spectrum(self._entries(model), model)
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
-        sd = self.spectrum(model)
-        n = sd.dim.bit_length() - 1
-        return self._cached(
-            model, ("bound", float(theta)), lambda: sp.bind_state(sd, hb.product_state(theta, n))
-        )
+        return self._bound(self._entries(model), model, theta)
 
     def conditional_states(
         self, model: dict, theta: float, part: hb.Bipartition, basis: hb.MeasurementBasis
     ) -> sc.ConditionalStateTable:
         """`scrooge.conditional_states` of the model quenched from angle theta, built once."""
+        entries = self._entries(model)
         key = ("table", float(theta), part.n_sites, part.sites_A, basis.key())
         return self._cached(
-            model, key, lambda: sc.conditional_states(self.bound(model, theta), part, basis)
+            entries, key, lambda: sc.conditional_states(self._bound(entries, model, theta), part, basis)
         )
 
     def release(self, model: dict | None = None) -> None:
@@ -121,9 +133,8 @@ def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> h
     both as `hilbert.sparse_hamiltonian` describes. The amplitudes are
     read-only: every caller shares them.
     """
-    return cache._cached(
-        model, ("state", float(theta), float(t)), lambda: _propagated(model, theta, t, cache.caps)
-    )
+    key = ("state", float(theta), float(t))
+    return cache._cached(cache._entries(model), key, lambda: _propagated(model, theta, t, cache.caps))
 
 
 def _propagated(model: dict, theta: float, t: float, caps: Caps) -> hb.PureState:

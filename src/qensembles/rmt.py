@@ -1,11 +1,12 @@
 """Random-matrix laboratory: GUE sampling and finite-interval convergence.
 
-GUE matrices are drawn in the tridiagonal form of Dumitriu and Edelman: O(d)
-Gaussian and chi draws whose eigenvalues, and spectral measure of |0>, have
-the GUE law. `convergence_experiment` reads only that measure, so it solves
-the tridiagonal matrix directly, for its eigenvalues and the first components
-of its eigenvectors only; `sample_gue` gives the same draw as a dense matrix,
-for dense second methods.
+For beta = 2 the spectral measure of |0> is the GUE levels with weights
+|<E|0>|^2 that are Dirichlet(1, ..., 1) and independent of the levels, since
+GUE eigenvectors are Haar. `_gue_measure` draws it directly: the levels of
+the tridiagonal model of Dumitriu and Edelman by LAPACK ?sterf, in O(d), and
+the weights from d exponential draws. `convergence_experiment` reads only
+that measure; `sample_gue` gives the same draw as a dense matrix, for dense
+second methods.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._util import Caps, DEFAULT_CAPS, FitError, check_cap, task_rng
 from .ensembles import _check_frobenius_caps, finite_time_frobenius_distances
 from .hilbert import HermitianOperator, qubit_or_flat_dims
-from .spectral import _tridiagonal_measure
+from .spectral import SpectralMeasure, _tridiagonal_levels
 
 
 def _gue_tridiagonal(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -39,19 +40,52 @@ def _gue_tridiagonal(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return diag, off
 
 
-def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
-    """Dense Hermitian form of one `_gue_tridiagonal` draw.
+def _gue_measure(d: int, rng: np.random.Generator) -> SpectralMeasure:
+    """The spectral measure of |0> for one GUE draw at dimension d.
 
-    Its eigenvalues, and the spectral measure of basis state |0> (eigenvalues
-    and populations |<E|0>|^2), follow the GUE law exactly; the eigenvalue
-    density converges to the semicircle on [-2, 2]. Its entries do not: they
-    are tridiagonal and real, so only unitarily invariant quantities and those
-    of |0> keep their GUE law.
+    The levels are the eigenvalues of one `_gue_tridiagonal` draw, by LAPACK
+    ?sterf (`spectral._tridiagonal_levels`); each lies within a few
+    eps ||T|| of the exact one, about 3e-15 at ||T|| = 2. The populations
+    are e / sum(e) for d standard exponential draws e, taken next from the
+    same stream: the Dirichlet(1, ..., 1) law of |<E|0>|^2 for Haar
+    eigenvectors, independent of the levels. Memory is O(d).
     """
-    diag, off = _gue_tridiagonal(d, rng)
-    h = np.zeros((d, d), dtype=complex)
-    h.flat[:: d + 1] = diag
-    h.flat[1 :: d + 1] = h.flat[d :: d + 1] = off
+    levels = _tridiagonal_levels(*_gue_tridiagonal(d, rng))
+    e = rng.standard_exponential(d)
+    return SpectralMeasure(levels, e / e.sum())
+
+
+# Rows per block in which `sample_gue` writes its matrix.
+SAMPLE_ROWS = 64
+
+
+def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
+    """Dense Hermitian form of one `_gue_measure` draw (E, p).
+
+    The matrix is R diag(E) R, where R = I - 2 v v^T / (v^T v) with
+    v = sqrt(p) + |0> is the Householder reflection that takes |0> to
+    -sqrt(p): its eigenvalues are E, and the population of |0> on level E_j
+    is p_j. Its levels and spectral measure of |0> therefore follow the GUE
+    law exactly, and the eigenvalue density converges to the semicircle on
+    [-2, 2]. Its entries do not: they are real, so only unitarily invariant
+    quantities and those of |0> keep their GUE law. The entries are
+    E_i delta_ij - (u_i v_j + v_i u_j) for a vector u, so the matrix is
+    exactly symmetric; it is written SAMPLE_ROWS rows at a time, and the
+    only d x d array is the complex result.
+    """
+    levels, p = _gue_measure(d, rng)
+    v = np.sqrt(p)
+    v[0] += 1.0
+    scale = 2.0 / (v @ v)
+    w = scale * levels * v
+    u = w - (0.5 * scale * (w @ v)) * v  # R diag(E) R = diag(E) - u v^T - v u^T
+    h = np.empty((d, d), dtype=complex)
+    for lo in range(0, d, SAMPLE_ROWS):
+        rows = slice(lo, lo + SAMPLE_ROWS)
+        block = -(np.outer(u[rows], v) + np.outer(v[rows], u))
+        i = np.arange(lo, min(lo + SAMPLE_ROWS, d))
+        block[i - lo, i] += levels[i]
+        h[rows] = block
     return HermitianOperator(h, qubit_or_flat_dims(d))
 
 
@@ -103,12 +137,13 @@ def convergence_experiment(
     sample gives its own curve; more give the mean of the distance and of its
     square. The curve's `sample_count` tells which.
 
-    Each sample is the tridiagonal matrix of `_gue_tridiagonal`, whose
-    measure of |0> has the GUE law, so no d x d matrix is formed and no
-    Householder reduction runs: `_tridiagonal_measure` needs O(d) memory, and
-    the peak is the distance kernel's row blocks, 2 MB at d = 1024, k = 1.
-    A draw outside the solver's certified domain raises NumericalFailureError,
-    with no fallback; none of about 2,000 draws at d = 2 to 4096 did.
+    Each sample is drawn by `_gue_measure`, so no d x d matrix is formed, no
+    Householder reduction runs and no eigenvector is computed: the draw needs
+    O(d) memory, and the peak is the distance kernel's row blocks, 2 MB at
+    d = 1024, k = 1. A level error dE moves the distance at width tau by a
+    relative amount of order tau dE: with the ?sterf levels about 3e-15 off,
+    the curves at d = 32 and 64 are up to 4e-9 off, relative, at the largest
+    default tau, against the same draws with 30-digit levels.
     `max_spectrum_dim` (d),
     `max_multiset_terms` (C(d+k-1, k)) and `max_sinc_terms` (its square) are
     checked before the first draw.
@@ -124,8 +159,7 @@ def convergence_experiment(
     _check_frobenius_caps(d, k, caps)
     all_d = np.empty((n_samples, taus.size))
     for i in range(n_samples):
-        sm = _tridiagonal_measure(*_gue_tridiagonal(d, task_rng(seed, i)))
-        all_d[i] = finite_time_frobenius_distances(sm, k, taus, caps)
+        all_d[i] = finite_time_frobenius_distances(_gue_measure(d, task_rng(seed, i)), k, taus, caps)
     if n_samples == 1:
         return ConvergenceCurve(k, taus, all_d[0], None, 1)
     return ConvergenceCurve(k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), n_samples)

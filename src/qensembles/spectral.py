@@ -3,10 +3,8 @@ propagation of one state without a spectrum.
 
 `_eigh` is the one call of the dense eigensolver. `model_spectrum` runs it in
 the Hamiltonian it has just built, `diagonalize` on a copy of the caller's.
-`_tridiagonal_measure` solves a real tridiagonal matrix for the spectral
-measure of |0> in O(d) memory: eigenvalues only from LAPACK, populations as
-certified residues, no eigenvector. `rmt.convergence_experiment` gives it each
-GUE draw in the tridiagonal form of `rmt._gue_tridiagonal`.
+`_tridiagonal_levels` gives the eigenvalues alone of a real tridiagonal
+matrix in O(d) memory, which are the levels of `rmt._gue_measure`.
 """
 
 from __future__ import annotations
@@ -164,7 +162,11 @@ def bind_state(sd: SpectralData, psi0: PureState) -> SpectralData:
 
 
 class SpectralMeasure(NamedTuple):
-    """Ascending eigenvalues E of an operator and the populations |<E|0>|^2 of basis state |0>."""
+    """Ascending eigenvalues E and the populations |<E|0>|^2 of basis state |0>.
+
+    Everything the Frobenius distance kernel reads of a spectrum bound to
+    |0>, with no eigenvector; `rmt._gue_measure` draws one for the GUE.
+    """
 
     eigenvalues: np.ndarray
     populations: np.ndarray
@@ -172,12 +174,6 @@ class SpectralMeasure(NamedTuple):
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-
-# `_tridiagonal_measure` certifies a population when its error estimate is within
-# MEASURE_TOL, and its Newton step when |delta f''/f'| is within NEWTON_RATIO.
-MEASURE_TOL = 1e-12
-NEWTON_RATIO = 1e-4
 
 
 def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -188,65 +184,6 @@ def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         )
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"tridiagonal eigensolver failed (dim={diag.size}): {exc}") from exc
-
-
-def _tridiagonal_measure(diag: np.ndarray, off: np.ndarray) -> SpectralMeasure:
-    """Eigenvalues of the tridiagonal T and the squared first components of their eigenvectors.
-
-    No eigenvector is formed (Golub and Welsch, Math. Comp. 23, 221 (1969)).
-    The population of level E is the residue 1 / f_0'(E) of
-    G_00(z) = [(z - T)^-1]_00 = 1 / f_0(z), f_i = z - a_i - b_i^2 / f_{i+1}:
-    one bottom-up pass over the pivots and their first two derivatives,
-    vectorized over the ?sterf levels. One Newton step delta = -f_0 / f_0'
-    refines each level, and its population is 1 / (f_0' + f_0'' delta). |0>
-    sees only the leading block of T, up to the first |b| <= eps ||T||; the
-    other blocks' levels get population 0. Memory is O(d).
-
-    Certified domain: unreduced T whose levels |0> resolves, as every
-    `rmt._gue_tridiagonal` draw is. Each level needs a Newton ratio
-    |delta f_0'' / f_0'| within NEWTON_RATIO and a population error estimate
-    within MEASURE_TOL: eps ||T|| |f_0''| / f_0'^2 in the leading block (the
-    residue's slope times the ?sterf error; infinite for a non-finite pivot),
-    (b / gap)^2 in the others, gap being the distance to the nearest leading
-    level. The populations must sum to 1 within MEASURE_TOL, which a level
-    found twice breaks. Otherwise NumericalFailureError names d and the worst
-    level; there is no fallback.
-    """
-    d = diag.size
-    eps_norm = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
-    split = np.flatnonzero(np.abs(off) <= eps_norm)
-    m = int(split[0]) + 1 if split.size else d  # the leading block's size
-    z = _tridiagonal_levels(diag[:m], off[: m - 1])
-    rest = _tridiagonal_levels(diag[m:], off[m:]) if m < d else z[:0]
-    with np.errstate(all="ignore"):  # a zero pivot gives inf or nan, which fail the certificate
-        f, fp, fpp = z - diag[m - 1], np.ones(m), np.zeros(m)
-        for a, b in zip(diag[: m - 1][::-1].tolist(), off[: m - 1][::-1].tolist()):
-            r = b / f
-            r2 = r * r
-            fpp = r2 * (fpp - 2.0 * fp * (fp / f))
-            fp = 1.0 + r2 * fp
-            f = z - a - b * r
-        step = -f / fp
-        populations = 1.0 / (fp + fpp * step)
-        i = np.searchsorted(z, rest)
-        gap = np.minimum(np.abs(rest - z[np.maximum(i - 1, 0)]), np.abs(rest - z[np.minimum(i, m - 1)]))
-        estimate = np.concatenate([
-            np.where(np.isfinite(f) & np.isfinite(fp), eps_norm * np.abs(fpp) / fp / fp, np.inf),
-            (off[m - 1 : m] / np.maximum(gap, np.finfo(float).tiny)) ** 2,
-        ])
-        ratio = np.concatenate([np.abs(step * fpp / fp), np.zeros(d - m)])
-    certified = (estimate <= MEASURE_TOL) & (ratio <= NEWTON_RATIO)  # False for nan
-    total = populations.sum()
-    if not (certified.all() and abs(total - 1.0) <= MEASURE_TOL):
-        j = np.lexsort((np.nan_to_num(estimate, nan=np.inf), ~certified))[-1]
-        raise NumericalFailureError(
-            f"tridiagonal measure not certified (dim={d}): populations sum to 1 {total - 1.0:+.3e}, "
-            f"worst level E = {np.concatenate([z, rest])[j]:.17g} has population error estimate "
-            f"{estimate[j]:.3e}, Newton ratio {ratio[j]:.3e}"
-        )
-    levels = np.concatenate([z + step, rest])
-    order = np.argsort(levels, kind="stable")
-    return SpectralMeasure(levels[order], np.concatenate([populations, np.zeros(d - m)])[order])
 
 
 def _require_finite_times(t: np.ndarray) -> None:

@@ -8,7 +8,7 @@ symmetric-subspace builders they check.
 
 The reference forms at the end are second methods of another kind: earlier,
 slower ways to the same numbers (one Scrooge moment per outcome, a contraction
-with every local block, the complex-arithmetic GUE draw, the spectral measure
+with every local block, the complex-arithmetic GUE draw, the eigenvalues
 of a tridiagonal matrix in mpmath arithmetic, the dense chain
 Hamiltonian builder, projected states and their phases one outcome at a time,
 subentropy by splitting degenerate eigenvalues, Chebyshev propagation with a
@@ -205,8 +205,8 @@ def sample_gue_complex(d, rng):
     return (g + g.conj().T) / 2
 
 
-def tridiagonal_measure_mp(diag, off, dps):
-    """Ascending eigenvalues of a real tridiagonal T and the populations of |0>, as mpf.
+def tridiagonal_levels_mp(diag, off, dps):
+    """Ascending eigenvalues of a real tridiagonal T, as mpf.
 
     mpmath's dense `eigsy` at dps digits, on the entries of T taken exactly.
     """
@@ -219,9 +219,7 @@ def tridiagonal_measure_mp(diag, off, dps):
             t[i, i] = x
         for i, x in enumerate(off):
             t[i, i + 1] = t[i + 1, i] = x
-        levels, vectors = mpmath.eigsy(t)
-        pairs = sorted((levels[j], vectors[0, j] ** 2) for j in range(d))
-    return [e for e, _ in pairs], [p for _, p in pairs]
+        return sorted(mpmath.eigsy(t, eigvals_only=True))
 
 
 def _pauli_string_reference(n, ops):

@@ -70,6 +70,25 @@ class TestSpectrumCache:
         cache.release()
         assert cache.bound(MFIM6, 0.3) is not rebound
 
+    def test_a_hit_reads_the_term_table_once(self, monkeypatch):
+        # the key is the repr of the term table, which is rebuilt on every read
+        cache = pl.SpectrumCache()
+        part, basis = central(6, 2, "Z")
+        calls = [
+            lambda: cache.spectrum(MFIM6),
+            lambda: cache.bound(MFIM6, 0.3),
+            lambda: cache.conditional_states(MFIM6, 0.3, part, basis),
+            lambda: pl.quench_state(cache, MFIM6, 0.3, 2.5),
+        ]
+        for call in calls:
+            call()
+        reads, model_terms = [], hb.model_terms
+        monkeypatch.setattr(hb, "model_terms", lambda model: reads.append(model) or model_terms(model))
+        for call in calls:
+            reads.clear()
+            call()
+            assert reads == [MFIM6]
+
 
 MFIM6 = {"model": "mfim", "n": 6, "hx": 0.8090, "hy": 0.9045, "j": 1.0}
 

@@ -19,8 +19,12 @@ import moment_oracles as mo
 
 @functools.cache
 def _reference_measure(d, seed, i):
-    """The 30-digit measure of |0> of GUE draw i at (d, seed), as mpf levels and populations."""
-    return mo.tridiagonal_measure_mp(*rmt._gue_tridiagonal(d, task_rng(seed, i)), 30)
+    """The measure of |0> of GUE draw i at (d, seed): the 30-digit levels of its
+    tridiagonal matrix, as mpf, paired with its drawn weights."""
+    rng = task_rng(seed, i)
+    levels = mo.tridiagonal_levels_mp(*rmt._gue_tridiagonal(d, rng), 30)
+    e = rng.standard_exponential(d)
+    return levels, e / e.sum()
 
 
 class TestSampling:
@@ -31,11 +35,34 @@ class TestSampling:
     @pytest.mark.parametrize("d", [2, 3, 48, 1024])
     @pytest.mark.parametrize("seed", [0, 1, 7, 20240901])
     def test_dense_form_is_the_tridiagonal_draw(self, d, seed):
+        # the dense form has the measure of |0> that `_gue_measure` draws from the
+        # same stream: the levels of the tridiagonal draw and the drawn weights
         h = rmt.sample_gue(d, task_rng(seed)).entries
-        diag, off = rmt._gue_tridiagonal(d, task_rng(seed))
-        ref = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.array_equal(h.real, ref) and not h.imag.any()
-        assert np.all(off > 0)
+        sm = rmt._gue_measure(d, task_rng(seed))
+        assert np.array_equal(h, h.conj().T) and not h.imag.any()
+        w, v = np.linalg.eigh(h)
+        assert np.abs(w - sm.eigenvalues).max() <= 1e-13
+        assert np.abs(np.abs(v[0]) ** 2 - sm.populations).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_population_moments_are_dirichlet(self, d):
+        # oracle: each weight of Dirichlet(1, ..., 1) is Beta(1, d - 1), with mean
+        # 1/d and second moment 2/(d(d+1)), whichever level it sits on
+        n = 4000
+        p = np.array([rmt._gue_measure(d, task_rng(111, d, i)).populations for i in range(n)])
+        for values, expected in [(p, 1.0 / d), (p**2, 2.0 / (d * (d + 1)))]:
+            se = values.std(axis=0) / math.sqrt(n)
+            assert np.all(np.abs(values.mean(axis=0) - expected) <= 4 * se)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_top_weight_is_uncorrelated_with_the_top_level(self, d):
+        # for beta = 2 the weights are independent of the levels: the sample
+        # correlation of n independent pairs has standard error 1/sqrt(n)
+        n = 4000
+        draws = [rmt._gue_measure(d, task_rng(112, d, i)) for i in range(n)]
+        top = np.array([sm.eigenvalues[-1] for sm in draws])
+        weight = np.array([sm.populations[-1] for sm in draws])
+        assert abs(np.corrcoef(top, weight)[0, 1]) <= 4 / math.sqrt(n)
 
     @pytest.mark.parametrize("d", [4, 32])
     def test_entry_laws(self, d):
@@ -57,22 +84,18 @@ class TestSampling:
         # independent of the eigenvalues, so the weight on each sorted level is
         # Beta(1, d - 1); a beta = 1 chi law would give Dirichlet(1/2, ..., 1/2)
         n = 2000
-        q = np.array([
-            sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(108, d, i))).populations
-            for i in range(n)
-        ])
+        q = np.array([rmt._gue_measure(d, task_rng(108, d, i)).populations for i in range(n)])
         for j in (0, d - 1):
             assert scipy.stats.ks_1samp(q[:, j], scipy.stats.beta(1, d - 1).cdf).pvalue >= 1e-3
 
     @pytest.mark.parametrize("d", [2, 3, 8, 24])
     def test_spectrum_law_matches_the_dense_complex_draw(self, d):
-        # the dense complex draw, whose Householder reduction has the tridiagonal
-        # law, against the tridiagonal draw: pooled eigenvalues, the top level
-        # and the weight of |0> on it
+        # the dense complex draw against the measure draw: pooled eigenvalues,
+        # the top level and the weight of |0> on it
         n = 1500
         tri, dense = [], []
         for i in range(n):
-            sm = sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(109, d, i)))
+            sm = rmt._gue_measure(d, task_rng(109, d, i))
             w, v = np.linalg.eigh(mo.sample_gue_complex(d, task_rng(110, d, i)))
             tri.append(np.concatenate([sm.eigenvalues, sm.populations[-1:]]))
             dense.append(np.concatenate([w, np.abs(v[0, -1:]) ** 2]))
@@ -121,7 +144,7 @@ class TestSampling:
 
     def test_eigenvector_isotropy(self):
         # |<0|u>|^2 averages to 1/d across samples, as for Haar vectors; the draw is
-        # tridiagonal, so this holds for |0> only, not for every basis state
+        # real, so this holds for |0> only, not for every basis state
         rng = task_rng(102)
         d = 64
         comps = []
@@ -232,12 +255,10 @@ class TestConvergenceExperiment:
 
     # (256, 2) is left out: its 32,896^2 sinc terms exceed the default max_sinc_terms
     @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (48, 1), (256, 1), (2, 2), (3, 2), (48, 2)])
-    def test_bit_identical_to_the_route_through_the_tridiagonal_measure(self, d, k):
+    def test_bit_identical_to_the_route_through_the_gue_measure_draws(self, d, k):
         curve = rmt.convergence_experiment(d, k, n_samples=2, seed=9)
         rows = np.array([
-            en.finite_time_frobenius_distances(
-                sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(9, i))), k, curve.tau_grid
-            )
+            en.finite_time_frobenius_distances(rmt._gue_measure(d, task_rng(9, i)), k, curve.tau_grid)
             for i in range(2)
         ])
         assert np.array_equal(curve.frobenius, rows.mean(axis=0))
@@ -265,11 +286,10 @@ class TestConvergenceExperiment:
     def _dense_route(d, k, n_samples, seed, precise=False):
         """The oracle: full eigendecomposition, bound to |0>, then the distance kernel.
 
-        With `precise`, the eigendecomposition is mpmath's at 30 digits
-        (`_reference_measure`), rounded to doubles. LAPACK's dense solver
-        returns eigenvalues bit-identical to its tridiagonal one on the
-        d = 32, seed 5 draws, so at double precision this route would pin
-        LAPACK's rounding there.
+        Without `precise`, the matrix is the dense form of the same draws
+        (`sample_gue`). With it, the measure is the draws' 30-digit levels
+        with their drawn weights (`_reference_measure`), rounded to doubles,
+        which shares no rounding with the ?sterf levels.
         """
         taus = rmt.default_tau_grid(d)
         rows = []
@@ -293,13 +313,14 @@ class TestConvergenceExperiment:
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_measure_matches_the_30_digit_one(self, i):
-        # the d = 32, seed 5 draws of test_matches_dense_route[32-2], against the
-        # unrounded 30-digit measure: a full eigenvector solve is 4.2e-16 and
-        # 1.07e-15 off in eigenvalues and 4.5e-16 and 1.0e-15 in populations
-        sm = sp._tridiagonal_measure(*rmt._gue_tridiagonal(32, task_rng(5, i)))
-        levels, populations = _reference_measure(32, 5, i)
-        assert max(abs(e - float(x)) for x, e in zip(sm.eigenvalues, levels)) <= 2.5e-16
-        assert max(abs(p - float(x)) for x, p in zip(sm.populations, populations)) <= 1e-16
+        # the ?sterf levels of the d = 32, seed 5 draws of test_matches_dense_route[32-2],
+        # against their unrounded 30-digit levels: ?sterf is backward stable, so
+        # each level is within a small multiple of eps ||T|| (1.1e-15 and 2.7e-15 here)
+        diag, off = rmt._gue_tridiagonal(32, task_rng(5, i))
+        sm = rmt._gue_measure(32, task_rng(5, i))
+        levels, _ = _reference_measure(32, 5, i)
+        eps_norm = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
+        assert max(abs(e - float(x)) for x, e in zip(sm.eigenvalues, levels)) <= 8 * eps_norm
 
     def test_no_householder_reduction(self, monkeypatch):
         def zhetrd(*args, **kwargs):
@@ -322,15 +343,14 @@ class TestConvergenceExperiment:
 class TestPeakMemory:
     # sample_gue holds one d x d complex matrix (d^2 16 B) plus row-block
     # temporaries; convergence_experiment holds no d x d array at all, and its
-    # tridiagonal solver only O(d) ones
+    # measure draw only O(d) ones
     @pytest.mark.parametrize(
         "run, units",
         [
             (lambda d: rmt.sample_gue(d, task_rng(0)), 1.3),
             (lambda d: rmt.convergence_experiment(d, 1), 0.25),
-            (lambda d: sp._tridiagonal_measure(*rmt._gue_tridiagonal(d, task_rng(0))), 0.02),
         ],
-        ids=["sample_gue", "convergence_experiment", "tridiagonal_measure"],
+        ids=["sample_gue", "convergence_experiment"],
     )
     def test_peak_memory_in_matrices(self, run, units):
         d = 1024

@@ -141,113 +141,11 @@ class TestModelSpectrum:
         assert peak < (2**n) ** 2 * 16
 
 
-def _dense_measure(h):
-    """The oracle: populations of |0> through the full eigendecomposition."""
-    e0 = hb.PureState(np.eye(h.dim, dtype=complex)[0], h.dims)
-    return sp.bind_state(sp.diagonalize(h), e0)
-
-
-def _tridiagonal(diag, off):
-    return hb.HermitianOperator(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), (len(diag),))
-
-
-class TestTridiagonalMeasure:
-    @pytest.mark.parametrize("d", [2, 3, 48, 256])
-    def test_matches_full_eigendecomposition(self, d):
-        diag, off = rmt._gue_tridiagonal(d, task_rng(31, d))
-        sm = sp._tridiagonal_measure(diag, off)
-        ref = _dense_measure(_tridiagonal(diag, off))
-        assert sm.dim == d
-        assert np.abs(sm.eigenvalues - ref.eigenvalues).max() <= 1e-12
-        assert np.abs(sm.populations - ref.populations).max() <= 1e-14
-
-    def test_input_is_left_unchanged(self):
-        diag, off = rmt._gue_tridiagonal(48, task_rng(36))
-        before = diag.tobytes(), off.tobytes()
-        sp._tridiagonal_measure(diag, off)
-        assert (diag.tobytes(), off.tobytes()) == before
-
-    def test_block_diagonal_coupling(self):
-        # a zero off-diagonal, or one below eps ||T||, splits T: |0> couples to the
-        # leading 3-level block only, and the other block is shifted off so each
-        # eigenvalue names its block
-        rng = task_rng(32)
-        diag = np.concatenate([rng.standard_normal(3), 20.0 + rng.standard_normal(4)])
-        off = np.abs(rng.standard_normal(6)) + 0.1
-        wa, va = np.linalg.eigh(_tridiagonal(diag[:3], off[:2]).entries)
-        for coupling in (0.0, 1e-20):
-            off[2] = coupling
-            sm = sp._tridiagonal_measure(diag, off)
-            assert np.abs(sm.eigenvalues[:3] - wa).max() <= 1e-12
-            assert np.abs(sm.populations[:3] - np.abs(va[0]) ** 2).max() <= 1e-14
-            assert np.all(sm.populations[3:] == 0.0)
-            assert sm.populations.sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_repeated_eigenvalue_cluster_weights(self):
-        # two copies of one 3 x 3 block: every level is doubly degenerate, and
-        # eigenvectors inside a pair are gauge-dependent; the pair's total
-        # weight on |0> is not, and it is the first block's
-        block_diag, block_off = np.array([-1.0, 0.3, 1.2]), np.array([0.7, 0.4])
-        diag = np.tile(block_diag, 2)
-        off = np.concatenate([block_off, [0.0], block_off])
-        sm = sp._tridiagonal_measure(diag, off)
-        ref = _dense_measure(_tridiagonal(diag, off))
-        levels, vecs = np.linalg.eigh(_tridiagonal(block_diag, block_off).entries)
-        assert np.abs(sm.eigenvalues - np.repeat(levels, 2)).max() <= 1e-12
-        for level, v0 in zip(levels, vecs[0]):
-            got = sm.populations[np.abs(sm.eigenvalues - level) <= 1e-8].sum()
-            dense = ref.populations[np.abs(ref.eigenvalues - level) <= 1e-8].sum()
-            assert got == pytest.approx(abs(v0) ** 2, abs=1e-14)
-            assert got == pytest.approx(dense, abs=1e-14)
-
-    @pytest.mark.parametrize(
-        "diag, off",
-        [
-            (np.abs(np.arange(-10.0, 11.0)), np.ones(20)),
-            (np.abs(np.arange(-3.0, 4.0)), np.ones(6)),
-            (np.tile([-1.0, 0.3, 1.2], 2), np.array([0.7, 0.4, 1e-8, 0.7, 0.4])),
-        ],
-        ids=["wilkinson21", "wilkinson7", "repeated-block"],
-    )
-    def test_unresolved_levels_are_refused(self, diag, off):
-        # W21+'s top two levels are 7e-14 apart and |0> sees both; at W7+'s level
-        # E = 2, which ?sterf returns exactly, the pivot f_4 is exactly 0 and the
-        # recurrence gives nan; the repeated block coupled by 1e-8 has level pairs
-        # 1e-9 to 3e-9 apart, whose populations come out 2.4e-8 off uncertified
-        with pytest.raises(NumericalFailureError, match=rf"not certified \(dim={diag.size}\)"):
-            sp._tridiagonal_measure(diag, off)
-
-    def test_near_diagonal_matrices_are_refused_or_match_the_30_digit_measure(self):
-        # diagonals at -1, 0 and 1, some moved by 1e-14 ... 1 of a normal draw, and
-        # couplings from 1e-20 to 1: near-degenerate levels that |0> may not
-        # resolve, couplings on both sides of the split at eps ||T||, and
-        # populations down to 1e-60. An unrefined level, a Newton step that lands
-        # on another level, a block split off next to a level it mixes with and
-        # a nan all show here as a wrong population.
-        rng = task_rng(37)
-        outcomes = {"refused": 0, "matched": 0}
-        for _ in range(3000):
-            d = int(rng.integers(2, 6))
-            moved = rng.integers(0, 2, d) * rng.standard_normal(d) * 10.0 ** rng.uniform(-14, 0, d)
-            diag = rng.integers(-1, 2, d) + moved
-            off = rng.choice([-1.0, 1.0], d - 1) * 10.0 ** rng.uniform(-20, 0, d - 1)
-            try:
-                sm = sp._tridiagonal_measure(diag, off)
-            except NumericalFailureError:
-                outcomes["refused"] += 1
-                continue
-            levels, populations = mo.tridiagonal_measure_mp(diag, off, 30)
-            eps_norm = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
-            assert max(abs(e - float(x)) for x, e in zip(sm.eigenvalues, levels)) <= 8 * eps_norm
-            # the error estimates are first order: within a factor 2 of MEASURE_TOL
-            assert max(abs(p - float(x)) for x, p in zip(sm.populations, populations)) <= 2 * sp.MEASURE_TOL
-            outcomes["matched"] += 1
-        assert min(outcomes.values()) >= 500, outcomes
-
+class TestTridiagonalLevels:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: sp._tridiagonal_measure(*rmt._gue_tridiagonal(8, task_rng(35))),
+            lambda: sp._tridiagonal_levels(*rmt._gue_tridiagonal(8, task_rng(35))),
             lambda: rmt.convergence_experiment(8, 1),
         ],
         ids=["eigh_tridiagonal", "eigh_tridiagonal-convergence_experiment"],
