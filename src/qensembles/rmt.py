@@ -81,11 +81,10 @@ def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
     u = w - (0.5 * scale * (w @ v)) * v  # R diag(E) R = diag(E) - u v^T - v u^T
     h = np.empty((d, d), dtype=complex)
     for lo in range(0, d, SAMPLE_ROWS):
-        rows = slice(lo, lo + SAMPLE_ROWS)
-        block = -(np.outer(u[rows], v) + np.outer(v[rows], u))
         i = np.arange(lo, min(lo + SAMPLE_ROWS, d))
+        block = -(np.outer(u[i], v) + np.outer(v[i], u))
         block[i - lo, i] += levels[i]
-        h[rows] = block
+        h[lo : lo + i.size] = block
     return HermitianOperator(h, qubit_or_flat_dims(d))
 
 
