@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import Caps, DEFAULT_CAPS, check_cap, hermiticity_defect
 from .hilbert import Bipartition, MeasurementBasis, PureState, _as_density, projection_table
-from .spectral import SpectralData, SpectralMeasure
+from .spectral import SpectralData, SpectralMeasure, _finite_times
 
 # Outcomes of smaller probability are dropped from projected ensembles and tables.
 ZERO_OUTCOME_CUTOFF = 1e-14
@@ -370,7 +370,7 @@ def finite_time_temporal_moment(
     idx, counts = _occupation_basis(d, k)
     w = np.sqrt(counts) * np.prod(sd.overlaps[idx], axis=1)
     s = sd.eigenvalues[idx].sum(axis=1)
-    kernel = stable_sinc((s[:, None] - s[None, :]) * (_finite_taus(tau) / 2.0))
+    kernel = stable_sinc((s[:, None] - s[None, :]) * (_finite_times(tau) / 2.0))
     m = (w[:, None] * w[None, :].conj()) * kernel
     return MomentOperator(k, d, m)
 
@@ -415,7 +415,7 @@ def finite_time_frobenius_distances(
     `SpectralData` and a `SpectralMeasure` serve equally.
     """
     _check_frobenius_caps(sd.dim, k, caps)
-    halves = np.abs(_finite_taus(taus)) / 2.0  # the kernel is even in tau
+    halves = np.abs(_finite_times(taus)) / 2.0  # the kernel is even in tau
     idx, counts, s = _sorted_sums(sd.eigenvalues, k)
     v = counts * np.prod(sd.populations[idx], axis=1)
     positive = halves[halves > 0]
@@ -425,13 +425,6 @@ def finite_time_frobenius_distances(
     sq = _near_pair_sums(s, v, first_far, halves)
     sq += _far_pair_sums(sd.eigenvalues, idx, s, v, first_far, halves)
     return np.sqrt(2.0 * sq)
-
-
-def _finite_taus(taus) -> np.ndarray:
-    taus = np.asarray(taus, dtype=float)
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("interval widths tau must be finite")
-    return taus
 
 
 def _near_pair_sums(s, v, first_far, halves) -> np.ndarray:

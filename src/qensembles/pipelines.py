@@ -4,9 +4,9 @@ Every pipeline, and the cache, takes a chain model, which
 `hilbert.model_terms` reads as a table of Pauli-string terms; any other
 Hermitian matrix goes through the layers (`spectral.diagonalize`,
 `bind_state`, `evolve`, `propagate`, `scrooge.conditional_states`). A
-quenched state |psi(t)> = exp(-iHt)|psi0> needs no spectrum: `quench_state`
-propagates the product state with the sparse Hamiltonian
-(`spectral.propagate`), so fixed-time pipelines never diagonalize. The
+quenched state |psi(t)> = exp(-iHt)|psi0> is only ever built one way:
+`quench_state` propagates the product state with the sparse Hamiltonian
+(`spectral.propagate`), so no pipeline reads a state off a spectrum. The
 sparse chain Hamiltonian is built only on the sector even under the site
 reversal R, about half of Hilbert space, and in a site-local frame where
 mfim, tfim and xxz are real (`hilbert.sparse_hamiltonian`): the product
@@ -18,8 +18,8 @@ product state is R-even, and exp(-iHt) keeps it in the sector.
 `basis_information_scan` reads its quench energy off the term table. The
 dense Hamiltonian and every spectrum stay in the computational basis. Full
 spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix the
-Hamiltonian was built in) are built only for the paths that read eigenpairs:
-bound states and conditional-state tables. Chains stop at D = 2^13, where
+Hamiltonian was built in) are built only for conditional-state tables, which
+read the spectrum bound to the product state. Chains stop at D = 2^13, where
 the dense build's D^2 entries reach `Caps.max_moment_entries` (2^26);
 `max_spectrum_dim` (2^14) is checked first and binds only when it is set
 lower. The process cache holds one memo per term table, so two
@@ -31,9 +31,7 @@ measurement basis (its sites and the bytes of each factor).
 
 A table does not depend on time, so every time average is read off the
 cached table of its B basis: the generalized Scrooge reference, the
-rescaled joint probabilities and the interaction information.
-`interaction_information_scan` reads its fixed-time state off the bound
-spectrum its table needs (`spectral.evolve`), once per scan. The cache can
+rescaled joint probabilities and the interaction information. The cache can
 be released explicitly, per model or whole; large-chain workflows should
 group their uses and then drop it.
 """
@@ -238,11 +236,10 @@ def interaction_information_scan(
 ):
     """Interaction information per A basis against the weighted-subentropy value.
 
-    The state at time t is read off the bound spectrum once per scan, and the
-    time-averaged part and the subentropy values of every letter come from
-    one cached table.
+    The state at time t is propagated (`quench_state`), and the time-averaged
+    part and the subentropy values of every letter come from one cached table.
     """
-    state = sp.evolve(cache.bound(model, theta), t)
+    state = quench_state(cache, model, theta, t)
     part = _central(state, subsystem_width)
     basis_b = hb.pauli_basis(part.sites_B, basis_b_letter)
     table = cache.conditional_states(model, theta, part, basis_b)

@@ -20,7 +20,7 @@ import numpy as np
 from ._util import Caps, DEFAULT_CAPS, FitError, check_cap, task_rng
 from .ensembles import _check_frobenius_caps, finite_time_frobenius_distances
 from .hilbert import HermitianOperator, qubit_or_flat_dims
-from .spectral import SpectralMeasure, _tridiagonal_levels
+from .spectral import SpectralMeasure, _finite_times, _tridiagonal_levels
 
 
 def _gue_tridiagonal(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -96,12 +96,13 @@ def semicircle_cdf(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceCurve:
-    """Distance between finite- and infinite-interval moments across interval widths."""
+    """Distance between finite- and infinite-interval moments across interval widths:
+    its mean and the mean of its square over `sample_count` samples, per tau."""
 
     k: int
     tau_grid: np.ndarray
-    frobenius: np.ndarray                    # one instance's distance, or the mean, per tau
-    squared_frobenius_mean: np.ndarray | None  # mean of d^2 (sample_count > 1 only)
+    frobenius: np.ndarray
+    squared_frobenius_mean: np.ndarray
     sample_count: int
 
     def __post_init__(self):
@@ -132,9 +133,9 @@ def convergence_experiment(
     One GUE spectrum per sample is drawn with a counter-based stream keyed by
     (seed, sample), so any execution order reproduces the data. The initial
     state is the basis state |0>, whose `SpectralMeasure` (eigenvalues and
-    populations, no eigenvectors) is all the distance kernel reads. One
-    sample gives its own curve; more give the mean of the distance and of its
-    square. The curve's `sample_count` tells which.
+    populations, no eigenvectors) is all the distance kernel reads. The curve
+    holds the mean of the distance and of its square over the samples; for
+    one sample these are its own distance and that distance squared.
 
     Each sample is drawn by `_gue_measure`, so no d x d matrix is formed, no
     Householder reduction runs and no eigenvector is computed: the draw needs
@@ -147,11 +148,9 @@ def convergence_experiment(
     `max_multiset_terms` (C(d+k-1, k)) and `max_sinc_terms` (its square) are
     checked before the first draw.
     """
-    taus = default_tau_grid(d) if tau_grid is None else np.asarray(tau_grid, dtype=float)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("tau grid must be finite")
+    taus = default_tau_grid(d) if tau_grid is None else _finite_times(tau_grid)
     if np.any(np.diff(taus) <= 0):
         raise ValueError("tau grid must be strictly increasing")
     check_cap(caps, "max_spectrum_dim", d)
@@ -159,8 +158,6 @@ def convergence_experiment(
     all_d = np.empty((n_samples, taus.size))
     for i in range(n_samples):
         all_d[i] = finite_time_frobenius_distances(_gue_measure(d, task_rng(seed, i)), k, taus, caps)
-    if n_samples == 1:
-        return ConvergenceCurve(k, taus, all_d[0], None, 1)
     return ConvergenceCurve(k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), n_samples)
 
 
@@ -173,7 +170,8 @@ class PowerLawFit(NamedTuple):
 def fit_power_law(
     tau: Sequence[float], values: Sequence[float], window: tuple[float, float]
 ) -> PowerLawFit:
-    """Least-squares slope of ln(values) against ln(tau) inside a tau window."""
+    """Least-squares slope of ln(values) against ln(tau) inside a tau window, with
+    its standard error on n - 2 degrees of freedom."""
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
     sel = (tau >= window[0]) & (tau <= window[1]) & (values > 0)
@@ -181,18 +179,13 @@ def fit_power_law(
         raise FitError(f"only {int(sel.sum())} points in window {window}; need >= 4")
     x = np.log(tau[sel])
     y = np.log(values[sel])
-    design = np.stack([np.ones_like(x), x], axis=1)
-    sol, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ sol
-    dof = max(x.size - 2, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
-    return PowerLawFit(float(sol[1]), float(math.sqrt(cov[1, 1])), int(sel.sum()))
+    coef, cov = np.polyfit(x, y, 1, cov="unscaled")
+    resid = y - np.polyval(coef, x)
+    s2 = float(resid @ resid) / (x.size - 2)
+    return PowerLawFit(float(coef[0]), math.sqrt(s2 * cov[0, 0]), x.size)
 
 
 def fit_curve_slope(curve: ConvergenceCurve, window: tuple[float, float], squared: bool = False) -> PowerLawFit:
     """Power-law slope of a convergence curve (optionally of the mean squared distance)."""
     y = curve.squared_frobenius_mean if squared else curve.frobenius
-    if y is None:
-        raise ValueError("curve carries no squared-mean data")
     return fit_power_law(curve.tau_grid, y, window)

@@ -75,24 +75,17 @@ def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-# Dimension from which `_eigh` runs LAPACK's ?heevr in place of ?heevd.
-EVR_DIM = 8192
-
-
 def _eigh(a: np.ndarray) -> SpectralData:
     """Eigenpairs of the Hermitian, Fortran-ordered complex matrix a, which is destroyed.
 
-    LAPACK works in a itself, so no copy of it is made. Peak memory in units
-    of d x d complex matrices: ?heevd (below EVR_DIM) needs a, which it
-    overwrites with the eigenvectors, plus d^2 + 2d complex and 1 + 5d + 2d^2
-    real workspace, about 3 units; ?heevr (from EVR_DIM) needs a plus the
-    separate eigenvector matrix Z, about 2 units, and O(d) workspace. Phases
-    are then fixed in place, PHASE_COLUMNS columns at a time, which adds no
-    d x d temporary.
+    LAPACK ?heevd works in a itself, so no copy of it is made. It overwrites a
+    with the eigenvectors and needs d^2 + 2d complex and 1 + 5d + 2d^2 real
+    workspace, so the peak is about 3.5 d x d complex matrices. Phases are
+    then fixed in place, PHASE_COLUMNS columns at a time, which adds no d x d
+    temporary.
     """
-    solver = "evr" if a.shape[0] >= EVR_DIM else "evd"
     try:
-        w, v = scipy.linalg.eigh(a, driver=solver, overwrite_a=True, check_finite=False)
+        w, v = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailureError(f"eigensolver failed (dim={a.shape[0]}): {exc}") from exc
     return SpectralData(w, _fix_eigenvector_phases(v))
@@ -186,9 +179,12 @@ def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"tridiagonal eigensolver failed (dim={diag.size}): {exc}") from exc
 
 
-def _require_finite_times(t: np.ndarray) -> None:
+def _finite_times(times) -> np.ndarray:
+    """times (evolution times or interval widths) as a float array; ValueError unless all are finite."""
+    t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
-        raise ValueError(f"evolution times must be finite, got {t}")
+        raise ValueError(f"times must be finite, got {t}")
+    return t
 
 
 def evolve_grid(sd: SpectralData, times: Sequence[float]) -> np.ndarray:
@@ -196,8 +192,7 @@ def evolve_grid(sd: SpectralData, times: Sequence[float]) -> np.ndarray:
     one BLAS call for the grid. Raises ValueError on an unbound spectrum."""
     if sd.overlaps is None:
         raise ValueError("spectral data must be bound to an initial state")
-    t = np.asarray(times, dtype=float)
-    _require_finite_times(t)
+    t = _finite_times(times)
     phases = np.exp(-1j * np.outer(sd.eigenvalues, t))
     return sd.eigenvectors @ (sd.overlaps[:, None] * phases)
 
@@ -315,7 +310,7 @@ def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: n
     t <= 20. Raises ValueError for a non-finite t, or for a psi0 whose shape
     is not (h.shape[1],), since the sparse products check no bounds.
     """
-    _require_finite_times(np.asarray(t, dtype=float))
+    _finite_times(t)
     psi = np.ascontiguousarray(psi0, dtype=complex)
     if psi.shape != (h.shape[1],):
         raise ValueError(f"state of shape {psi.shape} does not fit a matrix of shape {h.shape}")

@@ -190,7 +190,7 @@ class TestConditionalStateCache:
         table = cache.conditional_states(MFIM6, 0.0, *central(6, 2, "Z"))
         assert len(averaged_from) == 3
         assert all(t is table for t in averaged_from)
-        # the table build and both scans' states read one bound spectrum
+        # only the table build binds the spectrum: both scans' states are propagated
         assert len(bindings) == 1
 
 
@@ -200,6 +200,15 @@ def no_diagonalize(monkeypatch):
         raise AssertionError("the dense eigensolver was called")
 
     monkeypatch.setattr(sp, "_eigh", fail)
+
+
+@pytest.fixture()
+def no_evolve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a state was read off a spectrum")
+
+    monkeypatch.setattr(sp, "evolve", fail)
+    monkeypatch.setattr(sp, "evolve_grid", fail)
 
 
 @pytest.fixture()
@@ -394,7 +403,7 @@ class TestInteractionInformationScan:
         rows = pl.interaction_information_scan(cache, MFIM6, theta, t, 2, letters)
         assert [row["basis"] for row in rows] == list(letters)
         bound = cache.bound(MFIM6, theta)
-        state = sp.evolve(bound, t)
+        state = pl.quench_state(cache, MFIM6, theta, t)
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         basis_b = hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, basis_b)  # built here, not read from the cache
@@ -411,6 +420,12 @@ class TestInteractionInformationScan:
             ]
             # concavity of the subentropy: the weighted value sits below Q(rho_A)
             assert row["weighted_subentropy_bits"] <= row["subentropy_bound_bits"] + 1e-9
+
+    def test_state_is_propagated_not_read_off_the_spectrum(self, no_evolve, propagations):
+        cache = pl.SpectrumCache()
+        rows = pl.interaction_information_scan(cache, MFIM6, 0.6, 12.0, 2)
+        assert [row["basis"] for row in rows] == ["X", "Y", "Z"]
+        assert propagations == [12.0]
 
     def test_subentropies_are_evaluated_once_per_table(self, monkeypatch):
         cache = pl.SpectrumCache()

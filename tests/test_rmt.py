@@ -267,20 +267,21 @@ class TestConvergenceExperiment:
     def test_curve_rejects_non_finite_distances(self):
         with pytest.raises(ValueError):
             rmt.ConvergenceCurve(
-                1, np.array([1.0, 2.0]), np.array([0.5, np.nan]), None, 1
+                1, np.array([1.0, 2.0]), np.array([0.5, np.nan]), np.array([0.25, np.nan]), 1
             )
 
     def test_curve_rejects_a_tau_grid_that_is_not_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             rmt.ConvergenceCurve(
-                1, np.array([2.0, 1.0]), np.array([0.5, 0.4]), None, 1
+                1, np.array([2.0, 1.0]), np.array([0.5, 0.4]), np.array([0.25, 0.16]), 1
             )
 
-    def test_single_instance_curve_has_no_squared_slope(self):
+    def test_single_sample_curve_is_its_own_row_and_its_square(self):
         curve = rmt.convergence_experiment(8, 1, seed=4)
-        assert curve.squared_frobenius_mean is None
-        with pytest.raises(ValueError, match="no squared-mean data"):
-            rmt.fit_curve_slope(curve, (curve.tau_grid[0], curve.tau_grid[-1]), squared=True)
+        row = en.finite_time_frobenius_distances(rmt._gue_measure(8, task_rng(4, 0)), 1, curve.tau_grid)
+        assert curve.sample_count == 1
+        assert np.array_equal(curve.frobenius, row)
+        assert np.array_equal(curve.squared_frobenius_mean, row**2)
 
     @staticmethod
     def _dense_route(d, k, n_samples, seed, precise=False):

@@ -79,9 +79,7 @@ class TestDiagonalize:
         expected = v * np.conj(lead / np.abs(lead))
         assert np.array_equal(sp._fix_eigenvector_phases(v), expected)
 
-    @pytest.mark.parametrize("evr_dim", [sp.EVR_DIM, 1])
-    def test_input_is_left_unchanged(self, monkeypatch, rng, evr_dim):
-        monkeypatch.setattr(sp, "EVR_DIM", evr_dim)
+    def test_input_is_left_unchanged(self, rng):
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         for entries in ((g + g.conj().T) / 2, hb.build_hamiltonian({"model": "mfim", "n": 5}).entries):
             h = hb.HermitianOperator(entries, hb.qubit_or_flat_dims(entries.shape[0]))
@@ -90,32 +88,28 @@ class TestDiagonalize:
             assert np.array_equal(h.entries, before)
 
 
-def _old_route(model, solver):
-    """The earlier `diagonalize`: LAPACK on scipy's own copy of a C-ordered H."""
+def _old_route(model):
+    """The earlier `diagonalize`: LAPACK ?heevd on scipy's own copy of a C-ordered H."""
     h = np.ascontiguousarray(hb.build_hamiltonian(model).entries)
-    w, v = scipy.linalg.eigh(h, driver=solver, check_finite=False)
+    w, v = scipy.linalg.eigh(h, driver="evd", check_finite=False)
     return w, sp._fix_eigenvector_phases(v)
 
 
 class TestModelSpectrum:
-    @pytest.mark.parametrize("evr_dim", [sp.EVR_DIM, 1])
     @pytest.mark.parametrize("name", ["mfim", "tfim", "xxz", "mfim_broken_trs"])
-    def test_bit_identical_to_diagonalize_of_the_built_matrix(self, monkeypatch, name, evr_dim):
-        monkeypatch.setattr(sp, "EVR_DIM", evr_dim)
+    def test_bit_identical_to_diagonalize_of_the_built_matrix(self, name):
         for n in range(1, 9):
             model = {"model": name, "n": n}
             sd = sp.model_spectrum(model)
             ref = sp.diagonalize(hb.build_hamiltonian(model))
-            old_w, old_v = _old_route(model, "evr" if evr_dim == 1 else "evd")
+            old_w, old_v = _old_route(model)
             for w, v in ((ref.eigenvalues, ref.eigenvectors), (old_w, old_v)):
                 assert np.array_equal(sd.eigenvalues, w)
                 assert np.array_equal(sd.eigenvectors, v)
 
-    # evd: H, overwritten by V, plus about two matrices of workspace (4.01 when
-    # H was copied first); evr: H plus Z, with no d x d |V| while phases are fixed
-    @pytest.mark.parametrize("evr_dim, units", [(sp.EVR_DIM, 3.5), (1, 2.25)])
-    def test_peak_memory_in_matrices(self, monkeypatch, evr_dim, units):
-        monkeypatch.setattr(sp, "EVR_DIM", evr_dim)
+    # H, overwritten by V, plus about two matrices of workspace (4.01 when H
+    # was copied first), with no d x d |V| while phases are fixed
+    def test_peak_memory_in_matrices(self):
         n = 9
         unit = (2**n) ** 2 * 16
         model = {"model": "mfim", "n": n}
@@ -126,7 +120,7 @@ class TestModelSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= units * unit
+        assert peak <= 3.5 * unit
 
     def test_spectrum_cap_is_checked_before_the_build(self):
         n = 6
