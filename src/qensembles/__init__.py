@@ -10,7 +10,6 @@ from ._util import (
     CapacityError,
     Caps,
     DEFAULT_CAPS,
-    FitError,
     InvalidMatrixError,
     InvalidModelError,
     NumericalFailureError,
@@ -22,7 +21,6 @@ __all__ = [
     "CapacityError",
     "Caps",
     "DEFAULT_CAPS",
-    "FitError",
     "InvalidMatrixError",
     "InvalidModelError",
     "NumericalFailureError",

@@ -36,10 +36,6 @@ class NumericalFailureError(QEnsemblesError):
     """A numerical routine failed to converge; details carried in the message."""
 
 
-class FitError(QEnsemblesError):
-    """A least-squares fit failed; residual diagnostics in the message."""
-
-
 @dataclass(frozen=True)
 class Caps:
     """Resource caps for dense operations.
@@ -49,9 +45,8 @@ class Caps:
     for a moment, stored on the symmetric subspace with D = C(d+k-1, k),
     checked when its D x D `matrix` is built (for the ensemble form of
     `moment_k` and the scalar form of `haar_moment`, on the first read of
-    `.matrix`); r^2 for the Gram matrix of r ensemble members that
-    `trace_distance` diagonalizes in place of the moment; and (d^k)^2 for a
-    full-space operator (`MomentOperator.dense()`);
+    `.matrix`); and r^2 for the Gram matrix of r ensemble members that
+    `trace_distance` diagonalizes in place of the moment.
     `max_state_dim` bounds state vectors and the row table of every chain
     Hamiltonian build, one entry per row built and flip mask (2^n rows for
     the dense matrix, 2^w for a window, the m reflection-even rows for the

@@ -90,7 +90,7 @@ class MomentOperator:
     |n> = N_n^(-1/2) sum_t |t> over the N_n = k!/prod_m n_m! orderings t of the
     multiset n, rows in `_occupation_basis(d, k)` order. Its embedding V into
     (C^d)^(x)k is an isometry: trace, spectrum and unitarily invariant norms
-    are those of the full operator V matrix V^dagger that `dense()` returns.
+    are those of the full operator V matrix V^dagger.
 
     A moment has one of three forms:
       * dense: `MomentOperator(k, d, matrix)` checks the shape and
@@ -143,16 +143,6 @@ class MomentOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def dense(self) -> np.ndarray:
-        """The d^k x d^k operator V matrix V^dagger on the full k-copy space."""
-        d, k = self.space_dim, self.k
-        check_cap(DEFAULT_CAPS, "max_moment_entries", (d**k) ** 2)
-        idx, counts = _occupation_basis(d, k)
-        v = np.zeros((d**k, counts.size))
-        for sigma in permutations(range(k)):
-            v[_flat_index(idx[:, list(sigma)], d), np.arange(counts.size)] = counts**-0.5
-        return v @ self.matrix @ v.T
 
 
 def _sym_dim(d: int, k: int) -> int:
@@ -215,11 +205,6 @@ def _close_pairs(first: np.ndarray, block: int):
         pair = np.arange(lo, min(total, lo + block))
         rows = np.searchsorted(starts, pair, side="right") - 1
         yield rows, rows + 1 + (pair - starts[rows])
-
-
-def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
-    """Tensor-power index of each row of copy digits, copy 0 most significant."""
-    return idx @ d ** np.arange(idx.shape[1] - 1, -1, -1)
 
 
 def _symmetric_power(a: np.ndarray, k: int) -> np.ndarray:

@@ -68,9 +68,6 @@ class PureState:
     def n_sites(self) -> int:
         return len(self.dims)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def n_qubit_dims(n: int) -> tuple[int, ...]:
     return (2,) * n
@@ -80,14 +77,6 @@ def qubit_or_flat_dims(d: int) -> tuple[int, ...]:
     """Qubit factors (2,) * n when d = 2^n, else one flat factor (d,)."""
     n = int(d).bit_length() - 1
     return n_qubit_dims(n) if d == 2**n else (int(d),)
-
-
-def qubit_state(amplitudes: Iterable[complex]) -> PureState:
-    amps = np.asarray(list(amplitudes), dtype=complex)
-    n = amps.size.bit_length() - 1
-    if 2**n != amps.size:  # an empty list gives n = -1
-        raise ValueError("amplitude length is not a power of 2")
-    return PureState(amps, n_qubit_dims(n))
 
 
 @dataclass(frozen=True)
@@ -270,14 +259,6 @@ def split_bipartite(state: PureState, part: Bipartition) -> np.ndarray:
     m = np.zeros((part.d_a, part.d_b), dtype=complex)
     m[a_idx, b_idx] = state.amplitudes
     return m
-
-
-def merge_bipartite(m: np.ndarray, part: Bipartition) -> PureState:
-    """Inverse of split_bipartite."""
-    a_idx = _subsystem_indices(part.n_sites, part.sites_A)
-    b_idx = _subsystem_indices(part.n_sites, part.sites_B)
-    amps = np.asarray(m, dtype=complex)[a_idx, b_idx]
-    return PureState(amps, n_qubit_dims(part.n_sites))
 
 
 def apply_local_rotations(m: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
@@ -543,21 +524,10 @@ def projection_table(state: PureState, part: Bipartition, basis: MeasurementBasi
     return apply_local_rotations(split_bipartite(state, part), basis.factors)
 
 
-def partial_trace(obj, part: Bipartition) -> HermitianOperator:
-    """Reduced density matrix on A of a pure state or of a full-space operator."""
-    if isinstance(obj, PureState):
-        m = split_bipartite(obj, part)
-        return HermitianOperator(_hermitize(m @ m.conj().T), n_qubit_dims(len(part.sites_A)))
-    if isinstance(obj, HermitianOperator):
-        if len(obj.dims) != part.n_sites:
-            raise ValueError("operator and bipartition disagree on the number of sites")
-        a_idx = _subsystem_indices(part.n_sites, part.sites_A)
-        b_idx = _subsystem_indices(part.n_sites, part.sites_B)
-        perm = np.empty(2**part.n_sites, dtype=np.int64)
-        perm[a_idx * part.d_b + b_idx] = np.arange(2**part.n_sites)
-        r = obj.entries[np.ix_(perm, perm)].reshape(part.d_a, part.d_b, part.d_a, part.d_b)
-        return HermitianOperator(_hermitize(np.einsum("abcb->ac", r)), n_qubit_dims(len(part.sites_A)))
-    raise TypeError("expected a PureState or HermitianOperator")
+def partial_trace(state: PureState, part: Bipartition) -> HermitianOperator:
+    """Reduced density matrix on A of a pure state."""
+    m = split_bipartite(state, part)
+    return HermitianOperator(_hermitize(m @ m.conj().T), n_qubit_dims(len(part.sites_A)))
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:

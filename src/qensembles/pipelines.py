@@ -1,11 +1,9 @@
 """Shared, cached computation pipelines used by experiments and acceptance checks.
 
 Every pipeline, and the cache, takes a chain model, which
-`hilbert.model_terms` reads as a table of Pauli-string terms; any other
-Hermitian matrix goes through the layers (`spectral.diagonalize`,
-`bind_state`, `evolve`, `propagate`, `scrooge.conditional_states`). A
-quenched state |psi(t)> = exp(-iHt)|psi0> is only ever built one way:
-`quench_state` propagates the product state with the sparse Hamiltonian
+`hilbert.model_terms` reads as a table of Pauli-string terms. A quenched
+state |psi(t)> = exp(-iHt)|psi0> is only ever built one way: `quench_state`
+propagates the product state with the sparse Hamiltonian
 (`spectral.propagate`), so no pipeline reads a state off a spectrum. The
 sparse chain Hamiltonian is built only on the sector even under the site
 reversal R, about half of Hilbert space, and in a site-local frame where
@@ -31,9 +29,7 @@ measurement basis (its sites and the bytes of each factor).
 
 A table does not depend on time, so every time average is read off the
 cached table of its B basis: the generalized Scrooge reference, the
-rescaled joint probabilities and the interaction information. The cache can
-be released explicitly, per model or whole; large-chain workflows should
-group their uses and then drop it.
+rescaled joint probabilities and the interaction information.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ class SpectrumCache:
     spectrum; the spectrum is built only when a caller reads eigenpairs, and
     `bound` binds it to the product state at theta once per angle. Tables
     are the one source of every time average the pipelines report.
-    `release(model)` drops all of a Hamiltonian's entries together.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
@@ -109,12 +104,6 @@ class SpectrumCache:
         return self._cached(
             entries, key, lambda: sc.conditional_states(self._bound(entries, model, theta), part, basis)
         )
-
-    def release(self, model: dict | None = None) -> None:
-        if model is None:
-            self._memo.clear()
-        else:
-            self._memo.pop(self._key(model), None)
 
 
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:

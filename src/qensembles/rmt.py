@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._util import Caps, DEFAULT_CAPS, FitError, check_cap, task_rng
+from ._util import Caps, DEFAULT_CAPS, check_cap, task_rng
 from .ensembles import _check_frobenius_caps, finite_time_frobenius_distances
 from .hilbert import HermitianOperator, qubit_or_flat_dims
 from .spectral import SpectralMeasure, _finite_times, _tridiagonal_levels
@@ -88,12 +88,6 @@ def sample_gue(d: int, rng: np.random.Generator) -> HermitianOperator:
     return HermitianOperator(h, qubit_or_flat_dims(d))
 
 
-def semicircle_cdf(x: np.ndarray) -> np.ndarray:
-    """CDF of the radius-2 semicircle law."""
-    x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
-    return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
-
-
 @dataclass(frozen=True)
 class ConvergenceCurve:
     """Distance between finite- and infinite-interval moments across interval widths:
@@ -159,33 +153,3 @@ def convergence_experiment(
     for i in range(n_samples):
         all_d[i] = finite_time_frobenius_distances(_gue_measure(d, task_rng(seed, i)), k, taus, caps)
     return ConvergenceCurve(k, taus, all_d.mean(axis=0), (all_d**2).mean(axis=0), n_samples)
-
-
-class PowerLawFit(NamedTuple):
-    slope: float
-    stderr: float
-    n_points: int
-
-
-def fit_power_law(
-    tau: Sequence[float], values: Sequence[float], window: tuple[float, float]
-) -> PowerLawFit:
-    """Least-squares slope of ln(values) against ln(tau) inside a tau window, with
-    its standard error on n - 2 degrees of freedom."""
-    tau = np.asarray(tau, dtype=float)
-    values = np.asarray(values, dtype=float)
-    sel = (tau >= window[0]) & (tau <= window[1]) & (values > 0)
-    if sel.sum() < 4:
-        raise FitError(f"only {int(sel.sum())} points in window {window}; need >= 4")
-    x = np.log(tau[sel])
-    y = np.log(values[sel])
-    coef, cov = np.polyfit(x, y, 1, cov="unscaled")
-    resid = y - np.polyval(coef, x)
-    s2 = float(resid @ resid) / (x.size - 2)
-    return PowerLawFit(float(coef[0]), math.sqrt(s2 * cov[0, 0]), x.size)
-
-
-def fit_curve_slope(curve: ConvergenceCurve, window: tuple[float, float], squared: bool = False) -> PowerLawFit:
-    """Power-law slope of a convergence curve (optionally of the mean squared distance)."""
-    y = curve.squared_frobenius_mean if squared else curve.frobenius
-    return fit_power_law(curve.tau_grid, y, window)

@@ -43,7 +43,6 @@ from .hilbert import (
 from .spectral import SpectralData
 
 LN2 = math.log(2.0)
-SUBENTROPY_LIMIT_BITS = (1.0 - np.euler_gamma) / LN2  # large-D maximally mixed value
 SUPPORT_CUTOFF = 1e-13
 CLUSTER_RTOL = 1e-9
 GRID_STEP = 0.25  # trapezoid step in t = ln s

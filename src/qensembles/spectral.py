@@ -1,5 +1,5 @@
-"""Eigen-engine: diagonalization, evolution, diagonal ensemble, and Chebyshev
-propagation of one state without a spectrum.
+"""Eigen-engine: diagonalization, state binding, and Chebyshev propagation of
+one state without a spectrum.
 
 `_eigh` is the one call of the dense eigensolver. `model_spectrum` runs it in
 the Hamiltonian it has just built, `diagonalize` on a copy of the caller's.
@@ -27,7 +27,6 @@ from .hilbert import (
     PureState,
     build_hamiltonian,
     model_terms,
-    qubit_or_flat_dims,
 )
 
 
@@ -127,8 +126,8 @@ def bind_state(sd: SpectralData, psi0: PureState) -> SpectralData:
     are rotated by a unitary whose first column is c_G / |c_G|: the first
     rotated vector is P_G psi0 / |P_G psi0| with overlap |c_G|, and the rest
     have overlap 0. Every time average of the bound spectrum, which dephases
-    vector by vector, then dephases each eigenspace as a whole:
-    `diagonal_ensemble` is sum_E P_E rho0 P_E. Evolution is unchanged,
+    vector by vector, then dephases each eigenspace as a whole: the
+    diagonal ensemble is sum_E P_E rho0 P_E. Evolution is unchanged,
     V_G c_G being kept. A spectrum with no group returns the parent's
     eigenvalue and eigenvector arrays.
     """
@@ -195,12 +194,6 @@ def evolve_grid(sd: SpectralData, times: Sequence[float]) -> np.ndarray:
     t = _finite_times(times)
     phases = np.exp(-1j * np.outer(sd.eigenvalues, t))
     return sd.eigenvectors @ (sd.overlaps[:, None] * phases)
-
-
-def evolve(sd: SpectralData, t: float) -> PureState:
-    amps = evolve_grid(sd, [float(t)])[:, 0]
-    amps = amps / np.linalg.norm(amps)
-    return PureState(amps, qubit_or_flat_dims(sd.dim))
 
 
 # Truncation target of `propagate`: the Bessel tail left out of the Chebyshev sum.
@@ -339,14 +332,3 @@ def propagate(h: scipy.sparse.csr_matrix, interval: tuple[float, float], psi0: n
             prev, cur, nxt = cur, nxt, prev
             out += ck * cur
     return np.exp(-1j * centre * t) * out
-
-
-def diagonal_ensemble(
-    sd: SpectralData, caps: Caps = DEFAULT_CAPS
-) -> tuple[HermitianOperator, float]:
-    """Infinite-time average rho_d of |psi0(t)><psi0(t)| and its purity tr rho_d^2."""
-    p = sd.populations
-    check_cap(caps, "max_moment_entries", sd.dim**2)
-    rho = (sd.eigenvectors * p) @ sd.eigenvectors.conj().T
-    rho = (rho + rho.conj().T) / 2
-    return HermitianOperator(rho, qubit_or_flat_dims(sd.dim)), float(np.sum(p**2))

@@ -4,7 +4,8 @@ These build each moment on the full tensor-power space the direct way:
 copy permutations by transposing a (d,)*2k tensor, empirical moments as sums
 of tensor-power outer products, and multiset moments by scattering one value
 over every pair of orderings in an eigenbasis. They share no code with the
-symmetric-subspace builders they check.
+symmetric-subspace builders they check; `dense` lifts a stored moment onto
+the same space for comparison with them.
 
 The reference forms at the end are second methods of another kind: earlier,
 slower ways to the same numbers (one Scrooge moment per outcome, a contraction
@@ -65,11 +66,27 @@ def orderings(ms):
     return sorted(set(permutations(ms)))
 
 
-def flat(t, d):
-    i = 0
-    for digit in t:
-        i = i * d + int(digit)
-    return i
+def flat(idx, d):
+    """Tensor-power index of a tuple of copy digits, or of each row of an array
+    of them, copy 0 most significant."""
+    idx = np.asarray(idx)
+    return idx @ d ** np.arange(idx.shape[-1] - 1, -1, -1)
+
+
+def dense(m):
+    """The d^k x d^k operator V M V^dagger of a moment M on the full k-copy space.
+
+    Column n of the isometry V is N_n^(-1/2) sum_t |t> over the N_n orderings
+    t of the occupation-basis multiset n (`ensembles._occupation_basis`).
+    """
+    from qensembles import ensembles as en
+
+    d, k = m.space_dim, m.k
+    idx, counts = en._occupation_basis(d, k)
+    v = np.zeros((d**k, counts.size))
+    for sigma in permutations(range(k)):
+        v[flat(idx[:, list(sigma)], d), np.arange(counts.size)] = counts**-0.5
+    return v @ m.matrix @ v.T
 
 
 def eigenbasis_scatter(vectors, values, k):
@@ -134,7 +151,7 @@ def assert_lift_matches(moment, oracle, tol=1e-12):
     """The lift equals the oracle, is copy-permutation invariant, and has the
     trace and spectrum (padded with zeros) of the stored matrix."""
     d, k = moment.space_dim, moment.k
-    full = moment.dense()
+    full = dense(moment)
     scale = max(1.0, float(np.abs(oracle).max()))
     assert np.abs(full - oracle).max() <= tol * scale
     for sigma in permutations(range(k)):
@@ -365,14 +382,14 @@ def moment_from_columns_per_member(columns, weights, k, panel_width=64):
 
     d, n = columns.shape
     idx, counts = en._occupation_basis(d, k)
-    flat = en._flat_index(idx, d)
+    rows = flat(idx, d)
     scale, sqrt_w = np.sqrt(counts), np.sqrt(weights)
-    acc = np.zeros((flat.size, flat.size), dtype=complex)
+    acc = np.zeros((rows.size, rows.size), dtype=complex)
     for start in range(0, n, panel_width):
         cols = range(start, min(start + panel_width, n))
-        panel = np.empty((flat.size, len(cols)), dtype=complex)
+        panel = np.empty((rows.size, len(cols)), dtype=complex)
         for out_col, j in enumerate(cols):
-            panel[:, out_col] = (sqrt_w[j] * scale) * kron_power(columns[:, j], k)[flat]
+            panel[:, out_col] = (sqrt_w[j] * scale) * kron_power(columns[:, j], k)[rows]
         acc += panel @ panel.conj().T
     return (acc + acc.conj().T) / 2
 

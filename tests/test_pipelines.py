@@ -29,8 +29,8 @@ class TestSpectrumCache:
         first = cache.spectrum(MFIM6)
         # the same chain with its default parameters left out
         assert cache.spectrum({"model": "mfim", "n": 6}) is first
-        cache.release({"model": "mfim", "n": 6})
-        assert cache.spectrum(MFIM6) is not first
+        # entries are released with their cache: another cache builds its own
+        assert pl.SpectrumCache().spectrum(MFIM6) is not first
 
     def test_specs_of_one_term_table_share_every_entry(self):
         cache = pl.SpectrumCache()
@@ -63,12 +63,10 @@ class TestSpectrumCache:
         other = cache.bound(MFIM6, 0.4)
         assert other is not first
         assert other.eigenvectors is first.eigenvectors  # one spectrum, two bindings
-        cache.release(MFIM6)
-        rebound = cache.bound(MFIM6, 0.3)
+        # entries are released with their cache: another cache binds anew, to the same overlaps
+        rebound = pl.SpectrumCache().bound(MFIM6, 0.3)
         assert rebound is not first
         assert np.array_equal(rebound.overlaps, first.overlaps)
-        cache.release()
-        assert cache.bound(MFIM6, 0.3) is not rebound
 
     def test_a_hit_reads_the_term_table_once(self, monkeypatch):
         # the key is the repr of the term table, which is rebuilt on every read
@@ -147,21 +145,6 @@ class TestConditionalStateCache:
             assert np.array_equal(table.states, direct.states)
         assert cache.conditional_states(*inputs[3]) is tables[3]
 
-    def test_release_rebuilds_that_model_only(self, table_builds):
-        cache = pl.SpectrumCache()
-        other_model = dict(MFIM6, hx=0.5)
-        part, basis = central(6, 2, "Z")
-        first = cache.conditional_states(MFIM6, 0.3, part, basis)
-        kept = cache.conditional_states(other_model, 0.3, part, basis)
-        cache.release(MFIM6)
-        rebuilt = cache.conditional_states(MFIM6, 0.3, part, basis)
-        assert rebuilt is not first
-        assert np.array_equal(rebuilt.states, first.states)
-        assert cache.conditional_states(other_model, 0.3, part, basis) is kept
-        cache.release()
-        assert cache.conditional_states(other_model, 0.3, part, basis) is not kept
-        assert len(table_builds) == 4
-
     def test_pipelines_share_one_table(self, table_builds, monkeypatch):
         averaged_from, average = [], st.time_averaged_joint_distribution
         bindings, bind = [], sp.bind_state
@@ -207,7 +190,6 @@ def no_evolve(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a state was read off a spectrum")
 
-    monkeypatch.setattr(sp, "evolve", fail)
     monkeypatch.setattr(sp, "evolve_grid", fail)
 
 
@@ -238,8 +220,8 @@ class TestQuenchStateCache:
         assert pl.quench_state(cache, dict(MFIM6), 0.3, 2.5) is first
         assert propagations == [2.5]
         assert not first.amplitudes.flags.writeable
-        expected = sp.evolve(cache.bound(MFIM6, 0.3), 2.5)
-        assert np.abs(first.amplitudes - expected.amplitudes).max() <= 1e-12
+        expected = sp.evolve_grid(cache.bound(MFIM6, 0.3), [2.5])[:, 0]
+        assert np.abs(first.amplitudes - expected).max() <= 1e-12
 
     def test_theta_time_and_model_get_their_own_entries(self, propagations):
         cache = pl.SpectrumCache()
@@ -249,20 +231,6 @@ class TestQuenchStateCache:
         assert len({id(s) for s in states}) == len(inputs)
         assert pl.quench_state(cache, *inputs[2]) is states[2]
         assert len(propagations) == len(inputs)
-
-    def test_release_drops_the_state_of_that_model_only(self, propagations):
-        cache = pl.SpectrumCache()
-        other = dict(MFIM6, hx=0.5)
-        first = pl.quench_state(cache, MFIM6, 0.3, 2.5)
-        kept = pl.quench_state(cache, other, 0.3, 2.5)
-        cache.release(MFIM6)
-        again = pl.quench_state(cache, MFIM6, 0.3, 2.5)
-        assert again is not first
-        assert np.array_equal(again.amplitudes, first.amplitudes)
-        assert pl.quench_state(cache, other, 0.3, 2.5) is kept
-        cache.release()
-        assert pl.quench_state(cache, other, 0.3, 2.5) is not kept
-        assert len(propagations) == 4
 
     def test_chains_propagate_in_the_reflection_even_sector(self, propagations, monkeypatch):
         built, flip_rows = [], hb._flip_rows  # the number of rows of each row-table build
@@ -354,10 +322,10 @@ class TestProjectedMomentComparison:
         haar = dense_haar_moment(part.d_a, k)
         assert abs(out.dist_haar - dense_trace_distance(proj, haar)) <= 1e-12
         rho_a = hb.partial_trace(state, part).entries
-        scr = sc.scrooge_moment(rho_a, k).dense()
+        scr = mo.dense(sc.scrooge_moment(rho_a, k))
         assert abs(out.dist_scrooge - dense_trace_distance(proj, scr)) <= 1e-12
         cond = sc.conditional_states(cache.bound(MFIM6, theta), part, basis)
-        gen = sc.generalized_scrooge_moment(cond, k).dense()
+        gen = mo.dense(sc.generalized_scrooge_moment(cond, k))
         assert abs(out.dist_generalized - dense_trace_distance(proj, gen)) <= 1e-12
 
     @pytest.mark.parametrize("width", [-1, 0, 7])

@@ -8,13 +8,19 @@ import scipy.integrate
 import scipy.linalg
 import scipy.stats
 
-from qensembles import CapacityError, Caps, FitError, rmt
+from qensembles import CapacityError, Caps, rmt
 from qensembles import ensembles as en
 from qensembles import hilbert as hb
 from qensembles import spectral as sp
 from qensembles._util import task_rng
 
 import moment_oracles as mo
+
+
+def semicircle_cdf(x):
+    """CDF of the radius-2 semicircle law."""
+    x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
+    return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
 
 
 @functools.cache
@@ -139,7 +145,7 @@ class TestSampling:
             [np.linalg.eigvalsh(rmt.sample_gue(d, rng).entries) for _ in range(4)]
         ))
         ecdf = (np.arange(vals.size) + 1) / vals.size
-        ks = np.abs(ecdf - rmt.semicircle_cdf(vals)).max()
+        ks = np.abs(ecdf - semicircle_cdf(vals)).max()
         assert ks <= 0.02
 
     def test_eigenvector_isotropy(self):
@@ -174,17 +180,17 @@ class TestSampling:
 
 class TestSemicircleCdf:
     def test_endpoints_median_and_clipping(self):
-        f = rmt.semicircle_cdf(np.array([-5.0, -2.0, 0.0, 2.0, 5.0]))
+        f = semicircle_cdf(np.array([-5.0, -2.0, 0.0, 2.0, 5.0]))
         assert f == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0], abs=1e-15)
 
     def test_symmetric_about_zero(self):
         x = np.linspace(0.0, 2.0, 41)
-        assert rmt.semicircle_cdf(x) + rmt.semicircle_cdf(-x) == pytest.approx(1.0, abs=1e-14)
+        assert semicircle_cdf(x) + semicircle_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
     def test_increments_integrate_the_semicircle_density(self):
         density = lambda x: math.sqrt(4.0 - x * x) / (2.0 * math.pi)
         edges = np.array([-2.0, -1.3, -0.2, 0.7, 1.9, 2.0])
-        f = rmt.semicircle_cdf(edges)
+        f = semicircle_cdf(edges)
         for a, b, fa, fb in zip(edges[:-1], edges[1:], f[:-1], f[1:]):
             mass, _ = scipy.integrate.quad(density, a, b, epsabs=1e-13)
             assert fb - fa == pytest.approx(mass, abs=1e-10)
@@ -202,8 +208,8 @@ class TestDefaultTauGrid:
 class TestConvergenceExperiment:
     def test_k1_single_instance_late_slope(self):
         curve = rmt.convergence_experiment(64, 1, seed=7)
-        fit = rmt.fit_curve_slope(curve, (curve.tau_grid[-10], curve.tau_grid[-1]))
-        assert fit.slope == pytest.approx(-1.0, abs=0.2)
+        slope = np.polyfit(np.log(curve.tau_grid[-10:]), np.log(curve.frobenius[-10:]), 1)[0]
+        assert slope == pytest.approx(-1.0, abs=0.2)
 
     def test_distance_globally_decreases(self):
         curve = rmt.convergence_experiment(32, 2, seed=3)
@@ -212,8 +218,8 @@ class TestConvergenceExperiment:
     def test_ensemble_mean_squared_k1_slope(self):
         taus = np.logspace(1.0, 4.0, 12) / (4.0 / 16)
         curve = rmt.convergence_experiment(16, 1, tau_grid=taus, n_samples=150, seed=11)
-        fit = rmt.fit_curve_slope(curve, (taus[2], taus[-1]), squared=True)
-        assert fit.slope == pytest.approx(-2.0, abs=0.4)
+        slope = np.polyfit(np.log(taus[2:]), np.log(curve.squared_frobenius_mean[2:]), 1)[0]
+        assert slope == pytest.approx(-2.0, abs=0.4)
 
     def test_reproducible_across_sample_order(self):
         c1 = rmt.convergence_experiment(8, 1, n_samples=5, seed=42)
@@ -363,35 +369,3 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= units * d * d * 16
-
-
-class TestPowerLawFit:
-    def test_exact_inverse_law(self):
-        x = np.logspace(0, 3, 20)
-        fit = rmt.fit_power_law(x, 1.0 / x, (x[0], x[-1]))
-        assert fit.slope == pytest.approx(-1.0, abs=1e-12)
-        assert fit.stderr <= 1e-12
-
-    def test_exact_inverse_sqrt(self):
-        x = np.logspace(0, 3, 20)
-        fit = rmt.fit_power_law(x, x**-0.5, (x[0], x[-1]))
-        assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-
-    def test_noisy_inverse_law(self, rng):
-        x = np.logspace(0, 3, 40)
-        y = (1.0 / x) * (1.0 + 0.05 * rng.standard_normal(40))
-        fit = rmt.fit_power_law(x, y, (x[0], x[-1]))
-        assert fit.slope == pytest.approx(-1.0, abs=0.05)
-
-    def test_insufficient_points(self):
-        with pytest.raises(FitError):
-            rmt.fit_power_law([1, 2, 3], [1, 0.5, 0.3], (1, 3))
-
-    def test_points_outside_the_window_and_nonpositive_values_are_ignored(self):
-        x = np.logspace(0, 3, 20)
-        y = 1.0 / x
-        y[[0, 19]] = 50.0  # outside the window
-        y[10] = 0.0        # nonpositive: no logarithm
-        fit = rmt.fit_power_law(x, y, (x[1], x[18]))
-        assert fit.n_points == 17
-        assert fit.slope == pytest.approx(-1.0, abs=1e-12)

@@ -16,6 +16,8 @@ from qensembles._util import CapacityError, Caps, InvalidMatrixError
 
 import moment_oracles as mo
 
+SUBENTROPY_LIMIT_BITS = (1.0 - np.euler_gamma) / math.log(2.0)  # large-D maximally mixed value
+
 
 def printed_d2_second_moment(lam):
     """Closed-form two-level second-moment entries of the Scrooge ensemble."""
@@ -51,7 +53,7 @@ class TestSampler:
         mc = (cols * w) @ cols.conj().T / w.sum()
         mags2 = np.abs(cols) ** 2
         se = np.sqrt(np.clip(mags2 @ mags2.T / n - np.abs(mc) ** 2, 0, None) / n) * w.max()
-        target = en.haar_moment(d, 2).dense()
+        target = mo.dense(en.haar_moment(d, 2))
         assert np.all(np.abs(mc - target) <= 5 * np.maximum(se, 1e-4))
 
     def test_weighted_first_moment_matches_rho(self, rng):
@@ -100,7 +102,7 @@ class TestSubentropy:
     def test_maximally_mixed_monotone_and_bounded(self):
         values = [sc.subentropy(np.diag(np.ones(d) / d)) for d in (2, 4, 8, 16, 64, 256, 1024)]
         assert all(b > a for a, b in zip(values, values[1:]))
-        assert values[-1] <= sc.SUBENTROPY_LIMIT_BITS
+        assert values[-1] <= SUBENTROPY_LIMIT_BITS
         # closed form for the maximally mixed state: log2(d) - (H_d - 1)/ln 2
         for d, v in zip((2, 4, 8, 16, 64, 256, 1024), values):
             h_d = float(np.sum(1.0 / np.arange(1, d + 1)))
@@ -141,7 +143,7 @@ class TestScroogeMoment:
     def test_printed_two_level_forms(self):
         for lam in (0.6, 0.75, 0.9):
             r11, r12, r22 = printed_d2_second_moment(lam)
-            m = sc.scrooge_moment(np.diag([lam, 1 - lam]).astype(complex), 2).dense()
+            m = mo.dense(sc.scrooge_moment(np.diag([lam, 1 - lam]).astype(complex), 2))
             assert m[0, 0].real == pytest.approx(r11, abs=1e-10)
             assert m[1, 1].real == pytest.approx(r12, abs=1e-10)
             assert m[1, 2].real == pytest.approx(r12, abs=1e-10)
@@ -157,7 +159,7 @@ class TestScroogeMoment:
     def test_monte_carlo_oracle_k2(self, rng):
         d, n = 4, 200_000
         rho = random_density(d, rng)
-        exact = sc.scrooge_moment(rho, 2).dense()
+        exact = mo.dense(sc.scrooge_moment(rho, 2))
         normed, raw = mo.scrooge_sample_batch(rho, n, rng)
         w = np.sum(np.abs(raw) ** 2, axis=0)
         cols = np.einsum("in,jn->ijn", normed, normed).reshape(d * d, n)
@@ -172,7 +174,7 @@ class TestScroogeMoment:
     def test_monte_carlo_oracle_k3_rank2(self, rng):
         d, n = 2, 150_000
         rho = np.diag([0.7, 0.3]).astype(complex)
-        exact = sc.scrooge_moment(rho, 3).dense()
+        exact = mo.dense(sc.scrooge_moment(rho, 3))
         normed, raw = mo.scrooge_sample_batch(rho, n, rng)
         w = np.sum(np.abs(raw) ** 2, axis=0)
         cols = np.einsum("in,jn,kn->ijkn", normed, normed, normed).reshape(d**3, n)
@@ -188,12 +190,12 @@ class TestScroogeMoment:
         defects = mo.moment_defects(m)
         assert defects["min_eigenvalue"] >= -1e-9
         assert defects["trace"] == pytest.approx(1.0, abs=1e-8)
-        full = m.dense()
+        full = mo.dense(m)
         assert np.abs(mo.permute_copies(full, 3, 2, (1, 0)) - full).max() <= 1e-9
 
     def test_eigenbasis_sparsity(self, rng):
         lam = np.array([0.5, 0.3, 0.2])
-        m = sc.scrooge_moment(np.diag(lam).astype(complex), 2).dense()
+        m = mo.dense(sc.scrooge_moment(np.diag(lam).astype(complex), 2))
         for r in range(3):
             for c in range(3):
                 for r2 in range(3):
@@ -221,13 +223,13 @@ class TestScroogeMoment:
         lam, v = np.linalg.eigh(rho)
         null = v[:, lam < 1e-12]
         probe = np.kron(null[:, 0], null[:, 0])
-        assert abs(probe.conj() @ m.dense() @ probe) <= 1e-12
+        assert abs(probe.conj() @ mo.dense(m) @ probe) <= 1e-12
 
 
 def one_copy_marginal(m):
     """Partial trace of a k-copy moment over its last k - 1 copies."""
     d = m.space_dim
-    return np.einsum("aibi->ab", m.dense().reshape(d, d ** (m.k - 1), d, d ** (m.k - 1)))
+    return np.einsum("aibi->ab", mo.dense(m).reshape(d, d ** (m.k - 1), d, d ** (m.k - 1)))
 
 
 # k = 3 coefficients of diag(0.5, 0.3, 0.2), one per eigenbasis multiset, from
@@ -248,7 +250,7 @@ PINNED_K3_DIAG_532 = {
 
 class TestQuadratureEngine:
     def test_pinned_k3_coefficients(self):
-        m = sc.scrooge_moment(np.diag([0.5, 0.3, 0.2]).astype(complex), 3).dense()
+        m = mo.dense(sc.scrooge_moment(np.diag([0.5, 0.3, 0.2]).astype(complex), 3))
         for ms, val in PINNED_K3_DIAG_532.items():
             for t in mo.orderings(ms):
                 for u in mo.orderings(ms):
@@ -311,7 +313,7 @@ class TestUnnormalizedMoment:
     def test_identity_swap_form(self):
         rho = np.eye(2, dtype=complex) / 2
         m = en.product_form_moment(rho, 2).moment
-        assert np.abs(m.dense() - mo.symmetrizer_sum(2, 2) / 4).max() <= 1e-12
+        assert np.abs(mo.dense(m) - mo.symmetrizer_sum(2, 2) / 4).max() <= 1e-12
         assert m.trace == pytest.approx(1.5)
 
     def test_trace_is_cycle_sum(self, rng):
@@ -324,7 +326,7 @@ class TestUnnormalizedMoment:
     def test_joint_probability_pt_second_moment(self, rng):
         # fixed o_A slice of the product form: E[p^2] = 2 E[p]^2
         rho = random_density(4, rng)
-        m = en.product_form_moment(rho, 2).moment.dense()
+        m = mo.dense(en.product_form_moment(rho, 2).moment)
         for _ in range(3):
             o = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             o /= np.linalg.norm(o)
@@ -345,8 +347,11 @@ class TestConditionalStates:
         part = hb.Bipartition(4, (1, 2))
         basis = hb.pauli_basis(part.sites_B, "ZZ")
         table = sc.conditional_states(bound, part, basis)
-        rho_d, _ = sp.diagonal_ensemble(bound)
-        expected = hb.partial_trace(rho_d, part).entries
+        # tr_B of the diagonal ensemble sum_e p_e |e><e|
+        expected = sum(
+            p_e * hb.partial_trace(hb.PureState(v_e, (2,) * 4), part).entries
+            for p_e, v_e in zip(bound.populations, bound.eigenvectors.T)
+        )
         assert np.abs(table.mixture() - expected).max() <= 1e-10
         assert table.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
 

@@ -12,6 +12,8 @@ from qensembles import spectral as sp
 from qensembles import stats as st
 from qensembles._util import DEFAULT_CAPS
 
+import moment_oracles as mo
+
 MFIM = {"model": "mfim", "hx": 0.8090, "hy": 0.9045, "j": 1.0}
 
 
@@ -29,14 +31,14 @@ def random_unitary(d, rng):
     return q
 
 
-def dense_time_averaged_joint(bound, part, ba, bb):
+def dense_time_averaged_joint(bound, psi0, part, ba, bb):
     """Diagonal of the dephased state in the product basis, from dense matrices."""
-    rho_d, _ = sp.diagonal_ensemble(bound)
+    rho_d = mo.dephase(bound, np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
     u = np.kron(hb.basis_matrix(bb), hb.basis_matrix(ba))  # little-endian: A is low bits
     perm = hb._subsystem_indices(part.n_sites, part.sites_A + part.sites_B)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    rho_perm = rho_d.entries[np.ix_(inv, inv)]
+    rho_perm = rho_d[np.ix_(inv, inv)]
     diag = np.real(np.diag(u.conj().T @ rho_perm @ u))
     return diag.reshape(part.d_b, part.d_a).T
 
@@ -242,7 +244,7 @@ class TestConditionalMI:
         assert abs(st.mutual_information_of_joint(joint)) <= 1e-10
 
     def test_bell_pair_one_bit(self):
-        bell = hb.qubit_state([1, 0, 0, 1] / np.sqrt(2))
+        bell = hb.PureState([1, 0, 0, 1] / np.sqrt(2), (2, 2))
         part = hb.Bipartition(2, (0,))
         joint = st.joint_outcome_distribution(
             bell, part, hb.pauli_basis(part.sites_A, "Z"), hb.pauli_basis(part.sites_B, "Z")
@@ -278,7 +280,7 @@ class TestConditionalMI:
 
     def test_sandwich_on_thermal_like_state(self, spectrum_factory):
         n = 8
-        state = sp.evolve(spectrum_factory("mfim", n, 0.6), 60.0)
+        state = hb.PureState(sp.evolve_grid(spectrum_factory("mfim", n, 0.6), [60.0])[:, 0], (2,) * n)
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         joint = st.joint_outcome_distribution(
             state, part, hb.pauli_basis(part.sites_A, "Z"), hb.pauli_basis(part.sites_B, "Z")
@@ -297,7 +299,8 @@ class TestInteractionInformation:
         part = hb.Bipartition(4, (1, 2))
         ba, bb = hb.pauli_basis(part.sites_A, "X"), hb.pauli_basis(part.sites_B, "X")
         table = sc.conditional_states(bound, part, bb)
-        row, = st.interaction_information(sp.evolve(bound, 37.0), table, part, [ba])
+        state = hb.PureState(sp.evolve_grid(bound, [37.0])[:, 0], (2,) * 4)
+        row, = st.interaction_information(state, table, part, [ba])
         assert abs(row["interaction_bits"]) <= 1e-9
 
     def test_decomposition_closure(self, spectrum_factory):
@@ -306,13 +309,14 @@ class TestInteractionInformation:
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         ba = hb.pauli_basis(part.sites_A, "X")
         bb = hb.pauli_basis(part.sites_B, "X")
-        state = sp.evolve(bound, 45.0)
+        state = hb.PureState(sp.evolve_grid(bound, [45.0])[:, 0], (2,) * n)
         row, = st.interaction_information(state, sc.conditional_states(bound, part, bb), part, [ba])
         # recompute the decomposition from scratch: the time average from the dense dephased state
         i_fixed = st.mutual_information_of_joint(
             st.joint_outcome_distribution(state, part, ba, bb)
         )
-        i_avg = st.mutual_information_of_joint(dense_time_averaged_joint(bound, part, ba, bb))
+        psi0 = hb.product_state(0.6, n)
+        i_avg = st.mutual_information_of_joint(dense_time_averaged_joint(bound, psi0, part, ba, bb))
         assert row["interaction_bits"] == pytest.approx(i_fixed - i_avg, abs=1e-10)
         assert row["fixed_time_bits"] == pytest.approx(i_fixed, abs=1e-12)
 
@@ -322,7 +326,7 @@ class TestInteractionInformation:
         part = hb.Bipartition(n, hb.central_sites(n, 2))
         ba = hb.pauli_basis(part.sites_A, "X")
         bx, bz = (hb.pauli_basis(part.sites_B, letter) for letter in "XZ")
-        state = sp.evolve(bound, 12.0)
+        state = hb.PureState(sp.evolve_grid(bound, [12.0])[:, 0], (2,) * n)
         x_table = sc.conditional_states(bound, part, bx)
         assert x_table.basis is bx
         row, = st.interaction_information(state, x_table, part, [ba])
@@ -344,14 +348,7 @@ class TestInteractionInformation:
         ba = hb.pauli_basis(part.sites_A, "Y")
         bb = hb.pauli_basis(part.sites_B, "XZXZ")
         p = st.time_averaged_joint_distribution(sc.conditional_states(bound, part, bb), part, ba)
-        rho_d, _ = sp.diagonal_ensemble(bound)
-        u = np.kron(hb.basis_matrix(bb), hb.basis_matrix(ba))  # little-endian: A is low bits
-        perm = hb._subsystem_indices(n, part.sites_A + part.sites_B)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        rho_perm = rho_d.entries[np.ix_(inv, inv)]
-        diag = np.real(np.diag(u.conj().T @ rho_perm @ u))
-        expected = diag.reshape(part.d_b, part.d_a).T
+        expected = dense_time_averaged_joint(bound, hb.product_state(0.6, n), part, ba, bb)
         assert np.abs(p - expected).max() <= 1e-10
 
     def test_explicit_a_basis_matches_dense_construction(self, spectrum_factory, rng):
@@ -362,7 +359,8 @@ class TestInteractionInformation:
         bb = hb.pauli_basis(part.sites_B, "ZXY")
         table = sc.conditional_states(bound, part, bb)
         p = st.time_averaged_joint_distribution(table, part, ba)
-        assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
+        psi0 = hb.product_state(0.6, n)
+        assert np.abs(p - dense_time_averaged_joint(bound, psi0, part, ba, bb)).max() <= 1e-12
         assert np.abs(p.sum(axis=0)[table.outcomes] - table.probabilities).max() <= 1e-12
 
     def test_dropped_outcomes_give_zero_columns(self, rng):
@@ -381,7 +379,7 @@ class TestInteractionInformation:
         assert table.dropped_outcomes == part.d_b - 1
         p = st.time_averaged_joint_distribution(table, part, ba)
         assert p.shape == (part.d_a, part.d_b)
-        assert np.abs(p - dense_time_averaged_joint(bound, part, ba, bb)).max() <= 1e-12
+        assert np.abs(p - dense_time_averaged_joint(bound, psi0, part, ba, bb)).max() <= 1e-12
         a0 = hb._subsystem_indices(n, part.sites_A)[z0]
         x0 = hb._subsystem_indices(n, part.sites_B)[z0]
         expected = np.zeros((part.d_a, part.d_b))
@@ -421,4 +419,5 @@ class TestBasisSites:
         bound = spectrum_factory("mfim", self.N, 0.4)
         with pytest.raises(ValueError):  # B sites are checked where the table is built
             table = sc.conditional_states(bound, self.PART, bb)
-            st.interaction_information(sp.evolve(bound, 3.0), table, self.PART, [ba])
+            state = hb.PureState(sp.evolve_grid(bound, [3.0])[:, 0], (2,) * self.N)
+            st.interaction_information(state, table, self.PART, [ba])
