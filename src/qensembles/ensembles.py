@@ -8,9 +8,8 @@ products of monomial panels, the Haar moment is I/D, the exact random-phase
 (infinite-interval) moment is diagonal, the finite-interval moment is an outer
 product times the sinc kernel, and product forms are symmetric powers.
 
-Multisets of energy levels are enumerated, sorted by their sums and paired by
-gap (`_sorted_sums`, `_close_pairs`) for the Frobenius kernel of the
-finite-interval moment alone.
+Multisets of energy levels are enumerated and sorted by their sums
+(`_sorted_sums`) for the Frobenius kernel of the finite-interval moment alone.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from .spectral import SpectralData, SpectralMeasure, _finite_times
 # Outcomes of smaller probability are dropped from projected ensembles and tables.
 ZERO_OUTCOME_CUTOFF = 1e-14
 PANEL_WIDTH = 64
-# Pairs per block of the Frobenius kernel, in its direct sum over near pairs and
-# in each row block of its far-pair weight matrix: the arrays stay in cache
-# (64 KiB each), and OpenBLAS runs the row block's matrix product on one thread.
-# Blocks of 32k pairs or more gain no wall time, and the threaded product nearly
-# doubles the CPU time on two cores.
+# Terms per block of the Frobenius kernel: pair-tau terms of one offset diagonal of its
+# near band, pairs of one row block of its far-pair weight matrix. Arrays stay in cache
+# (64 KiB each) and OpenBLAS runs the row block's product on one thread; on two cores,
+# 32k pairs or more gain no wall time and nearly double the CPU time.
 SINC_CHUNK = 8192
 # Multiset phases per tau block of the Frobenius kernel (2 MiB), so that its peak
 # memory does not grow with the number of taus.
@@ -186,25 +184,19 @@ def _occupation_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, math.factorial(k) / fact
 
 
-def _sorted_sums(levels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sorted_sums(levels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """`_occupation_basis(levels.size, k)` and the level sums s_n = sum_i levels[t_i]
-    of its multisets, all three in ascending order of s."""
+    of its multisets as unevaluated pairs hi + lo, exact to about eps^2 |s_n|
+    (Knuth's two-sum over the k levels; lo = 0 at k = 1), in ascending order of hi."""
     idx, counts = _occupation_basis(levels.size, k)
-    s = levels[idx].sum(axis=1)
-    order = np.argsort(s)
-    return idx[order], counts[order], s[order]
-
-
-def _close_pairs(first: np.ndarray, block: int):
-    """The pairs n < m < first[n] as (rows, cols) index arrays of up to `block`
-    pairs each, in row order; first[n] > n for every n."""
-    per_row = first - np.arange(1, first.size + 1)
-    starts = np.cumsum(per_row) - per_row
-    total = int(per_row.sum())
-    for lo in range(0, total, block):
-        pair = np.arange(lo, min(total, lo + block))
-        rows = np.searchsorted(starts, pair, side="right") - 1
-        yield rows, rows + 1 + (pair - starts[rows])
+    hi, lo = levels[idx[:, 0]], np.zeros(counts.size)
+    for j in range(1, k):
+        level, prev = levels[idx[:, j]], hi
+        hi = prev + level
+        virtual = hi - prev
+        lo += (prev - (hi - virtual)) + (level - virtual)  # the rounding error of hi
+    order = np.argsort(hi)
+    return idx[order], counts[order], hi[order], lo[order]
 
 
 def _symmetric_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -380,52 +372,47 @@ def finite_time_frobenius_distances(
 
     With the multisets sorted by s, a pair is near when g h_min < NEAR_PHASE,
     h_min being the smallest positive h: resonant pairs, clustered levels and
-    every pair when no tau is positive. Near pairs form a narrow band and are
-    summed directly with `stable_sinc`. Every other pair is far and goes through
+    every pair when no tau is positive. The near band is summed with
+    `stable_sinc`, one offset diagonal n' = n + j at a time. Far pairs use
         sinc^2(g h) = (1 - cos 2gh) / (2 g^2 h^2),  cos 2gh = Re(z_n' conj(z_n)),
     with z_n = exp(2i s_n h), so the far sum at each h is
-        (sum W - Re(z^dagger W z)) / (2 h^2),  W_nn' = v_n v_n' / g^2,
-    one weight matrix shared by all taus: each row block of W takes one matrix
-    product with the phase table of a block of taus, and no transcendental is
-    computed per pair. tau = 0 gives kernel 1 for every pair.
+        (sum W - Re(z^dagger W z)) / (2 h^2),  W_nn' = v_n v_n' / g^2:
+    each row block of W takes one matrix product with the phases of a block of
+    taus, and no transcendental is computed per pair. tau = 0 gives kernel 1.
 
-    The phases are exact to rounding at any tau: each E_m h = p + e is formed
-    exactly (Dekker's two-product), z_m = exp(2ip) exp(2ie), and z_n is the
-    product of its levels' z_m, not exp(2i s_n h) of the rounded s_n. An error
-    delta of a few eps in cos 2gh moves a far term by delta / (2 (g h)^2) of
-    v_n v_n', at most 50 delta since g h >= NEAR_PHASE. The gaps g, in W and in
-    the direct sum, carry the rounding of s_n.
+    Gaps and phases are exact to rounding at any tau. Every gap, near or far,
+    is (hi_n' - hi_n) + (lo_n' - lo_n) of the two-sums s_n = hi_n + lo_n
+    (`_sorted_sums`), so clustered sums keep their gaps. E_m h = p + e exactly
+    (Dekker's two-product), z_m = exp(2ip) exp(2ie), and z_n is the product of
+    its levels' z_m. An error delta of a few eps in cos 2gh moves a far term by
+    delta / (2 (g h)^2) of v_n v_n', at most 50 delta since g h >= NEAR_PHASE.
 
     Only the eigenvalues and populations of `sd` are read, so a bound
     `SpectralData` and a `SpectralMeasure` serve equally.
     """
     _check_frobenius_caps(sd.dim, k, caps)
     halves = np.abs(_finite_times(taus)) / 2.0  # the kernel is even in tau
-    idx, counts, s = _sorted_sums(sd.eigenvalues, k)
+    idx, counts, hi, lo = _sorted_sums(sd.eigenvalues, k)
     v = counts * np.prod(sd.populations[idx], axis=1)
     positive = halves[halves > 0]
     far_gap = NEAR_PHASE / positive.min() if positive.size else np.inf
     # row n pairs with m in (n, first_far[n]) directly and with m >= first_far[n] as far
-    first_far = np.searchsorted(s, s + far_gap, side="right")
-    sq = _near_pair_sums(s, v, first_far, halves)
-    sq += _far_pair_sums(sd.eigenvalues, idx, s, v, first_far, halves)
+    first_far = np.searchsorted(hi, hi + far_gap, side="right")
+    sq = np.zeros(halves.size)
+    reach = first_far - np.arange(1, v.size + 1)
+    for j in range(1, reach.max() + 1):  # the near pairs on the offset diagonal m = n + j
+        n = np.flatnonzero(reach >= j)
+        gaps, weights = (hi[n + j] - hi[n]) + (lo[n + j] - lo[n]), v[n] * v[n + j]
+        step = max(1, SINC_CHUNK // n.size)
+        for t in range(0, halves.size, step):
+            sq[t : t + step] += weights @ stable_sinc(gaps[:, None] * halves[t : t + step]) ** 2
+    sq += _far_pair_sums(sd.eigenvalues, idx, hi, lo, v, far_gap, first_far, halves)
     return np.sqrt(2.0 * sq)
 
 
-def _near_pair_sums(s, v, first_far, halves) -> np.ndarray:
-    """sum over n < m < first_far[n] of v_n v_m sinc^2((s_m - s_n) h), per h."""
-    sq = np.zeros(halves.size)
-    for rows, cols in _close_pairs(first_far, SINC_CHUNK):
-        gaps = s[cols] - s[rows]
-        weights = v[rows] * v[cols]
-        for i, half in enumerate(halves):
-            sq[i] += weights @ stable_sinc(gaps * half) ** 2
-    return sq
-
-
-def _far_pair_sums(energies, idx, s, v, first_far, halves) -> np.ndarray:
-    """sum over m >= first_far[n] of v_n v_m sinc^2((s_m - s_n) h), per h."""
-    dim = s.size
+def _far_pair_sums(energies, idx, hi, lo, v, far_gap, first_far, halves) -> np.ndarray:
+    """sum over m >= first_far[n] of v_n v_m sinc^2(g_nm h), per h."""
+    dim = v.size
     tail = np.append(np.cumsum(v[::-1])[::-1], 0.0)
     sq = np.full(halves.size, v @ tail[first_far])  # kernel 1 at h = 0
     positive = np.flatnonzero(halves > 0)
@@ -434,19 +421,20 @@ def _far_pair_sums(energies, idx, s, v, first_far, halves) -> np.ndarray:
         cols = positive[t : t + step]
         z = _exact_phases(energies, idx, halves[cols])
         w_sum, re_zwz = 0.0, np.zeros(2 * cols.size)
-        lo = 0
-        while lo < dim and first_far[lo] < dim:
-            c0 = first_far[lo]
-            hi = min(dim, lo + max(1, SINC_CHUNK // (dim - c0)))
-            far = np.arange(c0, dim) >= first_far[lo:hi, None]
-            gaps = s[c0:] - s[lo:hi, None]
-            w = np.divide(
-                v[lo:hi, None] * v[c0:], gaps * gaps, out=np.zeros(far.shape), where=far
-            )
+        r0 = 0
+        while r0 < dim and first_far[r0] < dim:
+            c0 = first_far[r0]
+            r1 = min(dim, r0 + max(1, SINC_CHUNK // (dim - c0)))
+            w = np.subtract(hi[c0:], hi[r0:r1, None])
+            w += lo[c0:] - lo[r0:r1, None]
+            w *= w
+            # m < first_far[n], the searchsorted test: diagonal, lower triangle and band
+            np.copyto(w, np.inf, where=hi[c0:] <= hi[r0:r1, None] + far_gap)
+            np.multiply(np.divide(v[c0:], w, out=w), v[r0:r1, None], out=w)
             w_sum += w.sum()
             # Re(conj(z_n) (W z)_n), its real and imaginary products interleaved
-            re_zwz += np.einsum("ij,ij->j", z[lo:hi].view(float), w @ z[c0:].view(float))
-            lo = hi
+            re_zwz += np.einsum("ij,ij->j", z[r0:r1].view(float), w @ z[c0:].view(float))
+            r0 = r1
         sq[cols] = (w_sum - re_zwz.reshape(-1, 2).sum(axis=1)) / halves[cols] / (2.0 * halves[cols])
     return sq
 
@@ -456,10 +444,7 @@ def _exact_phases(energies, idx, halves) -> np.ndarray:
     # E 2^64 times h 2^-64 is E h: the scaling keeps the split of h < 1.8e308 finite
     p, e = _two_product(energies[:, None] * 2.0**64, halves[None, :] * 2.0**-64)
     level = np.exp(2j * p) * np.exp(2j * e)
-    z = level[idx[:, 0]]
-    for j in range(1, idx.shape[1]):
-        z *= level[idx[:, j]]
-    return z
+    return np.prod(level[idx], axis=1)
 
 
 def _two_product(a, b):

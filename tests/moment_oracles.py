@@ -113,22 +113,23 @@ def finite_time_dense(eigenvalues, overlaps, k, tau):
     return np.outer(w, w.conj()) * np.sinc((s[:, None] - s[None, :]) * tau / (2 * np.pi))
 
 
-def frobenius_pair_sum(eigenvalues, populations, k, taus):
+def frobenius_pair_sum(eigenvalues, populations, k, taus, dtype=float):
     """Frobenius distances of finite- to infinite-interval moments, pair by pair.
 
     2 sum_{n<n'} v_n v_n' sinc^2((s_n - s_n') tau / 2) over the strict upper
     triangle of the multisets in row blocks of about 8192 pairs, one np.sin
-    per pair and tau, with v_n = N_n prod_m p_m^n_m and s_n = sum_m n_m E_m.
+    per pair and tau, with v_n = N_n prod_m p_m^n_m and s_n = sum_m n_m E_m,
+    all in `dtype` (np.longdouble for an oracle more precise than the kernel).
     """
     chunk = 8192
     idx = np.array(list(combinations_with_replacement(range(len(eigenvalues)), k)))
-    counts = np.array([len(orderings(ms)) for ms in idx], dtype=float)
+    counts = np.array([len(orderings(ms)) for ms in idx], dtype=dtype)
     dim = counts.size
-    v = counts * np.prod(np.asarray(populations)[idx], axis=1)
-    s = np.asarray(eigenvalues)[idx].sum(axis=1)
-    halves = np.abs(np.asarray(taus, dtype=float)) / 2.0  # the kernel is even in tau
-    sq = np.zeros(halves.size)
-    tiny = np.finfo(float).tiny  # sin(tiny)/tiny == 1: the kernel's value at 0
+    v = counts * np.prod(np.asarray(populations, dtype=dtype)[idx], axis=1)
+    s = np.asarray(eigenvalues, dtype=dtype)[idx].sum(axis=1)
+    halves = np.abs(np.asarray(taus, dtype=dtype)) / 2  # the kernel is even in tau
+    sq = np.zeros(halves.size, dtype=dtype)
+    tiny = np.finfo(dtype).tiny  # sin(tiny)/tiny == 1: the kernel's value at 0
     lo = 0
     while lo < dim - 1:
         hi = min(dim - 1, lo + max(1, chunk // (dim - 1 - lo)))
@@ -144,7 +145,7 @@ def frobenius_pair_sum(eigenvalues, populations, k, taus):
             np.square(kern, out=kern)
             sq[i] += kern @ weights
         lo = hi
-    return np.sqrt(2.0 * sq)
+    return np.sqrt(2 * sq)
 
 
 def assert_lift_matches(moment, oracle, tol=1e-12):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -380,9 +381,9 @@ class TestFrobeniusPairSum:
     """The Frobenius kernel against the direct pair sum (`mo.frobenius_pair_sum`).
 
     The pair sum rounds every phase g h, which costs it up to ~4e-11 at
-    tau ~ 1e7 on generic spectra. Here g h is exact: levels lie on a 2^-20
-    (or 2^-30) grid and every tau has at most 24 significant bits, so the
-    oracle is accurate to rounding and a difference is the kernel's error.
+    tau ~ 1e7 on generic spectra. So either g h is exact, with levels on a
+    2^-20 (or 2^-30) grid and taus of at most 24 significant bits, or the
+    oracle runs in np.longdouble: a difference is then the kernel's error.
     """
 
     @staticmethod
@@ -399,7 +400,7 @@ class TestFrobeniusPairSum:
         shifted = sp.SpectralMeasure(sm.eigenvalues + shift, sm.populations)
         fast = en.finite_time_frobenius_distances(shifted, k, taus)
         oracle = mo.frobenius_pair_sum(sm.eigenvalues, sm.populations, k, taus)
-        assert fast == pytest.approx(oracle, rel=1e-12)
+        assert fast == pytest.approx(oracle, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d, k", [(64, 1), (16, 2), (6, 3)])
     def test_default_tau_grid(self, d, k):
@@ -444,17 +445,42 @@ class TestFrobeniusPairSum:
         sm = self._measure(np.concatenate([base, base + 2.0**-30]), rng)  # 9.3e-10 apart
         self._assert_matches(sm, k, 2.0 ** np.arange(2, 36))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit significand")
+    def test_exact_gaps_of_generic_level_sums(self):
+        # rounded k = 3 sums of these levels would put the last four taus off by up to 1.4e-11
+        sm = rmt._gue_measure(16, task_rng(1, 0))
+        taus = rmt.default_tau_grid(16)[-4:]
+        fast = en.finite_time_frobenius_distances(sm, 3, taus)
+        oracle = mo.frobenius_pair_sum(sm.eigenvalues, sm.populations, 3, taus, np.longdouble)
+        assert fast == pytest.approx(oracle.astype(float), rel=1e-12, abs=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit significand")
+    def test_exact_gaps_of_clustered_level_sums(self, rng):
+        # k = 2 sums near 2000 cluster delta apart, so every dominant pair is near; each
+        # sum rounds by up to 1.1e-13, and a rounded gap would be off by ~1e-7 relative.
+        # Sums of two such levels are exact in the oracle's 64-bit significand.
+        delta = 1.2345678e-6
+        base = np.linalg.eigvalsh(rmt.sample_gue(8, rng).entries)
+        sm = self._measure(np.concatenate([base, base + delta]) + 1000.0, rng)
+        taus = np.array([0.1, 0.15]) / delta
+        fast = en.finite_time_frobenius_distances(sm, 2, taus)
+        oracle = mo.frobenius_pair_sum(sm.eigenvalues, sm.populations, 2, taus, np.longdouble)
+        assert fast == pytest.approx(oracle.astype(float), rel=1e-12, abs=0)
+
     def test_peak_memory_is_flat_in_the_tau_grid(self, rng):
         sm = self._measure(self._gue_levels(32, rng), rng)
-        taus = np.logspace(0.0, 6.0, 4096) / (4.0 / 32)
-        tracemalloc.start()
-        try:
-            en.finite_time_frobenius_distances(sm, 2, taus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one unblocked phase table, D x T = 528 x 4096 complex, would take 35 MB
-        assert peak < 32 * 2**20
+        every_pair_near = np.logspace(-6.0, -3.0, 4096)
+        assert 2 * np.ptp(sm.eigenvalues) * every_pair_near[0] / 2 < en.NEAR_PHASE
+        for taus in (np.logspace(0.0, 6.0, 4096) / (4.0 / 32), every_pair_near):
+            tracemalloc.start()
+            try:
+                en.finite_time_frobenius_distances(sm, 2, taus)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one unblocked phase table, D x T = 528 x 4096 complex, would take 35 MB,
+            # and one unblocked near-pair sinc table, 139,128 pairs x 4096, 4.6 GB
+            assert peak < 32 * 2**20
 
 
 class TestOccupationBasis:
@@ -476,37 +502,17 @@ class TestOccupationBasis:
         assert np.array_equal(counts, np.where(idx[:, 0] == idx[:, 1], 1.0, 2.0))
 
 
-class TestClosePairs:
-    @staticmethod
-    def _double_loop(first):
-        return [(n, m) for n in range(first.size) for m in range(n + 1, first[n])]
-
-    @staticmethod
-    def _walk(first, block):
-        blocks = list(en._close_pairs(first, block))
-        assert all(0 < rows.size <= block and rows.size == cols.size for rows, cols in blocks)
-        return [(int(n), int(m)) for rows, cols in blocks for n, m in zip(rows, cols)]
-
-    @pytest.mark.parametrize("block", [1, 7, 1000])
-    def test_matches_the_double_loop(self, rng, block):
-        dim = 60
-        rows = np.arange(1, dim + 1)
-        first = np.minimum(dim, rows + rng.integers(0, 9, dim))
-        first[::5] = rows[::5]  # these rows pair with nothing
-        assert self._walk(first, block) == self._double_loop(first)
-
-    @pytest.mark.parametrize("block", [1, 7, 1000])
-    def test_no_pairs_and_all_pairs(self, block):
-        dim = 45
-        assert self._walk(np.arange(1, dim + 1), block) == []
-        every = self._walk(np.full(dim, dim), block)
-        assert every == [(n, m) for n in range(dim) for m in range(n + 1, dim)]
-
+class TestSortedSums:
     def test_sorted_sums_ascend_over_the_occupation_basis(self, rng):
         levels = np.sort(rng.standard_normal(9))
-        idx, counts, s = en._sorted_sums(levels, 3)
-        assert np.all(np.diff(s) >= 0)
-        assert np.array_equal(s, levels[idx].sum(axis=1))
+        idx, counts, hi, lo = en._sorted_sums(levels, 3)
+        assert np.all(np.diff(hi) >= 0)
+        assert np.array_equal(hi, levels[idx].sum(axis=1))
+        # hi + lo keeps what the rounded sum hi loses, to about eps^2
+        exact = [sum(map(Fraction, levels[t])) for t in idx]
+        err = max(abs(Fraction(h) + Fraction(l) - e) for h, l, e in zip(hi, lo, exact))
+        assert err <= 2.0**-100 * np.abs(levels).max()
+        assert not en._sorted_sums(levels, 1)[3].any()
         ref_idx, ref_counts = en._occupation_basis(9, 3)
         order = np.lexsort(idx.T[::-1])
         assert np.array_equal(idx[order], ref_idx) and np.array_equal(counts[order], ref_counts)
