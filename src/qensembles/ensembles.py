@@ -380,12 +380,15 @@ def finite_time_frobenius_distances(
     each row block of W takes one matrix product with the phases of a block of
     taus, and no transcendental is computed per pair. tau = 0 gives kernel 1.
 
-    Gaps and phases are exact to rounding at any tau. Every gap, near or far,
-    is (hi_n' - hi_n) + (lo_n' - lo_n) of the two-sums s_n = hi_n + lo_n
+    Gaps and far phases are exact to rounding at any tau. Every gap, near or
+    far, is (hi_n' - hi_n) + (lo_n' - lo_n) of the two-sums s_n = hi_n + lo_n
     (`_sorted_sums`), so clustered sums keep their gaps. E_m h = p + e exactly
     (Dekker's two-product), z_m = exp(2ip) exp(2ie), and z_n is the product of
     its levels' z_m. An error delta of a few eps in cos 2gh moves a far term by
     delta / (2 (g h)^2) of v_n v_n', at most 50 delta since g h >= NEAR_PHASE.
+    A near term's argument g h is one rounded product, off by up to eps g h,
+    and g h reaches NEAR_PHASE h / h_min: at h = 1e6 h_min this puts a d = 8,
+    k = 2 GUE distance 8.9e-13 relative off the exact pair sum.
 
     Only the eigenvalues and populations of `sd` are read, so a bound
     `SpectralData` and a `SpectralMeasure` serve equally.

@@ -456,8 +456,11 @@ def sparse_hamiltonian(
     P is sum_{i in o} |i> / sqrt(|o|) over an orbit of the site reversal R
     (`reflection_orbits`), m = (2^n + 2^ceil(n/2)) / 2 of them. Every chain is
     uniform with open ends, so R commutes with H and with u^(x n), and the
-    sector is invariant. A vector enters it as psi_s[o] = sqrt(|o|) psi[rep(o)]
-    and leaves it as psi[x] = psi_s[orbit(x)] / sqrt(|orbit(x)|).
+    sector is invariant; the uniform product state is R-even, so exp(-iHt)
+    keeps a quench in it. A vector enters the frame site by site and then the
+    sector, as psi_s[o] = sqrt(|o|) psi[rep(o)], and leaves the sector, as
+    psi[x] = psi_s[orbit(x)] / sqrt(|orbit(x)|), and then the frame, with one
+    pass of u^dag per site (`apply_local_rotations`).
 
     Only the m representative rows of the frame's `_flip_rows` table are
     built: row o is that of rep(o), with column c moved to orbit(c) and

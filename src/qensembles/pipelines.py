@@ -4,28 +4,21 @@ Every pipeline, and the cache, takes a chain model, which
 `hilbert.model_terms` reads as a table of Pauli-string terms. A quenched
 state |psi(t)> = exp(-iHt)|psi0> is only ever built one way: `quench_state`
 propagates the product state with the sparse Hamiltonian
-(`spectral.propagate`), so no pipeline reads a state off a spectrum. The
-sparse chain Hamiltonian is built only on the sector even under the site
-reversal R, about half of Hilbert space, and in a site-local frame where
-mfim, tfim and xxz are real (`hilbert.sparse_hamiltonian`): the product
-state enters the frame site by site and then the sector, and the propagated
-state leaves the sector and then the frame through
-`hilbert.apply_local_rotations`. This is exact: every chain model is uniform
-with open ends, so R commutes with H and with the uniform frame, the uniform
-product state is R-even, and exp(-iHt) keeps it in the sector.
-`basis_information_scan` reads its quench energy off the term table. The
-dense Hamiltonian and every spectrum stay in the computational basis. Full
-spectra (`spectral.model_spectrum`, a dense diagonalization in the matrix the
-Hamiltonian was built in) are built only for conditional-state tables, which
-read the spectrum bound to the product state. Chains stop at D = 2^13, where
-the dense build's D^2 entries reach `Caps.max_moment_entries` (2^26);
-`max_spectrum_dim` (2^14) is checked first and binds only when it is set
-lower. The process cache holds one memo per term table, so two
-specifications of the same Hamiltonian share it, and each entry is keyed
-within it by what else it depends on: the spectrum by nothing, a bound
-spectrum by the initial-state angle, a quenched state by the angle and the
-time, and a conditional-state table by the angle, the bipartition and the
-measurement basis (its sites and the bytes of each factor).
+(`spectral.propagate`), on its reflection-even sector and in its site-local
+frame, as `hilbert.sparse_hamiltonian` describes; so no pipeline reads a
+state off a spectrum. `basis_information_scan` reads its quench energy off
+the term table. The dense Hamiltonian and every spectrum stay in the
+computational basis. Full spectra (`spectral.model_spectrum`, a dense
+diagonalization in the matrix the Hamiltonian was built in) are built only
+for conditional-state tables, which read the spectrum bound to the product
+state. Chains stop at D = 2^13, where the dense build's D^2 entries reach
+`Caps.max_moment_entries` (2^26); `max_spectrum_dim` (2^14) is checked first
+and binds only when it is set lower. The process cache holds one memo per
+term table, so two specifications of the same Hamiltonian share it, and each
+entry is keyed within it by what else it depends on: the spectrum by nothing,
+a bound spectrum by the initial-state angle, a quenched state by the angle
+and the time, and a conditional-state table by the angle, the bipartition and
+the measurement basis (its sites and the bytes of each factor).
 
 A table does not depend on time, so every time average is read off the
 cached table of its B basis: the generalized Scrooge reference, the
@@ -54,74 +47,51 @@ class SpectrumCache:
     One dict per term table (`hilbert.model_terms`) holds every entry of that
     Hamiltonian, whichever specification spelled it, keyed
     ("spectrum",), ("bound", theta), ("state", theta, t) or ("table", theta,
-    n, sites_A, basis.key()). States are built by propagation, never from a
-    spectrum; the spectrum is built only when a caller reads eigenpairs, and
-    `bound` binds it to the product state at theta once per angle. Tables
-    are the one source of every time average the pipelines report.
+    n, sites_A, basis.key()). `_get` is the one lookup, and each public call
+    makes one; a nested build goes through `spectrum` and `bound`. States are
+    built by propagation, never from a spectrum; the spectrum is built only
+    when a caller reads eigenpairs, and `bound` binds it to the product state
+    at theta once per angle. Tables are the one source of every time average
+    the pipelines report.
     """
 
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self._memo: dict[str, dict[tuple, object]] = {}
         self.caps = caps
 
-    @staticmethod
-    def _key(model: dict) -> str:
-        return repr(hb.model_terms(model))  # the repr of a float round-trips
-
-    def _entries(self, model: dict) -> dict[tuple, object]:
-        """The memo of the model's Hamiltonian. Each public call reads it once and
-        passes it down, since building the key rebuilds the term table."""
-        return self._memo.setdefault(self._key(model), {})
-
-    @staticmethod
-    def _cached(entries: dict, key: tuple, build):
+    def _get(self, model: dict, key: tuple, build):
+        entries = self._memo.setdefault(repr(hb.model_terms(model)), {})  # the repr of a float round-trips
         if key not in entries:
             entries[key] = build()
         return entries[key]
 
-    def _spectrum(self, entries: dict, model: dict) -> sp.SpectralData:
-        return self._cached(entries, ("spectrum",), lambda: sp.model_spectrum(model, self.caps))
-
-    def _bound(self, entries: dict, model: dict, theta: float) -> sp.SpectralData:
-        def build():
-            sd = self._spectrum(entries, model)
-            return sp.bind_state(sd, hb.product_state(theta, sd.dim.bit_length() - 1))
-
-        return self._cached(entries, ("bound", float(theta)), build)
-
     def spectrum(self, model: dict) -> sp.SpectralData:
-        return self._spectrum(self._entries(model), model)
+        return self._get(model, ("spectrum",), lambda: sp.model_spectrum(model, self.caps))
 
     def bound(self, model: dict, theta: float) -> sp.SpectralData:
-        return self._bound(self._entries(model), model, theta)
+        def build():
+            return sp.bind_state(self.spectrum(model), hb.product_state(theta, hb.model_terms(model)[0]))
+
+        return self._get(model, ("bound", float(theta)), build)
 
     def conditional_states(
         self, model: dict, theta: float, part: hb.Bipartition, basis: hb.MeasurementBasis
     ) -> sc.ConditionalStateTable:
         """`scrooge.conditional_states` of the model quenched from angle theta, built once."""
-        entries = self._entries(model)
         key = ("table", float(theta), part.n_sites, part.sites_A, basis.key())
-        return self._cached(
-            entries, key, lambda: sc.conditional_states(self._bound(entries, model, theta), part, basis)
-        )
+        return self._get(model, key, lambda: sc.conditional_states(self.bound(model, theta), part, basis))
 
 
 def quench_state(cache: SpectrumCache, model: dict, theta: float, t: float) -> hb.PureState:
     """exp(-iHt) of the product state at angle theta, memoized in the cache.
 
-    Propagated with the sparse Hamiltonian on its reflection-even sector, in
-    its site-local frame u (`hilbert.sparse_hamiltonian`,
-    `spectral.propagate`), never read off a spectrum, so the result does not
-    depend on what the cache holds. The sector holds the whole trajectory,
-    because H commutes with the site reversal and the uniform product state
-    is even under it. The product state enters the frame site by site and
-    then the sector; the propagated state leaves the sector and then the
-    frame, with one pass of u^dag per site (`hilbert.apply_local_rotations`),
-    both as `hilbert.sparse_hamiltonian` describes. The amplitudes are
-    read-only: every caller shares them.
+    Propagated on the sparse Hamiltonian's reflection-even sector and in its
+    site-local frame (`hilbert.sparse_hamiltonian`, `spectral.propagate`),
+    never read off a spectrum, so the result does not depend on what the
+    cache holds. The amplitudes are read-only: every caller shares them.
     """
     key = ("state", float(theta), float(t))
-    return cache._cached(cache._entries(model), key, lambda: _propagated(model, theta, t, cache.caps))
+    return cache._get(model, key, lambda: _propagated(model, theta, t, cache.caps))
 
 
 def _propagated(model: dict, theta: float, t: float, caps: Caps) -> hb.PureState:

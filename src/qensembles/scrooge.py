@@ -132,7 +132,7 @@ def _cluster_plain(lam: np.ndarray) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
+def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """E[prod_m |x_m|^(2 n_m) / |x|^(2(k-1))] for independent complex Gaussians
     x_m with E|x_m|^2 = lam_m, one value per row of occ.
 
@@ -145,19 +145,18 @@ def _gaussian_quadrature(lam: np.ndarray, occ: np.ndarray, grid: np.ndarray | No
 
     lam may be a stack of spectra (..., r); the values then have shape
     (..., rows). A zero in lam marks a mode outside the support: it leaves the
-    product, and every row that occupies it gets 0. `grid` defaults to
-    `_log_grid(lam)`.
+    product, and every row that occupies it gets 0. `grid` holds the nodes in
+    t, `_log_grid` of lam or of a stack that holds it.
     """
     k = int(occ[0].sum())
-    t = _log_grid(lam) if grid is None else grid
     support = lam > 0.0
     # a zero mode stands in at the largest eigenvalue, so the rows that occupy it stay finite
     lam = np.where(support, lam, lam.max(axis=-1, keepdims=True))
-    log_factors = np.logaddexp(0.0, t + np.log(lam)[..., None])  # ln(1 + s lam_m)
+    log_factors = np.logaddexp(0.0, grid + np.log(lam)[..., None])  # ln(1 + s lam_m)
     const = (scipy.special.gammaln(occ + 1.0) + occ * np.log(lam)[..., None, :]).sum(axis=-1)
     const -= math.lgamma(k - 1)
     # every support mode carries one factor (1 + s lam_m)^-1, occupied modes n_m more
-    base = (k - 1) * t - np.where(support[..., None], log_factors, 0.0).sum(axis=-2)
+    base = (k - 1) * grid - np.where(support[..., None], log_factors, 0.0).sum(axis=-2)
     integrand = occ @ log_factors  # rows x nodes, turned in place into the integrand
     np.subtract(base[..., None, :], integrand, out=integrand)
     integrand += const[..., None]
@@ -203,7 +202,7 @@ def _scrooge_mixture(states: np.ndarray, weights: np.ndarray, k: int, caps: Caps
         total = np.zeros((dim, dim), dtype=complex)
         for lo in range(0, n_states, step):
             hi = min(lo + step, n_states)
-            coeffs = _gaussian_quadrature(lam[lo:hi], occ, grid=grid)
+            coeffs = _gaussian_quadrature(lam[lo:hi], occ, grid)
             s = np.moveaxis(_symmetric_power(v[lo:hi], k), 0, 1).reshape(dim, -1)
             scale = (weights[lo:hi, None] * counts * coeffs).ravel()
             total += (s * scale) @ s.conj().T

@@ -183,7 +183,7 @@ def scrooge_moment_per_outcome(rho, k):
     lam, vectors = support_spectrum(rho)
     idx, counts = en._occupation_basis(lam.size, k)
     occ = (idx[:, :, None] == np.arange(lam.size)).sum(axis=1).astype(float)
-    coeffs = sc._gaussian_quadrature(lam, occ)
+    coeffs = sc._gaussian_quadrature(lam, occ, sc._log_grid(lam))
     s = en._symmetric_power(vectors, k)
     full = (s * (counts * coeffs)) @ s.conj().T
     return (full + full.conj().T) / 2

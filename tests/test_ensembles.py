@@ -275,7 +275,7 @@ class TestFiniteTimeMoment:
         exact = en.random_phase_moment_exact(bound.populations, 2).matrix
         for tau, dist in zip(taus, fast):
             m = en.finite_time_temporal_moment(bound, 2, tau).matrix
-            assert np.linalg.norm(m - exact) == pytest.approx(dist, rel=1e-12)
+            assert np.linalg.norm(m - exact) == pytest.approx(dist, rel=1e-12, abs=0)
 
     @staticmethod
     def _dense_distances(bound, k, taus):
@@ -291,13 +291,23 @@ class TestFiniteTimeMoment:
         bound = self._bound_gue(d, task_rng(7, 0))
         taus = rmt.default_tau_grid(d)
         fast = en.finite_time_frobenius_distances(bound, k, taus)
-        assert fast == pytest.approx(self._dense_distances(bound, k, taus), rel=1e-12)
+        # the dense moment's rounded level sums put it up to 7.9e-11 relative off at the last taus
+        assert fast == pytest.approx(self._dense_distances(bound, k, taus), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit significand")
+    @pytest.mark.parametrize("d, k", [(16, 1), (8, 2)])
+    def test_frobenius_matches_longdouble_pair_sum_on_full_tau_grid(self, d, k):
+        bound = self._bound_gue(d, task_rng(7, 0))
+        taus = rmt.default_tau_grid(d)
+        fast = en.finite_time_frobenius_distances(bound, k, taus)
+        oracle = mo.frobenius_pair_sum(bound.eigenvalues, bound.populations, k, taus, np.longdouble)
+        assert fast == pytest.approx(oracle.astype(float), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_frobenius_at_tau_zero(self, rng, k):
         bound = self._bound_gue(8, rng)
         fast = en.finite_time_frobenius_distances(bound, k, [0.0])
-        assert fast == pytest.approx(self._dense_distances(bound, k, [0.0]), rel=1e-12)
+        assert fast == pytest.approx(self._dense_distances(bound, k, [0.0]), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_frobenius_with_zero_gaps(self, rng, k):
@@ -308,7 +318,7 @@ class TestFiniteTimeMoment:
         taus = np.concatenate([[0.0], rmt.default_tau_grid(4)])
         fast = en.finite_time_frobenius_distances(bound, k, taus)
         dense = self._dense_distances(bound, k, taus)
-        assert fast == pytest.approx(dense, rel=1e-12)
+        assert fast == pytest.approx(dense, rel=1e-12, abs=0)
         assert fast[-1] > 0.1 * fast[0]  # resonant pairs never dephase
 
     @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ def scrooge_oracle(rho, k):
     if k == 1:
         return rho
     sets, occ = multiset_occupations(lam.size, k)
-    coeffs = sc._gaussian_quadrature(lam, occ)
+    coeffs = sc._gaussian_quadrature(lam, occ, sc._log_grid(lam))
     return mo.eigenbasis_scatter(vectors, dict(zip(sets, coeffs)), k)
 
 

@@ -56,6 +56,19 @@ class TestSpectrumCache:
         ref = sp.diagonalize(hb.build_hamiltonian(MFIM6))
         assert np.array_equal(sd.eigenvectors, ref.eigenvectors)
 
+    def test_tables_at_one_angle_share_one_spectrum_and_one_binding(self, monkeypatch):
+        built, bound = [], []
+        model_spectrum, bind_state = sp.model_spectrum, sp.bind_state
+        monkeypatch.setattr(sp, "model_spectrum", lambda *a: built.append(model_spectrum(*a)) or built[-1])
+        monkeypatch.setattr(sp, "bind_state", lambda *a: bound.append(bind_state(*a)) or bound[-1])
+        cache = pl.SpectrumCache()
+        for letter in ("Z", "X"):
+            cache.conditional_states(MFIM6, 0.3, *central(6, 2, letter))
+        assert len(built) == len(bound) == 1
+        assert cache.bound(MFIM6, 0.3) is bound[0]
+        assert cache.spectrum(MFIM6) is built[0]
+        assert len(built) == len(bound) == 1
+
     def test_bound_spectrum_is_cached_per_angle_until_released(self):
         cache = pl.SpectrumCache()
         first = cache.bound(MFIM6, 0.3)

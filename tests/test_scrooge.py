@@ -490,12 +490,12 @@ class TestBatchedScroogeMixture:
         lam = np.array([[1.0, 0.0, 0.0], [0.0, 1e-12, 1 - 1e-12], [0.2, 0.3, 0.5]])
         idx, _ = en._occupation_basis(3, k)
         occ = (idx[:, :, None] == np.arange(3)).sum(axis=1).astype(float)
-        values = sc._gaussian_quadrature(lam, occ)
+        values = sc._gaussian_quadrature(lam, occ, sc._log_grid(lam))
         for spectrum, row in zip(lam, values):
             on = spectrum > 0
             inside = occ[:, ~on].sum(axis=1) == 0
             assert np.all(row[~inside] == 0.0)
-            alone = sc._gaussian_quadrature(spectrum[on], occ[inside][:, on])
+            alone = sc._gaussian_quadrature(spectrum[on], occ[inside][:, on], sc._log_grid(spectrum[on]))
             assert np.abs(row[inside] - alone).max() <= 1e-12 * alone.max()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
