@@ -31,7 +31,9 @@ ZERO_OUTCOME_CUTOFF = 1e-14
 PANEL_WIDTH = 64
 # Terms per block of the Frobenius kernel: pair-tau terms of one offset diagonal of its
 # near band, pairs of one row block of its far-pair weight matrix. Arrays stay in cache
-# (64 KiB each) and OpenBLAS runs the row block's product on one thread; on two cores,
+# (64 KiB each) and OpenBLAS runs the row block's product, with 2T + 1 columns for T
+# taus, on one thread: 8,192 x 61 = 499,712 multiply-adds at the default 30 taus, under
+# the 2^20 up to which OpenBLAS 0.3.31 keeps a product on one thread. On two cores,
 # 32k pairs or more gain no wall time and nearly double the CPU time.
 SINC_CHUNK = 8192
 # Multiset phases per tau block of the Frobenius kernel (2 MiB), so that its peak
@@ -414,29 +416,41 @@ def finite_time_frobenius_distances(
 
 
 def _far_pair_sums(energies, idx, hi, lo, v, far_gap, first_far, halves) -> np.ndarray:
-    """sum over m >= first_far[n] of v_n v_m sinc^2(g_nm h), per h."""
+    """sum over m >= first_far[n] of v_n v_m sinc^2(g_nm h), per h.
+
+    Each row block of W' = v_m / g^2 (rows n, columns m) takes one matrix
+    product with the phase block z and a column of ones, which gives the
+    block's (W' z)_n and its row sums together; v_n is applied to those small
+    results, not to the block. Only the columns below first_far of the block's
+    last row can hold a near or lower-triangle pair, so only they are masked.
+    """
     dim = v.size
     tail = np.append(np.cumsum(v[::-1])[::-1], 0.0)
     sq = np.full(halves.size, v @ tail[first_far])  # kernel 1 at h = 0
     positive = np.flatnonzero(halves > 0)
     step = max(1, PHASE_CHUNK // dim)
+    any_lo = lo.any()  # lo = 0 at k = 1, where its pass adds exact zeros
     for t in range(0, positive.size, step):
         cols = positive[t : t + step]
-        z = _exact_phases(energies, idx, halves[cols])
+        # the real and imaginary parts of z, interleaved, then a column of ones
+        z = np.ones((dim, 2 * cols.size + 1))
+        z[:, :-1] = _exact_phases(energies, idx, halves[cols]).view(float)
         w_sum, re_zwz = 0.0, np.zeros(2 * cols.size)
         r0 = 0
         while r0 < dim and first_far[r0] < dim:
             c0 = first_far[r0]
             r1 = min(dim, r0 + max(1, SINC_CHUNK // (dim - c0)))
+            c1 = first_far[r1 - 1]
             w = np.subtract(hi[c0:], hi[r0:r1, None])
-            w += lo[c0:] - lo[r0:r1, None]
+            if any_lo:
+                w += lo[c0:] - lo[r0:r1, None]
             w *= w
             # m < first_far[n], the searchsorted test: diagonal, lower triangle and band
-            np.copyto(w, np.inf, where=hi[c0:] <= hi[r0:r1, None] + far_gap)
-            np.multiply(np.divide(v[c0:], w, out=w), v[r0:r1, None], out=w)
-            w_sum += w.sum()
-            # Re(conj(z_n) (W z)_n), its real and imaginary products interleaved
-            re_zwz += np.einsum("ij,ij->j", z[r0:r1].view(float), w @ z[c0:].view(float))
+            np.copyto(w[:, : c1 - c0], np.inf, where=hi[c0:c1] <= hi[r0:r1, None] + far_gap)
+            wz = np.divide(v[c0:], w, out=w) @ z[c0:]
+            w_sum += v[r0:r1] @ wz[:, -1]
+            # Re(conj(z_n) v_n (W' z)_n), its real and imaginary products interleaved
+            re_zwz += np.einsum("i,ij,ij->j", v[r0:r1], z[r0:r1, :-1], wz[:, :-1])
             r0 = r1
         sq[cols] = (w_sum - re_zwz.reshape(-1, 2).sum(axis=1)) / halves[cols] / (2.0 * halves[cols])
     return sq

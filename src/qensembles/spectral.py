@@ -4,17 +4,24 @@ one state without a spectrum.
 `_eigh` is the one call of the dense eigensolver. `model_spectrum` runs it in
 the Hamiltonian it has just built, `diagonalize` on a copy of the caller's.
 `_tridiagonal_levels` gives the eigenvalues alone of a real tridiagonal
-matrix in O(d) memory, which are the levels of `rmt._gue_measure`.
+matrix in O(d) memory, which are the levels of `rmt._gue_measure`. It calls
+LAPACK dsterf through ctypes, at the address that scipy's `cython_lapack`
+exports: the same routine from the same library as scipy's f2py `dsterf` and
+`eigh_tridiagonal`, so the levels are bit-identical, but a ctypes call
+releases the GIL, which those hold. The GUE draws of
+`rmt.convergence_experiment` therefore solve their levels in parallel threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg import cython_lapack
 
 # y += A x for a CSR matrix A, into the caller's y. The products of `propagate` call
 # it directly: at d = 1024, scipy's `@` spends longer on dispatch and on a new
@@ -168,14 +175,41 @@ class SpectralMeasure(NamedTuple):
         return self.eigenvalues.size
 
 
+def _lapack_function(name: str, *argtypes):
+    """The LAPACK routine `name` of scipy's `cython_lapack`, as a ctypes function.
+
+    The capsule's name and pointer are read with prototypes of our own over
+    `ctypes.pythonapi`, so no attribute of the shared `pythonapi` functions is set.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# dsterf(n, d, e, info): the eigenvalues of the tridiagonal (d, e) into d, ascending
+_dsterf = _lapack_function("dsterf", _INT, ctypes.c_void_p, ctypes.c_void_p, _INT)
+
+
 def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a real tridiagonal matrix by LAPACK ?sterf, in O(d) memory."""
-    try:
-        return scipy.linalg.eigh_tridiagonal(
-            diag, off, eigvals_only=True, lapack_driver="sterf", check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal eigensolver failed (dim={diag.size}): {exc}") from exc
+    """Ascending eigenvalues of a real tridiagonal matrix by LAPACK dsterf, in O(d) memory.
+
+    dsterf overwrites its arrays, so it runs on float64 copies of `diag` and
+    `off`. The ctypes call releases the GIL for the solve, so threads that
+    draw spectra solve them in parallel.
+    """
+    d = np.array(diag, dtype=np.float64)
+    e = np.array(off, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError(f"off must have length diag.size - 1, got shapes {d.shape} and {e.shape}")
+    info = ctypes.c_int(0)
+    _dsterf(ctypes.c_int(d.size), d.ctypes.data, e.ctypes.data, info)
+    if info.value != 0:
+        raise NumericalFailureError(f"tridiagonal eigensolver failed (dim={d.size}): dsterf info = {info.value}")
+    return d
 
 
 def _finite_times(times) -> np.ndarray:

@@ -135,7 +135,32 @@ class TestModelSpectrum:
         assert peak < (2**n) ** 2 * 16
 
 
+def _tridiagonal(d):
+    if d == 1:
+        return np.array([0.7]), np.empty(0)
+    return rmt._gue_tridiagonal(d, task_rng(36, d))
+
+
 class TestTridiagonalLevels:
+    @pytest.mark.parametrize("d", [1, 2, 48, 1024])
+    def test_bit_identical_to_scipy_sterf(self, d):
+        diag, off = _tridiagonal(d)
+        kept = diag.copy(), off.copy()
+        levels = sp._tridiagonal_levels(diag, off)
+        expected = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
+        assert np.array_equal(levels, expected)
+        # dsterf overwrites its arrays: the inputs must be left as they were
+        assert np.array_equal(diag, kept[0]) and np.array_equal(off, kept[1])
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_off_of_the_wrong_length_is_rejected_before_the_solve(self, monkeypatch, length):
+        def dsterf(*args):
+            raise AssertionError("dsterf called")
+
+        monkeypatch.setattr(sp, "_dsterf", dsterf)
+        with pytest.raises(ValueError, match="length"):
+            sp._tridiagonal_levels(np.ones(3), np.ones(length))
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -145,10 +170,10 @@ class TestTridiagonalLevels:
         ids=["eigh_tridiagonal", "eigh_tridiagonal-convergence_experiment"],
     )
     def test_solver_failure_is_named(self, monkeypatch, call):
-        def fail(*a, **kw):
-            raise scipy.linalg.LinAlgError("no convergence")
+        def fail(n, d, e, info):  # dsterf's info > 0: that many off-diagonals did not converge
+            info.value = 1
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(sp, "_dsterf", fail)
         with pytest.raises(NumericalFailureError, match="tridiagonal eigensolver failed"):
             call()
 
